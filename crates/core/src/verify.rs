@@ -335,6 +335,7 @@ fn stage_refine12(
     spec: &TriLevelSpec,
     config: &VerifyConfig,
     budget: &Budget,
+    threads: usize,
 ) -> Result<Refine12Report> {
     Ok(check_refinement_1_2_budget(
         &spec.information,
@@ -344,6 +345,7 @@ fn stage_refine12(
         &spec.info_domains,
         config.refine12,
         budget,
+        threads,
     )?)
 }
 
@@ -481,7 +483,7 @@ fn verify_serial(
     let mut stages = Vec::new();
     let mut stage_start = budget.elapsed();
 
-    let refine12 = stage_refine12(spec, config, budget)?;
+    let refine12 = stage_refine12(spec, config, budget, threads)?;
     record_stage(
         config.print_stages,
         budget,
@@ -587,7 +589,7 @@ fn verify_staged(
     let chain_a = || {
         let mut stages = Vec::new();
         let mut start = budget.elapsed();
-        let refine12 = stage_refine12(spec, config, budget)?;
+        let refine12 = stage_refine12(spec, config, budget, threads)?;
         let exhausted = refine12.exhausted().cloned();
         record_stage(false, budget, &mut stages, &mut start, "refine12", exhausted);
         let valid_reachable = stage_witness(spec, &refine12, config)?;

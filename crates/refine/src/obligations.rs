@@ -124,7 +124,8 @@ impl Refine12Report {
     }
 }
 
-/// Checks obligations (a), (b) and (d) for `T2` against `T1` under `I`.
+/// Checks obligations (a), (b) and (d) for `T2` against `T1` under `I`,
+/// with `ECLECTIC_THREADS` workers (see [`eclectic_kernel::env_threads`]).
 ///
 /// # Errors
 /// Propagates exploration and evaluation errors.
@@ -144,12 +145,14 @@ pub fn check_refinement_1_2(
         domains,
         config,
         &config.budget(),
+        eclectic_kernel::env_threads(),
     )
 }
 
 /// As [`check_refinement_1_2`], governed by an explicit [`Budget`] (shared
 /// with other stages by the caller; `config.deadline_ms`/`config.max_nodes`
-/// are ignored in favour of `budget`). When the completeness pass or the
+/// are ignored in favour of `budget`) and run with `threads` workers, which
+/// the environment does not override. When the completeness pass or the
 /// exploration exhausts the budget, the remaining obligations are skipped
 /// and the partial report carries the exhaustion — see
 /// [`Refine12Report::exhausted`].
@@ -157,6 +160,7 @@ pub fn check_refinement_1_2(
 /// # Errors
 /// Propagates exploration and evaluation errors; budget exhaustion is *not*
 /// an error.
+#[allow(clippy::too_many_arguments)]
 pub fn check_refinement_1_2_budget(
     theory: &Theory,
     spec: &AlgSpec,
@@ -165,8 +169,8 @@ pub fn check_refinement_1_2_budget(
     domains: &Arc<Domains>,
     config: Refine12Config,
     budget: &Budget,
+    threads: usize,
 ) -> Result<Refine12Report> {
-    let threads = eclectic_kernel::env_threads();
     let termination = obligation_termination(spec)?;
     let completeness =
         obligation_completeness(spec, config.completeness_depth, budget, threads)?;

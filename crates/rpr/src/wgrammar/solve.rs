@@ -4,12 +4,14 @@
 //! metanotion, a protonotion value that (a) is derivable from the metarules
 //! and (b) is the *same* everywhere the metanotion occurs in the rule — the
 //! consistent substitution of W-grammar theory. The solver searches split
-//! points with backtracking across a whole system of equations, memoising
-//! metalanguage membership tests.
+//! points with backtracking across a whole system of equations. Membership
+//! is memoised per metanotion and token suffix: one Earley pass over a
+//! suffix answers every split of it (see [`prefix_members`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
-use crate::wgrammar::earley::recognizes;
+use crate::wgrammar::earley::prefix_members;
 use crate::wgrammar::hyper::{HyperSym, Hypernotion, Protonotion, WGrammar};
 
 /// A substitution: metanotion → protonotion.
@@ -37,7 +39,11 @@ const SOLVE_DEPTH_LIMIT: usize = 4_096;
 #[derive(Debug)]
 pub struct Solver<'g> {
     grammar: &'g WGrammar,
-    memo: BTreeMap<(String, Protonotion), bool>,
+    /// `memo[meta][tokens][k]`: whether `tokens[..k]` derives from `meta`.
+    /// Two levels, so that a hit is looked up by `&str` and `&[String]`
+    /// without allocating. The default hasher stays, because the tokens
+    /// come from spec text.
+    memo: HashMap<String, HashMap<Protonotion, Rc<[bool]>>>,
     step_limit: usize,
     steps: usize,
     overflowed: bool,
@@ -57,7 +63,7 @@ impl<'g> Solver<'g> {
     pub fn with_step_limit(grammar: &'g WGrammar, step_limit: usize) -> Self {
         Solver {
             grammar,
-            memo: BTreeMap::new(),
+            memo: HashMap::new(),
             step_limit,
             steps: 0,
             overflowed: false,
@@ -85,13 +91,25 @@ impl<'g> Solver<'g> {
 
     /// Whether `tokens` belongs to the metalanguage of `meta`.
     pub fn member(&mut self, meta: &str, tokens: &[String]) -> bool {
-        let key = (meta.to_string(), tokens.to_vec());
-        if let Some(&hit) = self.memo.get(&key) {
-            return hit;
+        self.prefixes(meta, tokens)[tokens.len()]
+    }
+
+    /// Which prefixes of `tokens` belong to the metalanguage of `meta`
+    /// (see [`prefix_members`]), computed once per `(meta, tokens)`.
+    fn prefixes(&mut self, meta: &str, tokens: &[String]) -> Rc<[bool]> {
+        if let Some(hit) = self
+            .memo
+            .get(meta)
+            .and_then(|by_tokens| by_tokens.get(tokens))
+        {
+            return Rc::clone(hit);
         }
-        let result = recognizes(&self.grammar.meta, meta, tokens);
-        self.memo.insert(key, result);
-        result
+        let members: Rc<[bool]> = prefix_members(&self.grammar.meta, meta, tokens).into();
+        self.memo
+            .entry(meta.to_string())
+            .or_default()
+            .insert(tokens.to_vec(), Rc::clone(&members));
+        members
     }
 
     /// Solves a system of equations; returns a satisfying substitution.
@@ -117,9 +135,7 @@ impl<'g> Solver<'g> {
         let Some((pattern, tokens)) = eqs.get(idx) else {
             return true;
         };
-        let pattern = pattern.clone();
-        let tokens = tokens.clone();
-        self.match_hyper(&pattern, &tokens, eqs, idx, binding, depth)
+        self.match_hyper(pattern, tokens, eqs, idx, binding, depth)
     }
 
     /// Matches `pat` against `toks`, then continues with the remaining
@@ -143,24 +159,14 @@ impl<'g> Solver<'g> {
                     && self.match_hyper(&pat[1..], &toks[1..], eqs, idx, binding, depth + 1)
             }
             Some(HyperSym::Meta(mv)) => {
-                if let Some(bound) = binding.get(mv).cloned() {
-                    return toks.len() >= bound.len()
-                        && toks[..bound.len()] == bound[..]
-                        && self.match_hyper(
-                            &pat[1..],
-                            &toks[bound.len()..],
-                            eqs,
-                            idx,
-                            binding,
-                            depth + 1,
-                        );
+                if let Some(bound) = binding.get(mv) {
+                    let len = bound.len();
+                    return toks.starts_with(bound)
+                        && self.match_hyper(&pat[1..], &toks[len..], eqs, idx, binding, depth + 1);
                 }
-                for split in 0..=toks.len() {
-                    let candidate = &toks[..split];
-                    if !self.member(mv, candidate) {
-                        continue;
-                    }
-                    binding.insert(mv.clone(), candidate.to_vec());
+                let members = self.prefixes(mv, toks);
+                for split in (0..=toks.len()).filter(|&k| members[k]) {
+                    binding.insert(mv.clone(), toks[..split].to_vec());
                     if self.match_hyper(&pat[1..], &toks[split..], eqs, idx, binding, depth + 1) {
                         return true;
                     }
@@ -202,9 +208,7 @@ impl<'g> Solver<'g> {
             out.push(binding.clone());
             return;
         };
-        let pattern = pattern.clone();
-        let tokens = tokens.clone();
-        self.match_hyper_all(&pattern, &tokens, eqs, idx, binding, out, cap, depth);
+        self.match_hyper_all(pattern, tokens, eqs, idx, binding, out, cap, depth);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -234,11 +238,12 @@ impl<'g> Solver<'g> {
                 }
             }
             Some(HyperSym::Meta(mv)) => {
-                if let Some(bound) = binding.get(mv).cloned() {
-                    if toks.len() >= bound.len() && toks[..bound.len()] == bound[..] {
+                if let Some(bound) = binding.get(mv) {
+                    let len = bound.len();
+                    if toks.starts_with(bound) {
                         self.match_hyper_all(
                             &pat[1..],
-                            &toks[bound.len()..],
+                            &toks[len..],
                             eqs,
                             idx,
                             binding,
@@ -249,12 +254,9 @@ impl<'g> Solver<'g> {
                     }
                     return;
                 }
-                for split in 0..=toks.len() {
-                    let candidate = &toks[..split];
-                    if !self.member(mv, candidate) {
-                        continue;
-                    }
-                    binding.insert(mv.clone(), candidate.to_vec());
+                let members = self.prefixes(mv, toks);
+                for split in (0..=toks.len()).filter(|&k| members[k]) {
+                    binding.insert(mv.clone(), toks[..split].to_vec());
                     self.match_hyper_all(&pat[1..], &toks[split..], eqs, idx, binding, out, cap, depth + 1);
                     binding.remove(mv);
                     if self.overflowed {

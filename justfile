@@ -3,13 +3,16 @@
 # The full offline gate: release build, tests, lints with warnings denied,
 # the parallel-determinism suite in release mode (now covering confluence,
 # completeness, PDL-batch, budget-exhaustion and sparse-backend sweeps),
-# and the parallel/crossover benches. The tier-1 steps run under a hard
-# timeout so a hung sweep fails the gate instead of wedging it.
+# the benchmark package's own known-answer tests (perfbench/ is a separate
+# cargo package, so `--workspace` does not reach it), and the
+# parallel/crossover benches. The tier-1 steps run under a hard timeout so a
+# hung sweep fails the gate instead of wedging it.
 verify:
     timeout 900 cargo build --release --workspace
     timeout 1200 cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
     timeout 600 cargo test -q -p eclectic-spec --release --test parallel_determinism
+    timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
     cargo run -p eclectic-bench --bin bench_reach_parallel --release
     cargo run -p eclectic-bench --bin bench_verify_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release

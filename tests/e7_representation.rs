@@ -5,9 +5,11 @@
 use std::sync::Arc;
 
 use eclectic::logic::{Elem, Signature, Valuation};
+use eclectic::rpr::wgrammar::{Child, DerivTree};
 use eclectic::rpr::{
     denote, exec, parse_schema, wgrammar, DbState, FiniteUniverse, Schema, PAPER_COURSES_SCHEMA,
 };
+use eclectic::spec::fuzz::{build_domain, FuzzConfig};
 
 fn paper_schema() -> (Schema, DbState) {
     let mut sig = Signature::new();
@@ -156,4 +158,50 @@ fn undeclared_relation_is_rejected_by_the_grammar() {
     procs[0].body = eclectic::rpr::Stmt::Insert(ghost, vec![eclectic::logic::Term::Var(c)]);
     let schema = Schema::new(Arc::new(sig), rels, procs).unwrap();
     assert!(wgrammar::check_schema(&schema).is_err());
+}
+
+/// Adds one `i` to the arity of the first `rname ALPHA has NUM in DECS`
+/// notion in pre-order; `false` when the tree has none. Names are
+/// one-character tokens, so the first `in` ends the arity.
+fn add_arity_to_first_rname(tree: &mut DerivTree) -> bool {
+    if tree.notion.first().map(String::as_str) == Some("rname") {
+        if let Some(at) = tree.notion.iter().position(|t| t == "in") {
+            tree.notion.insert(at, "i".to_string());
+            return true;
+        }
+    }
+    for child in &mut tree.children {
+        if let Child::Node(n) = child {
+            if add_arity_to_first_rname(n) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+#[test]
+fn wrong_arity_is_rejected_on_every_factory_schema() {
+    // §5.4 step 1 must be able to say no on generated schemas too: on each
+    // of 64 factory seeds, one extra `i` in the arity of the first
+    // relation-name notion leaves a derivation no hyperrule instance covers.
+    let g = wgrammar::rpr_wgrammar();
+    let cfg = FuzzConfig::default();
+    for seed in 0..64u64 {
+        let spec = build_domain(seed, &cfg).unwrap();
+        let tree = wgrammar::schema_derivation(&spec.representation).unwrap();
+        wgrammar::validate(&g, &tree).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let mut tampered = tree.clone();
+        assert!(
+            add_arity_to_first_rname(&mut tampered),
+            "seed {seed}: no rname node"
+        );
+        match wgrammar::validate(&g, &tampered) {
+            Err(e) => assert!(
+                e.to_string().contains("no hyperrule instance"),
+                "seed {seed}: {e}"
+            ),
+            Ok(()) => panic!("seed {seed}: the tampered derivation validated"),
+        }
+    }
 }
