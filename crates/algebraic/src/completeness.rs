@@ -308,23 +308,20 @@ pub fn exhaustive_budget_in(
 }
 
 /// The flattened exhaustive-evaluation workload: every ground query
-/// application in serial enumeration order, sliceable into per-(state,
-/// query) strips that an obligation-DAG scheduler can run as independent
-/// pool tasks. [`CompletenessSweep::run_strip`] evaluates one contiguous
-/// slot range; [`CompletenessSweep::merge`] replays any set of strip
-/// results covering the serial prefix into the same report the monolithic
-/// [`exhaustive_budget_in`] produces, bit-identical however the strips
-/// were scheduled or partitioned.
-pub struct CompletenessSweep<'s> {
+/// application in serial enumeration order. Workers evaluate contiguous
+/// slot ranges; [`CompletenessSweep::merge`] replays any set of strip
+/// results covering the serial prefix into the serial report, bit-identical
+/// however the ranges were scheduled or partitioned.
+struct CompletenessSweep<'s> {
     spec: &'s AlgSpec,
     sig: std::sync::Arc<crate::signature::AlgSignature>,
     subjects: Vec<Term>,
     max_failures: usize,
 }
 
-/// Events from one strip of a [`CompletenessSweep`], opaque to callers and
-/// consumed by [`CompletenessSweep::merge`].
-pub struct SweepEvents(Vec<EvalEvent>);
+/// Events from one worker's strips of a [`CompletenessSweep`], consumed by
+/// [`CompletenessSweep::merge`].
+struct SweepEvents(Vec<EvalEvent>);
 
 /// Flattens the ground instances of `space` in the serial enumeration
 /// order (states outer, then queries, then parameter tuples) into a
@@ -332,7 +329,7 @@ pub struct SweepEvents(Vec<EvalEvent>);
 ///
 /// # Errors
 /// Propagates signature errors.
-pub fn plan_exhaustive<'s>(
+fn plan_exhaustive<'s>(
     spec: &'s AlgSpec,
     space: &GroundSpace,
     max_failures: usize,
@@ -359,44 +356,8 @@ pub fn plan_exhaustive<'s>(
 
 impl CompletenessSweep<'_> {
     /// Total number of ground instances.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.subjects.len()
-    }
-
-    /// Whether there are no ground instances.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.subjects.is_empty()
-    }
-
-    /// Partitions the instance range into at most `strips` contiguous
-    /// near-even strips (a pure function of `len` and `strips`, never of
-    /// timing).
-    #[must_use]
-    pub fn strip_ranges(&self, strips: usize) -> Vec<std::ops::Range<usize>> {
-        let n = self.subjects.len();
-        let strips = strips.clamp(1, n.max(1));
-        let chunk = n.div_ceil(strips).max(1);
-        (0..n.div_ceil(chunk.max(1)))
-            .map(|i| (i * chunk)..n.min((i + 1) * chunk))
-            .filter(|r| !r.is_empty())
-            .collect()
-    }
-
-    /// Evaluates one contiguous strip with a private rewriter, polling
-    /// `budget` at each global slot index. A strip stops early once it has
-    /// seen `max_failures` stuck terms on its own: the serial loop cannot
-    /// look past the slot where the global count reaches the cap, and that
-    /// slot is at or before any single strip's local cap.
-    #[must_use]
-    pub fn run_strip(&self, range: std::ops::Range<usize>, budget: &Budget) -> SweepEvents {
-        let mut rw = Rewriter::new(self.spec);
-        rw.set_budget(budget.without_node_cap());
-        let mut events = SweepEvents(Vec::new());
-        let mut stuck_seen = 0usize;
-        let _ = self.run_range_with(&mut rw, range, budget, &mut stuck_seen, &mut events);
-        events
     }
 
     /// The shared strip loop: evaluates `range` in increasing slot order
@@ -456,7 +417,7 @@ impl CompletenessSweep<'_> {
     /// # Errors
     /// Propagates the earliest rewriting error in enumeration order,
     /// exactly as in the serial loop.
-    pub fn merge(&self, strips: Vec<SweepEvents>, budget: &Budget) -> Result<CompletenessReport> {
+    fn merge(&self, strips: Vec<SweepEvents>, budget: &Budget) -> Result<CompletenessReport> {
         let mut report = CompletenessReport {
             missing: coverage(self.spec)?,
             ..CompletenessReport::default()

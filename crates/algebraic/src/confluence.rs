@@ -217,13 +217,10 @@ fn negations(f: &Formula) -> usize {
 /// both reducts fired, and the first disagreement rendering, if any.
 pub type GroundResolution = (usize, Option<String>);
 
-/// Outcome of resolving one overlap pair at its serial slot, opaque to
-/// callers and consumed by [`merge_pair_units`]. Produced either by the
-/// striding worker loop inside [`resolve_overlaps_budget_in`] or — one pair
-/// at a time — by [`resolve_pair_budget`], so an obligation-DAG scheduler
-/// can run each pair as its own pool task and still merge into the exact
-/// serial report.
-pub struct PairUnit {
+/// Outcome of resolving one overlap pair at its serial slot, produced by
+/// the striding worker loop inside [`resolve_overlaps_budget_in`] and
+/// consumed by [`merge_pair_units`].
+struct PairUnit {
     slot: usize,
     verdict: PairVerdict,
 }
@@ -232,25 +229,6 @@ enum PairVerdict {
     Done(GroundResolution),
     Stop(BudgetExceeded),
     Fail(AlgError),
-}
-
-/// Resolves one overlap pair as a standalone task: polls `budget` at the
-/// pair's serial `slot`, then evaluates both reducts on the shared ground
-/// space with a private rewriter. A pair's verdict depends only on the pair
-/// and the space (memo warmth changes speed, never normal forms), so units
-/// scheduled in any order merge to the same report as the striding sweep.
-#[must_use]
-pub fn resolve_pair_budget(
-    spec: &AlgSpec,
-    space: &GroundSpace,
-    slot: usize,
-    e1: &ConditionalEquation,
-    e2: &ConditionalEquation,
-    budget: &Budget,
-) -> PairUnit {
-    let mut rw = Rewriter::new(spec);
-    rw.set_budget(budget.without_node_cap());
-    resolve_pair_unit_with(&mut rw, space, slot, e1, e2, budget)
 }
 
 /// The shared per-slot step: budget poll at the slot boundary, then the
@@ -278,13 +256,11 @@ fn resolve_pair_unit_with<S: Interner>(
 /// Replays per-pair units in serial slot order: the earliest budget stop
 /// truncates the report, and the earliest error below that stop propagates
 /// — exactly the serial loop's outcome. Every slot below the earliest stop
-/// must be present (units only go missing at or past a stop, which holds
-/// for both the striding sweep and a cancelled DAG run that kept every
-/// pre-stop unit).
+/// must be present (a worker only skips slots at or past its own stop).
 ///
 /// # Errors
 /// Propagates rewriting errors (earliest pair first).
-pub fn merge_pair_units(
+fn merge_pair_units(
     units: Vec<PairUnit>,
     total_pairs: usize,
     budget: &Budget,

@@ -14,15 +14,14 @@
 //!   the completeness loop, and per-contract *uncached* program denotation
 //!   in the dynamic obligations (totality and functionality each recompute
 //!   `m(body)` from scratch);
-//! * the **new engine at 1/2/4/8 threads**: one shared [`GroundSpace`]
-//!   enumeration per spec+depth feeding both the confluence tie-break and
-//!   the completeness sweep, strided parallel workers over the
-//!   shard-concurrent term store, and the batched PDL checker with a shared
-//!   denotation cache;
+//! * the **new engine at 1/2/4/8 threads**: one shared
+//!   [`GroundSpace`](induction::GroundSpace) enumeration per spec+depth
+//!   feeding both the confluence tie-break and the completeness sweep,
+//!   strided parallel workers over the shard-concurrent term store, and the
+//!   batched PDL checker with one denotation cache per procedure;
 //! * a **bit-identity check**: every thread count must reproduce the serial
 //!   overlap reports, ground resolutions, completeness reports and dynamic
-//!   verdicts exactly (denotation-cache hit counters are per-worker sums
-//!   and are deliberately excluded).
+//!   verdicts exactly.
 //!
 //! The pass gate compares the 4-thread engine against the pre-refactor
 //! baseline (threshold 1.5×). The JSON records `available_cores` so flat
@@ -63,7 +62,7 @@ struct Fingerprint {
 }
 
 /// The new engine: shared ground enumeration, strided parallel sweeps,
-/// batched PDL checking with one denotation cache per universe.
+/// batched PDL checking with one denotation cache per procedure.
 fn verify_new_engine(spec: &TriLevelSpec, threads: usize) -> Fingerprint {
     let alg = &spec.functions;
     let overlaps = confluence::critical_overlaps_threads(alg, threads).unwrap();

@@ -13,12 +13,12 @@
 //! axis must agree on every verification outcome.
 //!
 //! [`run_differential`] then verifies one such domain under every engine
-//! combination — dense/sparse/compressed/auto [`Rel`] backends, scoped vs
-//! work-stealing scheduler at 1/2/4/8 workers, budget-capped partial runs
-//! against full runs — and reports any pair whose schedule-independent
-//! [`Fingerprint`]s differ. [`run_corpus`] sweeps seeds, shrinks each
-//! divergence to a minimal seed/config with [`shrink`], and renders it as
-//! a `tests/corpus/*.toml` fixture via [`fixture_toml`].
+//! combination — dense/sparse/compressed/auto [`Rel`] backends, 1/2/4/8
+//! workers on the scheduler pool, budget-capped partial runs against full
+//! runs — and reports any pair whose schedule-independent [`Fingerprint`]s
+//! differ. [`run_corpus`] sweeps seeds, shrinks each divergence to a
+//! minimal seed/config with [`shrink`], and renders it as a
+//! `tests/corpus/*.toml` fixture via [`fixture_toml`].
 //!
 //! [`Rel`]: eclectic_kernel::Rel
 
@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 use eclectic_algebraic::{random_descriptions, synthesize, AlgSignature, AlgSpec};
 use eclectic_kernel::{
-    env_threads, force_rel_backend, force_sched_mode, force_worker_cap, run_tasks, Exhaustion,
-    RelChoice, Rng, SchedMode, REL_DENSE_MAX_DIM,
+    env_threads, force_rel_backend, force_worker_cap, run_tasks, Exhaustion, RelChoice, Rng,
+    REL_DENSE_MAX_DIM,
 };
 use eclectic_logic::{Formula, Signature, SortId, Term, Theory, VarId};
 use eclectic_refine::{random::equivalent_variant, InterpretationI, InterpretationK, QueryImpl};
@@ -37,14 +37,16 @@ use eclectic_rpr::QueryDef;
 use crate::error::{Result, SpecError};
 use crate::methodology::derive_schema;
 use crate::spec::{CarrierSpec, TriLevelSpec};
-use crate::verify::{
-    force_dag_shape, verify_with_threads, DagShape, VerificationOutcome, VerifyConfig,
-};
+use crate::verify::{verify_with_threads, VerificationOutcome, VerifyConfig};
 
 /// Node-budget used for the capped-prefix differential axis. Small enough
 /// to trip inside refine12 on most generated domains, large enough that the
 /// earlier stages still do representative work.
 const CAPPED_NODES: usize = 200;
+
+/// Label of the capped cross-engine arm: dense at one worker against sparse
+/// at two.
+const CAPPED_AXIS: &str = "capped:dense/1-vs-sparse/2";
 
 /// Everything needed to regenerate one fuzzed domain: the W-grammar shape
 /// knobs plus the verification exploration depth.
@@ -229,9 +231,10 @@ pub fn build_domain(seed: u64, cfg: &FuzzConfig) -> Result<TriLevelSpec> {
 }
 
 /// The schedule-independent portion of a [`VerificationOutcome`], rendered
-/// to strings so any two runs — whatever their backend, scheduler or worker
-/// count — can be compared for exact agreement. Elapsed times and cache
-/// counters are deliberately excluded.
+/// to strings so any two runs — whatever their backend or worker count —
+/// can be compared for exact agreement. Elapsed times are deliberately
+/// excluded; the dynamic stage's denotation-cache counters are included,
+/// because each procedure owns its cache and they are worker-invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// W-grammar syntax check result.
@@ -246,7 +249,7 @@ pub struct Fingerprint {
     pub valid_reachable: String,
     /// 2→3 equation check.
     pub equations: String,
-    /// PDL dynamic obligations.
+    /// PDL dynamic obligations, including the denotation-cache counters.
     pub dynamic: String,
     /// Randomized cross-formalism agreement.
     pub cross: String,
@@ -294,7 +297,8 @@ impl Fingerprint {
                     o.dynamic.universe_states,
                     &o.dynamic.unchecked_procs,
                     &o.dynamic.skipped,
-                    &o.dynamic.exhausted
+                    &o.dynamic.exhausted,
+                    &o.dynamic.cache_stats
                 )
             ),
             cross: format!("{:?}", (&o.cross_mismatch, &o.cross_stats)),
@@ -354,33 +358,21 @@ impl Fingerprint {
 /// errors exactly as they must agree on fingerprints.
 pub type EngineOutcome = std::result::Result<Fingerprint, String>;
 
-/// Verifies `spec` under one engine combination (the default obligation-DAG
-/// battery shape), capturing either the schedule-independent fingerprint or
+/// Verifies `spec` under one engine combination (a relation backend and a
+/// worker count), capturing either the schedule-independent fingerprint or
 /// the rendered error.
 pub fn engine_outcome(
     spec: &TriLevelSpec,
     vc: &VerifyConfig,
     backend: RelChoice,
-    mode: SchedMode,
     workers: usize,
-) -> EngineOutcome {
-    engine_outcome_shaped(spec, vc, backend, mode, workers, DagShape::Fine)
-}
-
-/// [`engine_outcome`] with an explicit battery [`DagShape`] — the axis that
-/// cross-checks the obligation-granularity DAG against the coarse chain
-/// decomposition.
-pub fn engine_outcome_shaped(
-    spec: &TriLevelSpec,
-    vc: &VerifyConfig,
-    backend: RelChoice,
-    mode: SchedMode,
-    workers: usize,
-    shape: DagShape,
 ) -> EngineOutcome {
     let _backend = force_rel_backend(backend);
-    let _mode = force_sched_mode(mode);
-    let _shape = force_dag_shape(shape);
+    fingerprint_run(spec, vc, workers)
+}
+
+/// One verification at `workers`, rendered as an [`EngineOutcome`].
+fn fingerprint_run(spec: &TriLevelSpec, vc: &VerifyConfig, workers: usize) -> EngineOutcome {
     match verify_with_threads(spec, vc, workers) {
         Ok(o) => Ok(Fingerprint::of(&o)),
         Err(e) => Err(e.to_string()),
@@ -404,7 +396,7 @@ pub fn outcome_difference(a: &EngineOutcome, b: &EngineOutcome) -> Option<String
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Which engine axis disagreed with the baseline (e.g.
-    /// `backend:sparse/steal/1`).
+    /// `backend:sparse/1`).
     pub axis: String,
     /// The first differing fingerprint field, rendered for humans.
     pub detail: String,
@@ -415,58 +407,30 @@ pub struct Divergence {
 pub struct DifferentialReport {
     /// The generating seed.
     pub seed: u64,
-    /// Baseline outcome (auto backend, stealing scheduler, 1 worker).
+    /// Baseline outcome (auto backend, 1 worker).
     pub baseline: EngineOutcome,
     /// All engine-pair disagreements (empty on a sound engine).
     pub divergences: Vec<Divergence>,
 }
 
 /// One engine combination of the differential grid:
-/// `(label, backend, scheduler, workers, battery shape)`.
-pub type EngineCombo = (String, RelChoice, SchedMode, usize, DagShape);
+/// `(label, backend, workers)`.
+pub type EngineCombo = (String, RelChoice, usize);
 
 /// The engine combinations every domain is verified under, beyond the
-/// baseline. Multi-worker combos run the default obligation-DAG battery;
-/// the `shape:chain/…` arms re-run the same workloads under the coarse
-/// chain decomposition, cross-checking the two task shapes against each
-/// other (and, transitively, against the serial baseline).
+/// baseline: each pinned backend at one worker, and the auto backend at
+/// 2/4/8 workers on the scheduler pool.
 #[must_use]
 pub fn engine_combos() -> Vec<EngineCombo> {
     let auto = RelChoice::AutoAt(REL_DENSE_MAX_DIM);
-    let fine = DagShape::Fine;
     let mut combos = vec![
-        ("backend:dense/steal/1".into(), RelChoice::Dense, SchedMode::Steal, 1, fine),
-        ("backend:sparse/steal/1".into(), RelChoice::Sparse, SchedMode::Steal, 1, fine),
-        (
-            "backend:compressed/steal/1".into(),
-            RelChoice::Compressed,
-            SchedMode::Steal,
-            1,
-            fine,
-        ),
+        ("backend:dense/1".into(), RelChoice::Dense, 1),
+        ("backend:sparse/1".into(), RelChoice::Sparse, 1),
+        ("backend:compressed/1".into(), RelChoice::Compressed, 1),
     ];
     for workers in [2usize, 4, 8] {
-        combos.push((format!("sched:steal/{workers}"), auto, SchedMode::Steal, workers, fine));
+        combos.push((format!("workers:{workers}"), auto, workers));
     }
-    for workers in [1usize, 2, 4, 8] {
-        combos.push((format!("sched:scoped/{workers}"), auto, SchedMode::Scoped, workers, fine));
-    }
-    for workers in [2usize, 4, 8] {
-        combos.push((
-            format!("shape:chain/steal/{workers}"),
-            auto,
-            SchedMode::Steal,
-            workers,
-            DagShape::Chain,
-        ));
-    }
-    combos.push((
-        "shape:chain/scoped/4".into(),
-        auto,
-        SchedMode::Scoped,
-        4,
-        DagShape::Chain,
-    ));
     combos
 }
 
@@ -504,7 +468,7 @@ fn prefix_violation(capped: &Fingerprint, full: &Fingerprint) -> Option<String> 
 
 /// Generates the domain for `seed` and verifies it under every engine
 /// combination, recording every fingerprint disagreement with the baseline
-/// (auto backend, stealing scheduler, single worker).
+/// (auto backend, single worker).
 ///
 /// Also runs the budget-capped axis: a node-capped run under two distinct
 /// backends must agree with each other, and must be a stage-prefix of the
@@ -521,10 +485,10 @@ pub fn run_differential(seed: u64, cfg: &FuzzConfig) -> Result<DifferentialRepor
     let auto = RelChoice::AutoAt(REL_DENSE_MAX_DIM);
     let _cap = force_worker_cap(usize::MAX);
 
-    let baseline = engine_outcome(&spec, &vc, auto, SchedMode::Steal, 1);
+    let baseline = engine_outcome(&spec, &vc, auto, 1);
     let mut divergences = Vec::new();
-    for (axis, backend, mode, workers, shape) in engine_combos() {
-        let outcome = engine_outcome_shaped(&spec, &vc, backend, mode, workers, shape);
+    for (axis, backend, workers) in engine_combos() {
+        let outcome = engine_outcome(&spec, &vc, backend, workers);
         if let Some(detail) = outcome_difference(&baseline, &outcome) {
             divergences.push(Divergence { axis, detail });
         }
@@ -534,11 +498,11 @@ pub fn run_differential(seed: u64, cfg: &FuzzConfig) -> Result<DifferentialRepor
     // prefix of the uncapped outcome.
     let mut capped_vc = vc;
     capped_vc.max_nodes = Some(CAPPED_NODES);
-    let capped_dense = engine_outcome(&spec, &capped_vc, RelChoice::Dense, SchedMode::Steal, 1);
-    let capped_sparse = engine_outcome(&spec, &capped_vc, RelChoice::Sparse, SchedMode::Scoped, 2);
+    let capped_dense = engine_outcome(&spec, &capped_vc, RelChoice::Dense, 1);
+    let capped_sparse = engine_outcome(&spec, &capped_vc, RelChoice::Sparse, 2);
     if let Some(detail) = outcome_difference(&capped_dense, &capped_sparse) {
         divergences.push(Divergence {
-            axis: "capped:dense/steal/1-vs-sparse/scoped/2".into(),
+            axis: CAPPED_AXIS.into(),
             detail,
         });
     }
@@ -753,9 +717,9 @@ pub struct CorpusOutcome {
 /// differential battery on each and shrinking any divergence found.
 ///
 /// The sweep is parallelised on the shared scheduler pool with the engine
-/// combinations *outer* and the seeds *inner*: the force-guards that pin a
-/// backend/scheduler/shape are process-global, so each combination is
-/// pinned once and every seed's verification runs concurrently under it.
+/// combinations *outer* and the seeds *inner*: the force-guard that pins a
+/// backend is process-global, so each combination is pinned once and every
+/// seed's verification runs concurrently under it.
 /// Fingerprints are thread-invariant by construction, so the outcome is
 /// identical to the serial per-seed [`run_differential`] loop — results
 /// land in seed order and any shrinking happens serially afterwards.
@@ -791,28 +755,24 @@ pub fn run_corpus(base: u64, count: usize, cfg: &FuzzConfig) -> CorpusOutcome {
 
     // One engine arm across every seed, under one set of force guards.
     let vc = cfg.verify_config();
-    let sweep = |backend: RelChoice, mode: SchedMode, workers: usize, shape: DagShape, vc: &VerifyConfig| -> Vec<EngineOutcome> {
+    let sweep = |backend: RelChoice, workers: usize, vc: &VerifyConfig| -> Vec<EngineOutcome> {
         let _cap = force_worker_cap(usize::MAX);
         let _backend = force_rel_backend(backend);
-        let _mode = force_sched_mode(mode);
-        let _shape = force_dag_shape(shape);
         let tasks: Vec<Box<dyn FnOnce() -> EngineOutcome + Send + '_>> = specs
             .iter()
             .map(|(_, spec)| {
-                Box::new(move || match verify_with_threads(spec, vc, workers) {
-                    Ok(o) => Ok(Fingerprint::of(&o)),
-                    Err(e) => Err(e.to_string()),
-                }) as Box<dyn FnOnce() -> EngineOutcome + Send + '_>
+                Box::new(move || fingerprint_run(spec, vc, workers))
+                    as Box<dyn FnOnce() -> EngineOutcome + Send + '_>
             })
             .collect();
         run_tasks(threads, tasks)
     };
 
     let auto = RelChoice::AutoAt(REL_DENSE_MAX_DIM);
-    let baseline = sweep(auto, SchedMode::Steal, 1, DagShape::Fine, &vc);
+    let baseline = sweep(auto, 1, &vc);
     let mut per_seed: Vec<Vec<Divergence>> = vec![Vec::new(); specs.len()];
-    for (axis, backend, mode, workers, shape) in engine_combos() {
-        let outcomes = sweep(backend, mode, workers, shape, &vc);
+    for (axis, backend, workers) in engine_combos() {
+        let outcomes = sweep(backend, workers, &vc);
         for (j, outcome) in outcomes.iter().enumerate() {
             if let Some(detail) = outcome_difference(&baseline[j], outcome) {
                 per_seed[j].push(Divergence {
@@ -827,12 +787,12 @@ pub fn run_corpus(base: u64, count: usize, cfg: &FuzzConfig) -> CorpusOutcome {
     // prefix of the uncapped outcome.
     let mut capped_vc = vc;
     capped_vc.max_nodes = Some(CAPPED_NODES);
-    let capped_dense = sweep(RelChoice::Dense, SchedMode::Steal, 1, DagShape::Fine, &capped_vc);
-    let capped_sparse = sweep(RelChoice::Sparse, SchedMode::Scoped, 2, DagShape::Fine, &capped_vc);
+    let capped_dense = sweep(RelChoice::Dense, 1, &capped_vc);
+    let capped_sparse = sweep(RelChoice::Sparse, 2, &capped_vc);
     for j in 0..specs.len() {
         if let Some(detail) = outcome_difference(&capped_dense[j], &capped_sparse[j]) {
             per_seed[j].push(Divergence {
-                axis: "capped:dense/steal/1-vs-sparse/scoped/2".into(),
+                axis: CAPPED_AXIS.into(),
                 detail,
             });
         }

@@ -2,40 +2,33 @@
 //! obligation of the paper, plus the W-grammar syntax check and randomized
 //! cross-formalism testing.
 //!
-//! When more than one thread is configured, the battery runs as a task DAG
-//! on the shared [`eclectic_kernel::sched`] pool, in one of two shapes
-//! (see [`DagShape`]):
+//! The battery runs as one task DAG on the shared [`eclectic_kernel::sched`]
+//! pool at every worker count. Every proof obligation is its own task —
+//! termination, the completeness sweep, the universe exploration, the axiom
+//! sweep, witness enumeration, the equation check, the dynamic-logic
+//! contracts (fanned out as per-procedure units) and the cross check — with
+//! completion-count edges (`explore → {axioms, witness}`, `equations →
+//! cross`) so each task unblocks the moment its inputs exist.
+//! Latency-critical tasks run at [`Priority::High`]; wide grid sweeps at
+//! [`Priority::Bulk`] so they cannot starve the critical path. At one
+//! worker the DAG runs inline in (priority, spawn-index) order:
+//! termination, explore, witness, equations, cross, then completeness,
+//! axioms, dynamic.
 //!
-//! - **Fine** (the default): every proof obligation is its own pool task
-//!   at obligation granularity — termination, the completeness sweep, the
-//!   universe exploration, the axiom sweep, witness enumeration, the
-//!   equation check, per-procedure dynamic obligations and the cross
-//!   check — with completion-count edges (`explore → {axioms, witness}`,
-//!   `equations → cross`) so each task unblocks the moment its inputs
-//!   exist. Latency-critical tasks run at [`Priority::High`]; wide grid
-//!   sweeps at [`Priority::Bulk`] so they cannot starve the critical path.
-//! - **Chain**: the three coarse chains `{refine12 → witness}`,
-//!   `{equations → cross}` and `{dynamic}` as single tasks — the A/B
-//!   baseline for `bench_sched` and differential fuzzing.
-//!
-//! Both shapes compute exactly what the serial battery computes — every
-//! governed sweep owns its term store and polls deterministic budget axes
-//! at serial slot indices — so reports are bit-identical across shapes and
-//! worker counts; the reported stage order stays canonical.
+//! Every governed sweep owns its term store and polls deterministic budget
+//! axes at serial slot indices, so reports are bit-identical across worker
+//! counts; the reported stage order stays canonical.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use eclectic_algebraic::{completeness, termination};
-use eclectic_kernel::{env_threads, run_tasks, run_tasks_prio, Budget, DagBuilder, Exhaustion, Priority};
+use eclectic_kernel::{effective_workers, env_threads, Budget, DagBuilder, Exhaustion, Priority};
 use eclectic_refine::{
-    check_dynamic_budget, check_equations_budget, check_refinement_1_2_budget,
-    check_valid_reachable,
-    cross_check_budget, obligation_axioms, obligation_completeness, obligation_exploration,
-    obligation_termination, plan_dynamic, random_ops, AlgebraicExploration, CrossCheckStats,
-    DynamicPrep, DynamicReport, DynamicUnitOutcome, EquationCheckReport, FullReport,
-    InducedAlgebra, Mismatch, Refine12Config, Refine12Report, StateViolation,
+    check_dynamic_budget, check_equations_budget, check_valid_reachable, cross_check_budget,
+    obligation_axioms, obligation_completeness, obligation_exploration, obligation_termination,
+    random_ops, AlgebraicExploration, CrossCheckStats, DynamicReport, EquationCheckReport,
+    FullReport, InducedAlgebra, Mismatch, Refine12Config, Refine12Report, StateViolation,
     ValidReachableReport,
 };
 use eclectic_rpr::wgrammar;
@@ -69,7 +62,8 @@ pub struct VerifyConfig {
     /// Optional cap on interned term-store nodes per governed stage (a
     /// memory budget). Deterministic at every thread count.
     pub max_nodes: Option<usize>,
-    /// Print a per-stage elapsed/budget line to stdout as each stage ends.
+    /// Print the five per-stage elapsed/budget lines to stdout, in
+    /// canonical order, once the battery ends.
     pub print_stages: bool,
 }
 
@@ -174,30 +168,6 @@ impl VerificationOutcome {
     }
 }
 
-/// Closes the current stage: records elapsed time since `start`, advances
-/// `start`, and optionally prints the per-stage line.
-fn record_stage(
-    print: bool,
-    budget: &Budget,
-    stages: &mut Vec<StageStats>,
-    start: &mut Duration,
-    name: &'static str,
-    exhausted: Option<Exhaustion>,
-) {
-    let now = budget.elapsed();
-    let elapsed_ms = u64::try_from(now.saturating_sub(*start).as_millis()).unwrap_or(u64::MAX);
-    *start = now;
-    let stats = StageStats {
-        name,
-        elapsed_ms,
-        exhausted,
-    };
-    if print {
-        print_stage_line(&stats);
-    }
-    stages.push(stats);
-}
-
 /// Prints one `  stage <name> <ms>` line (the `print_stages` format).
 fn print_stage_line(s: &StageStats) {
     let StageStats {
@@ -222,59 +192,6 @@ type VerifyBody = (
     Vec<StageStats>,
 );
 
-/// Which task decomposition the staged battery (`threads > 1`) uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DagShape {
-    /// Obligation-granularity tasks with completion-count unblock edges —
-    /// the default.
-    Fine,
-    /// The three coarse chains `{refine12 → witness}`, `{equations →
-    /// cross}`, `{dynamic}` as single tasks — the A/B baseline.
-    Chain,
-}
-
-/// Process-global shape override: 0 = none, 1 = fine, 2 = chain.
-static SHAPE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes holders of [`force_dag_shape`] guards.
-static SHAPE_LOCK: Mutex<()> = Mutex::new(());
-
-/// RAII guard for a forced battery shape; restores the default on drop.
-/// Holding it excludes every other forced-shape section in the process.
-pub struct DagShapeGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for DagShapeGuard {
-    fn drop(&mut self) {
-        SHAPE_OVERRIDE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Forces the staged battery's [`DagShape`] for the lifetime of the
-/// returned guard. Intended for tests, benches and the differential fuzzer,
-/// which A/B the two decompositions in one process.
-#[must_use]
-pub fn force_dag_shape(shape: DagShape) -> DagShapeGuard {
-    let lock = SHAPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let code = match shape {
-        DagShape::Fine => 1,
-        DagShape::Chain => 2,
-    };
-    SHAPE_OVERRIDE.store(code, Ordering::SeqCst);
-    DagShapeGuard { _lock: lock }
-}
-
-/// The battery shape in effect: a [`force_dag_shape`] override wins,
-/// otherwise [`DagShape::Fine`].
-#[must_use]
-pub fn dag_shape() -> DagShape {
-    match SHAPE_OVERRIDE.load(Ordering::SeqCst) {
-        2 => DagShape::Chain,
-        _ => DagShape::Fine,
-    }
-}
-
 /// Runs the whole battery against a specification.
 ///
 /// # Errors
@@ -286,8 +203,9 @@ pub fn verify(spec: &TriLevelSpec, config: &VerifyConfig) -> Result<Verification
 
 /// As [`verify`], but with an explicit worker count instead of the
 /// `ECLECTIC_THREADS` environment axis — the entry point for harnesses
-/// (differential fuzzing, scheduler benchmarks) that sweep thread counts
-/// within one process without touching the environment.
+/// (differential fuzzing, benchmarks) that sweep thread counts within one
+/// process without touching the environment. Like every sweep, the count
+/// is capped at the host's parallelism ([`effective_workers`]).
 ///
 /// # Errors
 /// See [`verify`].
@@ -296,13 +214,13 @@ pub fn verify_with_threads(
     config: &VerifyConfig,
     threads: usize,
 ) -> Result<VerificationOutcome> {
+    let threads = effective_workers(threads);
     spec.check_shape()?;
 
     // One budget, shared by every stage: the deadline and cancellation axes
     // persist across stages, while the node cap governs each stage's own
     // term store.
     let budget = config.budget();
-    let threads = threads.max(1);
 
     // Syntactic correctness under the W-grammar (paper §5.4 step 1).
     let (grammar_ok, grammar_error) = match wgrammar::check_schema(&spec.representation) {
@@ -310,14 +228,8 @@ pub fn verify_with_threads(
         Err(e) => (false, Some(e.to_string())),
     };
 
-    let (report, dynamic, cross_mismatch, cross_stats, stages) = if threads > 1 {
-        match dag_shape() {
-            DagShape::Fine => verify_staged_fine(spec, config, &budget, threads)?,
-            DagShape::Chain => verify_staged(spec, config, &budget, threads)?,
-        }
-    } else {
-        verify_serial(spec, config, &budget, threads)?
-    };
+    let (report, dynamic, cross_mismatch, cross_stats, stages) =
+        run_battery(spec, config, &budget, threads)?;
 
     Ok(VerificationOutcome {
         grammar_ok,
@@ -330,39 +242,9 @@ pub fn verify_with_threads(
     })
 }
 
-/// 1→2 obligations (a), (b), (d).
-fn stage_refine12(
-    spec: &TriLevelSpec,
-    config: &VerifyConfig,
-    budget: &Budget,
-    threads: usize,
-) -> Result<Refine12Report> {
-    Ok(check_refinement_1_2_budget(
-        &spec.information,
-        &spec.functions,
-        &spec.interp_i,
-        spec.info_signature(),
-        &spec.info_domains,
-        config.refine12,
-        budget,
-        threads,
-    )?)
-}
-
 /// Obligation (c). Candidate enumeration is meaningless over a partial
 /// universe, so an exhausted exploration skips it (inconclusively).
 fn stage_witness(
-    spec: &TriLevelSpec,
-    refine12: &Refine12Report,
-    config: &VerifyConfig,
-) -> Result<ValidReachableReport> {
-    stage_witness_from(spec, &refine12.exploration, config)
-}
-
-/// [`stage_witness`] against the bare exploration — what the obligation
-/// DAG's witness task actually needs, so its unblock edge is `explore →
-/// witness` rather than the whole refine12 chain.
-fn stage_witness_from(
     spec: &TriLevelSpec,
     exploration: &AlgebraicExploration,
     config: &VerifyConfig,
@@ -411,7 +293,8 @@ fn stage_equations(
 }
 
 /// §5.1.2/§5.3 dynamic-logic obligations over the representation universe
-/// (batched PDL model checking with one denotation cache).
+/// (batched PDL model checking, one pool task and one denotation cache per
+/// procedure).
 fn stage_dynamic(
     spec: &TriLevelSpec,
     config: &VerifyConfig,
@@ -472,204 +355,14 @@ fn stage_cross(
     Ok((cross_mismatch, cross_stats, cross_exhausted))
 }
 
-/// The sequential battery: one stage after another in canonical order, with
-/// per-stage lines printed as each stage closes.
-fn verify_serial(
-    spec: &TriLevelSpec,
-    config: &VerifyConfig,
-    budget: &Budget,
-    threads: usize,
-) -> Result<VerifyBody> {
-    let mut stages = Vec::new();
-    let mut stage_start = budget.elapsed();
-
-    let refine12 = stage_refine12(spec, config, budget, threads)?;
-    record_stage(
-        config.print_stages,
-        budget,
-        &mut stages,
-        &mut stage_start,
-        "refine12",
-        refine12.exhausted().cloned(),
-    );
-
-    let valid_reachable = stage_witness(spec, &refine12, config)?;
-    record_stage(
-        config.print_stages,
-        budget,
-        &mut stages,
-        &mut stage_start,
-        "witness",
-        None,
-    );
-
-    let mut induced = make_induced(spec)?;
-    let equations = stage_equations(&mut induced, config, budget)?;
-    record_stage(
-        config.print_stages,
-        budget,
-        &mut stages,
-        &mut stage_start,
-        "equations",
-        equations.exhausted.clone(),
-    );
-
-    let dynamic = stage_dynamic(spec, config, budget, threads)?;
-    record_stage(
-        config.print_stages,
-        budget,
-        &mut stages,
-        &mut stage_start,
-        "dynamic",
-        dynamic.exhausted.clone(),
-    );
-
-    let (cross_mismatch, cross_stats, cross_exhausted) =
-        stage_cross(spec, &mut induced, config, budget, threads)?;
-    record_stage(
-        config.print_stages,
-        budget,
-        &mut stages,
-        &mut stage_start,
-        "cross",
-        cross_exhausted,
-    );
-
-    Ok((
-        FullReport {
-            refine12,
-            valid_reachable,
-            equations,
-        },
-        dynamic,
-        cross_mismatch,
-        cross_stats,
-        stages,
-    ))
-}
-
-/// Result of the `refine12 → witness` chain.
-type ChainAOut = Result<(Refine12Report, ValidReachableReport, Vec<StageStats>)>;
-/// Result of the `equations → cross` chain (they share the induced algebra).
-type ChainBOut = Result<(
-    EquationCheckReport,
-    Option<Mismatch>,
-    CrossCheckStats,
-    Vec<StageStats>,
-)>;
-/// Result of the independent `dynamic` chain.
-type ChainCOut = Result<(DynamicReport, StageStats)>;
-
-/// Per-chain results of the staged battery. Each chain carries its own
-/// stage records, timed against the shared budget clock from the moment the
-/// chain starts running.
-enum ChainOut {
-    A(Box<ChainAOut>),
-    B(Box<ChainBOut>),
-    C(Box<ChainCOut>),
-}
-
-/// The staged battery: the three independent chains run concurrently as
-/// tasks on the shared scheduler pool; their inner sweeps enqueue work on
-/// the same pool, so idle chain workers steal sweep items from busy ones.
-///
-/// Every stage computes exactly what it computes serially — the chains
-/// share no mutable state (each governed stage owns its term store, and the
-/// node-cap axis is checked per store), so reports are bit-identical to the
-/// serial schedule. Only wall-clock-dependent behaviour (deadline trips,
-/// `elapsed_ms`) is schedule-sensitive, exactly as at any other worker
-/// count. When several chains fail hard, the error surfaced follows the
-/// fixed chain priority A, B, C.
-fn verify_staged(
-    spec: &TriLevelSpec,
-    config: &VerifyConfig,
-    budget: &Budget,
-    threads: usize,
-) -> Result<VerifyBody> {
-    let chain_a = || {
-        let mut stages = Vec::new();
-        let mut start = budget.elapsed();
-        let refine12 = stage_refine12(spec, config, budget, threads)?;
-        let exhausted = refine12.exhausted().cloned();
-        record_stage(false, budget, &mut stages, &mut start, "refine12", exhausted);
-        let valid_reachable = stage_witness(spec, &refine12, config)?;
-        record_stage(false, budget, &mut stages, &mut start, "witness", None);
-        Ok((refine12, valid_reachable, stages))
-    };
-    let chain_b = || {
-        let mut stages = Vec::new();
-        let mut start = budget.elapsed();
-        let mut induced = make_induced(spec)?;
-        let equations = stage_equations(&mut induced, config, budget)?;
-        let exhausted = equations.exhausted.clone();
-        record_stage(false, budget, &mut stages, &mut start, "equations", exhausted);
-        let (cross_mismatch, cross_stats, cross_exhausted) =
-            stage_cross(spec, &mut induced, config, budget, threads)?;
-        record_stage(false, budget, &mut stages, &mut start, "cross", cross_exhausted);
-        Ok((equations, cross_mismatch, cross_stats, stages))
-    };
-    let chain_c = || {
-        let mut stages = Vec::new();
-        let mut start = budget.elapsed();
-        let dynamic = stage_dynamic(spec, config, budget, threads)?;
-        let exhausted = dynamic.exhausted.clone();
-        record_stage(false, budget, &mut stages, &mut start, "dynamic", exhausted);
-        let stage = stages.pop().expect("dynamic stage recorded");
-        Ok((dynamic, stage))
-    };
-
-    let tasks: Vec<Box<dyn FnOnce() -> ChainOut + Send + '_>> = vec![
-        Box::new(|| ChainOut::A(Box::new(chain_a()))),
-        Box::new(|| ChainOut::B(Box::new(chain_b()))),
-        Box::new(|| ChainOut::C(Box::new(chain_c()))),
-    ];
-    let (mut a, mut b, mut c) = (None, None, None);
-    for out in run_tasks(threads.min(3), tasks) {
-        match out {
-            ChainOut::A(r) => a = Some(r),
-            ChainOut::B(r) => b = Some(r),
-            ChainOut::C(r) => c = Some(r),
-        }
-    }
-    let (refine12, valid_reachable, stages_a) = (*a.expect("chain A ran"))?;
-    let (equations, cross_mismatch, cross_stats, stages_b) = (*b.expect("chain B ran"))?;
-    let (dynamic, dynamic_stage) = (*c.expect("chain C ran"))?;
-
-    // Reassemble the canonical stage order: refine12, witness, equations,
-    // dynamic, cross.
-    let mut stages = Vec::with_capacity(5);
-    stages.extend(stages_a);
-    let mut chain_b_stages = stages_b.into_iter();
-    stages.push(chain_b_stages.next().expect("equations stage recorded"));
-    stages.push(dynamic_stage);
-    stages.extend(chain_b_stages);
-    if config.print_stages {
-        for s in &stages {
-            print_stage_line(s);
-        }
-    }
-
-    Ok((
-        FullReport {
-            refine12,
-            valid_reachable,
-            equations,
-        },
-        dynamic,
-        cross_mismatch,
-        cross_stats,
-        stages,
-    ))
-}
-
 /// Milliseconds elapsed on the shared budget clock since `start`.
 fn span_ms(budget: &Budget, start: Duration) -> u64 {
     u64::try_from(budget.elapsed().saturating_sub(start).as_millis()).unwrap_or(u64::MAX)
 }
 
-/// The obligation-granularity battery: every proof obligation is its own
-/// pool task, wired with completion-count edges so a task unblocks the
-/// moment its actual inputs exist:
+/// The obligation battery: every proof obligation is its own pool task,
+/// wired with completion-count edges so a task unblocks the moment its
+/// actual inputs exist:
 ///
 /// ```text
 ///   term (High)      compl (Bulk)      explore (High)      equations (High)      dynamic (Bulk)
@@ -678,20 +371,22 @@ fn span_ms(budget: &Budget, start: Duration) -> u64 {
 /// ```
 ///
 /// In particular `witness` depends on `explore` *only* — it starts while
-/// the axiom sweep is still grinding, where the chain shape held it behind
-/// the whole refine12 chain. Bulk tasks (wide grid sweeps, and the
+/// the axiom sweep is still grinding. Bulk tasks (wide grid sweeps, and the
 /// per-procedure dynamic units spawned inside the `dynamic` task) drain
 /// after High ones under the priority-aware injector, keeping the
 /// latency-critical `explore → witness` and `equations → cross` paths
-/// short.
+/// short. At one worker, [`DagBuilder::run`] executes the same nodes inline
+/// in (priority, spawn-index) order.
 ///
 /// Nodes communicate through caller-frame slots; the dependency edges are
 /// the happens-before each read needs, and the DAG barrier covers the
 /// assembly reads. Every obligation computes exactly its serial result, so
-/// the assembled reports are bit-identical to [`verify_serial`] and
-/// [`verify_staged`]; errors surface in canonical serial order.
+/// the assembled reports are bit-identical at every worker count; errors
+/// surface in canonical order (termination, completeness, exploration,
+/// axioms, witness, equations, dynamic, cross) whatever order the nodes ran
+/// in.
 #[allow(clippy::too_many_lines)]
-fn verify_staged_fine(
+fn run_battery(
     spec: &TriLevelSpec,
     config: &VerifyConfig,
     budget: &Budget,
@@ -760,7 +455,7 @@ fn verify_staged_fine(
     });
     dag.spawn_dependent(Priority::High, &[explore], || {
         let t0 = budget.elapsed();
-        let r = explored().map(|e| stage_witness_from(spec, &e, config));
+        let r = explored().map(|e| stage_witness(spec, &e, config));
         *witness_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
     });
     let equations = dag.spawn(Priority::High, || {
@@ -781,42 +476,15 @@ fn verify_staged_fine(
     });
     dag.spawn(Priority::Bulk, || {
         let t0 = budget.elapsed();
-        let r = (|| {
-            let template = spec.empty_state();
-            match plan_dynamic(&spec.representation, &template, config.pdl_universe_cap, budget)? {
-                DynamicPrep::Done(report) => Ok(report),
-                DynamicPrep::Plan(plan) => {
-                    let n = plan.procs();
-                    if n == 0 {
-                        return Ok(plan.merge(Vec::new(), budget));
-                    }
-                    // Per-procedure obligation units as Bulk pool tasks;
-                    // each owns its denotation cache and processes its
-                    // contiguous slot range in serial order, so the merge
-                    // replays the exact serial verdicts.
-                    let plan_ref = &plan;
-                    let units: Vec<Box<dyn FnOnce() -> RR<DynamicUnitOutcome> + Send + '_>> =
-                        (0..n)
-                            .map(|i| {
-                                Box::new(move || plan_ref.run_proc(i, budget, 1))
-                                    as Box<dyn FnOnce() -> _ + Send + '_>
-                            })
-                            .collect();
-                    let outcomes = run_tasks_prio(threads.min(n), Priority::Bulk, units)
-                        .into_iter()
-                        .collect::<RR<Vec<_>>>()?;
-                    Ok(plan.merge(outcomes, budget))
-                }
-            }
-        })();
+        let r = stage_dynamic(spec, config, budget, threads);
         *dynamic_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
     });
     let _: Vec<()> = dag.run(threads);
 
-    // Assemble in canonical serial order, so the error surfaced (and the
-    // partial-report semantics) match `verify_serial` exactly: termination,
-    // completeness, exploration, axioms, witness, equations, dynamic,
-    // cross.
+    // Assemble in canonical order, so the error surfaced (and the
+    // partial-report semantics) do not depend on the execution order:
+    // termination, completeness, exploration, axioms, witness, equations,
+    // dynamic, cross.
     let (term_r, term_ms) = term_slot.into_inner().unwrap().expect("termination task ran");
     let termination = term_r?;
     let (compl_r, compl_ms) = compl_slot.into_inner().unwrap().expect("completeness task ran");

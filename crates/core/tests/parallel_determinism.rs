@@ -11,13 +11,17 @@ use eclectic_algebraic::{
 use eclectic_kernel::{Budget, BudgetExceeded};
 use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm};
 use eclectic_refine::{
-    check_dynamic_budget, check_dynamic_threads, check_equations_budget, cross_check_budget,
-    cross_check_threads, explore_algebraic_budget, explore_algebraic_threads, random_ops,
-    AlgExploreLimits, InducedAlgebra,
+    check_dynamic_budget, check_dynamic_threads, check_equations_budget,
+    check_refinement_1_2_budget, check_valid_reachable, cross_check_budget, cross_check_threads,
+    explore_algebraic_budget, explore_algebraic_threads, random_ops, AlgExploreLimits,
+    CrossCheckStats, FullReport, InducedAlgebra, ValidReachableReport,
 };
-use eclectic_rpr::{check_batch_budget, DbState, FiniteUniverse, Pdl, Stmt};
+use eclectic_rpr::{check_batch_budget, wgrammar, DbState, FiniteUniverse, Pdl, Stmt};
 use eclectic_spec::domains::{bank, courses, library};
-use eclectic_spec::{verify, TriLevelSpec, VerifyConfig};
+use eclectic_spec::fuzz::Fingerprint;
+use eclectic_spec::{
+    verify, verify_with_threads, StageStats, TriLevelSpec, VerificationOutcome, VerifyConfig,
+};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
@@ -352,6 +356,9 @@ fn parallel_pdl_batch_obligations_match_serial_on_every_domain() {
                 "{name} at {threads} threads"
             );
             assert_eq!(par.skipped, serial.skipped, "{name} at {threads} threads");
+            // Each procedure owns its denotation cache, so the counters are
+            // worker-invariant too.
+            assert_eq!(par.cache_stats, serial.cache_stats, "{name} at {threads} threads");
         }
     }
 }
@@ -754,14 +761,14 @@ fn parallel_binrel_star_and_compose_match_serial() {
 // Scheduler-specific cases. The tests above run under `effective_workers`,
 // which clamps to the host's cores — on a small CI box "8 threads" can mean
 // one real worker. Here the cap override lifts that clamp so 2/4/8 workers
-// GENUINELY run on the shared pool, and the work-stealing executor is
-// compared against the scoped-thread baseline bit for bit. The override
-// guards serialize these tests against each other.
+// GENUINELY run on the shared pool, and every worker count is compared
+// against the 1-worker run bit for bit. The override guards serialize these
+// tests against each other.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn work_stealing_matches_scoped_baseline_at_real_worker_counts() {
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, SchedMode};
+fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
+    use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
     for (name, spec, depth) in domains() {
         let limits = AlgExploreLimits {
@@ -780,59 +787,47 @@ fn work_stealing_matches_scoped_baseline_at_real_worker_counts() {
             )
             .unwrap()
         };
-        let reference = {
-            let _m = force_sched_mode(SchedMode::Scoped);
-            explore(1)
-        };
-        let ref_dynamic = {
-            let _m = force_sched_mode(SchedMode::Scoped);
-            check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, 1).unwrap()
-        };
-        let ref_complete = {
-            let _m = force_sched_mode(SchedMode::Scoped);
-            completeness::exhaustive_threads(&spec.functions, 3, 20, 1).unwrap()
-        };
-        // Work-stealing at every worker count, plus the scoped mode at 4
-        // workers, must all reproduce the 1-worker scoped reference.
-        let runs = [
-            (SchedMode::Steal, 1),
-            (SchedMode::Steal, 2),
-            (SchedMode::Steal, 4),
-            (SchedMode::Steal, 8),
-            (SchedMode::Scoped, 4),
-        ];
-        for (mode, threads) in runs {
-            let _m = force_sched_mode(mode);
+        let reference = explore(1);
+        let ref_dynamic =
+            check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, 1).unwrap();
+        let ref_complete = completeness::exhaustive_threads(&spec.functions, 3, 20, 1).unwrap();
+        // Work-stealing at every worker count must reproduce the 1-worker
+        // reference.
+        for threads in [2, 4, 8] {
             let par = explore(threads);
             assert_eq!(
                 par.witnesses, reference.witnesses,
-                "{name}: witnesses, {mode:?} at {threads} workers"
+                "{name}: witnesses at {threads} workers"
             );
             assert_eq!(
                 par.universe.edge_count(),
                 reference.universe.edge_count(),
-                "{name}: edges, {mode:?} at {threads} workers"
+                "{name}: edges at {threads} workers"
             );
             assert_eq!(
                 par.truncated, reference.truncated,
-                "{name}: truncation, {mode:?} at {threads} workers"
+                "{name}: truncation at {threads} workers"
             );
             let dynamic =
                 check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, threads)
                     .unwrap();
             assert_eq!(
                 dynamic.failures, ref_dynamic.failures,
-                "{name}: PDL verdicts, {mode:?} at {threads} workers"
+                "{name}: PDL verdicts at {threads} workers"
             );
             assert_eq!(
                 dynamic.checked, ref_dynamic.checked,
-                "{name}: PDL volume, {mode:?} at {threads} workers"
+                "{name}: PDL volume at {threads} workers"
+            );
+            assert_eq!(
+                dynamic.cache_stats, ref_dynamic.cache_stats,
+                "{name}: PDL cache counters at {threads} workers"
             );
             let complete =
                 completeness::exhaustive_threads(&spec.functions, 3, 20, threads).unwrap();
             assert_eq!(
                 complete, ref_complete,
-                "{name}: completeness, {mode:?} at {threads} workers"
+                "{name}: completeness at {threads} workers"
             );
         }
     }
@@ -840,9 +835,8 @@ fn work_stealing_matches_scoped_baseline_at_real_worker_counts() {
 
 #[test]
 fn node_capped_partials_are_bit_identical_under_real_stealing() {
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, SchedMode};
+    use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
     for (name, spec, depth) in domains() {
         let limits = AlgExploreLimits {
             max_depth: depth,
@@ -911,9 +905,8 @@ fn node_capped_partials_are_bit_identical_under_real_stealing() {
 
 #[test]
 fn mid_sweep_cancel_leaves_shared_memos_unpoisoned() {
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, CancelToken, SchedMode};
+    use eclectic_kernel::{force_worker_cap, CancelToken};
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
     let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
     let mk_ind = || {
         InducedAlgebra::new(
@@ -973,82 +966,181 @@ fn mid_sweep_cancel_leaves_shared_memos_unpoisoned() {
 }
 
 // ---------------------------------------------------------------------------
-// Obligation-DAG battery shape. The fine shape decomposes the staged battery
-// into per-obligation pool tasks (per-procedure dynamic units, per-pair
-// overlaps, completeness strips, refine12 obligations with dependency edges
-// into witness enumeration); its reports must be bit-identical to the
-// chain-shaped battery and the serial reference at every genuine worker
-// count, under both scheduler modes, including budget-capped partials.
+// The obligation-DAG battery. `verify` decomposes the battery into
+// per-obligation pool tasks (refine12 obligations with dependency edges into
+// witness enumeration, per-procedure dynamic units); its reports must be
+// bit-identical to an independent serial reference at every genuine worker
+// count, including budget-capped partials.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn obligation_dag_battery_matches_serial_reference_on_every_domain() {
-    use eclectic_kernel::{force_worker_cap, RelChoice, SchedMode};
-    use eclectic_spec::fuzz::{engine_outcome_shaped, outcome_difference};
-    use eclectic_spec::DagShape;
-    let _cap = force_worker_cap(usize::MAX);
-    let vc = VerifyConfig::quick();
-    for (name, spec, _) in domains() {
-        let reference = engine_outcome_shaped(
-            &spec,
-            &vc,
-            RelChoice::Dense,
-            SchedMode::Steal,
-            1,
-            DagShape::Chain,
-        );
-        for mode in [SchedMode::Steal, SchedMode::Scoped] {
-            for workers in BUDGET_THREADS {
-                let fine =
-                    engine_outcome_shaped(&spec, &vc, RelChoice::Dense, mode, workers, DagShape::Fine);
-                if let Some(detail) = outcome_difference(&reference, &fine) {
-                    panic!("{name}: fine DAG under {mode:?} at {workers} workers diverged: {detail}");
-                }
-            }
+/// An independent reference for the DAG's assembly: the public obligation
+/// functions called one after another in the canonical serial order, at one
+/// worker, sharing one budget and `verify`'s cross-check seed.
+fn reference_outcome(spec: &TriLevelSpec, config: &VerifyConfig) -> VerificationOutcome {
+    let budget = config.budget();
+    let (grammar_ok, grammar_error) = match wgrammar::check_schema(&spec.representation) {
+        Ok(_) => (true, None),
+        Err(e) => (false, Some(e.to_string())),
+    };
+    let refine12 = check_refinement_1_2_budget(
+        &spec.information,
+        &spec.functions,
+        &spec.interp_i,
+        spec.info_signature(),
+        &spec.info_domains,
+        config.refine12,
+        &budget,
+        1,
+    )
+    .unwrap();
+    // Obligation (c) is skipped over a budget-truncated universe.
+    let valid_reachable = if refine12.exploration.exhausted.is_some() {
+        ValidReachableReport {
+            candidates: 0,
+            valid: 0,
+            reachable_valid: 0,
+            unreachable: Vec::new(),
+            exploration_truncated: true,
         }
+    } else {
+        check_valid_reachable(
+            &spec.information,
+            &refine12.exploration,
+            config.candidate_cap,
+        )
+        .unwrap()
+    };
+    let mut induced = InducedAlgebra::new(
+        &spec.functions,
+        &spec.representation,
+        &spec.interp_k,
+        spec.empty_state(),
+    )
+    .unwrap();
+    let equations = check_equations_budget(
+        &mut induced,
+        config.eq_depth,
+        config.eq_max_states,
+        20,
+        &budget,
+    )
+    .unwrap();
+    let dynamic = check_dynamic_budget(
+        &spec.representation,
+        &spec.empty_state(),
+        config.pdl_universe_cap,
+        &budget,
+        1,
+    )
+    .unwrap();
+
+    // `verify`'s xorshift64* trace generator, one trace at a time, stopping
+    // at the first mismatch or budget stop.
+    let mut state: u64 = 0x5eed_1234_abcd_0001;
+    let mut choose = move |n: usize| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
+    };
+    let mut cross_mismatch = None;
+    let mut cross_stats = CrossCheckStats::default();
+    let mut cross_exhausted = None;
+    for _ in 0..config.random_traces {
+        let ops = random_ops(
+            &spec.functions,
+            &induced,
+            "initiate",
+            config.trace_len,
+            &mut choose,
+        )
+        .unwrap();
+        let (mismatch, stats, exhausted) =
+            cross_check_budget(&spec.functions, &mut induced, &ops, &budget, 1).unwrap();
+        cross_stats.ops += stats.ops;
+        cross_stats.comparisons += stats.comparisons;
+        if mismatch.is_some() {
+            cross_mismatch = mismatch;
+            break;
+        }
+        if exhausted.is_some() {
+            cross_exhausted = exhausted;
+            break;
+        }
+    }
+
+    let stage = |name, exhausted| StageStats {
+        name,
+        elapsed_ms: 0,
+        exhausted,
+    };
+    let stages = vec![
+        stage("refine12", refine12.exhausted().cloned()),
+        stage("witness", None),
+        stage("equations", equations.exhausted.clone()),
+        stage("dynamic", dynamic.exhausted.clone()),
+        stage("cross", cross_exhausted),
+    ];
+    VerificationOutcome {
+        grammar_ok,
+        grammar_error,
+        report: FullReport {
+            refine12,
+            valid_reachable,
+            equations,
+        },
+        cross_mismatch,
+        cross_stats,
+        dynamic,
+        stages,
     }
 }
 
-#[test]
-fn node_capped_exhaustion_partial_is_shape_and_worker_invariant() {
-    // A node cap tripping mid-grid inside refine12: the partial outcome —
-    // which stages ran, which stage recorded the Exhaustion, and the
-    // truncated exploration itself — must not depend on the battery shape
-    // or the number of genuine workers, because the cap is polled at
-    // serial slot indices and the merge replays slots in serial order.
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, SchedMode};
-    use eclectic_spec::{force_dag_shape, verify_with_threads, DagShape};
+/// Asserts that `verify_with_threads` at 1/2/4/8 genuine workers reproduces
+/// [`reference_outcome`]'s fingerprint on every packaged domain; returns the
+/// reference fingerprints.
+fn assert_battery_matches_reference(config: &VerifyConfig) -> Vec<(&'static str, Fingerprint)> {
+    use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
-    let mut config = VerifyConfig::quick();
-    config.max_nodes = Some(200);
+    let mut references = Vec::new();
     for (name, spec, _) in domains() {
-        let fingerprint = |shape: DagShape, workers: usize| {
-            let _s = force_dag_shape(shape);
-            let o = verify_with_threads(&spec, &config, workers).unwrap();
-            (
-                o.is_correct(),
-                format!("{:?}", o.report.refine12.exploration.exhausted),
-                o.stages
-                    .iter()
-                    .map(|s| (s.name, s.exhausted.clone()))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let base = fingerprint(DagShape::Chain, 1);
-        assert!(
-            base.2.iter().any(|(_, e)| e.is_some()),
-            "{name}: cap 200 must trip a stage"
-        );
-        for shape in [DagShape::Chain, DagShape::Fine] {
-            for workers in BUDGET_THREADS {
-                assert_eq!(
-                    fingerprint(shape, workers),
-                    base,
-                    "{name}: capped partial, {shape:?} at {workers} workers"
+        let reference = Fingerprint::of(&reference_outcome(&spec, config));
+        for workers in BUDGET_THREADS {
+            let outcome = Fingerprint::of(&verify_with_threads(&spec, config, workers).unwrap());
+            if let Some(detail) = outcome.first_difference(&reference) {
+                panic!(
+                    "{name}: battery at {workers} workers diverged from the reference: {detail}"
                 );
             }
         }
+        references.push((name, reference));
+    }
+    references
+}
+
+#[test]
+fn obligation_dag_battery_matches_serial_reference_on_every_domain() {
+    assert_battery_matches_reference(&VerifyConfig::quick());
+}
+
+#[test]
+fn node_capped_exhaustion_partial_is_worker_invariant() {
+    // A node cap tripping mid-grid inside refine12: the partial outcome —
+    // which stages ran, which stage recorded the Exhaustion, and the
+    // truncated exploration itself — must not depend on the number of
+    // genuine workers, because the cap is polled at serial slot indices and
+    // the merge replays slots in serial order.
+    let mut config = VerifyConfig::quick();
+    config.max_nodes = Some(200);
+    for (name, reference) in assert_battery_matches_reference(&config) {
+        assert!(
+            reference.stages.iter().any(|(_, e)| e.is_some()),
+            "{name}: cap 200 must trip a stage"
+        );
+        assert!(
+            !reference.correct,
+            "{name}: a partial run never claims success"
+        );
     }
 }
 
@@ -1060,10 +1152,9 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     // while units are in flight may cut the sweep anywhere, but must leave
     // the schema and template reusable — a fresh uncancelled run must
     // reproduce the pristine report bit for bit.
-    use eclectic_kernel::{force_sched_mode, force_worker_cap, CancelToken, SchedMode};
+    use eclectic_kernel::{force_worker_cap, CancelToken};
     use eclectic_refine::{plan_dynamic, DynamicPrep};
     let _cap = force_worker_cap(usize::MAX);
-    let _m = force_sched_mode(SchedMode::Steal);
     let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
     let pristine =
         check_dynamic_budget(&spec.representation, &spec.empty_state(), 1_024, &Budget::unlimited(), 4)

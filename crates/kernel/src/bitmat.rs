@@ -31,7 +31,8 @@
 //! sweeps.
 
 use crate::budget::{Budget, BudgetExceeded};
-use crate::envcfg::{effective_workers, par_min_dim};
+use crate::envcfg::effective_workers;
+use crate::rel::PAR_MIN_DIM;
 
 /// Rows processed between two budget polls inside a governed sweep: often
 /// enough that a deadline is noticed quickly, rare enough that
@@ -302,7 +303,7 @@ impl BitMatrix {
             Ok(())
         };
         let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < par_min_dim() {
+        if workers <= 1 || n < PAR_MIN_DIM {
             compose_rows(0, &mut out.bits)?;
         } else {
             let chunk = row_task_chunk(n, workers);
@@ -383,7 +384,7 @@ impl BitMatrix {
             Ok(())
         };
         let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < par_min_dim() {
+        if workers <= 1 || n < PAR_MIN_DIM {
             close_rows(0, &mut out.bits)?;
         } else {
             let chunk = row_task_chunk(n, workers);

@@ -189,8 +189,8 @@ impl Budget {
     /// `ECLECTIC_MAX_REL_BYTES` from the environment; unset or
     /// unparseable values leave that axis unlimited. The relation-memory
     /// axis also accepts its legacy `ECLECTIC_MAX_REL_ENTRIES` spelling
-    /// (same byte unit, one-time deprecation warning) — see
-    /// [`crate::envcfg`].
+    /// (same byte unit, one-time deprecation warning) — see the kernel's
+    /// `envcfg` module.
     #[must_use]
     pub fn from_env() -> Self {
         let mut b = Budget::unlimited();

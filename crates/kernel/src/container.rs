@@ -51,7 +51,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bitmat::{row_task_chunk, ROW_POLL_STRIDE};
 use crate::budget::{Budget, BudgetExceeded};
-use crate::envcfg::{effective_workers, par_min_dim};
+use crate::envcfg::effective_workers;
+use crate::rel::PAR_MIN_DIM;
 
 /// Columns per chunk: each container covers one 2¹⁶-aligned column range.
 const CHUNK_SPAN: usize = 1 << 16;
@@ -409,8 +410,8 @@ impl Iterator for ContainerIter<'_> {
 }
 
 /// One row of a [`CompressedRel`]: 2¹⁶-aligned chunks sorted by chunk
-/// key, each held by the smallest [`Container`] encoding. Empty chunks
-/// are never stored.
+/// key, each held by the smallest container encoding (array, bitmap or
+/// run list). Empty chunks are never stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompressedRow {
     /// `(chunk key, container)` pairs, ascending by key.
@@ -431,7 +432,7 @@ impl CompressedRow {
     }
 
     /// Estimated bytes of the row under the byte-accounting formula:
-    /// per container, [`CONTAINER_OVERHEAD`] plus 2 bytes per array
+    /// per container, a fixed 8-byte overhead plus 2 bytes per array
     /// entry / 8192 flat bytes per bitmap / 4 bytes per run.
     #[must_use]
     pub fn byte_size(&self) -> usize {
@@ -917,7 +918,7 @@ type RowTask<'a> = dyn Fn(usize, &mut [CompressedRow]) -> Result<(), BudgetExcee
 
 /// Fans `f(first_row, rows)` over contiguous row chunks across
 /// [`effective_workers`]`(threads)` workers (serial below
-/// [`par_min_dim`]), mirroring the sparse backend's task layout so
+/// [`PAR_MIN_DIM`]), mirroring the sparse backend's task layout so
 /// governed stops stay bit-identical per worker count.
 fn run_row_tasks(
     n: usize,
@@ -926,7 +927,7 @@ fn run_row_tasks(
     f: &RowTask<'_>,
 ) -> Result<(), BudgetExceeded> {
     let workers = effective_workers(threads).min(n.max(1));
-    if workers <= 1 || n < par_min_dim() {
+    if workers <= 1 || n < PAR_MIN_DIM {
         f(0, rows)
     } else {
         let chunk = row_task_chunk(n, workers);

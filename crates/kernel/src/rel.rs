@@ -45,6 +45,10 @@ use crate::sparse::SparseRel;
 /// `BENCH_rel.json` for the measured crossover).
 pub const REL_DENSE_MAX_DIM: usize = 512;
 
+/// Minimum dimension before relation compose/closure fan out to worker
+/// threads; below this the task overhead dwarfs the row work.
+pub(crate) const PAR_MIN_DIM: usize = 256;
+
 /// Which storage backend a [`Rel`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RelBackend {

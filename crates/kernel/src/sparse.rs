@@ -41,7 +41,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bitmat::{row_task_chunk, ROW_POLL_STRIDE};
 use crate::budget::{Budget, BudgetExceeded};
-use crate::envcfg::{effective_workers, par_min_dim};
+use crate::envcfg::effective_workers;
+use crate::rel::PAR_MIN_DIM;
 
 /// A sparse square boolean matrix over `0..n`: one sorted, deduplicated
 /// `u32` column list per row.
@@ -342,7 +343,7 @@ impl SparseRel {
             Ok(())
         };
         let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < par_min_dim() {
+        if workers <= 1 || n < PAR_MIN_DIM {
             compose_rows(0, &mut out.rows)?;
         } else {
             let chunk = row_task_chunk(n, workers);
@@ -432,7 +433,7 @@ impl SparseRel {
             Ok(())
         };
         let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < par_min_dim() {
+        if workers <= 1 || n < PAR_MIN_DIM {
             close_rows(0, &mut out.rows)?;
         } else {
             let chunk = row_task_chunk(n, workers);

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use eclectic_algebraic::{completeness, termination, AlgSpec};
-use eclectic_kernel::{run_workers_prio, Budget, BudgetExceeded, Exhaustion, IndexQueue, Priority};
+use eclectic_kernel::{run_tasks_prio, Budget, BudgetExceeded, Exhaustion, Priority};
 use eclectic_logic::{Domains, Elem, Formula, Signature, Theory, Valuation};
 use eclectic_rpr::pdl::Pdl;
 use eclectic_rpr::{denote, pdl, DbState, DenoteCache, FiniteUniverse, RprError, Schema, Stmt};
@@ -113,8 +113,9 @@ impl Refine12Report {
             && self.transition_violations.is_empty()
     }
 
-    /// The first budget exhaustion hit while producing this report, if any
-    /// (the completeness pass runs before the exploration).
+    /// The first budget exhaustion hit while producing this report, if any,
+    /// in canonical obligation order: the completeness pass's before the
+    /// exploration's, whichever of the two ran first.
     #[must_use]
     pub fn exhausted(&self) -> Option<&Exhaustion> {
         self.completeness
@@ -318,8 +319,10 @@ pub struct DynamicReport {
     pub unchecked_procs: Vec<String>,
     /// Set when the universe exceeded the cap and the check was skipped.
     pub skipped: Option<String>,
-    /// Denotation-cache counters for the run (one shared cache; every
-    /// functionality read reuses the totality phase's denotation).
+    /// Denotation-cache counters, summed over the per-procedure caches
+    /// (every functionality read reuses the totality phase's denotation).
+    /// Each procedure owns its cache, so the counters do not depend on the
+    /// worker count.
     pub cache_stats: eclectic_rpr::CacheStats,
     /// Set when a [`Budget`] tripped: `checked` then counts the
     /// applications verified before stopping.
@@ -336,7 +339,7 @@ impl DynamicReport {
 
 /// Checks the dynamic-logic obligations over the representation schema,
 /// using `ECLECTIC_THREADS` workers (see [`eclectic_kernel::env_threads`])
-/// for the denotation phase.
+/// across its per-procedure units.
 ///
 /// # Errors
 /// Propagates enumeration/evaluation errors (a universe over `cap` is a
@@ -358,12 +361,14 @@ pub fn check_dynamic_threads(
     check_dynamic_budget(schema, template, cap, &Budget::unlimited(), threads)
 }
 
-/// As [`check_dynamic_threads`], governed by a [`Budget`]. Workers poll the
-/// budget before each serial-order application slot with the slot index, so
-/// a node cap stops after the same number of applications at every worker
-/// count; deadline and cancellation stops report the applications whose
-/// serial-order prefix completed. Exhaustion returns the partial report
-/// with `exhausted` set instead of failing.
+/// As [`check_dynamic_threads`], governed by a [`Budget`]. The obligations
+/// run as one [`DynamicPlan::run_proc`] unit per procedure, fanned over the
+/// shared pool at [`Priority::Bulk`]; each unit owns its denotation cache
+/// and polls the budget before each serial-order application slot with the
+/// slot index, so a node cap stops after the same number of applications
+/// at every worker count; deadline and cancellation stops report the
+/// applications whose serial-order prefix completed. Exhaustion returns the
+/// partial report with `exhausted` set instead of failing.
 ///
 /// # Errors
 /// See [`check_dynamic`]; budget exhaustion is *not* an error.
@@ -378,11 +383,19 @@ pub fn check_dynamic_budget(
         DynamicPrep::Done(report) => return Ok(report),
         DynamicPrep::Plan(plan) => plan,
     };
-    let threads = eclectic_kernel::effective_workers(threads);
-    if threads <= 1 || plan.apps.len() < 2 {
-        return plan.run_serial(budget, threads);
-    }
-    plan.run_striding(budget, threads)
+    let n = plan.procs();
+    let plan_ref = &plan;
+    let units: Vec<Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>> = (0..n)
+        .map(|i| {
+            Box::new(move || plan_ref.run_proc(i, budget, 1))
+                as Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>
+        })
+        .collect();
+    let workers = eclectic_kernel::effective_workers(threads).min(n);
+    let outcomes = run_tasks_prio(workers, Priority::Bulk, units)
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+    Ok(plan.merge(outcomes, budget))
 }
 
 /// The per-application results of one dynamic obligation unit: slot-keyed
@@ -407,10 +420,9 @@ pub enum DynamicPrep<'s> {
 
 /// The flattened dynamic-obligation workload: the enumerated universe plus
 /// every (procedure, argument-tuple) application in serial order, grouped
-/// into per-procedure slot ranges so an obligation-DAG scheduler can run
+/// into per-procedure slot ranges, so [`check_dynamic_budget`] can run
 /// [`DynamicPlan::run_proc`] units in parallel and [`DynamicPlan::merge`]
-/// their outcomes into the same report the monolithic
-/// [`check_dynamic_budget`] produces.
+/// their outcomes into one report.
 pub struct DynamicPlan<'s> {
     u: FiniteUniverse,
     apps: Vec<(&'s eclectic_rpr::ProcDecl, Vec<Elem>, Valuation)>,
@@ -541,7 +553,8 @@ impl<'s> DynamicPlan<'s> {
     /// Replays per-unit outcomes in serial slot order into the final
     /// report: earliest stop wins, every slot below it has a verdict, and
     /// the failure list is bit-identical however the units were scheduled.
-    /// Cache counters are summed across units and are scheduling-dependent.
+    /// Cache counters are summed across units; each unit's counters depend
+    /// only on its own slot range, so the sums are worker-invariant too.
     #[must_use]
     pub fn merge(self, outcomes: Vec<DynamicUnitOutcome>, budget: &Budget) -> DynamicReport {
         let mut report = self.base;
@@ -570,80 +583,6 @@ impl<'s> DynamicPlan<'s> {
         }
         report
     }
-
-    /// The pre-plan serial path: one shared denotation cache over all
-    /// applications, row-level parallelism inside the relational operators
-    /// when `threads > 1`.
-    fn run_serial(self, budget: &Budget, threads: usize) -> Result<DynamicReport> {
-        let mut report = self.base;
-        let mut cache = DenoteCache::new();
-        for (k, (proc, args, env)) in self.apps.iter().enumerate() {
-            if let Some(reason) = budget.check(k) {
-                report.checked = k;
-                report.exhausted = Some(budget.exhaustion("dynamic", reason, k));
-                break;
-            }
-            // With a single application slot the row-level parallelism
-            // inside the relational operators still applies.
-            match check_application(&self.u, proc, args, env, &mut cache, &self.timing, threads) {
-                Ok(failures) => report.failures.extend(failures),
-                Err(e) => match crate::reach::budget_stop(&e) {
-                    Some(reason) => {
-                        report.checked = k;
-                        report.exhausted = Some(budget.exhaustion("dynamic", reason, k));
-                        break;
-                    }
-                    None => return Err(e),
-                },
-            }
-        }
-        report.cache_stats = cache.stats();
-        Ok(report)
-    }
-
-    /// The chain-DAG parallel path: workers stride over all applications
-    /// through an [`IndexQueue`], each with its own denotation cache (the
-    /// environment differs between applications, so cross-application
-    /// sharing is marginal; within one application the totality and
-    /// functionality reads share the body's denotation).
-    fn run_striding(self, budget: &Budget, threads: usize) -> Result<DynamicReport> {
-        let workers = threads.min(self.apps.len());
-        let queue = IndexQueue::new(self.apps.len(), workers);
-        let results: Vec<Result<DynamicUnitOutcome>> =
-            run_workers_prio(workers, Priority::Bulk, |_| {
-                let apps = &self.apps;
-                let u = &self.u;
-                let timing = &self.timing;
-                let queue = &queue;
-                move || {
-                    let mut cache = DenoteCache::new();
-                    let mut out = Vec::new();
-                    let mut stop = None;
-                    'claims: while let Some(range) = queue.claim() {
-                        for k in range {
-                            let (proc, args, env) = &apps[k];
-                            if let Some(reason) = budget.check(k) {
-                                stop = Some((k, reason));
-                                break 'claims;
-                            }
-                            match check_application(u, proc, args, env, &mut cache, timing, 1) {
-                                Ok(failures) => out.push((k, failures)),
-                                Err(e) => match crate::reach::budget_stop(&e) {
-                                    Some(reason) => {
-                                        stop = Some((k, reason));
-                                        break 'claims;
-                                    }
-                                    None => return Err(e),
-                                },
-                            }
-                        }
-                    }
-                    Ok((out, cache.stats(), stop))
-                }
-            });
-        let outcomes = results.into_iter().collect::<Result<Vec<_>>>()?;
-        Ok(self.merge(outcomes, budget))
-    }
 }
 
 /// Checks one procedure application's contracts: totality is the PDL
@@ -663,8 +602,8 @@ fn check_application(
     let batch =
         pdl::check_batch_budget_with(std::slice::from_ref(&total), u, env, cache, timing, threads)?;
     if let Some(ex) = batch.exhausted {
-        // Re-raise as an error so the striding loops unwind; the wrappers
-        // convert it back into a graceful partial report.
+        // Re-raise as an error so the unit loop unwinds; `run_proc`
+        // converts it back into a graceful budget stop.
         return Err(crate::reach::budget_err(ex.reason));
     }
     if !batch.valid[0] {

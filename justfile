@@ -1,7 +1,8 @@
 # Task runner for the eclectic workspace (https://github.com/casey/just).
 
-# The full offline gate: release build, tests, lints with warnings denied,
-# the parallel-determinism suite in release mode (now covering confluence,
+# The full offline gate: release build, tests, lints and rustdoc with
+# warnings denied (so a doc link to a deleted item fails the gate), the
+# parallel-determinism suite in release mode (now covering confluence,
 # completeness, PDL-batch, budget-exhaustion and sparse-backend sweeps),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
 # cargo package, so `--workspace` does not reach it), and the
@@ -11,6 +12,7 @@ verify:
     timeout 900 cargo build --release --workspace
     timeout 1200 cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     timeout 600 cargo test -q -p eclectic-spec --release --test parallel_determinism
     timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
     cargo run -p eclectic-bench --bin bench_reach_parallel --release
@@ -18,12 +20,13 @@ verify:
     timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
     timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
-    timeout 900 cargo run -p eclectic-bench --bin bench_sched --release
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
-# Lints alone, warnings denied — the clippy slice of `just verify`.
+# Lints alone, warnings denied — the clippy and rustdoc slice of
+# `just verify`.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Timing benches, one target per experiment in EXPERIMENTS.md.
 bench:
@@ -60,14 +63,6 @@ bench-rel:
 bench-rel-large:
     timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
 
-# Chain-shaped vs obligation-shaped verify battery (plus the scoped-thread
-# baseline) at 1/2/4/8 real workers (bit-identity, including node-capped
-# partials, asserted in-bench across every mode × shape × worker-count
-# combination); regenerates BENCH_sched.json — part of `just verify`, so
-# the artifact never drifts from the code.
-bench-sched:
-    timeout 900 cargo run -p eclectic-bench --bin bench_sched --release
-
 # Differential fuzzing smoke: a fixed 32-seed corpus through the full
 # engine grid; fails on any divergence or generator panic.
 fuzz-smoke:
@@ -81,5 +76,5 @@ fuzz:
 
 # Every benchmark artifact in one shot: harness + all parallel benches,
 # closing with the starved-host warning status recorded in the artifacts.
-bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large bench-sched fuzz
+bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large fuzz
     @grep -o '"warning": [^,]*' BENCH_rel.json
