@@ -9,16 +9,19 @@
 //! 2. an **exhaustive evaluation** pass: every ground query application over
 //!    every state term of bounded depth must normalise to a parameter name.
 
+use std::sync::Arc;
+
 use eclectic_kernel::{
     effective_workers, env_threads, run_workers_prio, Budget, BudgetExceeded, Exhaustion,
-    IndexQueue, Interner, Priority,
+    IndexQueue, Interner, Priority, TermId,
 };
-use eclectic_logic::Term;
+use eclectic_logic::{FuncId, Term};
 
 use crate::error::{AlgError, Result};
 use crate::induction::GroundSpace;
 use crate::printer::term_str;
 use crate::rewrite::Rewriter;
+use crate::signature::AlgSignature;
 use crate::spec::AlgSpec;
 
 /// A (query, update) pair with no defining equation.
@@ -160,6 +163,10 @@ pub fn exhaustive_with<S: Interner>(
 /// ([`AlgError::Budget`]) also stops the sweep at that instance instead of
 /// mislabelling the term as stuck.
 ///
+/// The sweep stays inside the rewriter's store: each state and each query's
+/// parameter tuples are interned once, every instance is one interned
+/// application normalised by id, and only stuck instances are rendered.
+///
 /// # Errors
 /// Propagates unexpected rewriting errors.
 pub fn exhaustive_budget_with<S: Interner>(
@@ -168,25 +175,23 @@ pub fn exhaustive_budget_with<S: Interner>(
     max_failures: usize,
     budget: &Budget,
 ) -> Result<CompletenessReport> {
-    let spec = rw.spec();
-    let sig = spec.signature().clone();
     let mut report = CompletenessReport {
-        missing: coverage(spec)?,
+        missing: coverage(rw.spec())?,
         ..CompletenessReport::default()
     };
+    let block = query_block(rw.spec().signature(), space)?;
+    let block = intern_block(rw, &block);
+    let mut args = Vec::new();
     for st in space.states() {
-        for q in sig.queries() {
-            let tuples = space.tuples(&sig, &sig.query_params(q)?)?;
-            for params in tuples.iter() {
+        let st = rw.intern(st);
+        for (q, tuples) in &block {
+            for params in tuples {
                 if let Some(reason) = budget.check(report.evaluated) {
                     report.exhausted =
                         Some(budget.exhaustion("completeness", reason, report.evaluated));
                     return Ok(report);
                 }
-                let mut args = params.clone();
-                args.push(st.clone());
-                let t = Term::App(q, args);
-                match eval_subject(rw, &sig, &t) {
+                match eval_instance(rw, *q, params, st, &mut args) {
                     Ok(None) => {}
                     Ok(Some(stuck)) => report.stuck.push(stuck),
                     Err(AlgError::Budget { reason }) => {
@@ -271,15 +276,21 @@ pub fn exhaustive_budget_in(
     threads: usize,
 ) -> Result<CompletenessReport> {
     let threads = effective_workers(threads);
-    let sweep = plan_exhaustive(spec, space, max_failures)?;
-
-    // `max_failures == 0` makes the serial loop stop after the very first
-    // evaluation regardless of its outcome; only the serial path reproduces
-    // that, so route it (and trivial workloads) there.
-    if threads <= 1 || max_failures == 0 || sweep.len() < 2 {
+    let serial = || {
         let mut rw = Rewriter::new(spec);
         rw.set_budget(budget.without_node_cap());
-        return exhaustive_budget_with(&mut rw, space, max_failures, budget);
+        exhaustive_budget_with(&mut rw, space, max_failures, budget)
+    };
+    // `max_failures == 0` makes the serial loop stop after the very first
+    // evaluation regardless of its outcome; only the serial path reproduces
+    // that, so route it (and single-worker runs) there before any planning,
+    // and trivial workloads right after.
+    if threads <= 1 || max_failures == 0 {
+        return serial();
+    }
+    let sweep = CompletenessSweep::new(spec, space, max_failures)?;
+    if sweep.len() < 2 {
+        return serial();
     }
 
     // Each worker owns a plain thread-local rewriter: the ground instances
@@ -294,10 +305,18 @@ pub fn exhaustive_budget_in(
         move || {
             let mut rw = Rewriter::new(spec);
             rw.set_budget(budget.without_node_cap());
+            let block = intern_block(&mut rw, &sweep.block);
             let mut local = SweepEvents(Vec::new());
             let mut stuck_seen = 0usize;
             while let Some(range) = queue.claim() {
-                if !sweep.run_range_with(&mut rw, range, budget, &mut stuck_seen, &mut local) {
+                if !sweep.run_range_with(
+                    &mut rw,
+                    &block,
+                    range,
+                    budget,
+                    &mut stuck_seen,
+                    &mut local,
+                ) {
                     break;
                 }
             }
@@ -307,15 +326,50 @@ pub fn exhaustive_budget_in(
     sweep.merge(strips, budget)
 }
 
-/// The flattened exhaustive-evaluation workload: every ground query
-/// application in serial enumeration order. Workers evaluate contiguous
-/// slot ranges; [`CompletenessSweep::merge`] replays any set of strip
-/// results covering the serial prefix into the serial report, bit-identical
-/// however the ranges were scheduled or partitioned.
+/// One state's block of ground instances in serial order: every query, in
+/// signature order, with the ground space's parameter tuples over its sorts.
+type QueryBlock = Vec<(FuncId, Arc<Vec<Vec<Term>>>)>;
+
+/// A [`QueryBlock`] interned into one rewriter's store.
+type QueryBlockIds = Vec<(FuncId, Vec<Vec<TermId>>)>;
+
+/// The [`QueryBlock`] of `space`.
+///
+/// # Errors
+/// Propagates signature errors.
+fn query_block(sig: &AlgSignature, space: &GroundSpace) -> Result<QueryBlock> {
+    sig.queries()
+        .map(|q| Ok((q, space.tuples(sig, &sig.query_params(q)?)?)))
+        .collect()
+}
+
+/// Interns every parameter tuple of `block` into `rw`'s store, once.
+fn intern_block<S: Interner>(rw: &mut Rewriter<'_, S>, block: &QueryBlock) -> QueryBlockIds {
+    block
+        .iter()
+        .map(|(q, tuples)| {
+            let ids = tuples
+                .iter()
+                .map(|params| params.iter().map(|p| rw.intern(p)).collect())
+                .collect();
+            (*q, ids)
+        })
+        .collect()
+}
+
+/// The exhaustive-evaluation workload: every ground query application in
+/// serial enumeration order (states outer, then queries, then parameter
+/// tuples), addressed by slot index without materialising any instance.
+/// Workers evaluate contiguous slot ranges; [`CompletenessSweep::merge`]
+/// replays any set of strip results covering the serial prefix into the
+/// serial report, bit-identical however the ranges were scheduled or
+/// partitioned.
 struct CompletenessSweep<'s> {
     spec: &'s AlgSpec,
-    sig: std::sync::Arc<crate::signature::AlgSignature>,
-    subjects: Vec<Term>,
+    states: &'s [Term],
+    block: QueryBlock,
+    /// Ground instances per state: the block's total tuple count.
+    per_state: usize,
     max_failures: usize,
 }
 
@@ -323,57 +377,59 @@ struct CompletenessSweep<'s> {
 /// [`CompletenessSweep::merge`].
 struct SweepEvents(Vec<EvalEvent>);
 
-/// Flattens the ground instances of `space` in the serial enumeration
-/// order (states outer, then queries, then parameter tuples) into a
-/// [`CompletenessSweep`].
-///
-/// # Errors
-/// Propagates signature errors.
-fn plan_exhaustive<'s>(
-    spec: &'s AlgSpec,
-    space: &GroundSpace,
-    max_failures: usize,
-) -> Result<CompletenessSweep<'s>> {
-    let sig = spec.signature().clone();
-    let mut subjects = Vec::new();
-    for st in space.states() {
-        for q in sig.queries() {
-            let tuples = space.tuples(&sig, &sig.query_params(q)?)?;
-            for params in tuples.iter() {
-                let mut args = params.clone();
-                args.push(st.clone());
-                subjects.push(Term::App(q, args));
-            }
-        }
+impl<'s> CompletenessSweep<'s> {
+    /// Plans the sweep over `space`.
+    ///
+    /// # Errors
+    /// Propagates signature errors.
+    fn new(spec: &'s AlgSpec, space: &'s GroundSpace, max_failures: usize) -> Result<Self> {
+        let block = query_block(spec.signature(), space)?;
+        let per_state = block.iter().map(|(_, tuples)| tuples.len()).sum();
+        Ok(CompletenessSweep {
+            spec,
+            states: space.states(),
+            block,
+            per_state,
+            max_failures,
+        })
     }
-    Ok(CompletenessSweep {
-        spec,
-        sig,
-        subjects,
-        max_failures,
-    })
-}
 
-impl CompletenessSweep<'_> {
     /// Total number of ground instances.
     fn len(&self) -> usize {
-        self.subjects.len()
+        self.states.len() * self.per_state
+    }
+
+    /// Slot `k`'s (state, query, tuple) indices. Only called for
+    /// `k < self.len()`, where `per_state` is nonzero.
+    fn decode(&self, k: usize) -> (usize, usize, usize) {
+        let mut tuple = k % self.per_state;
+        let mut query = 0;
+        while tuple >= self.block[query].1.len() {
+            tuple -= self.block[query].1.len();
+            query += 1;
+        }
+        (k / self.per_state, query, tuple)
     }
 
     /// The shared strip loop: evaluates `range` in increasing slot order
-    /// against a caller-held rewriter, carrying the caller's running stuck
-    /// count. Returns `false` when the caller should stop claiming more
-    /// ranges (budget stop, error event, or local stuck cap reached).
+    /// against a caller-held rewriter and its interned `block`, carrying the
+    /// caller's running stuck count. Returns `false` when the caller should
+    /// stop claiming more ranges (budget stop, error event, or local stuck
+    /// cap reached).
     fn run_range_with<S: Interner>(
         &self,
         rw: &mut Rewriter<'_, S>,
+        block: &QueryBlockIds,
         range: std::ops::Range<usize>,
         budget: &Budget,
         stuck_seen: &mut usize,
         out: &mut SweepEvents,
     ) -> bool {
+        // Slots of one state are contiguous, so the strip interns each of
+        // its states once, on entering the state's block.
+        let mut state: Option<(usize, TermId)> = None;
+        let mut args = Vec::new();
         for k in range {
-            let t = &self.subjects[k];
             // Budget poll at the slot boundary: the instance index stands
             // in for node accounting, so a node-cap stop lands on the same
             // slot at every worker count and strip partition.
@@ -381,7 +437,17 @@ impl CompletenessSweep<'_> {
                 out.0.push(EvalEvent::Budget(k, reason));
                 return false;
             }
-            match eval_subject(rw, &self.sig, t) {
+            let (s, query, tuple) = self.decode(k);
+            let st = match state {
+                Some((i, id)) if i == s => id,
+                _ => {
+                    let id = rw.intern(&self.states[s]);
+                    state = Some((s, id));
+                    id
+                }
+            };
+            let (q, tuples) = &block[query];
+            match eval_instance(rw, *q, &tuples[tuple], st, &mut args) {
                 Ok(None) => {}
                 Ok(Some(stuck)) => {
                     out.0.push(EvalEvent::Stuck(k, stuck));
@@ -441,30 +507,40 @@ impl CompletenessSweep<'_> {
                 }
             }
         }
-        report.evaluated = self.subjects.len();
+        report.evaluated = self.len();
         Ok(report)
     }
 }
 
-/// Evaluates one ground query application: `None` when it reduces to a
-/// parameter name, `Some` when it is stuck (including fuel exhaustion).
-fn eval_subject<S: Interner>(
+/// Evaluates the ground query application `q(params…, state)` by id: `None`
+/// when it reduces to a parameter name, `Some` when it is stuck (including
+/// fuel exhaustion). Only a stuck instance is externed and rendered.
+fn eval_instance<S: Interner>(
     rw: &mut Rewriter<'_, S>,
-    sig: &crate::signature::AlgSignature,
-    t: &Term,
+    q: FuncId,
+    params: &[TermId],
+    state: TermId,
+    args: &mut Vec<TermId>,
 ) -> Result<Option<StuckTerm>> {
-    match rw.normalize(t) {
-        Ok(n) if sig.is_param_name(&n) => Ok(None),
-        Ok(n) => Ok(Some(StuckTerm {
-            term: term_str(sig, t),
-            normal_form: term_str(sig, &n),
-        })),
-        Err(AlgError::RewriteLimit { at, .. }) => Ok(Some(StuckTerm {
-            term: term_str(sig, t),
-            normal_form: format!("<fuel exhausted at {at}>"),
-        })),
-        Err(e) => Err(e),
-    }
+    args.clear();
+    args.extend_from_slice(params);
+    args.push(state);
+    let t = rw.app_id(q, args);
+    let normal_form = match rw.normalize_id(t) {
+        Ok(n) if rw.is_param_name(n) => return Ok(None),
+        Ok(n) => render(rw, n),
+        Err(AlgError::RewriteLimit { at, .. }) => format!("<fuel exhausted at {at}>"),
+        Err(e) => return Err(e),
+    };
+    Ok(Some(StuckTerm {
+        term: render(rw, t),
+        normal_form,
+    }))
+}
+
+/// Renders an interned term in the concrete syntax.
+fn render<S: Interner>(rw: &Rewriter<'_, S>, t: TermId) -> String {
+    term_str(rw.spec().signature(), &rw.extern_term(t))
 }
 
 #[cfg(test)]

@@ -575,7 +575,7 @@ impl<'a, S: Interner> Rewriter<'a, S> {
 
     /// Whether an interned term is a parameter name (a constant of a
     /// non-state sort).
-    fn is_param_name(&self, t: TermId) -> bool {
+    pub(crate) fn is_param_name(&self, t: TermId) -> bool {
         match self.store.node(t) {
             TermNode::App(f, args) if args.is_empty() => {
                 let sig = self.spec.signature();

@@ -28,7 +28,7 @@ fn main() {
             let res = termination::check_termination(spec).unwrap();
             assert!(res.is_terminating());
         });
-        for depth in [1usize, 2] {
+        for depth in [1usize, 2, 3] {
             r.bench(format!("exhaustive_{name}/{depth}"), || {
                 let res = completeness::exhaustive(spec, depth, 10).unwrap();
                 assert!(res.is_sufficiently_complete());

@@ -1,13 +1,19 @@
 # Task runner for the eclectic workspace (https://github.com/casey/just).
 
+# Reads the last line of a `perfbench/run.py` run from stdin and fails
+# unless every verdict matched its known answer.
+perf_ok := "import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]); sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 'perfbench smoke run failed: ' + json.dumps(r))"
+
 # The full offline gate: release build, tests, lints and rustdoc with
 # warnings denied (so a doc link to a deleted item fails the gate), the
 # parallel-determinism suite in release mode (now covering confluence,
 # completeness, PDL-batch, budget-exhaustion and sparse-backend sweeps),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
-# cargo package, so `--workspace` does not reach it), and the
-# parallel/crossover benches. The tier-1 steps run under a hard timeout so a
-# hung sweep fails the gate instead of wedging it.
+# cargo package, so `--workspace` does not reach it), a one-second untraced
+# and traced smoke run of the benchmark driver on paper-1w (built into the
+# same target directory as those tests), and the parallel/crossover benches.
+# The tier-1 steps run under a hard timeout so a hung sweep fails the gate
+# instead of wedging it.
 verify:
     timeout 900 cargo build --release --workspace
     timeout 1200 cargo test -q --workspace
@@ -15,6 +21,8 @@ verify:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     timeout 600 cargo test -q -p eclectic-spec --release --test parallel_determinism
     timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
+    CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
+    CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
     cargo run -p eclectic-bench --bin bench_reach_parallel --release
     cargo run -p eclectic-bench --bin bench_verify_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release

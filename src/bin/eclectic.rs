@@ -33,19 +33,13 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn build(domain: &str, style: &str) -> Result<TriLevelSpec, String> {
+fn build(domain: &str, style: courses::EquationStyle) -> Result<TriLevelSpec, String> {
     match domain {
-        "courses" => {
-            let style = match style {
-                "synth" | "synthesized" => courses::EquationStyle::Synthesized,
-                _ => courses::EquationStyle::Paper,
-            };
-            courses::courses(&courses::CoursesConfig {
-                style,
-                ..courses::CoursesConfig::default()
-            })
-            .map_err(|e| e.to_string())
-        }
+        "courses" => courses::courses(&courses::CoursesConfig {
+            style,
+            ..courses::CoursesConfig::default()
+        })
+        .map_err(|e| e.to_string()),
         "library" => library::library(&library::LibraryConfig::default()).map_err(|e| e.to_string()),
         "bank" => bank::bank(&bank::BankConfig::default()).map_err(|e| e.to_string()),
         other => Err(format!("unknown domain `{other}`")),
@@ -56,6 +50,30 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The equation style named by `--style`: the paper's when the flag is
+/// absent; a missing or unknown value is an error.
+fn style_arg(args: &[String]) -> Result<courses::EquationStyle, String> {
+    if !args.iter().any(|a| a == "--style") {
+        return Ok(courses::EquationStyle::Paper);
+    }
+    match flag_value(args, "--style").unwrap_or_default().as_str() {
+        "paper" => Ok(courses::EquationStyle::Paper),
+        "synth" | "synthesized" => Ok(courses::EquationStyle::Synthesized),
+        other => Err(format!("--style expects `paper` or `synth`, got {other:?}")),
+    }
+}
+
+/// The exploration depth named by `--depth`: 8 when the flag is absent; a
+/// missing, negative or non-numeric value is an error.
+fn depth_arg(args: &[String]) -> Result<usize, String> {
+    if !args.iter().any(|a| a == "--depth") {
+        return Ok(8);
+    }
+    let raw = flag_value(args, "--depth").unwrap_or_default();
+    raw.parse()
+        .map_err(|_| format!("--depth expects a non-negative integer, got {raw:?}"))
 }
 
 /// A numeric limit from a command-line flag, falling back to an environment
@@ -79,8 +97,7 @@ fn main() -> ExitCode {
     let (Some(cmd), Some(domain)) = (args.first(), args.get(1)) else {
         return usage();
     };
-    let style = flag_value(&args, "--style").unwrap_or_else(|| "paper".into());
-    let spec = match build(domain, &style) {
+    let spec = match style_arg(&args).and_then(|style| build(domain, style)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -115,9 +132,13 @@ fn main() -> ExitCode {
         }
         "verify" => {
             let mut config = VerifyConfig::quick();
-            config.refine12.limits.max_depth = flag_value(&args, "--depth")
-                .and_then(|d| d.parse().ok())
-                .unwrap_or(8);
+            config.refine12.limits.max_depth = match depth_arg(&args) {
+                Ok(depth) => depth,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             config.deadline_ms = limit_value(&args, "--deadline-ms", "ECLECTIC_DEADLINE_MS");
             config.max_nodes = limit_value(&args, "--max-nodes", "ECLECTIC_MAX_NODES")
                 .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
