@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use eclectic_kernel::{
-    effective_workers, env_threads, run_workers_prio, Budget, BudgetExceeded, Exhaustion,
-    IndexQueue, Interner, Priority, TermId,
+    effective_workers, run_workers_prio, Budget, BudgetExceeded, Exhaustion, IndexQueue, Interner,
+    Priority, TermId,
 };
 use eclectic_logic::{FuncId, Term};
 
@@ -96,72 +96,13 @@ pub fn coverage(spec: &AlgSpec) -> Result<Vec<MissingCase>> {
     Ok(missing)
 }
 
-/// Exhaustive evaluation of all ground query applications over all state
-/// terms with at most `max_steps` updates. Stops collecting after
-/// `max_failures` stuck terms. Uses `ECLECTIC_THREADS` workers (see
-/// [`env_threads`]).
-///
-/// # Errors
-/// Propagates unexpected rewriting errors (fuel exhaustion is recorded as a
-/// stuck term instead).
-pub fn exhaustive(
-    spec: &AlgSpec,
-    max_steps: usize,
-    max_failures: usize,
-) -> Result<CompletenessReport> {
-    exhaustive_threads(spec, max_steps, max_failures, env_threads())
-}
-
-/// As [`exhaustive`] with an explicit worker count.
-///
-/// # Errors
-/// Propagates unexpected rewriting errors.
-pub fn exhaustive_threads(
-    spec: &AlgSpec,
-    max_steps: usize,
-    max_failures: usize,
-    threads: usize,
-) -> Result<CompletenessReport> {
-    let space = GroundSpace::new(spec.signature(), max_steps)?;
-    exhaustive_in(spec, &space, max_failures, threads)
-}
-
-/// As [`exhaustive_threads`], governed by a resource [`Budget`]: the sweep
-/// polls the budget before every ground instance (in serial enumeration
-/// order) and, when it trips, returns the verdicts for the completed prefix
-/// with [`CompletenessReport::exhausted`] set.
-///
-/// # Errors
-/// Propagates unexpected rewriting errors.
-pub fn exhaustive_budget(
-    spec: &AlgSpec,
-    max_steps: usize,
-    max_failures: usize,
-    budget: &Budget,
-    threads: usize,
-) -> Result<CompletenessReport> {
-    let space = GroundSpace::new(spec.signature(), max_steps)?;
-    exhaustive_budget_in(spec, &space, max_failures, budget, threads)
-}
-
-/// As [`exhaustive_in`], serial, against a caller-held rewriter — so the
-/// sweep can reuse (and further warm) a normal-form memo shared with other
-/// passes over the same ground space, e.g. the confluence tie-break.
-///
-/// # Errors
-/// Propagates unexpected rewriting errors.
-pub fn exhaustive_with<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
-    space: &GroundSpace,
-    max_failures: usize,
-) -> Result<CompletenessReport> {
-    exhaustive_budget_with(rw, space, max_failures, &Budget::unlimited())
-}
-
-/// As [`exhaustive_with`], governed by a resource [`Budget`] polled before
-/// every ground instance. A budget-aborted normalisation inside an instance
-/// ([`AlgError::Budget`]) also stops the sweep at that instance instead of
-/// mislabelling the term as stuck.
+/// The serial exhaustive pass over a pre-enumerated [`GroundSpace`] against
+/// a caller-held rewriter, so the sweep can reuse (and further warm) a
+/// normal-form memo the caller shares with other passes over the same
+/// space. Stops collecting after `max_failures` stuck terms. The resource
+/// [`Budget`] is polled before every ground instance; a budget-aborted
+/// normalisation inside an instance ([`AlgError::Budget`]) also stops the
+/// sweep at that instance instead of mislabelling the term as stuck.
 ///
 /// The sweep stays inside the rewriter's store: each state and each query's
 /// parameter tuples are interned once, every instance is one interned
@@ -237,49 +178,39 @@ impl EvalEvent {
     }
 }
 
-/// As [`exhaustive`] against a pre-enumerated [`GroundSpace`], so one
-/// enumeration can serve completeness, confluence resolution and induction.
+/// Exhaustive evaluation of all ground query applications over all state
+/// terms with at most `max_steps` updates, with `threads` workers. Stops
+/// collecting after `max_failures` stuck terms. The sweep polls `budget`
+/// before every ground instance (in serial enumeration order) and, when it
+/// trips, returns the verdicts for the completed prefix with
+/// [`CompletenessReport::exhausted`] set.
 ///
 /// Parallel runs are bit-identical to serial (same `stuck` contents and
 /// ordering, same `evaluated` count): workers stride over the ground
 /// instances, each instance's verdict is order-independent, and the merge
 /// replays the events in serial order — including the early stop once
-/// `max_failures` stuck terms have accumulated.
+/// `max_failures` stuck terms have accumulated. Workers poll the budget
+/// before each of their serial-order slots, so a node-cap stop happens at
+/// the same instance index at every worker count; deadline and cancellation
+/// stops yield a valid serial prefix whose length depends on timing.
 ///
 /// # Errors
-/// Propagates unexpected rewriting errors; the earliest error in
-/// enumeration order wins, exactly as in the serial loop.
-pub fn exhaustive_in(
+/// Propagates unexpected rewriting errors (fuel exhaustion is recorded as a
+/// stuck term instead); the earliest error in enumeration order wins,
+/// exactly as in the serial loop.
+pub fn exhaustive_budget(
     spec: &AlgSpec,
-    space: &GroundSpace,
-    max_failures: usize,
-    threads: usize,
-) -> Result<CompletenessReport> {
-    exhaustive_budget_in(spec, space, max_failures, &Budget::unlimited(), threads)
-}
-
-/// As [`exhaustive_in`], governed by a resource [`Budget`].
-///
-/// Workers poll the budget before each of their serial-order slots, so a
-/// node-cap stop happens at the same instance index at every thread count
-/// and the partial report is bit-identical; deadline and cancellation stops
-/// yield a valid serial prefix whose length depends on timing.
-///
-/// # Errors
-/// Propagates unexpected rewriting errors; the earliest error in
-/// enumeration order wins, exactly as in the serial loop.
-pub fn exhaustive_budget_in(
-    spec: &AlgSpec,
-    space: &GroundSpace,
+    max_steps: usize,
     max_failures: usize,
     budget: &Budget,
     threads: usize,
 ) -> Result<CompletenessReport> {
+    let space = GroundSpace::new(spec.signature(), max_steps)?;
     let threads = effective_workers(threads);
     let serial = || {
         let mut rw = Rewriter::new(spec);
         rw.set_budget(budget.without_node_cap());
-        exhaustive_budget_with(&mut rw, space, max_failures, budget)
+        exhaustive_budget_with(&mut rw, &space, max_failures, budget)
     };
     // `max_failures == 0` makes the serial loop stop after the very first
     // evaluation regardless of its outcome; only the serial path reproduces
@@ -288,7 +219,7 @@ pub fn exhaustive_budget_in(
     if threads <= 1 || max_failures == 0 {
         return serial();
     }
-    let sweep = CompletenessSweep::new(spec, space, max_failures)?;
+    let sweep = CompletenessSweep::new(spec, &space, max_failures)?;
     if sweep.len() < 2 {
         return serial();
     }
@@ -548,6 +479,14 @@ mod tests {
     use super::*;
     use crate::parser::parse_equations;
     use crate::signature::AlgSignature;
+
+    fn exhaustive(
+        spec: &AlgSpec,
+        max_steps: usize,
+        max_failures: usize,
+    ) -> Result<CompletenessReport> {
+        exhaustive_budget(spec, max_steps, max_failures, &Budget::unlimited(), 1)
+    }
 
     fn sig() -> AlgSignature {
         let mut a = AlgSignature::new().unwrap();

@@ -7,15 +7,10 @@
 //! renaming apart) can fire on the same redex, and unless their conditions
 //! are disjoint — or their right-hand sides agree under the unifier — rule
 //! order might matter. Each such pair is reported for inspection; the
-//! semantic tie-break is `resolve_overlap_on_ground`, which evaluates both
+//! semantic tie-break is [`resolve_overlaps`], which evaluates both
 //! reducts on ground instances.
 
-use std::sync::Arc;
-
-use eclectic_kernel::{
-    effective_workers, env_threads, run_workers_prio, Budget, BudgetExceeded, ConcurrentTermStore,
-    Exhaustion, IndexQueue, Interner, Priority, SharedMemo, StoreHandle,
-};
+use eclectic_kernel::{Budget, Exhaustion};
 use eclectic_logic::{rename_apart, unify, Formula, Subst, Term};
 
 use crate::equation::ConditionalEquation;
@@ -55,91 +50,24 @@ impl Overlap {
     }
 }
 
-/// Finds every pairwise overlap between equation left-hand sides, using
-/// `ECLECTIC_THREADS` workers (see [`env_threads`]).
+/// Finds every pairwise overlap between equation left-hand sides, in
+/// `(i, j)` pair order. Each candidate pair is analysed against its own
+/// clone of the signature, so renamed-apart variable names do not depend on
+/// which pairs were analysed before.
 ///
 /// # Errors
 /// Propagates sorting errors (none for validated specs).
 pub fn critical_overlaps(spec: &AlgSpec) -> Result<Vec<Overlap>> {
-    critical_overlaps_threads(spec, env_threads())
-}
-
-/// As [`critical_overlaps`] with an explicit worker count. Every thread
-/// count produces the same report: each candidate pair is analysed against
-/// its own clone of the signature (so renamed-apart variable names do not
-/// depend on which pairs were processed before), and the merge walks the
-/// pairs in the serial `(i, j)` order.
-///
-/// # Errors
-/// Propagates sorting errors; the first error in pair order wins.
-pub fn critical_overlaps_threads(spec: &AlgSpec, threads: usize) -> Result<Vec<Overlap>> {
-    let threads = effective_workers(threads);
     let eqs = spec.equations();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for i in 0..eqs.len() {
-        for j in i + 1..eqs.len() {
-            if eqs[i].lhs_root() == eqs[j].lhs_root() {
-                pairs.push((i, j));
+    let mut out = Vec::new();
+    for (i, e1) in eqs.iter().enumerate() {
+        for e2 in &eqs[i + 1..] {
+            if e1.lhs_root() != e2.lhs_root() {
+                continue;
             }
-        }
-    }
-
-    if threads <= 1 || pairs.len() < 2 {
-        let mut out = Vec::new();
-        for &(i, j) in &pairs {
-            if let Some(o) = overlap_of_pair(spec, &eqs[i], &eqs[j])? {
+            if let Some(o) = overlap_of_pair(spec, e1, e2)? {
                 out.push(o);
             }
-        }
-        return Ok(out);
-    }
-
-    type PairOutcome = (Vec<(usize, Overlap)>, Option<(usize, AlgError)>);
-    let workers = threads.min(pairs.len());
-    let queue = IndexQueue::new(pairs.len(), workers);
-    let results: Vec<PairOutcome> = run_workers_prio(workers, Priority::Bulk, |_| {
-        let pairs = &pairs;
-        let queue = &queue;
-        move || {
-            let mut found = Vec::new();
-            while let Some(range) = queue.claim() {
-                for k in range {
-                    let (i, j) = pairs[k];
-                    match overlap_of_pair(spec, &eqs[i], &eqs[j]) {
-                        Ok(Some(o)) => found.push((k, o)),
-                        Ok(None) => {}
-                        Err(e) => return (found, Some((k, e))),
-                    }
-                }
-            }
-            (found, None)
-        }
-    });
-
-    // Serial FIFO merge: replay the pair sequence in order, surfacing the
-    // earliest error exactly where the serial loop would have stopped.
-    let first_err = results
-        .iter()
-        .filter_map(|(_, e)| e.as_ref().map(|(k, _)| *k))
-        .min();
-    let mut slots: Vec<Option<Overlap>> = vec![None; pairs.len()];
-    for (found, _) in &results {
-        for (k, o) in found {
-            slots[*k] = Some(o.clone());
-        }
-    }
-    let mut out = Vec::new();
-    for (k, slot) in slots.into_iter().enumerate() {
-        if Some(k) == first_err {
-            let (_, err) = results
-                .into_iter()
-                .filter_map(|(_, e)| e)
-                .find(|(idx, _)| *idx == k)
-                .expect("error index recorded");
-            return Err(err);
-        }
-        if let Some(o) = slot {
-            out.push(o);
         }
     }
     Ok(out)
@@ -217,234 +145,53 @@ fn negations(f: &Formula) -> usize {
 /// both reducts fired, and the first disagreement rendering, if any.
 pub type GroundResolution = (usize, Option<String>);
 
-/// Outcome of resolving one overlap pair at its serial slot, produced by
-/// the striding worker loop inside [`resolve_overlaps_budget_in`] and
-/// consumed by [`merge_pair_units`].
-struct PairUnit {
-    slot: usize,
-    verdict: PairVerdict,
-}
-
-enum PairVerdict {
-    Done(GroundResolution),
-    Stop(BudgetExceeded),
-    Fail(AlgError),
-}
-
-/// The shared per-slot step: budget poll at the slot boundary, then the
-/// pair resolution against a caller-held rewriter.
-fn resolve_pair_unit_with<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
-    space: &GroundSpace,
-    slot: usize,
-    e1: &ConditionalEquation,
-    e2: &ConditionalEquation,
-    budget: &Budget,
-) -> PairUnit {
-    let verdict = if let Some(reason) = budget.check(slot) {
-        PairVerdict::Stop(reason)
-    } else {
-        match resolve_pair_with(rw, space, e1, e2) {
-            Ok(r) => PairVerdict::Done(r),
-            Err(AlgError::Budget { reason }) => PairVerdict::Stop(reason),
-            Err(e) => PairVerdict::Fail(e),
-        }
-    };
-    PairUnit { slot, verdict }
-}
-
-/// Replays per-pair units in serial slot order: the earliest budget stop
-/// truncates the report, and the earliest error below that stop propagates
-/// — exactly the serial loop's outcome. Every slot below the earliest stop
-/// must be present (a worker only skips slots at or past its own stop).
+/// Semantic tie-break for a list of overlap pairs against one shared
+/// [`GroundSpace`]: for each pair, on every ground instance of the unified
+/// redex over the space's state terms where *both* conditions hold,
+/// evaluate both reducts and compare. Each pair yields the number of ground
+/// instances where both fired and the first disagreement rendering, if any.
+///
+/// One rewriter (and so one normal-form memo) serves every pair; memo
+/// warmth changes speed, never a normal form, so a pair's verdict does not
+/// depend on the pairs resolved before it. The [`Budget`] is polled before
+/// each pair with the pair index; on exhaustion the resolutions cover the
+/// pairs completed before the stop, and the [`Exhaustion`] records how
+/// many.
 ///
 /// # Errors
 /// Propagates rewriting errors (earliest pair first).
-fn merge_pair_units(
-    units: Vec<PairUnit>,
-    total_pairs: usize,
+pub fn resolve_overlaps(
+    spec: &AlgSpec,
+    space: &GroundSpace,
+    pairs: &[(&ConditionalEquation, &ConditionalEquation)],
     budget: &Budget,
 ) -> Result<(Vec<GroundResolution>, Option<Exhaustion>)> {
-    let exhaustion = |reason: BudgetExceeded, k: usize| budget.exhaustion("confluence", reason, k);
-    let stop = units
-        .iter()
-        .filter_map(|u| match &u.verdict {
-            PairVerdict::Stop(reason) => Some((u.slot, *reason)),
-            _ => None,
-        })
-        .min_by_key(|(k, _)| *k);
-    let covered = stop.map_or(total_pairs, |(k, _)| k);
-    let mut slots: Vec<Option<PairVerdict>> = (0..covered).map(|_| None).collect();
-    for u in units {
-        if u.slot < covered {
-            slots[u.slot] = Some(u.verdict);
+    let mut rw = Rewriter::new(spec);
+    rw.set_budget(budget.without_node_cap());
+    let mut out = Vec::with_capacity(pairs.len());
+    for (k, (e1, e2)) in pairs.iter().enumerate() {
+        if let Some(reason) = budget.check(k) {
+            return Ok((out, Some(budget.exhaustion("confluence", reason, k))));
+        }
+        match resolve_pair(&mut rw, space, e1, e2) {
+            Ok(r) => out.push(r),
+            Err(AlgError::Budget { reason }) => {
+                return Ok((out, Some(budget.exhaustion("confluence", reason, k))));
+            }
+            Err(e) => return Err(e),
         }
     }
-    let mut resolutions = Vec::with_capacity(covered);
-    for slot in slots {
-        match slot.expect("every pair before the stop resolved") {
-            PairVerdict::Done(r) => resolutions.push(r),
-            PairVerdict::Fail(e) => return Err(e),
-            PairVerdict::Stop(_) => unreachable!("stops filtered by covered prefix"),
-        }
-    }
-    Ok((resolutions, stop.map(|(k, reason)| exhaustion(reason, k))))
+    Ok((out, None))
 }
 
-/// Semantic tie-break for one overlap: on every ground instance of the
-/// unified redex over bounded state terms where *both* conditions hold,
-/// evaluate both reducts and compare. Returns the number of ground
-/// instances where both fired, and any disagreement rendering. Uses
-/// `ECLECTIC_THREADS` workers (see [`env_threads`]).
-///
-/// # Errors
-/// Propagates rewriting errors.
-pub fn resolve_overlap_on_ground(
-    spec: &AlgSpec,
-    e1: &ConditionalEquation,
-    e2: &ConditionalEquation,
-    max_steps: usize,
-) -> Result<(usize, Option<String>)> {
-    resolve_overlap_on_ground_threads(spec, e1, e2, max_steps, env_threads())
-}
-
-/// As [`resolve_overlap_on_ground`] with an explicit worker count.
-///
-/// # Errors
-/// Propagates rewriting errors.
-pub fn resolve_overlap_on_ground_threads(
-    spec: &AlgSpec,
-    e1: &ConditionalEquation,
-    e2: &ConditionalEquation,
-    max_steps: usize,
-    threads: usize,
-) -> Result<(usize, Option<String>)> {
-    let space = GroundSpace::new(spec.signature(), max_steps)?;
-    resolve_overlap_in(spec, &space, e1, e2, threads)
-}
-
-/// One ground-instance stop event, tagged with the instance's position in
-/// the serial enumeration order so the merge can replay the serial outcome.
-enum GroundStop {
-    Disagree(usize, String),
-    Error(usize, AlgError),
-}
-
-/// Resolves a whole list of overlap pairs against one shared
-/// [`GroundSpace`], parallelising *across pairs*: workers stride over the
-/// pair list and each reuses a single rewriter (and therefore its
-/// normal-form memo) for every pair it is assigned. Results come back in
-/// pair order; the first error in pair order wins, exactly as a serial
-/// loop over [`resolve_overlap_in`] would report it.
-///
-/// Bit-identity across worker counts is structural: a pair's verdict
-/// depends only on the pair and the ground space (memo warmth changes
-/// speed, never normal forms), and the merge is positional.
-///
-/// # Errors
-/// Propagates rewriting errors (earliest pair first).
-pub fn resolve_overlaps_in(
-    spec: &AlgSpec,
-    space: &GroundSpace,
-    pairs: &[(&ConditionalEquation, &ConditionalEquation)],
-    threads: usize,
-) -> Result<Vec<(usize, Option<String>)>> {
-    resolve_overlaps_budget_in(spec, space, pairs, &Budget::unlimited(), threads)
-        .map(|(resolutions, _)| resolutions)
-}
-
-/// As [`resolve_overlaps_in`], governed by a resource [`Budget`] polled
-/// before each pair slot. On exhaustion the returned resolutions cover the
-/// serial-order prefix of pairs completed before the stop, and the
-/// [`Exhaustion`] records how many; a node-cap stop lands on the same pair
-/// index at every thread count (the pair index stands in for node
-/// accounting, since each worker rewrites in a private store).
-///
-/// # Errors
-/// Propagates rewriting errors (earliest pair first).
-pub fn resolve_overlaps_budget_in(
-    spec: &AlgSpec,
-    space: &GroundSpace,
-    pairs: &[(&ConditionalEquation, &ConditionalEquation)],
-    budget: &Budget,
-    threads: usize,
-) -> Result<(Vec<GroundResolution>, Option<Exhaustion>)> {
-    let threads = effective_workers(threads);
-    let exhaustion = |reason: BudgetExceeded, k: usize| budget.exhaustion("confluence", reason, k);
-    if threads <= 1 || pairs.len() < 2 {
-        let mut rw = Rewriter::new(spec);
-        rw.set_budget(budget.without_node_cap());
-        let mut out = Vec::with_capacity(pairs.len());
-        for (k, (e1, e2)) in pairs.iter().enumerate() {
-            if let Some(reason) = budget.check(k) {
-                return Ok((out, Some(exhaustion(reason, k))));
-            }
-            match resolve_pair_with(&mut rw, space, e1, e2) {
-                Ok(r) => out.push(r),
-                Err(AlgError::Budget { reason }) => {
-                    return Ok((out, Some(exhaustion(reason, k))));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        return Ok((out, None));
-    }
-    let workers = threads.min(pairs.len());
-    let queue = IndexQueue::new(pairs.len(), workers);
-    let units: Vec<PairUnit> = run_workers_prio(workers, Priority::Bulk, |_| {
-        let queue = &queue;
-        move || {
-            let mut rw = Rewriter::new(spec);
-            rw.set_budget(budget.without_node_cap());
-            let mut done: Vec<PairUnit> = Vec::new();
-            'claims: while let Some(range) = queue.claim() {
-                for k in range {
-                    let (e1, e2) = pairs[k];
-                    let unit = resolve_pair_unit_with(&mut rw, space, k, e1, e2, budget);
-                    let stop = matches!(unit.verdict, PairVerdict::Stop(_));
-                    done.push(unit);
-                    // A worker only skips slots *after* its own stop, so
-                    // the merge's covered prefix stays fully populated.
-                    if stop {
-                        break 'claims;
-                    }
-                }
-            }
-            done
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    merge_pair_units(units, pairs.len(), budget)
-}
-
-/// As [`resolve_overlaps_in`], serial, against a caller-held rewriter — so
-/// one normal-form memo can serve the whole resolution sweep *and* whatever
-/// the caller runs next over the same ground space (e.g. the exhaustive
-/// completeness pass).
-///
-/// # Errors
-/// Propagates rewriting errors (earliest pair first).
-pub fn resolve_overlaps_with<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
-    space: &GroundSpace,
-    pairs: &[(&ConditionalEquation, &ConditionalEquation)],
-) -> Result<Vec<(usize, Option<String>)>> {
-    pairs
-        .iter()
-        .map(|(e1, e2)| resolve_pair_with(rw, space, e1, e2))
-        .collect()
-}
-
-/// Resolves one pair with a caller-supplied rewriter, walking the ground
-/// instances in enumeration order (states outer, parameter tuples inner).
-fn resolve_pair_with<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+/// Resolves one pair, walking the ground instances in enumeration order
+/// (states outer, parameter tuples inner).
+fn resolve_pair(
+    rw: &mut Rewriter<'_>,
     space: &GroundSpace,
     e1: &ConditionalEquation,
     e2: &ConditionalEquation,
-) -> Result<(usize, Option<String>)> {
+) -> Result<GroundResolution> {
     let sig = rw.spec().signature().clone();
     let Some(root) = e1.lhs_root() else {
         return Ok((0, None));
@@ -473,126 +220,6 @@ fn resolve_pair_with<S: Interner>(
     Ok((both_fired, None))
 }
 
-/// As [`resolve_overlap_on_ground`] against a pre-enumerated
-/// [`GroundSpace`], so one enumeration can serve many overlap pairs.
-///
-/// Parallel runs are bit-identical to serial: workers stride over the
-/// ground instances, each instance's verdict depends only on the instance
-/// itself (normal forms are order-independent), and the merge stops at the
-/// globally earliest disagreement or error — exactly where the serial loop
-/// would have stopped.
-///
-/// # Errors
-/// Propagates rewriting errors.
-pub fn resolve_overlap_in(
-    spec: &AlgSpec,
-    space: &GroundSpace,
-    e1: &ConditionalEquation,
-    e2: &ConditionalEquation,
-    threads: usize,
-) -> Result<(usize, Option<String>)> {
-    let threads = effective_workers(threads);
-    let sig = spec.signature().clone();
-    let Some(root) = e1.lhs_root() else {
-        return Ok((0, None));
-    };
-    if e2.lhs_root() != Some(root) {
-        return Ok((0, None));
-    }
-    let qsorts = sig.query_params(root)?;
-    let tuples = space.tuples(&sig, &qsorts)?;
-
-    // Pre-build the subjects in the serial enumeration order: states outer,
-    // parameter tuples inner.
-    let mut subjects = Vec::with_capacity(space.states().len() * tuples.len());
-    for st in space.states() {
-        for params in tuples.iter() {
-            let mut args = params.clone();
-            args.push(st.clone());
-            subjects.push(Term::App(root, args));
-        }
-    }
-
-    if threads <= 1 || subjects.len() < 2 {
-        let mut rw = Rewriter::new(spec);
-        let mut both_fired = 0usize;
-        for subject in &subjects {
-            let r1 = try_rule(&mut rw, e1, subject)?;
-            let r2 = try_rule(&mut rw, e2, subject)?;
-            if let (Some(v1), Some(v2)) = (r1, r2) {
-                both_fired += 1;
-                if v1 != v2 {
-                    return Ok((both_fired, Some(disagreement(&sig, &v1, &v2, subject))));
-                }
-            }
-        }
-        return Ok((both_fired, None));
-    }
-
-    let workers = threads.min(subjects.len());
-    let store = Arc::new(ConcurrentTermStore::new());
-    let memo = Arc::new(SharedMemo::new());
-    let queue = IndexQueue::new(subjects.len(), workers);
-    let results: Vec<(Vec<usize>, Option<GroundStop>)> = run_workers_prio(workers, Priority::Bulk, |_| {
-        let subjects = &subjects;
-        let sig = &sig;
-        let queue = &queue;
-        let store = store.clone();
-        let memo = memo.clone();
-        move || {
-            let mut rw = Rewriter::with_store(spec, StoreHandle::new(store));
-            rw.set_shared_memo(memo);
-            let mut fired = Vec::new();
-            while let Some(range) = queue.claim() {
-                for k in range {
-                    let subject = &subjects[k];
-                    let r1 = match try_rule(&mut rw, e1, subject) {
-                        Ok(r) => r,
-                        Err(e) => return (fired, Some(GroundStop::Error(k, e))),
-                    };
-                    let r2 = match try_rule(&mut rw, e2, subject) {
-                        Ok(r) => r,
-                        Err(e) => return (fired, Some(GroundStop::Error(k, e))),
-                    };
-                    if let (Some(v1), Some(v2)) = (r1, r2) {
-                        fired.push(k);
-                        if v1 != v2 {
-                            let msg = disagreement(sig, &v1, &v2, subject);
-                            return (fired, Some(GroundStop::Disagree(k, msg)));
-                        }
-                    }
-                }
-            }
-            (fired, None)
-        }
-    });
-
-    // A worker only skips instances *after* its own first stop event, and
-    // the serial loop never looks past the globally earliest stop, so every
-    // instance up to that point has a verdict. Replay in serial order.
-    let stop = results
-        .iter()
-        .filter_map(|(_, s)| s.as_ref())
-        .min_by_key(|s| match s {
-            GroundStop::Disagree(k, _) | GroundStop::Error(k, _) => *k,
-        });
-    match stop {
-        Some(GroundStop::Error(_, e)) => Err(e.clone()),
-        Some(GroundStop::Disagree(stop_idx, msg)) => {
-            let both_fired = results
-                .iter()
-                .flat_map(|(fired, _)| fired.iter())
-                .filter(|&&k| k <= *stop_idx)
-                .count();
-            Ok((both_fired, Some(msg.clone())))
-        }
-        None => {
-            let both_fired = results.iter().map(|(fired, _)| fired.len()).sum();
-            Ok((both_fired, None))
-        }
-    }
-}
-
 fn disagreement(sig: &crate::signature::AlgSignature, v1: &Term, v2: &Term, subject: &Term) -> String {
     format!(
         "{} vs {} at {}",
@@ -604,8 +231,8 @@ fn disagreement(sig: &crate::signature::AlgSignature, v1: &Term, v2: &Term, subj
 
 /// If the equation fires on the ground subject, the normal form of its
 /// reduct; `None` if it does not match or its condition fails.
-fn try_rule<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+fn try_rule(
+    rw: &mut Rewriter<'_>,
     eq: &ConditionalEquation,
     subject: &Term,
 ) -> Result<Option<Term>> {
@@ -623,7 +250,7 @@ fn try_rule<S: Interner>(
     Ok(Some(rw.normalize(&reduct)?))
 }
 
-fn eval_ground_condition<S: Interner>(rw: &mut Rewriter<'_, S>, cond: &Formula) -> Result<bool> {
+fn eval_ground_condition(rw: &mut Rewriter<'_>, cond: &Formula) -> Result<bool> {
     Ok(match cond {
         Formula::True => true,
         Formula::False => false,
@@ -719,15 +346,22 @@ mod tests {
         assert!(o.syntactically_harmless());
     }
 
+    /// Resolves one pair over the ground space of depth `depth`.
+    fn resolve_one(spec: &AlgSpec, first: &str, second: &str, depth: usize) -> GroundResolution {
+        let space = GroundSpace::new(spec.signature(), depth).unwrap();
+        let pair = (spec.equation(first).unwrap(), spec.equation(second).unwrap());
+        let (mut resolved, exhausted) =
+            resolve_overlaps(spec, &space, &[pair], &Budget::unlimited()).unwrap();
+        assert!(exhausted.is_none());
+        resolved.pop().unwrap()
+    }
+
     #[test]
     fn ground_resolution_confirms_harmlessness() {
         let spec = spec();
         let overlaps = critical_overlaps(&spec).unwrap();
         for o in &overlaps {
-            let e1 = spec.equation(&o.first).unwrap();
-            let e2 = spec.equation(&o.second).unwrap();
-            let (both, disagreement) =
-                resolve_overlap_on_ground(&spec, e1, e2, 2).unwrap();
+            let (both, disagreement) = resolve_one(&spec, &o.first, &o.second, 2);
             assert!(
                 disagreement.is_none(),
                 "{}/{} disagree: {disagreement:?}",
@@ -765,9 +399,7 @@ mod tests {
             .find(|o| o.first == "good" && o.second == "evil")
             .expect("overlap found");
         assert!(!o.syntactically_harmless());
-        let e1 = spec.equation("good").unwrap();
-        let e2 = spec.equation("evil").unwrap();
-        let (both, disagreement) = resolve_overlap_on_ground(&spec, e1, e2, 1).unwrap();
+        let (both, disagreement) = resolve_one(&spec, "good", "evil", 1);
         assert!(both > 0);
         assert!(disagreement.is_some());
     }

@@ -333,7 +333,14 @@ mod tests {
     #[test]
     fn synthesized_set_is_sufficiently_complete() {
         let spec = courses();
-        let report = crate::completeness::exhaustive(&spec, 2, 5).unwrap();
+        let report = crate::completeness::exhaustive_budget(
+            &spec,
+            2,
+            5,
+            &eclectic_kernel::Budget::unlimited(),
+            1,
+        )
+        .unwrap();
         assert!(report.is_sufficiently_complete(), "{report:?}");
     }
 

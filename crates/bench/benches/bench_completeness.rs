@@ -3,6 +3,7 @@
 
 use eclectic_algebraic::{completeness, termination};
 use eclectic_bench::Runner;
+use eclectic_kernel::Budget;
 use eclectic_spec::domains::{bank, courses, library};
 
 fn main() {
@@ -30,7 +31,8 @@ fn main() {
         });
         for depth in [1usize, 2, 3] {
             r.bench(format!("exhaustive_{name}/{depth}"), || {
-                let res = completeness::exhaustive(spec, depth, 10).unwrap();
+                let res = completeness::exhaustive_budget(spec, depth, 10, &Budget::unlimited(), 1)
+                    .unwrap();
                 assert!(res.is_sufficiently_complete());
             });
         }

@@ -2,7 +2,8 @@
 //! growing carrier size.
 
 use eclectic_bench::Runner;
-use eclectic_refine::{explore_algebraic, AlgExploreLimits};
+use eclectic_kernel::Budget;
+use eclectic_refine::{explore_algebraic_budget, AlgExploreLimits};
 use eclectic_spec::domains::courses;
 use eclectic_temporal::satisfaction;
 
@@ -12,7 +13,7 @@ fn main() {
     for (students, crs) in [(1, 2), (2, 2), (2, 3)] {
         let config = courses::CoursesConfig::sized(students, crs, courses::EquationStyle::Paper);
         let spec = courses::courses(&config).unwrap();
-        let exploration = explore_algebraic(
+        let exploration = explore_algebraic_budget(
             &spec.functions,
             &spec.interp_i,
             spec.info_signature(),
@@ -21,6 +22,8 @@ fn main() {
                 max_depth: 8,
                 max_states: 10_000,
             },
+            &Budget::unlimited(),
+            1,
         )
         .unwrap();
         let u = exploration.universe;

@@ -5,7 +5,8 @@
 //! exponentially where the state quotient stays polynomial).
 
 use eclectic_bench::Runner;
-use eclectic_refine::{check_refinement_1_2, AlgExploreLimits, Refine12Config};
+use eclectic_kernel::Budget;
+use eclectic_refine::{check_refinement_1_2_budget, AlgExploreLimits, Refine12Config};
 use eclectic_spec::domains::courses;
 use eclectic_temporal::AccessibilityPolicy;
 
@@ -31,13 +32,15 @@ fn main() {
                 };
                 cfg.policy = policy;
                 cfg.completeness_depth = 2;
-                let res = check_refinement_1_2(
+                let res = check_refinement_1_2_budget(
                     &spec.information,
                     &spec.functions,
                     &spec.interp_i,
                     spec.info_signature(),
                     &spec.info_domains,
                     cfg,
+                    &Budget::unlimited(),
+                    1,
                 )
                 .unwrap();
                 assert!(res.is_correct());

@@ -1,5 +1,5 @@
 //! Old-vs-new relation-kernel bench for the PDL/dynamic-logic verification
-//! path: times batched PDL model checking plus the `check_dynamic`
+//! path: times batched PDL model checking plus the `check_dynamic_budget`
 //! obligations across the three packaged domains and writes
 //! `BENCH_pdl.json`.
 //!
@@ -35,10 +35,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use eclectic_bench::{Runner, SpeedupGate};
 use eclectic_kernel::Budget;
 use eclectic_logic::{Elem, Formula, Valuation};
-use eclectic_refine::check_dynamic_threads;
+use eclectic_refine::check_dynamic_budget;
 use eclectic_rpr::{
-    check_batch_budget_with, check_batch_with, denote, BatchReport, DenoteCache, FiniteUniverse,
-    Pdl, RprError, Schema, Stmt,
+    check_batch_budget_with, denote, BatchReport, DenoteCache, FiniteUniverse, Pdl, RprError,
+    Schema, Stmt,
 };
 use eclectic_spec::domains::{bank, courses, library};
 use eclectic_spec::{verify, TriLevelSpec, VerifyConfig};
@@ -237,7 +237,7 @@ fn satisfying_set(
 
 // ---------------------------------------------------------------------------
 // Shared workload: one PDL batch per checked procedure application, plus
-// the check_dynamic obligations.
+// the check_dynamic_budget obligations.
 // ---------------------------------------------------------------------------
 
 /// The PDL batch for one procedure body: totality/functionality-adjacent
@@ -290,7 +290,7 @@ fn while_free(s: &Stmt) -> bool {
 
 /// The checked applications of a schema: deterministic while-free procs ×
 /// their parameter tuples, in serial order — the same flattening
-/// `check_dynamic` performs.
+/// `check_dynamic_budget` performs.
 fn applications(u: &FiniteUniverse, schema: &Schema) -> Vec<(Stmt, Valuation)> {
     let sig = u.signature().clone();
     let domains = u.domains().clone();
@@ -377,7 +377,8 @@ fn app_new(
     threads: usize,
 ) -> (Vec<Vec<bool>>, Vec<bool>) {
     let mut cache = DenoteCache::new();
-    let batch = check_batch_with(phis, u, env, &mut cache, threads).unwrap();
+    let batch =
+        check_batch_budget_with(phis, u, env, &mut cache, &Budget::unlimited(), threads).unwrap();
     let m = denote::meaning_cached(u, body, env, &mut cache).unwrap();
     let mut valid = batch.valid;
     valid.push(m.is_total(u.len()));
@@ -386,7 +387,7 @@ fn app_new(
 }
 
 /// The new engine's PDL pass: applications strided across workers in the
-/// same serial-order pattern `check_dynamic` uses (worker `w` takes slots
+/// same serial-order pattern `check_dynamic_budget` uses (worker `w` takes slots
 /// `w, w + workers, …`; results merge by slot index), each application on
 /// its own cache with its batch run serially. Thread-count invariance of
 /// the merged output is asserted by the fingerprint comparison in `main`.
@@ -479,13 +480,18 @@ struct Fingerprint {
 }
 
 /// The full new-engine fingerprint: the PDL pass plus the parallel
-/// `check_dynamic` obligations (identity coverage for the refine layer;
+/// `check_dynamic_budget` obligations (identity coverage for the refine layer;
 /// kept out of the timed region because it re-enumerates the universe).
 fn run_new_engine(p: &Prepared, threads: usize) -> Fingerprint {
     let (satisfying, valid) = pdl_new(p, threads);
-    let dynamic =
-        check_dynamic_threads(&p.spec.representation, &p.spec.empty_state(), PDL_CAP, threads)
-            .unwrap();
+    let dynamic = check_dynamic_budget(
+        &p.spec.representation,
+        &p.spec.empty_state(),
+        PDL_CAP,
+        &Budget::unlimited(),
+        threads,
+    )
+    .unwrap();
     Fingerprint {
         satisfying,
         valid,

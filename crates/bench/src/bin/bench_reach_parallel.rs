@@ -11,7 +11,7 @@
 //!   per-state parameter-tuple re-enumeration, and tree-level structure
 //!   construction (externing each fresh witness and re-interning it once per
 //!   query instance), reproduced here against the same public API;
-//! * the **new engine at 1/2/4/8 threads** ([`explore_algebraic_threads`]):
+//! * the **new engine at 1/2/4/8 threads** ([`explore_algebraic_budget`]):
 //!   interned tuple observation keys, a precompiled successor plan, id-level
 //!   structure construction, and — beyond one thread — the level-synchronous
 //!   parallel search over the shard-concurrent store;
@@ -28,10 +28,10 @@ use std::sync::Arc;
 
 use eclectic_algebraic::{induction, observe, AlgSpec, LegacyRewriter, RewriteStats, Rewriter};
 use eclectic_bench::{Runner, SpeedupGate};
-use eclectic_kernel::{FxHashMap, TermId};
+use eclectic_kernel::{Budget, FxHashMap, TermId};
 use eclectic_logic::{Domains, Signature, Term};
 use eclectic_refine::{
-    explore_algebraic_threads, structure_of, AlgExploreLimits, AlgebraicExploration,
+    explore_algebraic_budget, structure_of, AlgExploreLimits, AlgebraicExploration,
     InterpretationI, ParamBridge,
 };
 use eclectic_spec::domains::courses;
@@ -256,23 +256,25 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     // Bit-identity across thread counts, checked before timing.
-    let serial = explore_algebraic_threads(
+    let serial = explore_algebraic_budget(
         &spec.functions,
         &spec.interp_i,
         spec.info_signature(),
         &spec.info_domains,
         limits,
+        &Budget::unlimited(),
         1,
     )
     .unwrap();
     let mut matches = true;
     for threads in [2, 4, 8] {
-        let par = explore_algebraic_threads(
+        let par = explore_algebraic_budget(
             &spec.functions,
             &spec.interp_i,
             spec.info_signature(),
             &spec.info_domains,
             limits,
+            &Budget::unlimited(),
             threads,
         )
         .unwrap();
@@ -326,12 +328,13 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         let m = r
             .bench(format!("explore/threads_{threads}"), || {
-                explore_algebraic_threads(
+                explore_algebraic_budget(
                     &spec.functions,
                     &spec.interp_i,
                     spec.info_signature(),
                     &spec.info_domains,
                     limits,
+                    &Budget::unlimited(),
                     threads,
                 )
                 .unwrap()

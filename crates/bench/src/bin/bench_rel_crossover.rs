@@ -37,7 +37,7 @@ use eclectic_kernel::{
 };
 use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm, Valuation};
 use eclectic_rpr::denote::meaning;
-use eclectic_rpr::{check_batch_budget, DbState, FiniteUniverse, Pdl, Stmt};
+use eclectic_rpr::{check_batch_budget_with, DbState, DenoteCache, FiniteUniverse, Pdl, Stmt};
 
 /// Cluster size of the star-closure workload: each source reaches exactly
 /// this many nodes whatever the dimension.
@@ -118,8 +118,11 @@ fn synthetic_universe(bits: usize, cap: usize) -> (FiniteUniverse, Vec<Pdl>, Stm
 /// synthetic universe — the fields that must be backend-invariant.
 fn batch_fingerprint(bits: usize, threads: usize) -> (Vec<bool>, Vec<bool>, bool, bool) {
     let (u, formulas, insert) = synthetic_universe(bits, 1 << bits);
-    let report = check_batch_budget(&formulas, &u, &Budget::unlimited(), threads).unwrap();
-    let r = meaning(&u, &insert, &Valuation::new()).unwrap();
+    let (env, budget) = (Valuation::new(), Budget::unlimited());
+    let mut cache = DenoteCache::new();
+    let report =
+        check_batch_budget_with(&formulas, &u, &env, &mut cache, &budget, threads).unwrap();
+    let r = meaning(&u, &insert, &env).unwrap();
     let first_sat = report.satisfying.first().cloned().unwrap_or_default();
     (
         report.valid,

@@ -14,11 +14,11 @@
 //!   the completeness loop, and per-contract *uncached* program denotation
 //!   in the dynamic obligations (totality and functionality each recompute
 //!   `m(body)` from scratch);
-//! * the **new engine at 1/2/4/8 threads**: one shared
-//!   [`GroundSpace`](induction::GroundSpace) enumeration per spec+depth
-//!   feeding both the confluence tie-break and the completeness sweep,
-//!   strided parallel workers over the shard-concurrent term store, and the
-//!   batched PDL checker with one denotation cache per procedure;
+//! * the **new engine at 1/2/4/8 threads**: the serial confluence
+//!   tie-break over one [`GroundSpace`](induction::GroundSpace) enumeration
+//!   per spec+depth, the completeness sweep's strided parallel workers, and
+//!   the batched PDL checker with one denotation cache per procedure, fanned
+//!   out per procedure;
 //! * a **bit-identity check**: every thread count must reproduce the serial
 //!   overlap reports, ground resolutions, completeness reports and dynamic
 //!   verdicts exactly.
@@ -33,8 +33,9 @@ use eclectic_algebraic::{
     ConditionalEquation, RewriteStats, Rewriter,
 };
 use eclectic_bench::{Runner, SpeedupGate};
+use eclectic_kernel::Budget;
 use eclectic_logic::{Elem, Formula, Subst, Term, Valuation};
-use eclectic_refine::{check_dynamic_threads, DynamicFailure};
+use eclectic_refine::{check_dynamic_budget, DynamicFailure};
 use eclectic_rpr::{denote, FiniteUniverse, RprError, Stmt};
 use eclectic_spec::domains::{bank, courses, library};
 use eclectic_spec::TriLevelSpec;
@@ -61,11 +62,13 @@ struct Fingerprint {
     dynamic_skipped: Option<String>,
 }
 
-/// The new engine: shared ground enumeration, strided parallel sweeps,
-/// batched PDL checking with one denotation cache per procedure.
+/// The new engine: serial confluence over one ground enumeration, the
+/// strided parallel completeness sweep, batched PDL checking with one
+/// denotation cache per procedure.
 fn verify_new_engine(spec: &TriLevelSpec, threads: usize) -> Fingerprint {
     let alg = &spec.functions;
-    let overlaps = confluence::critical_overlaps_threads(alg, threads).unwrap();
+    let unlimited = Budget::unlimited();
+    let overlaps = confluence::critical_overlaps(alg).unwrap();
     let space = induction::GroundSpace::new(alg.signature(), GROUND_DEPTH).unwrap();
     let pairs: Vec<(&ConditionalEquation, &ConditionalEquation)> = overlaps
         .iter()
@@ -76,25 +79,18 @@ fn verify_new_engine(spec: &TriLevelSpec, threads: usize) -> Fingerprint {
             )
         })
         .collect();
-    // When the host grants no real parallelism, run both sweeps through one
-    // rewriter so the completeness pass reuses the normal forms the
-    // confluence tie-break just computed; results are identical either way
-    // (memo warmth never changes a normal form).
-    let (resolutions, completeness) = if eclectic_kernel::effective_workers(threads) <= 1 {
-        let mut rw = Rewriter::new(alg);
-        (
-            confluence::resolve_overlaps_with(&mut rw, &space, &pairs).unwrap(),
-            completeness::exhaustive_with(&mut rw, &space, MAX_FAILURES).unwrap(),
-        )
-    } else {
-        (
-            confluence::resolve_overlaps_in(alg, &space, &pairs, threads).unwrap(),
-            completeness::exhaustive_in(alg, &space, MAX_FAILURES, threads).unwrap(),
-        )
-    };
-    let dynamic =
-        check_dynamic_threads(&spec.representation, &spec.empty_state(), PDL_CAP, threads)
+    let (resolutions, _) = confluence::resolve_overlaps(alg, &space, &pairs, &unlimited).unwrap();
+    let completeness =
+        completeness::exhaustive_budget(alg, GROUND_DEPTH, MAX_FAILURES, &unlimited, threads)
             .unwrap();
+    let dynamic = check_dynamic_budget(
+        &spec.representation,
+        &spec.empty_state(),
+        PDL_CAP,
+        &unlimited,
+        threads,
+    )
+    .unwrap();
     Fingerprint {
         overlaps,
         resolutions,
@@ -138,7 +134,7 @@ impl Coarse {
 /// throughout, no shared ground enumeration, no denotation cache.
 fn verify_pre_refactor(spec: &TriLevelSpec) -> Coarse {
     let alg = &spec.functions;
-    let overlaps = confluence::critical_overlaps_threads(alg, 1).unwrap();
+    let overlaps = confluence::critical_overlaps(alg).unwrap();
     let mut both_fired = 0usize;
     let mut disagreements = 0usize;
     for o in &overlaps {
@@ -161,7 +157,7 @@ fn verify_pre_refactor(spec: &TriLevelSpec) -> Coarse {
     }
 }
 
-/// Pre-refactor `resolve_overlap_on_ground`: a fresh rewriter per call and
+/// Pre-refactor single-pair resolution: a fresh rewriter per call and
 /// per-call re-enumeration of state terms and parameter tuples.
 fn baseline_resolve(
     spec: &AlgSpec,
@@ -257,7 +253,7 @@ fn baseline_ground_condition(rw: &mut Rewriter<'_>, cond: &Formula) -> bool {
     }
 }
 
-/// Pre-refactor `completeness::exhaustive`: parameter tuples re-enumerated
+/// Pre-refactor completeness sweep: parameter tuples re-enumerated
 /// per (state, query) pair.
 fn baseline_completeness(spec: &AlgSpec, max_steps: usize) -> (usize, usize) {
     let sig = spec.signature().clone();

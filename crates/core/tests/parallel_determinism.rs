@@ -1,22 +1,23 @@
 //! Determinism of the parallel engines: on every packaged domain, the
-//! level-synchronous parallel exploration, the parallel cross-level check
-//! and the parallel RPR reachability must reproduce the serial results
-//! bit-for-bit at every thread count.
+//! level-synchronous parallel exploration, the parallel cross-level check,
+//! the completeness strips and the per-procedure dynamic units must
+//! reproduce the serial results bit-for-bit at every thread count.
 
 use std::sync::Arc;
 
-use eclectic_algebraic::{
-    completeness, confluence, parse_equations, AlgSignature, AlgSpec,
-};
+use eclectic_algebraic::{completeness, parse_equations, AlgSignature, AlgSpec};
 use eclectic_kernel::{Budget, BudgetExceeded};
-use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm};
+use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm, Valuation};
 use eclectic_refine::{
-    check_dynamic_budget, check_dynamic_threads, check_equations_budget,
-    check_refinement_1_2_budget, check_valid_reachable, cross_check_budget, cross_check_threads,
-    explore_algebraic_budget, explore_algebraic_threads, random_ops, AlgExploreLimits,
-    CrossCheckStats, FullReport, InducedAlgebra, ValidReachableReport,
+    check_dynamic_budget, check_equations_budget, check_refinement_1_2_budget,
+    check_valid_reachable, cross_check_budget, explore_algebraic_budget, random_ops,
+    AlgExploreLimits, AlgebraicExploration, CrossCheckStats, DynamicReport, FullReport,
+    InducedAlgebra, ValidReachableReport,
 };
-use eclectic_rpr::{check_batch_budget, wgrammar, DbState, FiniteUniverse, Pdl, Stmt};
+use eclectic_rpr::{
+    check_batch_budget_with, wgrammar, BatchReport, DbState, DenoteCache, FiniteUniverse, Pdl,
+    Stmt,
+};
 use eclectic_spec::domains::{bank, courses, library};
 use eclectic_spec::fuzz::Fingerprint;
 use eclectic_spec::{
@@ -24,6 +25,46 @@ use eclectic_spec::{
 };
 
 const THREADS: [usize; 3] = [2, 4, 8];
+
+/// An unbudgeted exploration of `spec` with `threads` workers.
+fn explore(spec: &TriLevelSpec, limits: AlgExploreLimits, threads: usize) -> AlgebraicExploration {
+    explore_algebraic_budget(
+        &spec.functions,
+        &spec.interp_i,
+        spec.info_signature(),
+        &spec.info_domains,
+        limits,
+        &Budget::unlimited(),
+        threads,
+    )
+    .unwrap()
+}
+
+/// The unbudgeted dynamic obligations of `spec` (universe cap 1024) with
+/// `threads` workers.
+fn dynamic_report(spec: &TriLevelSpec, threads: usize) -> DynamicReport {
+    let unlimited = Budget::unlimited();
+    check_dynamic_budget(&spec.representation, &spec.empty_state(), 1_024, &unlimited, threads)
+        .unwrap()
+}
+
+/// The unbudgeted completeness sweep at `depth` with `threads` workers.
+fn exhaustive(
+    spec: &AlgSpec,
+    depth: usize,
+    max_failures: usize,
+    threads: usize,
+) -> completeness::CompletenessReport {
+    completeness::exhaustive_budget(spec, depth, max_failures, &Budget::unlimited(), threads)
+        .unwrap()
+}
+
+/// One PDL batch against a fresh denotation cache and the empty
+/// environment.
+fn batch(formulas: &[Pdl], u: &FiniteUniverse, budget: &Budget, threads: usize) -> BatchReport {
+    let mut cache = DenoteCache::new();
+    check_batch_budget_with(formulas, u, &Valuation::new(), &mut cache, budget, threads).unwrap()
+}
 
 fn domains() -> Vec<(&'static str, TriLevelSpec, usize)> {
     vec![
@@ -48,25 +89,9 @@ fn parallel_exploration_matches_serial_on_every_domain() {
             max_depth: depth,
             max_states: 10_000,
         };
-        let serial = explore_algebraic_threads(
-            &spec.functions,
-            &spec.interp_i,
-            spec.info_signature(),
-            &spec.info_domains,
-            limits,
-            1,
-        )
-        .unwrap();
+        let serial = explore(&spec, limits, 1);
         for threads in THREADS {
-            let par = explore_algebraic_threads(
-                &spec.functions,
-                &spec.interp_i,
-                spec.info_signature(),
-                &spec.info_domains,
-                limits,
-                threads,
-            )
-            .unwrap();
+            let par = explore(&spec, limits, threads);
             assert_eq!(
                 par.universe.state_count(),
                 serial.universe.state_count(),
@@ -118,26 +143,10 @@ fn truncated_parallel_exploration_matches_serial() {
             max_states: 3,
         },
     ] {
-        let serial = explore_algebraic_threads(
-            &spec.functions,
-            &spec.interp_i,
-            spec.info_signature(),
-            &spec.info_domains,
-            limits,
-            1,
-        )
-        .unwrap();
+        let serial = explore(&spec, limits, 1);
         assert!(serial.truncated);
         for threads in THREADS {
-            let par = explore_algebraic_threads(
-                &spec.functions,
-                &spec.interp_i,
-                spec.info_signature(),
-                &spec.info_domains,
-                limits,
-                threads,
-            )
-            .unwrap();
+            let par = explore(&spec, limits, threads);
             assert_eq!(par.witnesses, serial.witnesses);
             assert_eq!(par.depth, serial.depth);
             assert_eq!(par.truncated, serial.truncated);
@@ -164,9 +173,12 @@ fn parallel_cross_check_matches_serial_on_every_domain() {
             (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
         };
         let ops = random_ops(&spec.functions, &ind, "initiate", 20, &mut rng).unwrap();
-        let (m1, s1) = cross_check_threads(&spec.functions, &mut ind, &ops, 1).unwrap();
+        let unlimited = Budget::unlimited();
+        let (m1, s1, _) =
+            cross_check_budget(&spec.functions, &mut ind, &ops, &unlimited, 1).unwrap();
         for threads in THREADS {
-            let (m, s) = cross_check_threads(&spec.functions, &mut ind, &ops, threads).unwrap();
+            let (m, s, _) =
+                cross_check_budget(&spec.functions, &mut ind, &ops, &unlimited, threads).unwrap();
             assert_eq!(m, m1, "{name}: mismatch report at {threads} threads");
             assert_eq!(s, s1, "{name}: stats at {threads} threads");
         }
@@ -197,118 +209,13 @@ fn stuck_spec() -> AlgSpec {
     AlgSpec::new(a, eqs).unwrap()
 }
 
-/// Two rules that genuinely disagree on ground instances.
-fn conflicting_spec() -> AlgSpec {
-    let mut a = AlgSignature::new().unwrap();
-    let course = a.add_param_sort("course", &["db"]).unwrap();
-    a.add_query("offered", &[course], None).unwrap();
-    a.add_update("initiate", &[], false).unwrap();
-    a.add_update("offer", &[course], true).unwrap();
-    a.add_param_var("c", course).unwrap();
-    let eqs = parse_equations(
-        &mut a,
-        &[
-            ("good", "offered(c, offer(c, U)) = True"),
-            ("evil", "offered(c, offer(c, U)) = False"),
-            ("base", "offered(c, initiate) = False"),
-        ],
-    )
-    .unwrap();
-    AlgSpec::new(a, eqs).unwrap()
-}
-
-/// A single catch-all equation: no two left-hand sides overlap.
-fn overlap_free_spec() -> AlgSpec {
-    let mut a = AlgSignature::new().unwrap();
-    let course = a.add_param_sort("course", &["db", "ai"]).unwrap();
-    a.add_query("offered", &[course], None).unwrap();
-    a.add_update("initiate", &[], false).unwrap();
-    a.add_update("offer", &[course], true).unwrap();
-    a.add_param_var("c", course).unwrap();
-    let eqs = parse_equations(&mut a, &[("all", "offered(c, U) = False")]).unwrap();
-    AlgSpec::new(a, eqs).unwrap()
-}
-
-#[test]
-fn parallel_confluence_matches_serial_on_every_domain() {
-    for (name, spec, _) in domains() {
-        let alg = &spec.functions;
-        let serial = confluence::critical_overlaps_threads(alg, 1).unwrap();
-        for threads in THREADS {
-            let par = confluence::critical_overlaps_threads(alg, threads).unwrap();
-            assert_eq!(par, serial, "{name}: overlap report at {threads} threads");
-        }
-        for o in &serial {
-            let e1 = alg.equation(&o.first).unwrap();
-            let e2 = alg.equation(&o.second).unwrap();
-            let r1 = confluence::resolve_overlap_on_ground_threads(alg, e1, e2, 2, 1).unwrap();
-            for threads in THREADS {
-                let r = confluence::resolve_overlap_on_ground_threads(alg, e1, e2, 2, threads)
-                    .unwrap();
-                assert_eq!(
-                    r, r1,
-                    "{name}: {}/{} ground resolution at {threads} threads",
-                    o.first, o.second
-                );
-            }
-        }
-
-        // Pair-level parallelism: the whole overlap list resolved against a
-        // shared ground space, workers striding over pairs.
-        let space = eclectic_algebraic::induction::GroundSpace::new(alg.signature(), 2).unwrap();
-        let pairs: Vec<_> = serial
-            .iter()
-            .map(|o| {
-                (
-                    alg.equation(&o.first).unwrap(),
-                    alg.equation(&o.second).unwrap(),
-                )
-            })
-            .collect();
-        let batch1 = confluence::resolve_overlaps_in(alg, &space, &pairs, 1).unwrap();
-        for threads in THREADS {
-            let batch = confluence::resolve_overlaps_in(alg, &space, &pairs, threads).unwrap();
-            assert_eq!(batch, batch1, "{name}: pair batch at {threads} threads");
-        }
-        // And it agrees with the one-pair-at-a-time entry point.
-        for (pair, r) in pairs.iter().zip(&batch1) {
-            let single =
-                confluence::resolve_overlap_in(alg, &space, pair.0, pair.1, 1).unwrap();
-            assert_eq!(&single, r, "{name}: batch vs single-pair resolution");
-        }
-    }
-}
-
-#[test]
-fn parallel_confluence_edge_specs_match_serial() {
-    // No overlaps at all: every thread count agrees on the empty report.
-    let empty = overlap_free_spec();
-    for threads in [1, 2, 4, 8] {
-        assert!(confluence::critical_overlaps_threads(&empty, threads)
-            .unwrap()
-            .is_empty());
-    }
-
-    // A genuine disagreement: the stop event (fired count + rendering) must
-    // be bit-identical at every thread count.
-    let bad = conflicting_spec();
-    let e1 = bad.equation("good").unwrap();
-    let e2 = bad.equation("evil").unwrap();
-    let serial = confluence::resolve_overlap_on_ground_threads(&bad, e1, e2, 2, 1).unwrap();
-    assert!(serial.1.is_some());
-    for threads in THREADS {
-        let par = confluence::resolve_overlap_on_ground_threads(&bad, e1, e2, 2, threads).unwrap();
-        assert_eq!(par, serial, "disagreement at {threads} threads");
-    }
-}
-
 #[test]
 fn parallel_completeness_matches_serial_on_every_domain() {
     for (name, spec, _) in domains() {
-        let serial = completeness::exhaustive_threads(&spec.functions, 3, 20, 1).unwrap();
+        let serial = exhaustive(&spec.functions, 3, 20, 1);
         assert!(serial.is_sufficiently_complete(), "{name}");
         for threads in THREADS {
-            let par = completeness::exhaustive_threads(&spec.functions, 3, 20, threads).unwrap();
+            let par = exhaustive(&spec.functions, 3, 20, threads);
             assert_eq!(par, serial, "{name}: completeness report at {threads} threads");
         }
     }
@@ -320,10 +227,10 @@ fn parallel_completeness_early_stop_matches_serial() {
     // same instance (same `stuck` prefix, same `evaluated`) as serial.
     let spec = stuck_spec();
     for max_failures in [1, 3, 50] {
-        let serial = completeness::exhaustive_threads(&spec, 3, max_failures, 1).unwrap();
+        let serial = exhaustive(&spec, 3, max_failures, 1);
         assert!(!serial.is_sufficiently_complete());
         for threads in THREADS {
-            let par = completeness::exhaustive_threads(&spec, 3, max_failures, threads).unwrap();
+            let par = exhaustive(&spec, 3, max_failures, threads);
             assert_eq!(
                 par, serial,
                 "stuck spec, cap {max_failures}, {threads} threads"
@@ -338,13 +245,10 @@ fn parallel_pdl_batch_obligations_match_serial_on_every_domain() {
     // checker; verdicts must not depend on the worker count. (The bank
     // universe exceeds the cap and exercises the graceful-skip path.)
     for (name, spec, _) in domains() {
-        let serial =
-            check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, 1).unwrap();
+        let serial = dynamic_report(&spec, 1);
         assert!(serial.is_correct(), "{name}: {:?}", serial.failures);
         for threads in THREADS {
-            let par =
-                check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, threads)
-                    .unwrap();
+            let par = dynamic_report(&spec, threads);
             assert_eq!(par.failures, serial.failures, "{name} at {threads} threads");
             assert_eq!(par.checked, serial.checked, "{name} at {threads} threads");
             assert_eq!(
@@ -359,29 +263,6 @@ fn parallel_pdl_batch_obligations_match_serial_on_every_domain() {
             // Each procedure owns its denotation cache, so the counters are
             // worker-invariant too.
             assert_eq!(par.cache_stats, serial.cache_stats, "{name} at {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn parallel_rpr_reachability_matches_serial_on_every_domain() {
-    for (name, spec, depth) in domains() {
-        let mk = || {
-            InducedAlgebra::new(
-                &spec.functions,
-                &spec.representation,
-                &spec.interp_k,
-                spec.empty_state(),
-            )
-            .unwrap()
-        };
-        let (serial, t1) = mk().reachable_states_threads(depth, 10_000, 1).unwrap();
-        for threads in THREADS {
-            let (par, t) = mk()
-                .reachable_states_threads(depth, 10_000, threads)
-                .unwrap();
-            assert_eq!(par, serial, "{name}: state order at {threads} threads");
-            assert_eq!(t, t1, "{name}: truncation at {threads} threads");
         }
     }
 }
@@ -446,34 +327,6 @@ fn node_capped_exploration_partial_report_is_thread_invariant() {
 }
 
 #[test]
-fn node_capped_rpr_reachability_partial_report_is_thread_invariant() {
-    for (name, spec, depth) in domains() {
-        let mk = || {
-            InducedAlgebra::new(
-                &spec.functions,
-                &spec.representation,
-                &spec.interp_k,
-                spec.empty_state(),
-            )
-            .unwrap()
-        };
-        let budget = node_budget(4);
-        let base = mk()
-            .reachable_states_budget(depth, 10_000, &budget, 1)
-            .unwrap();
-        assert!(base.1, "{name}: cap 4 must truncate");
-        assert!(base.2.is_some(), "{name}: cap 4 must trip");
-        assert_eq!(base.2.as_ref().unwrap().stage, "reach", "{name}");
-        for threads in BUDGET_THREADS {
-            let par = mk()
-                .reachable_states_budget(depth, 10_000, &budget, threads)
-                .unwrap();
-            assert_eq!(par, base, "{name}: partial reach at {threads} threads");
-        }
-    }
-}
-
-#[test]
 fn op_capped_cross_check_partial_report_is_thread_invariant() {
     for (name, spec, _) in domains() {
         let mut ind = InducedAlgebra::new(
@@ -520,44 +373,6 @@ fn instance_capped_completeness_partial_report_is_thread_invariant() {
                 completeness::exhaustive_budget(&spec.functions, 3, 20, &budget, threads)
                     .unwrap();
             assert_eq!(par, base, "{name}: partial completeness at {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn pair_capped_confluence_partial_report_is_thread_invariant() {
-    for (name, spec, _) in domains() {
-        let alg = &spec.functions;
-        let overlaps = confluence::critical_overlaps_threads(alg, 1).unwrap();
-        if overlaps.is_empty() {
-            continue;
-        }
-        let space = eclectic_algebraic::induction::GroundSpace::new(alg.signature(), 2).unwrap();
-        let pairs: Vec<_> = overlaps
-            .iter()
-            .map(|o| {
-                (
-                    alg.equation(&o.first).unwrap(),
-                    alg.equation(&o.second).unwrap(),
-                )
-            })
-            .collect();
-        for cap in [0, pairs.len().saturating_sub(1)] {
-            let budget = node_budget(cap);
-            let base = confluence::resolve_overlaps_budget_in(alg, &space, &pairs, &budget, 1)
-                .unwrap();
-            let e = base.1.clone().expect(name);
-            assert_eq!((e.stage, e.completed_units), ("confluence", cap), "{name}");
-            assert_eq!(base.0.len(), cap, "{name}: resolved prefix length");
-            for threads in BUDGET_THREADS {
-                let par =
-                    confluence::resolve_overlaps_budget_in(alg, &space, &pairs, &budget, threads)
-                        .unwrap();
-                assert_eq!(
-                    par, base,
-                    "{name}: partial confluence, cap {cap}, {threads} threads"
-                );
-            }
         }
     }
 }
@@ -622,12 +437,12 @@ fn unit_capped_pdl_batch_partial_report_is_thread_invariant() {
     // two-formula verdict prefix survives.
     for (cap, verdicts) in [(2, 0), (5, 2)] {
         let budget = node_budget(cap);
-        let base = check_batch_budget(&formulas, &u, &budget, 1).unwrap();
+        let base = batch(&formulas, &u, &budget, 1);
         let e = base.exhausted.clone().expect("cap must trip");
         assert_eq!((e.stage, e.completed_units), ("pdl", cap));
         assert_eq!(base.valid.len(), verdicts, "verdict prefix at cap {cap}");
         for threads in BUDGET_THREADS {
-            let par = check_batch_budget(&formulas, &u, &budget, threads).unwrap();
+            let par = batch(&formulas, &u, &budget, threads);
             assert_eq!(par.satisfying, base.satisfying, "cap {cap}, {threads} threads");
             assert_eq!(par.valid, base.valid, "cap {cap}, {threads} threads");
             assert_eq!(par.exhausted, base.exhausted, "cap {cap}, {threads} threads");
@@ -776,25 +591,13 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
             max_depth: depth.min(6),
             max_states: 10_000,
         };
-        let explore = |threads: usize| {
-            explore_algebraic_threads(
-                &spec.functions,
-                &spec.interp_i,
-                spec.info_signature(),
-                &spec.info_domains,
-                limits,
-                threads,
-            )
-            .unwrap()
-        };
-        let reference = explore(1);
-        let ref_dynamic =
-            check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, 1).unwrap();
-        let ref_complete = completeness::exhaustive_threads(&spec.functions, 3, 20, 1).unwrap();
+        let reference = explore(&spec, limits, 1);
+        let ref_dynamic = dynamic_report(&spec, 1);
+        let ref_complete = exhaustive(&spec.functions, 3, 20, 1);
         // Work-stealing at every worker count must reproduce the 1-worker
         // reference.
         for threads in [2, 4, 8] {
-            let par = explore(threads);
+            let par = explore(&spec, limits, threads);
             assert_eq!(
                 par.witnesses, reference.witnesses,
                 "{name}: witnesses at {threads} workers"
@@ -808,9 +611,7 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
                 par.truncated, reference.truncated,
                 "{name}: truncation at {threads} workers"
             );
-            let dynamic =
-                check_dynamic_threads(&spec.representation, &spec.empty_state(), 1_024, threads)
-                    .unwrap();
+            let dynamic = dynamic_report(&spec, threads);
             assert_eq!(
                 dynamic.failures, ref_dynamic.failures,
                 "{name}: PDL verdicts at {threads} workers"
@@ -823,8 +624,7 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
                 dynamic.cache_stats, ref_dynamic.cache_stats,
                 "{name}: PDL cache counters at {threads} workers"
             );
-            let complete =
-                completeness::exhaustive_threads(&spec.functions, 3, 20, threads).unwrap();
+            let complete = exhaustive(&spec.functions, 3, 20, threads);
             assert_eq!(
                 complete, ref_complete,
                 "{name}: completeness at {threads} workers"
@@ -890,10 +690,10 @@ fn node_capped_partials_are_bit_identical_under_real_stealing() {
     let (u, formulas) = pdl_fixture();
     for (cap, verdicts) in [(2, 0), (5, 2)] {
         let budget = node_budget(cap);
-        let base = check_batch_budget(&formulas, &u, &budget, 1).unwrap();
+        let base = batch(&formulas, &u, &budget, 1);
         assert_eq!(base.valid.len(), verdicts, "verdict prefix at cap {cap}");
         for threads in [2, 4, 8] {
-            let par = check_batch_budget(&formulas, &u, &budget, threads).unwrap();
+            let par = batch(&formulas, &u, &budget, threads);
             assert_eq!(par.valid, base.valid, "cap {cap} at {threads} real workers");
             assert_eq!(
                 par.exhausted, base.exhausted,
@@ -1161,11 +961,13 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
             .unwrap();
     assert!(pristine.exhausted.is_none(), "reference run must complete");
 
-    let plan = |budget: &Budget| match plan_dynamic(
+    // Planning checks its budget on entry, so every plan is made under an
+    // unlimited budget; only the units run under the budget under test.
+    let plan = || match plan_dynamic(
         &spec.representation,
         &spec.empty_state(),
         1_024,
-        budget,
+        &Budget::unlimited(),
     )
     .unwrap()
     {
@@ -1178,7 +980,7 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     let token = CancelToken::new();
     token.cancel();
     let cancelled = Budget::unlimited().with_cancel(token);
-    let p = plan(&Budget::unlimited());
+    let p = plan();
     let outcomes: Vec<_> = (0..p.procs())
         .map(|i| p.run_proc(i, &cancelled, 1).unwrap())
         .collect();
@@ -1192,14 +994,15 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     assert!(report.failures.is_empty());
 
     // Token flipped WHILE units run on the pool: whatever prefix survives,
-    // the shared inputs must not be poisoned.
+    // the shared inputs must not be poisoned. The canceller starts after
+    // planning, so it can only race the units.
+    let p = plan();
     let racing = CancelToken::new();
     let budget = Budget::unlimited().with_cancel(racing.clone());
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_micros(200));
         racing.cancel();
     });
-    let p = plan(&budget);
     let outcomes: Vec<_> = (0..p.procs())
         .map(|i| p.run_proc(i, &budget, 4).unwrap())
         .collect();
@@ -1208,7 +1011,7 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
 
     // A fresh uncancelled plan over the same schema and template must agree
     // with the monolithic pristine reference exactly.
-    let p = plan(&Budget::unlimited());
+    let p = plan();
     let outcomes: Vec<_> = (0..p.procs())
         .map(|i| p.run_proc(i, &Budget::unlimited(), 4).unwrap())
         .collect();
@@ -1259,12 +1062,12 @@ fn sparse_backend_star_compose_and_capped_pdl_are_thread_invariant() {
     let (u, formulas) = pdl_fixture();
     for (cap, verdicts) in [(2, 0), (5, 2)] {
         let budget = node_budget(cap);
-        let base = check_batch_budget(&formulas, &u, &budget, 1).unwrap();
+        let base = batch(&formulas, &u, &budget, 1);
         let e = base.exhausted.clone().expect("cap must trip on sparse");
         assert_eq!((e.stage, e.completed_units), ("pdl", cap));
         assert_eq!(base.valid.len(), verdicts, "sparse verdict prefix, cap {cap}");
         for threads in BUDGET_THREADS {
-            let par = check_batch_budget(&formulas, &u, &budget, threads).unwrap();
+            let par = batch(&formulas, &u, &budget, threads);
             assert_eq!(par.satisfying, base.satisfying, "cap {cap}, {threads} threads");
             assert_eq!(par.valid, base.valid, "cap {cap}, {threads} threads");
             assert_eq!(par.exhausted, base.exhausted, "cap {cap}, {threads} threads");
@@ -1312,7 +1115,7 @@ fn compressed_backend_closure_and_capped_pdl_are_thread_invariant() {
     let (u, formulas) = pdl_fixture();
     for (cap, verdicts) in [(2, 0), (5, 2)] {
         let budget = node_budget(cap);
-        let base = check_batch_budget(&formulas, &u, &budget, 1).unwrap();
+        let base = batch(&formulas, &u, &budget, 1);
         let e = base.exhausted.clone().expect("cap must trip on compressed");
         assert_eq!((e.stage, e.completed_units), ("pdl", cap));
         assert_eq!(
@@ -1321,7 +1124,7 @@ fn compressed_backend_closure_and_capped_pdl_are_thread_invariant() {
             "compressed verdict prefix, cap {cap}"
         );
         for threads in BUDGET_THREADS {
-            let par = check_batch_budget(&formulas, &u, &budget, threads).unwrap();
+            let par = batch(&formulas, &u, &budget, threads);
             assert_eq!(par.satisfying, base.satisfying, "cap {cap}, {threads} threads");
             assert_eq!(par.valid, base.valid, "cap {cap}, {threads} threads");
             assert_eq!(par.exhausted, base.exhausted, "cap {cap}, {threads} threads");

@@ -13,6 +13,10 @@
 //! | `ECLECTIC_REL_COMPRESSED_MIN_DIM`  | non-negative integer                 | 65536          |
 //! | `ECLECTIC_MAX_REL_BYTES`           | byte count (estimated)               | unlimited      |
 //!
+//! `ECLECTIC_THREADS` is read at the top only, by `spec::verify` and
+//! `fuzz::run_corpus` (see [`env_threads`]); every sweep below them takes
+//! its worker count as an argument.
+//!
 //! `ECLECTIC_MAX_REL_BYTES` also accepts its historical spelling
 //! `ECLECTIC_MAX_REL_ENTRIES` (the unit changed from entries to estimated
 //! bytes when the relation-memory axis became backend-spanning, but the
@@ -66,6 +70,12 @@ pub(crate) fn parse_threads(value: Option<&str>) -> ThreadsSpec {
 ///
 /// An unparseable value (e.g. `"abc"`, `"-2"`) also falls back to `1`, but
 /// emits a one-time warning on stderr naming the bad value.
+///
+/// Only the top-level entry points call this: `spec::verify` (the CLI's and
+/// the examples' entry) and the fuzzer's `fuzz::run_corpus`. Every sweep
+/// below them takes its worker count from its caller, or runs at one worker
+/// when it takes none, so an explicit worker count is never overridden by
+/// the environment. `just lint` rejects any other library call site.
 #[must_use]
 pub fn env_threads() -> usize {
     let value = std::env::var("ECLECTIC_THREADS").ok();

@@ -46,8 +46,8 @@ pub use rel::{
 };
 pub use rng::Rng;
 pub use sched::{
-    run_chunked, run_tasks, run_tasks_prio, run_workers, run_workers_prio, DagBuilder,
-    IndexQueue, Priority, TaskHandle,
+    run_chunked, run_tasks, run_tasks_prio, run_workers_prio, DagBuilder, IndexQueue, Priority,
+    TaskHandle,
 };
 pub use sparse::SparseRel;
 pub use concurrent::{ConcurrentTermStore, SharedMemo, StoreHandle};

@@ -64,9 +64,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 /// equations → cross-check) — run [`High`](Priority::High); ordinary
 /// sweeps run [`Normal`](Priority::Normal); wide grid sweeps with no
 /// dependents (completeness strips, per-procedure dynamic obligations,
-/// batched PDL denotation, overlap resolution) run
-/// [`Bulk`](Priority::Bulk) so they soak up whatever threads the critical
-/// path leaves idle instead of starving it.
+/// batched PDL denotation) run [`Bulk`](Priority::Bulk) so they soak up
+/// whatever threads the critical path leaves idle instead of starving it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Latency-critical: draining this region unblocks dependent work.
@@ -469,21 +468,11 @@ fn run_tasks_steal<'env, T: Send + 'env>(
 }
 
 /// Builds `workers` uniform worker closures (via `make`, called with each
-/// worker's serial position) and runs them as one task batch. This is the
-/// common shape for sweeps whose workers all run the same loop over a
-/// shared [`IndexQueue`]: it hides the `Box<dyn FnOnce>` ceremony
-/// [`run_tasks`] needs from heterogeneous call sites.
-#[must_use]
-pub fn run_workers<'env, T, F, M>(workers: usize, make: M) -> Vec<T>
-where
-    T: Send + 'env,
-    F: FnOnce() -> T + Send + 'env,
-    M: FnMut(usize) -> F,
-{
-    run_workers_prio(workers, Priority::Normal, make)
-}
-
-/// [`run_workers`] with an explicit injector [`Priority`] for the region.
+/// worker's serial position) and runs them as one task batch at the given
+/// injector [`Priority`]. This is the common shape for sweeps whose workers
+/// all run the same loop over a shared [`IndexQueue`]: it hides the
+/// `Box<dyn FnOnce>` ceremony [`run_tasks`] needs from heterogeneous call
+/// sites.
 #[must_use]
 pub fn run_workers_prio<'env, T, F, M>(workers: usize, priority: Priority, mut make: M) -> Vec<T>
 where

@@ -3,7 +3,7 @@
 //! (procedure execution) must yield the same answer to every query — the
 //! one-to-one correspondence between query functions and relations.
 //!
-//! With more than one thread (see [`eclectic_kernel::env_threads`]) the
+//! With more than one worker (see [`cross_check_budget`]) the
 //! level-2 side of each step — one rewriting evaluation per (query,
 //! parameter tuple) — is fanned out across worker threads sharing one
 //! [`ConcurrentTermStore`] and [`SharedMemo`]; level-3 execution and the
@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use eclectic_algebraic::{induction, AlgError, AlgSpec, Rewriter};
 use eclectic_kernel::{
-    env_threads, run_tasks, Budget, BudgetExceeded, ConcurrentTermStore, Exhaustion, IndexQueue,
-    Interner, SharedMemo, StoreHandle, TermId,
+    run_tasks, Budget, BudgetExceeded, ConcurrentTermStore, Exhaustion, IndexQueue, Interner,
+    SharedMemo, StoreHandle, TermId,
 };
 use eclectic_logic::{Elem, FuncId, Term};
 use eclectic_rpr::DbState;
@@ -57,44 +57,20 @@ pub struct CrossCheckStats {
 type QueryItem = (FuncId, Vec<Term>, Vec<TermId>);
 
 /// Replays `ops` at both levels, comparing every query after every step,
-/// using [`env_threads`] worker threads for the level-2 evaluations.
-/// Returns the first mismatch, if any.
+/// with `threads` workers for the level-2 evaluations. Returns the first
+/// mismatch, if any.
+///
+/// The [`Budget`] is polled before each trace operation with the number of
+/// operations fully replayed so far, so a node cap stops after the same
+/// operation at every worker count; deadline and cancellation trips
+/// additionally interrupt the level-2 evaluations mid-operation and report
+/// the operations completed. Exhaustion returns the statistics so far with
+/// an [`Exhaustion`] record instead of failing.
 ///
 /// # Errors
 /// Propagates rewriting/execution errors (e.g. the trace must start with an
-/// `initiate`-style constant; the first op's update must take no state).
-pub fn cross_check(
-    spec: &AlgSpec,
-    ind: &mut InducedAlgebra<'_>,
-    ops: &[Op],
-) -> Result<(Option<Mismatch>, CrossCheckStats)> {
-    cross_check_threads(spec, ind, ops, env_threads())
-}
-
-/// As [`cross_check`], with an explicit thread count.
-///
-/// # Errors
-/// See [`cross_check`].
-pub fn cross_check_threads(
-    spec: &AlgSpec,
-    ind: &mut InducedAlgebra<'_>,
-    ops: &[Op],
-    threads: usize,
-) -> Result<(Option<Mismatch>, CrossCheckStats)> {
-    cross_check_budget(spec, ind, ops, &Budget::unlimited(), threads)
-        .map(|(m, stats, _)| (m, stats))
-}
-
-/// As [`cross_check_threads`], governed by a [`Budget`]. The budget is
-/// polled before each trace operation with the number of operations fully
-/// replayed so far, so a node cap stops after the same operation at every
-/// thread count; deadline and cancellation trips additionally interrupt the
-/// level-2 evaluations mid-operation and report the operations completed.
-/// Exhaustion returns the statistics so far with an [`Exhaustion`] record
-/// instead of failing.
-///
-/// # Errors
-/// See [`cross_check`]; budget exhaustion is *not* an error.
+/// `initiate`-style constant; the first op's update must take no state);
+/// budget exhaustion is *not* an error.
 pub fn cross_check_budget(
     spec: &AlgSpec,
     ind: &mut InducedAlgebra<'_>,

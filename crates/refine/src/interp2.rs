@@ -8,13 +8,14 @@
 //! `L2`: states are database states, updates act by running the procedures,
 //! queries evaluate their wffs — the [`InducedAlgebra`]. `T3` correctly
 //! refines `T2` iff every equation of `A2` is valid in the induced algebra,
-//! which [`check_equations`] verifies by bounded induction on trace length.
+//! which [`check_equations_budget`] verifies by bounded induction on trace
+//! length.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use eclectic_algebraic::{AlgSpec, OpKind, Rewriter};
-use eclectic_kernel::{run_workers, Budget, Exhaustion, IndexQueue};
+use eclectic_kernel::{Budget, Exhaustion};
 use eclectic_logic::{Domains, Elem, Formula, FuncId, SortId, Term, VarId};
 use eclectic_rpr::{exec, DbState, FuncQueryDef, QueryDef, Schema};
 
@@ -430,45 +431,12 @@ impl<'a> InducedAlgebra<'a> {
     }
 
     /// Enumerates the database states reachable by at most `max_depth`
-    /// procedure calls from the interpreted `initiate`, using
-    /// [`eclectic_kernel::env_threads`] worker threads.
-    ///
-    /// # Errors
-    /// Propagates execution errors; hitting `max_states` reports truncation
-    /// via the second component.
-    pub fn reachable_states(
-        &mut self,
-        max_depth: usize,
-        max_states: usize,
-    ) -> Result<(Vec<DbState>, bool)> {
-        self.reachable_states_threads(max_depth, max_states, eclectic_kernel::env_threads())
-    }
-
-    /// As [`InducedAlgebra::reachable_states`], with an explicit thread
-    /// count. Procedure execution is pure (state in, state out), so the
-    /// BFS parallelises level-synchronously: workers run the procedure
-    /// calls of a level, the merge admits results in (parent, operation)
-    /// order — the serial FIFO order — so the returned state order is
-    /// identical for every thread count.
-    ///
-    /// # Errors
-    /// See [`InducedAlgebra::reachable_states`].
-    pub fn reachable_states_threads(
-        &mut self,
-        max_depth: usize,
-        max_states: usize,
-        threads: usize,
-    ) -> Result<(Vec<DbState>, bool)> {
-        self.reachable_states_budget(max_depth, max_states, &Budget::unlimited(), threads)
-            .map(|(order, truncated, _)| (order, truncated))
-    }
-
-    /// As [`InducedAlgebra::reachable_states_threads`], governed by a
-    /// [`Budget`]. The budget is polled once per BFS level with the number
-    /// of distinct states admitted so far (a pure function of the levels
-    /// completed, independent of thread count); exhaustion returns the
-    /// states admitted so far with `truncated` set and an [`Exhaustion`]
-    /// record instead of failing.
+    /// procedure calls from the interpreted `initiate`, breadth first, in
+    /// (parent, operation) order. Hitting `max_states` reports truncation
+    /// via the second component. The [`Budget`] is polled once per BFS
+    /// level with the number of distinct states admitted so far;
+    /// exhaustion returns the states admitted so far with `truncated` set
+    /// and an [`Exhaustion`] record instead of failing.
     ///
     /// # Errors
     /// Propagates execution errors; budget exhaustion is *not* an error.
@@ -477,9 +445,7 @@ impl<'a> InducedAlgebra<'a> {
         max_depth: usize,
         max_states: usize,
         budget: &Budget,
-        threads: usize,
     ) -> Result<(Vec<DbState>, bool, Option<Exhaustion>)> {
-        let threads = eclectic_kernel::effective_workers(threads);
         if let Some(reason) = budget.check(0) {
             return Ok((Vec::new(), true, Some(budget.exhaustion("reach", reason, 0))));
         }
@@ -535,83 +501,16 @@ impl<'a> InducedAlgebra<'a> {
             }
             if let Some(reason) = budget.check(seen.len()) {
                 // Level boundary: `seen` holds exactly the states the
-                // completed levels admitted, at every thread count.
+                // completed levels admitted.
                 truncated = true;
                 exhausted = Some(budget.exhaustion("reach", reason, d));
                 break;
             }
-            // All successors of the level, grouped per parent in op order.
-            let per_parent: Vec<Vec<DbState>> = if threads <= 1 || frontier.len() == 1 {
-                let mut out = Vec::with_capacity(frontier.len());
-                for st in &frontier {
-                    out.push(
-                        ops.iter()
-                            .map(|(proc, elems)| {
-                                exec::call_deterministic(schema, st, proc, elems)
-                                    .map_err(RefineError::from)
-                            })
-                            .collect::<Result<Vec<DbState>>>()?,
-                    );
-                }
-                out
-            } else {
-                let workers = threads.min(frontier.len());
-                let queue = IndexQueue::new(frontier.len(), workers);
-                type ParentOut = (Vec<(usize, Vec<DbState>)>, Option<(usize, RefineError)>);
-                let results: Vec<ParentOut> = run_workers(workers, |_| {
-                    let ops = &ops;
-                    let frontier = &frontier;
-                    let queue = &queue;
-                    move || {
-                        let mut done = Vec::new();
-                        while let Some(range) = queue.claim() {
-                            for k in range {
-                                let st = &frontier[k];
-                                match ops
-                                    .iter()
-                                    .map(|(proc, elems)| {
-                                        exec::call_deterministic(schema, st, proc, elems)
-                                            .map_err(RefineError::from)
-                                    })
-                                    .collect::<Result<Vec<DbState>>>()
-                                {
-                                    Ok(succs) => done.push((k, succs)),
-                                    Err(e) => return (done, Some((k, e))),
-                                }
-                            }
-                        }
-                        (done, None)
-                    }
-                });
-                // Replay in parent order; the earliest error is exactly the
-                // one the serial loop would have hit first.
-                let first_err = results
-                    .iter()
-                    .filter_map(|(_, e)| e.as_ref().map(|(k, _)| *k))
-                    .min();
-                if let Some(k0) = first_err {
-                    let (_, e) = results
-                        .into_iter()
-                        .filter_map(|(_, e)| e)
-                        .find(|(k, _)| *k == k0)
-                        .expect("error index recorded");
-                    return Err(e);
-                }
-                let mut slots: Vec<Option<Vec<DbState>>> = vec![None; frontier.len()];
-                for (done, _) in results {
-                    for (k, succs) in done {
-                        slots[k] = Some(succs);
-                    }
-                }
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every parent expanded"))
-                    .collect()
-            };
-            // Merge in (parent, operation) order — the serial FIFO order.
+            // Admit successors in (parent, operation) order: FIFO order.
             let mut next_frontier = Vec::new();
-            for succs in per_parent {
-                for next in succs {
+            for st in &frontier {
+                for (proc, elems) in &ops {
+                    let next = exec::call_deterministic(schema, st, proc, elems)?;
                     if seen.len() >= max_states && !seen.contains(&next) {
                         truncated = true;
                         continue;
@@ -688,21 +587,8 @@ impl EquationCheckReport {
 /// reachable database state, every assignment of the equation's parameter
 /// variables, if the condition holds then both sides evaluate equal — the
 /// paper's §5.4 induction on trace length, executed exhaustively up to
-/// `max_depth`.
-///
-/// # Errors
-/// Propagates evaluation errors.
-pub fn check_equations(
-    ind: &mut InducedAlgebra<'_>,
-    max_depth: usize,
-    max_states: usize,
-    max_failures: usize,
-) -> Result<EquationCheckReport> {
-    check_equations_budget(ind, max_depth, max_states, max_failures, &Budget::unlimited())
-}
-
-/// As [`check_equations`], governed by a [`Budget`]: state enumeration is
-/// budgeted (see [`InducedAlgebra::reachable_states_budget`]) and instance
+/// `max_depth`. Governed by a [`Budget`]: state enumeration is budgeted
+/// (see [`InducedAlgebra::reachable_states_budget`]) and instance
 /// evaluation polls the budget before each state with the number of
 /// instances evaluated so far. Exhaustion returns the partial report with
 /// `exhausted` set instead of failing.
@@ -719,7 +605,7 @@ pub fn check_equations_budget(
     let spec = ind.spec;
     let alg = spec.signature().clone();
     let (states, truncated, reach_exhausted) =
-        ind.reachable_states_budget(max_depth, max_states, budget, eclectic_kernel::env_threads())?;
+        ind.reachable_states_budget(max_depth, max_states, budget)?;
     let mut report = EquationCheckReport {
         states: states.len(),
         truncated,

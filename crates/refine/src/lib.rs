@@ -13,7 +13,7 @@
 //! - [`InterpretationK`] and [`InducedAlgebra`] (§5.3–5.4): queries →
 //!   level-3 wffs, updates → procedures; the mapping `N` interprets the
 //!   functions level inside a representation-level universe, and
-//!   [`check_equations`] verifies every `A2` equation there by bounded
+//!   [`check_equations_budget`] verifies every `A2` equation there by bounded
 //!   induction on trace length;
 //! - [`equivalence`] (§6): the same trace replayed at levels 2 and 3 gives
 //!   the same answer to every query;
@@ -33,26 +33,22 @@ mod report;
 pub mod witness;
 
 pub use bridge::ParamBridge;
-pub use equivalence::{
-    cross_check, cross_check_budget, cross_check_threads, random_ops, CrossCheckStats, Mismatch,
-    Op,
-};
+pub use equivalence::{cross_check_budget, random_ops, CrossCheckStats, Mismatch, Op};
 pub use error::{RefineError, Result};
 pub use interp1::InterpretationI;
 pub use interp2::{
-    check_equations, check_equations_budget, EquationCheckReport, EquationFailure, IndValue,
-    InducedAlgebra, InterpretationK, QueryImpl,
+    check_equations_budget, EquationCheckReport, EquationFailure, IndValue, InducedAlgebra,
+    InterpretationK, QueryImpl,
 };
 pub use obligations::{
-    check_dynamic, check_dynamic_budget, check_dynamic_threads, check_refinement_1_2,
-    check_refinement_1_2_budget, obligation_axioms, obligation_completeness,
+    check_dynamic_budget, check_refinement_1_2_budget, obligation_axioms, obligation_completeness,
     obligation_exploration, obligation_termination, plan_dynamic, DynamicFailure, DynamicPlan,
     DynamicPrep, DynamicReport, DynamicUnitOutcome, Refine12Config, Refine12Report,
     StateViolation,
 };
 pub use reach::{
-    explore_algebraic, explore_algebraic_budget, explore_algebraic_threads, structure_of,
-    structure_of_id, AlgExploreLimits, AlgebraicExploration,
+    explore_algebraic_budget, structure_of, structure_of_id, AlgExploreLimits,
+    AlgebraicExploration,
 };
 pub use report::FullReport;
 pub use witness::{check_valid_reachable, ValidReachableReport};

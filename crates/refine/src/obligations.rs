@@ -38,11 +38,6 @@ pub struct Refine12Config {
     pub policy: AccessibilityPolicy,
     /// Depth for the exhaustive sufficient-completeness pass.
     pub completeness_depth: usize,
-    /// Wall-clock deadline for the whole check, in milliseconds
-    /// (`None` = no deadline).
-    pub deadline_ms: Option<u64>,
-    /// Cap on hash-consed term nodes (`None` = no cap).
-    pub max_nodes: Option<usize>,
 }
 
 impl Refine12Config {
@@ -54,23 +49,7 @@ impl Refine12Config {
             limits: AlgExploreLimits::default(),
             policy: AccessibilityPolicy::AsIs,
             completeness_depth: 3,
-            deadline_ms: None,
-            max_nodes: None,
         }
-    }
-
-    /// A [`Budget`] over the configured limits, started now. Unlimited when
-    /// neither `deadline_ms` nor `max_nodes` is set.
-    #[must_use]
-    pub fn budget(&self) -> Budget {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = self.deadline_ms {
-            b = b.with_deadline_ms(ms);
-        }
-        if let Some(n) = self.max_nodes {
-            b = b.with_max_nodes(n);
-        }
-        b
     }
 
     /// Thorough bounds: exploration depth 10, otherwise as [`quick`].
@@ -126,36 +105,10 @@ impl Refine12Report {
 }
 
 /// Checks obligations (a), (b) and (d) for `T2` against `T1` under `I`,
-/// with `ECLECTIC_THREADS` workers (see [`eclectic_kernel::env_threads`]).
-///
-/// # Errors
-/// Propagates exploration and evaluation errors.
-pub fn check_refinement_1_2(
-    theory: &Theory,
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    config: Refine12Config,
-) -> Result<Refine12Report> {
-    check_refinement_1_2_budget(
-        theory,
-        spec,
-        interp,
-        info_sig,
-        domains,
-        config,
-        &config.budget(),
-        eclectic_kernel::env_threads(),
-    )
-}
-
-/// As [`check_refinement_1_2`], governed by an explicit [`Budget`] (shared
-/// with other stages by the caller; `config.deadline_ms`/`config.max_nodes`
-/// are ignored in favour of `budget`) and run with `threads` workers, which
-/// the environment does not override. When the completeness pass or the
-/// exploration exhausts the budget, the remaining obligations are skipped
-/// and the partial report carries the exhaustion — see
+/// governed by `budget` (shared with other stages by the caller) and run
+/// with `threads` workers. When the completeness pass or the exploration
+/// exhausts the budget, the remaining obligations are skipped and the
+/// partial report carries the exhaustion — see
 /// [`Refine12Report::exhausted`].
 ///
 /// # Errors
@@ -338,30 +291,7 @@ impl DynamicReport {
 }
 
 /// Checks the dynamic-logic obligations over the representation schema,
-/// using `ECLECTIC_THREADS` workers (see [`eclectic_kernel::env_threads`])
-/// across its per-procedure units.
-///
-/// # Errors
-/// Propagates enumeration/evaluation errors (a universe over `cap` is a
-/// graceful skip, not an error).
-pub fn check_dynamic(schema: &Schema, template: &DbState, cap: usize) -> Result<DynamicReport> {
-    check_dynamic_threads(schema, template, cap, eclectic_kernel::env_threads())
-}
-
-/// As [`check_dynamic`] with an explicit worker count.
-///
-/// # Errors
-/// See [`check_dynamic`].
-pub fn check_dynamic_threads(
-    schema: &Schema,
-    template: &DbState,
-    cap: usize,
-    threads: usize,
-) -> Result<DynamicReport> {
-    check_dynamic_budget(schema, template, cap, &Budget::unlimited(), threads)
-}
-
-/// As [`check_dynamic_threads`], governed by a [`Budget`]. The obligations
+/// governed by a [`Budget`] and run with `threads` workers. The obligations
 /// run as one [`DynamicPlan::run_proc`] unit per procedure, fanned over the
 /// shared pool at [`Priority::Bulk`]; each unit owns its denotation cache
 /// and polls the budget before each serial-order application slot with the
@@ -371,7 +301,8 @@ pub fn check_dynamic_threads(
 /// partial report with `exhausted` set instead of failing.
 ///
 /// # Errors
-/// See [`check_dynamic`]; budget exhaustion is *not* an error.
+/// Propagates enumeration/evaluation errors (a universe over `cap` is a
+/// graceful skip, not an error); budget exhaustion is *not* an error.
 pub fn check_dynamic_budget(
     schema: &Schema,
     template: &DbState,

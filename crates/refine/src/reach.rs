@@ -11,9 +11,9 @@
 //!
 //! # Parallel exploration
 //!
-//! [`explore_algebraic`] runs a *level-synchronous* breadth-first search:
-//! with more than one thread (see [`eclectic_kernel::env_threads`]) every
-//! BFS level is split across worker threads, each owning a thread-local
+//! [`explore_algebraic_budget`] runs a *level-synchronous* breadth-first
+//! search: with more than one worker every BFS level is split across
+//! worker threads, each owning a thread-local
 //! [`Rewriter`] over a [`StoreHandle`] of one shared
 //! [`ConcurrentTermStore`], plus a [`SharedMemo`] so normal forms computed
 //! by one worker are reused by all. Workers evaluate observation keys and
@@ -32,8 +32,8 @@ use std::sync::Arc;
 use eclectic_algebraic::induction::SuccessorPlan;
 use eclectic_algebraic::{induction, observe, AlgError, AlgSpec, Rewriter};
 use eclectic_kernel::{
-    env_threads, run_tasks, Budget, BudgetExceeded, ConcurrentTermStore, Exhaustion, FxHashMap,
-    IndexQueue, Interner, SharedMemo, StoreHandle, TermId,
+    run_tasks, Budget, BudgetExceeded, ConcurrentTermStore, Exhaustion, FxHashMap, IndexQueue,
+    Interner, SharedMemo, StoreHandle, TermId,
 };
 use eclectic_logic::{Domains, Signature, Structure, Term};
 use eclectic_temporal::{StateIdx, Universe};
@@ -79,57 +79,22 @@ pub struct AlgebraicExploration {
     pub exhausted: Option<Exhaustion>,
 }
 
-/// Explores the reachable states of `spec` and builds `M(T2)`, using
-/// [`env_threads`] worker threads (the `ECLECTIC_THREADS` knob).
+/// Explores the reachable states of `spec` and builds `M(T2)` with
+/// `threads` workers. `threads <= 1` runs the serial search over a private
+/// [`eclectic_kernel::TermStore`]; more workers run the level-synchronous
+/// parallel search over a shared [`ConcurrentTermStore`]. Both produce
+/// bit-identical explorations.
+///
+/// The [`Budget`] is polled once per BFS level against the term store's
+/// node count, so a node cap stops at the same level boundary regardless of
+/// worker count; deadline and cancellation trips additionally interrupt
+/// workers mid-level and stop at the enclosing level. Exhaustion sets
+/// `truncated` and `exhausted` on the partial exploration instead of
+/// failing.
 ///
 /// # Errors
-/// Propagates rewriting/bridge errors; limit hits set `truncated` instead
-/// of failing.
-pub fn explore_algebraic(
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    limits: AlgExploreLimits,
-) -> Result<AlgebraicExploration> {
-    explore_algebraic_threads(spec, interp, info_sig, domains, limits, env_threads())
-}
-
-/// As [`explore_algebraic`], with an explicit thread count. `threads <= 1`
-/// runs the serial search over a private [`eclectic_kernel::TermStore`];
-/// more threads run the level-synchronous parallel search over a shared
-/// [`ConcurrentTermStore`]. Both produce bit-identical explorations.
-///
-/// # Errors
-/// See [`explore_algebraic`].
-pub fn explore_algebraic_threads(
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    limits: AlgExploreLimits,
-    threads: usize,
-) -> Result<AlgebraicExploration> {
-    explore_algebraic_budget(
-        spec,
-        interp,
-        info_sig,
-        domains,
-        limits,
-        &Budget::unlimited(),
-        threads,
-    )
-}
-
-/// As [`explore_algebraic_threads`], governed by a [`Budget`]. The budget is
-/// polled once per BFS level against the term store's node count, so a node
-/// cap stops at the same level boundary regardless of thread count; deadline
-/// and cancellation trips additionally interrupt workers mid-level and stop
-/// at the enclosing level. Exhaustion sets `truncated` and `exhausted` on
-/// the partial exploration instead of failing.
-///
-/// # Errors
-/// See [`explore_algebraic`]; budget exhaustion is *not* an error.
+/// Propagates rewriting/bridge errors; limit hits set `truncated`, and
+/// budget exhaustion `exhausted`, instead of failing.
 pub fn explore_algebraic_budget(
     spec: &AlgSpec,
     interp: &InterpretationI,
@@ -761,20 +726,27 @@ mod tests {
         (spec, interp, Arc::new(info), Arc::new(dom))
     }
 
+    /// An unbudgeted exploration with `threads` workers.
+    fn explore(
+        spec: &AlgSpec,
+        interp: &InterpretationI,
+        info: &Arc<Signature>,
+        dom: &Arc<Domains>,
+        limits: AlgExploreLimits,
+        threads: usize,
+    ) -> AlgebraicExploration {
+        let budget = Budget::unlimited();
+        explore_algebraic_budget(spec, interp, info, dom, limits, &budget, threads).unwrap()
+    }
+
     #[test]
     fn explores_the_powerset_of_offers() {
         let (spec, interp, info, dom) = setup();
-        let exp = explore_algebraic(
-            &spec,
-            &interp,
-            &info,
-            &dom,
-            AlgExploreLimits {
-                max_depth: 5,
-                max_states: 100,
-            },
-        )
-        .unwrap();
+        let limits = AlgExploreLimits {
+            max_depth: 5,
+            max_states: 100,
+        };
+        let exp = explore(&spec, &interp, &info, &dom, limits, 1);
         // offer/cancel generate all 4 subsets of {db, ai}.
         assert_eq!(exp.universe.state_count(), 4);
         assert!(!exp.truncated);
@@ -794,17 +766,11 @@ mod tests {
     #[test]
     fn depth_limit_truncates() {
         let (spec, interp, info, dom) = setup();
-        let exp = explore_algebraic(
-            &spec,
-            &interp,
-            &info,
-            &dom,
-            AlgExploreLimits {
-                max_depth: 1,
-                max_states: 100,
-            },
-        )
-        .unwrap();
+        let limits = AlgExploreLimits {
+            max_depth: 1,
+            max_states: 100,
+        };
+        let exp = explore(&spec, &interp, &info, &dom, limits, 1);
         assert!(exp.truncated);
         assert_eq!(exp.universe.state_count(), 3); // {} and the singletons
     }
@@ -875,39 +841,15 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_ungoverned_exploration() {
-        let (spec, interp, info, dom) = setup();
-        let limits = AlgExploreLimits {
-            max_depth: 5,
-            max_states: 100,
-        };
-        let plain = explore_algebraic_threads(&spec, &interp, &info, &dom, limits, 1).unwrap();
-        let gov = explore_algebraic_budget(
-            &spec,
-            &interp,
-            &info,
-            &dom,
-            limits,
-            &Budget::unlimited(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(gov.universe.state_count(), plain.universe.state_count());
-        assert_eq!(gov.witnesses, plain.witnesses);
-        assert!(gov.exhausted.is_none());
-    }
-
-    #[test]
     fn parallel_exploration_is_bit_identical_to_serial() {
         let (spec, interp, info, dom) = setup();
         let limits = AlgExploreLimits {
             max_depth: 5,
             max_states: 100,
         };
-        let serial = explore_algebraic_threads(&spec, &interp, &info, &dom, limits, 1).unwrap();
+        let serial = explore(&spec, &interp, &info, &dom, limits, 1);
         for threads in [2, 4, 8] {
-            let par =
-                explore_algebraic_threads(&spec, &interp, &info, &dom, limits, threads).unwrap();
+            let par = explore(&spec, &interp, &info, &dom, limits, threads);
             assert_eq!(par.universe.state_count(), serial.universe.state_count());
             assert_eq!(par.universe.edge_count(), serial.universe.edge_count());
             assert_eq!(par.witnesses, serial.witnesses);

@@ -24,10 +24,7 @@ pub use ast::{RelTerm, Stmt};
 pub use binrel::BinRel;
 pub use denote::{CacheStats, DenoteCache};
 pub use error::{Result, RprError};
-pub use pdl::{
-    check_batch, check_batch_budget, check_batch_budget_with, check_batch_threads,
-    check_batch_with, BatchReport, Pdl,
-};
+pub use pdl::{check_batch_budget_with, BatchReport, Pdl};
 pub use parser::{parse_schema, parse_stmt, parse_wff, PAPER_COURSES_SCHEMA};
 pub use printer::{schema_str, stmt_str};
 pub use query::{FuncQueryDef, QueryDef};

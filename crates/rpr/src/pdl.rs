@@ -8,9 +8,8 @@
 //! finite universe.
 
 use eclectic_kernel::{
-    effective_workers, env_threads, run_workers_prio, Budget, BudgetExceeded, Exhaustion, FxHashSet,
+    effective_workers, run_workers_prio, Budget, BudgetExceeded, Exhaustion, FxHashSet, IndexQueue,
     Priority,
-    IndexQueue,
 };
 use eclectic_logic::{eval, Formula, Valuation};
 
@@ -137,7 +136,7 @@ pub fn valid(u: &FiniteUniverse, phi: &Pdl) -> Result<bool> {
     Ok(satisfying_states(u, phi)?.into_iter().all(|b| b))
 }
 
-/// Result of a [`check_batch`] run.
+/// Result of a [`check_batch_budget_with`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
     /// Per input formula, the satisfying-state bit vector (as
@@ -157,47 +156,10 @@ pub struct BatchReport {
 
 /// Model-checks many PDL formulas in one pass over the universe, computing
 /// each distinct modality program's denotation once (`[p]φ` and `⟨q⟩ψ`
-/// duplicated across formulas share one `meaning` computation). Uses
-/// `ECLECTIC_THREADS` workers (see [`env_threads`]) for the denotation
-/// phase.
-///
-/// # Errors
-/// See [`satisfying_states`].
-pub fn check_batch(formulas: &[Pdl], u: &FiniteUniverse) -> Result<BatchReport> {
-    check_batch_threads(formulas, u, env_threads())
-}
-
-/// As [`check_batch`] with an explicit worker count.
-///
-/// # Errors
-/// See [`satisfying_states`].
-pub fn check_batch_threads(
-    formulas: &[Pdl],
-    u: &FiniteUniverse,
-    threads: usize,
-) -> Result<BatchReport> {
-    let mut cache = DenoteCache::new();
-    check_batch_with(formulas, u, &Valuation::new(), &mut cache, threads)
-}
-
-/// As [`check_batch_threads`], governed by a [`Budget`] — see
-/// [`check_batch_budget_with`] for the exhaustion semantics.
-///
-/// # Errors
-/// See [`satisfying_states`]; budget exhaustion is *not* an error.
-pub fn check_batch_budget(
-    formulas: &[Pdl],
-    u: &FiniteUniverse,
-    budget: &Budget,
-    threads: usize,
-) -> Result<BatchReport> {
-    let mut cache = DenoteCache::new();
-    check_batch_budget_with(formulas, u, &Valuation::new(), &mut cache, budget, threads)
-}
-
-/// As [`check_batch`] against a caller-held [`DenoteCache`] and parameter
-/// environment, so many batches over the same universe share denotations
-/// (the environment is part of the cache key).
+/// duplicated across formulas share one `meaning` computation), against a
+/// caller-held [`DenoteCache`] and parameter environment, so many batches
+/// over the same universe share denotations (the environment is part of
+/// the cache key).
 ///
 /// Phase one computes the denotation of every not-yet-cached modality
 /// program — in parallel when `threads > 1`, each distinct program on
@@ -206,24 +168,12 @@ pub fn check_batch_budget(
 /// count; the cache counters are not (workers that race on a shared
 /// sub-statement each compute it locally).
 ///
-/// # Errors
-/// See [`satisfying_states`].
-pub fn check_batch_with(
-    formulas: &[Pdl],
-    u: &FiniteUniverse,
-    env: &Valuation,
-    cache: &mut DenoteCache,
-    threads: usize,
-) -> Result<BatchReport> {
-    check_batch_budget_with(formulas, u, env, cache, &Budget::unlimited(), threads)
-}
-
-/// As [`check_batch_with`], governed by a [`Budget`]. Work is counted in
-/// serial-order units: first the not-yet-cached modality programs (polled
-/// before each denotation, by index), then the formulas (polled before each
-/// walk, offset by the program count) — so a node cap stops after the same
-/// unit at every worker count. Exhaustion keeps the verdict prefix computed
-/// so far and sets `exhausted` instead of failing; denotations finished
+/// The run is governed by a [`Budget`]. Work is counted in serial-order
+/// units: first the not-yet-cached modality programs (polled before each
+/// denotation, by index), then the formulas (polled before each walk,
+/// offset by the program count) — so a node cap stops after the same unit
+/// at every worker count. Exhaustion keeps the verdict prefix computed so
+/// far and sets `exhausted` instead of failing; denotations finished
 /// before the stop stay in `cache` (they are complete, valid entries).
 ///
 /// # Errors
@@ -481,6 +431,13 @@ mod tests {
     use eclectic_logic::{Domains, Signature, Term};
     use std::sync::Arc;
 
+    /// One batch against a fresh cache and the empty environment.
+    fn check_batch(formulas: &[Pdl], u: &FiniteUniverse, threads: usize) -> BatchReport {
+        let mut cache = DenoteCache::new();
+        let (env, budget) = (Valuation::new(), Budget::unlimited());
+        check_batch_budget_with(formulas, u, &env, &mut cache, &budget, threads).unwrap()
+    }
+
     fn setup() -> (FiniteUniverse, Stmt, Formula) {
         let mut sig = Signature::new();
         let course = sig.add_sort("course").unwrap();
@@ -542,7 +499,7 @@ mod tests {
             Pdl::after_all(Stmt::Skip, a.clone()),
             Pdl::after_all(insert.clone().seq(Stmt::Skip), a.clone()),
         ];
-        let report = check_batch_threads(&batch, &u, 1).unwrap();
+        let report = check_batch(&batch, &u, 1);
         // Three distinct denotations: insert, skip, insert;skip. The
         // duplicated `insert` modality, the seq's two children, and the
         // phase-two lookups of the three programs hit the cache.
@@ -569,9 +526,9 @@ mod tests {
             Pdl::after_some(insert.clone().seq(Stmt::Skip), a.clone()),
             Pdl::after_all(insert.clone().union(Stmt::Skip), a.clone()).implies(a.clone()),
         ];
-        let serial = check_batch_threads(&batch, &u, 1).unwrap();
+        let serial = check_batch(&batch, &u, 1);
         for threads in [2, 4, 8] {
-            let par = check_batch_threads(&batch, &u, threads).unwrap();
+            let par = check_batch(&batch, &u, threads);
             assert_eq!(par.satisfying, serial.satisfying, "threads={threads}");
             assert_eq!(par.valid, serial.valid, "threads={threads}");
         }
@@ -582,13 +539,13 @@ mod tests {
         let (u, insert, atom) = setup();
         let a = Pdl::Atom(atom);
         let mut cache = DenoteCache::new();
-        let env = Valuation::new();
+        let (env, budget) = (Valuation::new(), Budget::unlimited());
         let first = vec![Pdl::after_all(insert.clone(), a.clone())];
-        check_batch_with(&first, &u, &env, &mut cache, 1).unwrap();
+        check_batch_budget_with(&first, &u, &env, &mut cache, &budget, 1).unwrap();
         let computed_before = cache.stats().computed;
         // Re-checking the same program is a pure cache hit.
         let second = vec![Pdl::after_some(insert, a)];
-        check_batch_with(&second, &u, &env, &mut cache, 1).unwrap();
+        check_batch_budget_with(&second, &u, &env, &mut cache, &budget, 1).unwrap();
         assert_eq!(cache.stats().computed, computed_before);
         assert!(cache.stats().hits > 0);
     }

@@ -159,14 +159,13 @@ impl Universe {
     /// single-step relation or with its closure (see the DESIGN.md ablation).
     pub fn close_reflexive_transitive(&mut self) {
         let n = self.states.len();
-        // The closure runs on the shared dual-backend relation kernel: a
-        // word-parallel per-source BFS on the dense bit matrix for small
-        // universes, a semi-naive delta closure on sorted adjacency lists
-        // past the crossover dimension, row-strided across
-        // [`eclectic_kernel::env_threads`] workers for large universes
+        // The closure runs on the shared relation kernel at one worker, as
+        // this method takes no worker count: a word-parallel per-source BFS
+        // on the dense bit matrix for small universes, a semi-naive delta
+        // closure on sorted adjacency lists past the crossover dimension
         // (each source's reachable row is independent of every other's, so
-        // the result is identical for any thread count and either backend,
-        // and to the fixpoint iteration this replaced).
+        // the result is identical for either backend, and to the fixpoint
+        // iteration this replaced).
         let mut mat = eclectic_kernel::Rel::new(n);
         for (a, bs) in self.succ.iter().enumerate() {
             for &b in bs {
@@ -174,11 +173,7 @@ impl Universe {
             }
         }
         let closed = eclectic_kernel::LazyClosure::new(&mat)
-            .materialize_governed(
-                n,
-                &eclectic_kernel::Budget::unlimited(),
-                eclectic_kernel::env_threads(),
-            )
+            .materialize_governed(n, &eclectic_kernel::Budget::unlimited(), 1)
             .unwrap_or_else(|_| unreachable!("unlimited budget never trips"));
         self.succ = (0..n)
             .map(|a| closed.iter_row(a).map(StateIdx).collect())

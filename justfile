@@ -4,10 +4,18 @@
 # unless every verdict matched its known answer.
 perf_ok := "import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]); sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 'perfbench smoke run failed: ' + json.dumps(r))"
 
+# Fails if a library file other than the top-level entry points
+# (`spec::verify`, `fuzz::run_corpus`) and the variable's own parser calls
+# `env_threads(`: every sweep below the top takes its worker count from its
+# caller, so `ECLECTIC_THREADS` can never override an explicit count.
+env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src | grep -vxF -e crates/kernel/src/envcfg.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs); if [ -n \"$files\" ]; then echo \"env_threads( called outside the top-level entry points: $files\"; exit 1; fi"
+
 # The full offline gate: release build, tests, lints and rustdoc with
 # warnings denied (so a doc link to a deleted item fails the gate), the
-# parallel-determinism suite in release mode (now covering confluence,
-# completeness, PDL-batch, budget-exhaustion and sparse-backend sweeps),
+# `ECLECTIC_THREADS` read-site check, the
+# parallel-determinism suite in release mode (covering exploration,
+# cross-check, completeness, PDL-batch, dynamic, budget-exhaustion and
+# sparse/compressed-backend sweeps),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
 # cargo package, so `--workspace` does not reach it), a one-second untraced
 # and traced smoke run of the benchmark driver on paper-1w (built into the
@@ -19,6 +27,7 @@ verify:
     timeout 1200 cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    {{env_threads_ok}}
     timeout 600 cargo test -q -p eclectic-spec --release --test parallel_determinism
     timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
@@ -30,11 +39,12 @@ verify:
     timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
-# Lints alone, warnings denied — the clippy and rustdoc slice of
-# `just verify`.
+# Lints alone, warnings denied — the clippy, rustdoc and
+# `ECLECTIC_THREADS` read-site slice of `just verify`.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    {{env_threads_ok}}
 
 # Timing benches, one target per experiment in EXPERIMENTS.md.
 bench:

@@ -77,19 +77,22 @@ fn depth_arg(args: &[String]) -> Result<usize, String> {
 }
 
 /// A numeric limit from a command-line flag, falling back to an environment
-/// variable. A value that fails to parse is diagnosed and treated as unset.
-fn limit_value(args: &[String], flag: &str, env: &str) -> Option<u64> {
-    let (source, raw) = match flag_value(args, flag) {
-        Some(v) => (flag.to_string(), v),
-        None => (env.to_string(), std::env::var(env).ok()?),
-    };
-    match raw.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("warning: ignoring unparseable {source}={raw:?}");
-            None
+/// variable: `None` when neither is set. A flag with a missing or
+/// unparseable value, or an unparseable environment value, is an error
+/// naming its source, never a silently absent bound.
+fn limit_value(args: &[String], flag: &str, env: &str) -> Result<Option<u64>, String> {
+    let (source, raw) = if args.iter().any(|a| a == flag) {
+        (flag, flag_value(args, flag).unwrap_or_default())
+    } else {
+        match std::env::var(env) {
+            Ok(v) => (env, v),
+            Err(std::env::VarError::NotPresent) => return Ok(None),
+            Err(std::env::VarError::NotUnicode(v)) => (env, v.to_string_lossy().into_owned()),
         }
-    }
+    };
+    raw.parse()
+        .map(Some)
+        .map_err(|_| format!("{source} expects a non-negative integer, got {raw:?}"))
 }
 
 fn main() -> ExitCode {
@@ -132,16 +135,21 @@ fn main() -> ExitCode {
         }
         "verify" => {
             let mut config = VerifyConfig::quick();
-            config.refine12.limits.max_depth = match depth_arg(&args) {
-                Ok(depth) => depth,
+            let limits = depth_arg(&args).and_then(|depth| {
+                let deadline = limit_value(&args, "--deadline-ms", "ECLECTIC_DEADLINE_MS")?;
+                let nodes = limit_value(&args, "--max-nodes", "ECLECTIC_MAX_NODES")?;
+                Ok((depth, deadline, nodes))
+            });
+            let (depth, deadline_ms, max_nodes) = match limits {
+                Ok(limits) => limits,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            config.deadline_ms = limit_value(&args, "--deadline-ms", "ECLECTIC_DEADLINE_MS");
-            config.max_nodes = limit_value(&args, "--max-nodes", "ECLECTIC_MAX_NODES")
-                .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+            config.refine12.limits.max_depth = depth;
+            config.deadline_ms = deadline_ms;
+            config.max_nodes = max_nodes.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
             config.print_stages = true;
             match verify(&spec, &config) {
                 Ok(outcome) => {

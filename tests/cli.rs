@@ -1,12 +1,28 @@
-//! The `eclectic` command line: a malformed `--depth` or `--style` is
-//! rejected with an `error:` line and a failing exit code before any
-//! verification runs, and a well-formed `--style` selects the equations.
+//! The `eclectic` command line: a malformed `--depth`, `--style`,
+//! `--deadline-ms` or `--max-nodes` (or a malformed `ECLECTIC_DEADLINE_MS`/
+//! `ECLECTIC_MAX_NODES` fallback) is rejected with an `error:` line and a
+//! failing exit code before any verification runs, a well-formed limit is
+//! applied, and a well-formed `--style` selects the equations.
 
 use std::process::{Command, Output};
 
+/// The limit variables, cleared from every run so the host environment
+/// cannot leak a bound into a test.
+const LIMIT_ENV: [&str; 2] = ["ECLECTIC_DEADLINE_MS", "ECLECTIC_MAX_NODES"];
+
 fn eclectic(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_eclectic"))
-        .args(args)
+    eclectic_with_env(args, &[])
+}
+
+/// Runs the binary with `env` set on top of a copy of this process's
+/// environment without the limit variables.
+fn eclectic_with_env(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_eclectic"));
+    for var in LIMIT_ENV {
+        cmd.env_remove(var);
+    }
+    cmd.args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("the eclectic binary runs")
 }
@@ -14,7 +30,12 @@ fn eclectic(args: &[&str]) -> Output {
 /// A usage error: failing exit, one `error:` line naming `flag`, and nothing
 /// printed by a verification (no stage timings, no report).
 fn assert_rejected(args: &[&str], flag: &str) {
-    let out = eclectic(args);
+    assert_rejected_with_env(args, &[], flag);
+}
+
+/// As [`assert_rejected`], with `env` set for the run.
+fn assert_rejected_with_env(args: &[&str], env: &[(&str, &str)], flag: &str) {
+    let out = eclectic_with_env(args, env);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{args:?} succeeded");
     assert!(
@@ -26,6 +47,38 @@ fn assert_rejected(args: &[&str], flag: &str) {
         "{args:?} ran a verification: {stderr}"
     );
     assert!(out.stdout.is_empty(), "{args:?} printed a report");
+}
+
+#[test]
+fn bad_limits_are_rejected_before_verifying() {
+    for flag in ["--deadline-ms", "--max-nodes"] {
+        for value in ["abc", "-1", "8.5", ""] {
+            assert_rejected(&["verify", "courses", flag, value], flag);
+        }
+        assert_rejected(&["verify", "courses", flag], flag);
+    }
+}
+
+#[test]
+fn bad_limit_env_fallbacks_are_rejected_before_verifying() {
+    for var in LIMIT_ENV {
+        for value in ["abc", "-1", ""] {
+            assert_rejected_with_env(&["verify", "courses"], &[(var, value)], var);
+        }
+    }
+}
+
+#[test]
+fn a_node_cap_from_the_flag_or_the_environment_is_applied() {
+    let runs = [
+        eclectic(&["verify", "courses", "--max-nodes", "0"]),
+        eclectic_with_env(&["verify", "courses"], &[("ECLECTIC_MAX_NODES", "0")]),
+    ];
+    for out in runs {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!out.status.success(), "a partial run passed: {stdout}");
+        assert!(stdout.contains("budget exhausted"), "{stdout}");
+    }
 }
 
 #[test]

@@ -5,9 +5,14 @@
 
 use std::collections::BTreeSet;
 
-use eclectic::algebraic::{induction, Rewriter};
+use eclectic::algebraic::induction::GroundSpace;
+use eclectic::algebraic::{
+    confluence, induction, parse_equations, AlgSignature, AlgSpec, ConditionalEquation, Rewriter,
+};
 use eclectic::logic::Term;
 use eclectic::spec::domains::courses::{functions_level, CoursesConfig, EquationStyle};
+use eclectic::spec::domains::{bank, library};
+use eclectic_kernel::Budget;
 
 /// Straight-line reference simulator for the courses prose semantics.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -205,15 +210,15 @@ fn paper_equation_overlaps_are_harmless() {
     // The guarded overlaps among the 16 equations (eq3/eq4, eq6a/eq6b,
     // eq13/eq14/eq15, …) never disagree on ground redexes — the system is
     // ground confluent on the example.
-    use eclectic::algebraic::confluence;
     let spec = functions_level(&CoursesConfig::default()).unwrap();
     let overlaps = confluence::critical_overlaps(&spec).unwrap();
     assert!(!overlaps.is_empty(), "the paper's equations do overlap");
-    for o in &overlaps {
-        let e1 = spec.equation(&o.first).unwrap();
-        let e2 = spec.equation(&o.second).unwrap();
-        let (_both, disagreement) =
-            confluence::resolve_overlap_on_ground(&spec, e1, e2, 2).unwrap();
+    let space = GroundSpace::new(spec.signature(), 2).unwrap();
+    let pairs = overlap_pairs(&spec, &overlaps);
+    let (resolved, exhausted) =
+        confluence::resolve_overlaps(&spec, &space, &pairs, &Budget::unlimited()).unwrap();
+    assert!(exhausted.is_none());
+    for (o, (_both, disagreement)) in overlaps.iter().zip(&resolved) {
         assert!(
             disagreement.is_none(),
             "{}/{} disagree: {disagreement:?}",
@@ -221,4 +226,146 @@ fn paper_equation_overlaps_are_harmless() {
             o.second
         );
     }
+}
+
+/// The equation pairs behind a list of overlaps, in list order.
+fn overlap_pairs<'s>(
+    spec: &'s AlgSpec,
+    overlaps: &[confluence::Overlap],
+) -> Vec<(&'s ConditionalEquation, &'s ConditionalEquation)> {
+    overlaps
+        .iter()
+        .map(|o| {
+            (
+                spec.equation(&o.first).unwrap(),
+                spec.equation(&o.second).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// The functions level of every packaged domain.
+fn every_domain() -> Vec<(&'static str, AlgSpec)> {
+    vec![
+        (
+            "courses",
+            functions_level(&CoursesConfig::default()).unwrap(),
+        ),
+        (
+            "library",
+            library::functions_level(&library::LibraryConfig::default()).unwrap(),
+        ),
+        (
+            "bank",
+            bank::functions_level(&bank::BankConfig::default()).unwrap(),
+        ),
+    ]
+}
+
+#[test]
+fn resolving_overlaps_together_matches_one_pair_at_a_time() {
+    // One rewriter serves the whole list, so later pairs see a memo warmed
+    // by earlier ones; memo warmth must never change a verdict.
+    for (name, spec) in every_domain() {
+        let overlaps = confluence::critical_overlaps(&spec).unwrap();
+        let space = GroundSpace::new(spec.signature(), 2).unwrap();
+        let pairs = overlap_pairs(&spec, &overlaps);
+        let (together, exhausted) =
+            confluence::resolve_overlaps(&spec, &space, &pairs, &Budget::unlimited()).unwrap();
+        assert!(exhausted.is_none(), "{name}");
+        let mut one_at_a_time = Vec::new();
+        for pair in &pairs {
+            let (r, _) =
+                confluence::resolve_overlaps(&spec, &space, &[*pair], &Budget::unlimited())
+                    .unwrap();
+            one_at_a_time.extend(r);
+        }
+        assert_eq!(together, one_at_a_time, "{name}");
+    }
+}
+
+#[test]
+fn pair_capped_confluence_returns_the_uncapped_prefix() {
+    for (name, spec) in every_domain() {
+        let overlaps = confluence::critical_overlaps(&spec).unwrap();
+        if overlaps.is_empty() {
+            continue;
+        }
+        let space = GroundSpace::new(spec.signature(), 2).unwrap();
+        let pairs = overlap_pairs(&spec, &overlaps);
+        let (all, _) =
+            confluence::resolve_overlaps(&spec, &space, &pairs, &Budget::unlimited()).unwrap();
+        for cap in [0, pairs.len() - 1] {
+            let budget = Budget::unlimited().with_max_nodes(cap);
+            let (prefix, exhausted) =
+                confluence::resolve_overlaps(&spec, &space, &pairs, &budget).unwrap();
+            let e = exhausted.expect(name);
+            assert_eq!((e.stage, e.completed_units), ("confluence", cap), "{name}");
+            assert_eq!(prefix[..], all[..cap], "{name}: cap {cap}");
+        }
+    }
+}
+
+/// `offered` over two courses with a genuinely conflicting pair (`good`
+/// and `evil` both define `offered(c, offer(c, U))`) next to guarded,
+/// harmless overlaps (`good`/`keep`, `gone`/`other`).
+fn conflicting_spec() -> AlgSpec {
+    let mut a = AlgSignature::new().unwrap();
+    let course = a.add_param_sort("course", &["db", "ai"]).unwrap();
+    a.add_query("offered", &[course], None).unwrap();
+    a.add_update("initiate", &[], false).unwrap();
+    a.add_update("offer", &[course], true).unwrap();
+    a.add_update("cancel", &[course], true).unwrap();
+    a.add_param_var("c", course).unwrap();
+    a.add_param_var("c'", course).unwrap();
+    let eqs = parse_equations(
+        &mut a,
+        &[
+            ("base", "offered(c, initiate) = False"),
+            ("good", "offered(c, offer(c, U)) = True"),
+            ("evil", "offered(c, offer(c, U)) = False"),
+            (
+                "keep",
+                "c != c' ==> offered(c, offer(c', U)) = offered(c, U)",
+            ),
+            ("gone", "offered(c, cancel(c, U)) = False"),
+            (
+                "other",
+                "c != c' ==> offered(c, cancel(c', U)) = offered(c, U)",
+            ),
+        ],
+    )
+    .unwrap();
+    AlgSpec::new(a, eqs).unwrap()
+}
+
+#[test]
+fn a_conflicting_pair_disagrees_alone_among_harmless_pairs() {
+    let spec = conflicting_spec();
+    let eq = |name: &str| spec.equation(name).unwrap();
+    let pairs = [
+        (eq("good"), eq("keep")),
+        (eq("good"), eq("evil")),
+        (eq("gone"), eq("other")),
+    ];
+    let space = GroundSpace::new(spec.signature(), 2).unwrap();
+    let (resolved, exhausted) =
+        confluence::resolve_overlaps(&spec, &space, &pairs, &Budget::unlimited()).unwrap();
+    assert!(exhausted.is_none());
+    let disagreeing: Vec<bool> = resolved.iter().map(|(_, d)| d.is_some()).collect();
+    assert_eq!(disagreeing, [false, true, false], "{resolved:?}");
+    assert!(resolved[1].0 > 0, "the conflicting rules fire together");
+}
+
+#[test]
+fn an_overlap_free_spec_has_no_overlaps() {
+    let mut a = AlgSignature::new().unwrap();
+    let course = a.add_param_sort("course", &["db", "ai"]).unwrap();
+    a.add_query("offered", &[course], None).unwrap();
+    a.add_update("initiate", &[], false).unwrap();
+    a.add_update("offer", &[course], true).unwrap();
+    a.add_param_var("c", course).unwrap();
+    let eqs = parse_equations(&mut a, &[("all", "offered(c, U) = False")]).unwrap();
+    let spec = AlgSpec::new(a, eqs).unwrap();
+    assert!(confluence::critical_overlaps(&spec).unwrap().is_empty());
 }

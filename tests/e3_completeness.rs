@@ -9,12 +9,12 @@ use eclectic::algebraic::{
 };
 use eclectic::logic::Term;
 use eclectic::spec::domains::{bank, courses, library};
-use eclectic_kernel::force_worker_cap;
+use eclectic_kernel::{force_worker_cap, Budget};
 
 fn check_spec(spec: &AlgSpec, depth: usize) {
     let t = termination::check_termination(spec).unwrap();
     assert!(t.is_terminating(), "{t:?}");
-    let c = completeness::exhaustive(spec, depth, 10).unwrap();
+    let c = completeness::exhaustive_budget(spec, depth, 10, &Budget::unlimited(), 1).unwrap();
     assert!(c.is_sufficiently_complete(), "{c:?}");
     assert!(c.evaluated > 0);
 }
@@ -65,7 +65,7 @@ fn courses_without_eq7() -> AlgSpec {
 #[test]
 fn dropping_an_equation_is_detected() {
     let broken = courses_without_eq7();
-    let report = completeness::exhaustive(&broken, 2, 50).unwrap();
+    let report = completeness::exhaustive_budget(&broken, 2, 50, &Budget::unlimited(), 1).unwrap();
     assert!(!report.is_sufficiently_complete());
     assert!(
         report.stuck.iter().any(|s| s.term.contains("cancel")),
@@ -171,8 +171,14 @@ fn exhaustive_pass_matches_a_tree_level_reference() {
                 assert!(!want.as_ref().unwrap().stuck.is_empty());
             }
             for threads in [1, 2, 4] {
-                let got = completeness::exhaustive_threads(&broken, depth, max_failures, threads)
-                    .map_err(|e| e.to_string());
+                let got = completeness::exhaustive_budget(
+                    &broken,
+                    depth,
+                    max_failures,
+                    &Budget::unlimited(),
+                    threads,
+                )
+                .map_err(|e| e.to_string());
                 assert_eq!(
                     got, want,
                     "depth {depth}, max_failures {max_failures}, {threads} workers"
@@ -227,7 +233,9 @@ fn degenerate_ground_spaces_match_the_reference() {
         for depth in [0, 2] {
             let want = reference(spec, depth, 5).unwrap();
             for threads in [1, 2] {
-                let got = completeness::exhaustive_threads(spec, depth, 5, threads).unwrap();
+                let got =
+                    completeness::exhaustive_budget(spec, depth, 5, &Budget::unlimited(), threads)
+                        .unwrap();
                 assert_eq!(got, want, "{name}, depth {depth}, {threads} workers");
             }
         }

@@ -3,8 +3,9 @@
 //! plus failure injection (a broken `enroll` reaches an invalid state).
 
 use eclectic::algebraic::AlgSpec;
-use eclectic::refine::{check_refinement_1_2, InterpretationI, Refine12Config};
+use eclectic::refine::{check_refinement_1_2_budget, InterpretationI, Refine12Config};
 use eclectic::spec::domains::{bank, courses, library};
+use eclectic_kernel::Budget;
 
 #[test]
 fn courses_reachable_states_are_valid() {
@@ -12,13 +13,15 @@ fn courses_reachable_states_are_valid() {
     let config = courses::CoursesConfig::default();
     let spec = courses::functions_level(&config).unwrap();
     let full = courses::courses(&config).unwrap();
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &theory,
         &spec,
         &full.interp_i,
         &theory.signature,
         &full.info_domains,
         Refine12Config::quick(),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     assert!(report.static_violations.is_empty(), "{:?}", report.static_violations);
@@ -33,13 +36,15 @@ fn courses_reachable_states_are_valid() {
 #[test]
 fn library_reachable_states_are_valid() {
     let full = library::library(&library::LibraryConfig::default()).unwrap();
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         Refine12Config::quick(),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     assert!(report.static_violations.is_empty(), "{:?}", report.static_violations);
@@ -50,13 +55,15 @@ fn bank_reachable_states_are_valid() {
     let full = bank::bank(&bank::BankConfig::default()).unwrap();
     let mut config = Refine12Config::quick();
     config.limits.max_depth = 8;
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         config,
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     assert!(report.static_violations.is_empty(), "{:?}", report.static_violations);
@@ -99,13 +106,15 @@ fn unguarded_enroll_reaches_invalid_states() {
     )
     .unwrap();
 
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &theory,
         &broken,
         &interp,
         &theory.signature,
         &full.info_domains,
         Refine12Config::quick(),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     assert!(!report.static_violations.is_empty());

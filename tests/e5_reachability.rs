@@ -3,20 +3,23 @@
 //! axioms) must all appear in the explored universe.
 
 use eclectic::refine::{
-    check_refinement_1_2, check_valid_reachable, AlgExploreLimits, Refine12Config,
+    check_refinement_1_2_budget, check_valid_reachable, AlgExploreLimits, Refine12Config,
 };
 use eclectic::spec::domains::{bank, courses, library};
+use eclectic_kernel::Budget;
 
 #[test]
 fn courses_valid_states_are_reachable() {
     let full = courses::courses(&courses::CoursesConfig::default()).unwrap();
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         Refine12Config::quick(),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     let vr = check_valid_reachable(&full.information, &report.exploration, 1_000_000).unwrap();
@@ -37,13 +40,15 @@ fn library_valid_states_are_reachable() {
         max_depth: 8,
         max_states: 10_000,
     };
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         cfg,
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     let vr = check_valid_reachable(&full.information, &report.exploration, 1_000_000).unwrap();
@@ -60,13 +65,15 @@ fn bank_valid_states_are_reachable() {
         max_depth: 10,
         max_states: 10_000,
     };
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         cfg,
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     let vr = check_valid_reachable(&full.information, &report.exploration, 1_000_000).unwrap();
@@ -85,13 +92,15 @@ fn truncated_exploration_is_flagged() {
         max_depth: 1,
         max_states: 10_000,
     };
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         cfg,
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     let vr = check_valid_reachable(&full.information, &report.exploration, 1_000_000).unwrap();

@@ -3,9 +3,10 @@
 //! failure injection (a `drop` update that removes a student's last course).
 
 use eclectic::algebraic::{AlgSpec, ConditionalEquation};
-use eclectic::refine::{check_refinement_1_2, InterpretationI, Refine12Config};
+use eclectic::refine::{check_refinement_1_2_budget, InterpretationI, Refine12Config};
 use eclectic::spec::domains::{bank, courses, library};
 use eclectic::temporal::AccessibilityPolicy;
+use eclectic_kernel::Budget;
 
 fn config_with(policy: AccessibilityPolicy, depth: usize) -> Refine12Config {
     let mut c = Refine12Config::quick();
@@ -18,13 +19,15 @@ fn config_with(policy: AccessibilityPolicy, depth: usize) -> Refine12Config {
 fn courses_transitions_are_consistent_under_both_policies() {
     let full = courses::courses(&courses::CoursesConfig::default()).unwrap();
     for policy in [AccessibilityPolicy::AsIs, AccessibilityPolicy::TransitiveClosure] {
-        let report = check_refinement_1_2(
+        let report = check_refinement_1_2_budget(
             &full.information,
             &full.functions,
             &full.interp_i,
             full.info_signature(),
             &full.info_domains,
             config_with(policy, 6),
+            &Budget::unlimited(),
+            1,
         )
         .unwrap();
         assert!(
@@ -38,13 +41,15 @@ fn courses_transitions_are_consistent_under_both_policies() {
 #[test]
 fn library_transitions_are_consistent() {
     let full = library::library(&library::LibraryConfig::default()).unwrap();
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         config_with(AccessibilityPolicy::AsIs, 8),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     assert!(report.transition_violations.is_empty(), "{:?}", report.transition_violations);
@@ -53,13 +58,15 @@ fn library_transitions_are_consistent() {
 #[test]
 fn bank_closed_accounts_stay_closed() {
     let full = bank::bank(&bank::BankConfig::default()).unwrap();
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &full.information,
         &full.functions,
         &full.interp_i,
         full.info_signature(),
         &full.info_domains,
         config_with(AccessibilityPolicy::AsIs, 8),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     assert!(report.transition_violations.is_empty(), "{:?}", report.transition_violations);
@@ -112,13 +119,15 @@ fn unguarded_drop_violates_the_transition_axiom() {
     )
     .unwrap();
 
-    let report = check_refinement_1_2(
+    let report = check_refinement_1_2_budget(
         &theory,
         &broken,
         &interp,
         &theory.signature,
         &full.info_domains,
         config_with(AccessibilityPolicy::AsIs, 5),
+        &Budget::unlimited(),
+        1,
     )
     .unwrap();
     // Static consistency still holds (dropping preserves takes ⟹ offered)…

@@ -7,9 +7,10 @@
 use std::sync::Arc;
 
 use eclectic::logic::{Elem, Formula, Term};
-use eclectic::refine::{check_equations, InducedAlgebra, InterpretationK, QueryImpl};
+use eclectic::refine::{check_equations_budget, InducedAlgebra, InterpretationK, QueryImpl};
 use eclectic::rpr::{exec, parse_schema, QueryDef, Schema};
 use eclectic::spec::domains::{bank, courses, library};
+use eclectic_kernel::Budget;
 
 #[test]
 fn courses_schema_satisfies_all_16_equations() {
@@ -23,7 +24,7 @@ fn courses_schema_satisfies_all_16_equations() {
     .unwrap();
     // Depth 7 exhausts the reachable state space (25 states, deepest at 6,
     // re-expanded once), making the §5.4 induction conclusive.
-    let report = check_equations(&mut ind, 7, 2_000, 20).unwrap();
+    let report = check_equations_budget(&mut ind, 7, 2_000, 20, &Budget::unlimited()).unwrap();
     assert!(report.is_correct(), "{:?}", report.failures);
     assert!(report.instances > 1_000, "exercised {} instances", report.instances);
     assert!(!report.truncated);
@@ -40,7 +41,7 @@ fn library_derived_schema_satisfies_its_synthesized_equations() {
         full.empty_state(),
     )
     .unwrap();
-    let report = check_equations(&mut ind, 3, 2_000, 20).unwrap();
+    let report = check_equations_budget(&mut ind, 3, 2_000, 20, &Budget::unlimited()).unwrap();
     assert!(report.is_correct(), "{:?}", report.failures);
 }
 
@@ -54,7 +55,7 @@ fn bank_schema_satisfies_its_equations() {
         full.empty_state(),
     )
     .unwrap();
-    let report = check_equations(&mut ind, 3, 2_000, 20).unwrap();
+    let report = check_equations_budget(&mut ind, 3, 2_000, 20, &Budget::unlimited()).unwrap();
     assert!(report.is_correct(), "{:?}", report.failures);
 }
 
@@ -167,11 +168,55 @@ fn unguarded_cancel_fails_equation_6a() {
 
     let template = eclectic::rpr::DbState::new(sig, full.repr_domains.clone());
     let mut ind = InducedAlgebra::new(&full.functions, &broken, &k, template).unwrap();
-    let report = check_equations(&mut ind, 3, 2_000, 50).unwrap();
+    let report = check_equations_budget(&mut ind, 3, 2_000, 50, &Budget::unlimited()).unwrap();
     assert!(!report.is_correct());
     assert!(
         report.failures.iter().any(|f| f.equation == "eq6a"),
         "{:?}",
         report.failures.iter().map(|f| &f.equation).collect::<Vec<_>>()
     );
+}
+
+/// A node cap of 4 stops the RPR reachability BFS at a level boundary: the
+/// states it returns are a prefix of the uncapped state order, flagged as
+/// truncated, with the exhaustion recorded against the `reach` stage.
+#[test]
+fn node_capped_reachability_returns_a_prefix_of_the_state_order() {
+    let domains = [
+        (
+            "courses",
+            courses::courses(&courses::CoursesConfig::default()).unwrap(),
+            6,
+        ),
+        (
+            "library",
+            library::library(&library::LibraryConfig::default()).unwrap(),
+            6,
+        ),
+        ("bank", bank::bank(&bank::BankConfig::default()).unwrap(), 8),
+    ];
+    for (name, full, depth) in &domains {
+        let mut ind = InducedAlgebra::new(
+            &full.functions,
+            &full.representation,
+            &full.interp_k,
+            full.empty_state(),
+        )
+        .unwrap();
+        let (all, _, none) = ind
+            .reachable_states_budget(*depth, 10_000, &Budget::unlimited())
+            .unwrap();
+        assert!(none.is_none(), "{name}: the uncapped run must complete");
+        let capped = Budget::unlimited().with_max_nodes(4);
+        let (prefix, truncated, exhausted) = ind
+            .reachable_states_budget(*depth, 10_000, &capped)
+            .unwrap();
+        assert!(truncated, "{name}: cap 4 must truncate");
+        assert_eq!(exhausted.expect(name).stage, "reach", "{name}");
+        assert!(
+            prefix.len() < all.len(),
+            "{name}: cap 4 must cut the search"
+        );
+        assert_eq!(prefix[..], all[..prefix.len()], "{name}: not a prefix");
+    }
 }

@@ -3,9 +3,10 @@
 //! term rewriting (level 2) and by procedure execution (level 3) answers
 //! every query identically.
 
-use eclectic::refine::{cross_check, random_ops, InducedAlgebra};
+use eclectic::refine::{cross_check_budget, random_ops, InducedAlgebra};
 use eclectic::spec::domains::{bank, courses, library};
 use eclectic::spec::TriLevelSpec;
+use eclectic_kernel::Budget;
 
 fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
     let mut state = seed;
@@ -29,7 +30,8 @@ fn agree(spec: &TriLevelSpec, initial: &str, traces: usize, len: usize, seed: u6
     let mut total = 0usize;
     for _ in 0..traces {
         let ops = random_ops(&spec.functions, &ind, initial, len, &mut rng).unwrap();
-        let (mismatch, stats) = cross_check(&spec.functions, &mut ind, &ops).unwrap();
+        let (mismatch, stats, _) =
+            cross_check_budget(&spec.functions, &mut ind, &ops, &Budget::unlimited(), 1).unwrap();
         assert!(mismatch.is_none(), "{mismatch:?}");
         total += stats.comparisons;
     }
