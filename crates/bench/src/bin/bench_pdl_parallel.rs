@@ -192,11 +192,12 @@ fn satisfying_set(
     let n = u.len();
     match phi {
         Pdl::Atom(_) | Pdl::Not(_) | Pdl::And(..) | Pdl::Or(..) | Pdl::Implies(..) => match phi {
-            Pdl::Atom(f) => u
-                .states()
-                .iter()
-                .map(|st| eclectic_logic::eval::satisfies(st.structure(), env, f).unwrap())
-                .collect(),
+            // Atoms hold no program, so the public evaluator is the old
+            // kernel's evaluator too.
+            Pdl::Atom(_) => {
+                eclectic_rpr::pdl::satisfying_states_cached(u, phi, env, &mut DenoteCache::new())
+                    .unwrap()
+            }
             Pdl::Not(p) => satisfying_set(u, p, env, cache)
                 .into_iter()
                 .map(|b| !b)
@@ -278,17 +279,7 @@ fn formulas_for(body: &Stmt) -> Vec<Pdl> {
     out
 }
 
-fn while_free(s: &Stmt) -> bool {
-    match s {
-        Stmt::While(..) => false,
-        Stmt::Seq(a, b) | Stmt::Union(a, b) => while_free(a) && while_free(b),
-        Stmt::IfThenElse(_, a, b) => while_free(a) && while_free(b),
-        Stmt::IfThen(_, a) | Stmt::Star(a) => while_free(a),
-        _ => true,
-    }
-}
-
-/// The checked applications of a schema: deterministic while-free procs ×
+/// The checked applications of a schema: loop- and choice-free procs ×
 /// their parameter tuples, in serial order — the same flattening
 /// `check_dynamic_budget` performs.
 fn applications(u: &FiniteUniverse, schema: &Schema) -> Vec<(Stmt, Valuation)> {
@@ -296,7 +287,7 @@ fn applications(u: &FiniteUniverse, schema: &Schema) -> Vec<(Stmt, Valuation)> {
     let domains = u.domains().clone();
     let mut out = Vec::new();
     for proc in schema.procs() {
-        if !proc.body.is_deterministic() || !while_free(&proc.body) {
+        if !proc.body.is_loop_and_choice_free() {
             continue;
         }
         let mut tuples: Vec<Vec<Elem>> = vec![Vec::new()];

@@ -36,7 +36,7 @@ use eclectic_bench::{Runner, SpeedupGate};
 use eclectic_kernel::Budget;
 use eclectic_logic::{Elem, Formula, Subst, Term, Valuation};
 use eclectic_refine::{check_dynamic_budget, DynamicFailure};
-use eclectic_rpr::{denote, FiniteUniverse, RprError, Stmt};
+use eclectic_rpr::{denote, FiniteUniverse, RprError};
 use eclectic_spec::domains::{bank, courses, library};
 use eclectic_spec::TriLevelSpec;
 
@@ -297,7 +297,7 @@ fn baseline_dynamic(spec: &TriLevelSpec) -> (usize, usize) {
     let mut checked = 0usize;
     let mut failures = 0usize;
     for proc in schema.procs() {
-        if !proc.body.is_deterministic() || !while_free(&proc.body) {
+        if !proc.body.is_loop_and_choice_free() {
             continue;
         }
         let mut tuples: Vec<Vec<Elem>> = vec![Vec::new()];
@@ -327,16 +327,6 @@ fn baseline_dynamic(spec: &TriLevelSpec) -> (usize, usize) {
         }
     }
     (checked, failures)
-}
-
-fn while_free(s: &Stmt) -> bool {
-    match s {
-        Stmt::While(..) => false,
-        Stmt::Seq(a, b) | Stmt::Union(a, b) => while_free(a) && while_free(b),
-        Stmt::IfThenElse(_, a, b) => while_free(a) && while_free(b),
-        Stmt::IfThen(_, a) | Stmt::Star(a) => while_free(a),
-        _ => true,
-    }
 }
 
 /// Untimed instrumented serial sweep: normalises every ground query

@@ -6,9 +6,54 @@
 
 use crate::error::{LogicError, Result};
 use crate::formula::Formula;
-use crate::structure::{Elem, Structure};
+use crate::signature::Signature;
+use crate::structure::{Domains, Elem, Structure};
+use crate::symbols::{FuncId, PredId};
 use crate::term::Term;
 use crate::valuation::Valuation;
+
+/// What first-order evaluation reads of a finite structure: its signature,
+/// its carriers, and the value of each predicate and function symbol.
+///
+/// [`Structure`] implements it by table lookup. A representation-level
+/// universe implements it on a state *code*, without building the
+/// structure the code stands for, so every level evaluates formulas with
+/// the one evaluator in this module.
+pub trait StructureView {
+    /// The signature interpreted.
+    fn signature(&self) -> &Signature;
+
+    /// The carriers of every sort.
+    fn domains(&self) -> &Domains;
+
+    /// Whether `tuple` is in the predicate's relation.
+    fn pred_holds(&self, p: PredId, tuple: &[Elem]) -> bool;
+
+    /// The function's value on `args`.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::UndefinedFunctionValue`] where the function's
+    /// table has no entry for `args`.
+    fn func_value(&self, f: FuncId, args: &[Elem]) -> Result<Elem>;
+}
+
+impl StructureView for Structure {
+    fn signature(&self) -> &Signature {
+        Structure::signature(self)
+    }
+
+    fn domains(&self) -> &Domains {
+        Structure::domains(self)
+    }
+
+    fn pred_holds(&self, p: PredId, tuple: &[Elem]) -> bool {
+        Structure::pred_holds(self, p, tuple)
+    }
+
+    fn func_value(&self, f: FuncId, args: &[Elem]) -> Result<Elem> {
+        Structure::func_value(self, f, args)
+    }
+}
 
 /// Evaluates a term to a carrier element.
 ///
@@ -16,7 +61,7 @@ use crate::valuation::Valuation;
 /// Returns [`LogicError::UnboundVariable`] for variables missing from the
 /// valuation and [`LogicError::UndefinedFunctionValue`] for partial function
 /// tables.
-pub fn eval_term(st: &Structure, v: &Valuation, t: &Term) -> Result<Elem> {
+pub fn eval_term<S: StructureView + ?Sized>(st: &S, v: &Valuation, t: &Term) -> Result<Elem> {
     match t {
         Term::Var(x) => v.get(*x).ok_or_else(|| {
             LogicError::UnboundVariable(st.signature().var(*x).name.clone())
@@ -38,7 +83,7 @@ pub fn eval_term(st: &Structure, v: &Valuation, t: &Term) -> Result<Elem> {
 /// # Errors
 /// Returns [`LogicError::ModalInFirstOrder`] if the formula contains a modal
 /// operator, plus any term-evaluation error.
-pub fn satisfies(st: &Structure, v: &Valuation, f: &Formula) -> Result<bool> {
+pub fn satisfies<S: StructureView + ?Sized>(st: &S, v: &Valuation, f: &Formula) -> Result<bool> {
     let mut v = v.clone();
     satisfies_mut(st, &mut v, f)
 }
@@ -48,7 +93,11 @@ pub fn satisfies(st: &Structure, v: &Valuation, f: &Formula) -> Result<bool> {
 ///
 /// # Errors
 /// See [`satisfies`].
-pub fn satisfies_mut(st: &Structure, v: &mut Valuation, f: &Formula) -> Result<bool> {
+pub fn satisfies_mut<S: StructureView + ?Sized>(
+    st: &S,
+    v: &mut Valuation,
+    f: &Formula,
+) -> Result<bool> {
     match f {
         Formula::True => Ok(true),
         Formula::False => Ok(false),
@@ -93,7 +142,7 @@ pub fn satisfies_mut(st: &Structure, v: &mut Valuation, f: &Formula) -> Result<b
 ///
 /// # Errors
 /// See [`satisfies`].
-pub fn models(st: &Structure, f: &Formula) -> Result<bool> {
+pub fn models<S: StructureView + ?Sized>(st: &S, f: &Formula) -> Result<bool> {
     satisfies(st, &Valuation::new(), f)
 }
 
@@ -103,8 +152,8 @@ pub fn models(st: &Structure, f: &Formula) -> Result<bool> {
 ///
 /// # Errors
 /// See [`satisfies`].
-pub fn satisfying_assignments(
-    st: &Structure,
+pub fn satisfying_assignments<S: StructureView + ?Sized>(
+    st: &S,
     f: &Formula,
     free: &[crate::symbols::VarId],
 ) -> Result<Vec<Vec<Elem>>> {
@@ -117,8 +166,8 @@ pub fn satisfying_assignments(
 ///
 /// # Errors
 /// See [`satisfies`].
-pub fn satisfying_assignments_with(
-    st: &Structure,
+pub fn satisfying_assignments_with<S: StructureView + ?Sized>(
+    st: &S,
     base: &Valuation,
     f: &Formula,
     free: &[crate::symbols::VarId],
@@ -129,8 +178,8 @@ pub fn satisfying_assignments_with(
     Ok(out)
 }
 
-fn enumerate(
-    st: &Structure,
+fn enumerate<S: StructureView + ?Sized>(
+    st: &S,
     f: &Formula,
     free: &[crate::symbols::VarId],
     i: usize,

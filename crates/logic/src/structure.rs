@@ -168,30 +168,21 @@ impl Structure {
     /// # Errors
     /// Returns an error on arity mismatch or out-of-range elements.
     pub fn set_func(&mut self, f: FuncId, args: Vec<Elem>, value: Elem) -> Result<()> {
-        let decl = self.sig.func(f);
-        if decl.arity() != args.len() {
-            return Err(LogicError::ArityMismatch {
-                name: decl.name.clone(),
-                expected: decl.arity(),
-                found: args.len(),
-            });
-        }
-        for (&a, &s) in args.iter().zip(&decl.domain) {
-            if a.index() >= self.domains.card(s) {
-                return Err(LogicError::ElementOutOfRange {
-                    sort: self.sig.sort_name(s).to_string(),
-                    index: a.0,
-                });
-            }
-        }
-        if value.index() >= self.domains.card(decl.range) {
-            return Err(LogicError::ElementOutOfRange {
-                sort: self.sig.sort_name(decl.range).to_string(),
-                index: value.0,
-            });
-        }
+        self.check_func_entry(f, &args, value)?;
         self.funcs[f.index()].insert(args, value);
         Ok(())
+    }
+
+    /// The checks [`Structure::set_func`] applies before writing `f(args) =
+    /// value`: the arity, then each argument's range, then the value's.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::ArityMismatch`] or
+    /// [`LogicError::ElementOutOfRange`].
+    pub fn check_func_entry(&self, f: FuncId, args: &[Elem], value: Elem) -> Result<()> {
+        let decl = self.sig.func(f);
+        self.check_tuple(&decl.name, &decl.domain, args)?;
+        self.check_elem(decl.range, value)
     }
 
     /// Sets the value of a constant.
@@ -226,23 +217,44 @@ impl Structure {
     /// # Errors
     /// Returns an error on arity mismatch or out-of-range elements.
     pub fn insert_pred(&mut self, p: PredId, tuple: Vec<Elem>) -> Result<bool> {
+        self.check_pred_tuple(p, &tuple)?;
+        Ok(self.preds[p.index()].insert(tuple))
+    }
+
+    /// The checks [`Structure::insert_pred`] and
+    /// [`Structure::set_pred_relation`] apply to each tuple they write: the
+    /// arity, then each element's range.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::ArityMismatch`] or
+    /// [`LogicError::ElementOutOfRange`].
+    pub fn check_pred_tuple(&self, p: PredId, tuple: &[Elem]) -> Result<()> {
         let decl = self.sig.pred(p);
-        if decl.arity() != tuple.len() {
+        self.check_tuple(&decl.name, &decl.domain, tuple)
+    }
+
+    fn check_tuple(&self, name: &str, sorts: &[SortId], tuple: &[Elem]) -> Result<()> {
+        if sorts.len() != tuple.len() {
             return Err(LogicError::ArityMismatch {
-                name: decl.name.clone(),
-                expected: decl.arity(),
+                name: name.to_string(),
+                expected: sorts.len(),
                 found: tuple.len(),
             });
         }
-        for (&a, &s) in tuple.iter().zip(&decl.domain) {
-            if a.index() >= self.domains.card(s) {
-                return Err(LogicError::ElementOutOfRange {
-                    sort: self.sig.sort_name(s).to_string(),
-                    index: a.0,
-                });
-            }
+        for (&a, &s) in tuple.iter().zip(sorts) {
+            self.check_elem(s, a)?;
         }
-        Ok(self.preds[p.index()].insert(tuple))
+        Ok(())
+    }
+
+    fn check_elem(&self, sort: SortId, e: Elem) -> Result<()> {
+        if e.index() >= self.domains.card(sort) {
+            return Err(LogicError::ElementOutOfRange {
+                sort: self.sig.sort_name(sort).to_string(),
+                index: e.0,
+            });
+        }
+        Ok(())
     }
 
     /// Removes a tuple from a predicate's relation. Returns whether the tuple
@@ -268,23 +280,8 @@ impl Structure {
     /// # Errors
     /// Returns an error if any tuple is ill-formed.
     pub fn set_pred_relation(&mut self, p: PredId, tuples: BTreeSet<Vec<Elem>>) -> Result<()> {
-        let decl = self.sig.pred(p);
         for tuple in &tuples {
-            if decl.arity() != tuple.len() {
-                return Err(LogicError::ArityMismatch {
-                    name: decl.name.clone(),
-                    expected: decl.arity(),
-                    found: tuple.len(),
-                });
-            }
-            for (&a, &s) in tuple.iter().zip(&decl.domain) {
-                if a.index() >= self.domains.card(s) {
-                    return Err(LogicError::ElementOutOfRange {
-                        sort: self.sig.sort_name(s).to_string(),
-                        index: a.0,
-                    });
-                }
-            }
+            self.check_pred_tuple(p, tuple)?;
         }
         self.preds[p.index()] = tuples;
         Ok(())

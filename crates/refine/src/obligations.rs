@@ -11,7 +11,7 @@ use eclectic_algebraic::{completeness, termination, AlgSpec};
 use eclectic_kernel::{run_tasks_prio, Budget, BudgetExceeded, Exhaustion, Priority};
 use eclectic_logic::{Domains, Elem, Formula, Signature, Theory, Valuation};
 use eclectic_rpr::pdl::Pdl;
-use eclectic_rpr::{denote, pdl, DbState, DenoteCache, FiniteUniverse, RprError, Schema, Stmt};
+use eclectic_rpr::{denote, pdl, DbState, DenoteCache, FiniteUniverse, RprError, Schema};
 use eclectic_temporal::{constraints, satisfaction, AccessibilityPolicy, StateIdx};
 
 use crate::error::Result;
@@ -254,11 +254,13 @@ pub struct DynamicFailure {
     pub reason: String,
 }
 
-/// Outcome of the §5.1.2/§5.3 dynamic-logic obligations: every
-/// deterministic while-free procedure body denotes a *total function* on
-/// the universe — totality is the PDL validity of `⟨body⟩True`, checked
-/// through the batched model checker; functionality is read off the cached
-/// denotation.
+/// Outcome of the §5.1.2/§5.3 dynamic-logic obligations: every procedure
+/// body without `while`, union or star (see
+/// [`eclectic_rpr::Stmt::is_loop_and_choice_free`]) denotes a *total
+/// function* on the universe — totality is the PDL validity of
+/// `⟨body⟩True`, checked through the batched model checker; functionality
+/// is read off the cached denotation. A bare test in such a body can fail
+/// totality.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynamicReport {
     /// Contract violations found.
@@ -267,8 +269,8 @@ pub struct DynamicReport {
     pub checked: usize,
     /// Size of the enumerated universe (0 when skipped).
     pub universe_states: usize,
-    /// Procedures outside the contract's fragment (nondeterministic or
-    /// containing `while`), listed by name and left unchecked.
+    /// Procedures outside the contract's fragment (containing `while`,
+    /// union or star), listed by name and left unchecked.
     pub unchecked_procs: Vec<String>,
     /// Set when the universe exceeded the cap and the check was skipped.
     pub skipped: Option<String>,
@@ -408,7 +410,7 @@ pub fn plan_dynamic<'s>(
     let mut apps: Vec<(&eclectic_rpr::ProcDecl, Vec<Elem>, Valuation)> = Vec::new();
     let mut proc_ranges = Vec::new();
     for proc in schema.procs() {
-        if !proc.body.is_deterministic() || !while_free(&proc.body) {
+        if !proc.body.is_loop_and_choice_free() {
             base.unchecked_procs.push(proc.name.clone());
             continue;
         }
@@ -554,23 +556,6 @@ fn check_application(
         });
     }
     Ok(failures)
-}
-
-/// Whether a statement contains no `while` loop (the fragment whose
-/// deterministic members denote total functions).
-fn while_free(s: &Stmt) -> bool {
-    match s {
-        Stmt::While(..) => false,
-        Stmt::Seq(p, q) | Stmt::Union(p, q) => while_free(p) && while_free(q),
-        Stmt::IfThenElse(_, p, q) => while_free(p) && while_free(q),
-        Stmt::IfThen(_, p) | Stmt::Star(p) => while_free(p),
-        Stmt::Assign(..)
-        | Stmt::RelAssign(..)
-        | Stmt::Test(_)
-        | Stmt::Insert(..)
-        | Stmt::Delete(..)
-        | Stmt::Skip => true,
-    }
 }
 
 /// All argument tuples over the parameter sorts (cartesian product).

@@ -171,6 +171,29 @@ impl Stmt {
         }
     }
 
+    /// Whether the statement has no `while`, union or star: it is built from
+    /// atomic statements (total functions on a universe) and tests (partial
+    /// identities) by `;` and conditionals, so it denotes a partial
+    /// function. These are the procedure bodies whose dynamic contracts the
+    /// verifier checks. Unlike [`Stmt::is_deterministic`] it admits a bare
+    /// test, which can make a body partial.
+    #[must_use]
+    pub fn is_loop_and_choice_free(&self) -> bool {
+        match self {
+            Stmt::Assign(..)
+            | Stmt::RelAssign(..)
+            | Stmt::Insert(..)
+            | Stmt::Delete(..)
+            | Stmt::Skip
+            | Stmt::Test(_) => true,
+            Stmt::Union(..) | Stmt::Star(_) | Stmt::While(..) => false,
+            Stmt::Seq(p, q) | Stmt::IfThenElse(_, p, q) => {
+                p.is_loop_and_choice_free() && q.is_loop_and_choice_free()
+            }
+            Stmt::IfThen(_, p) => p.is_loop_and_choice_free(),
+        }
+    }
+
     /// Validates a statement whose free variables are all bound by the
     /// enclosing procedure's parameters (`allowed`).
     ///
@@ -450,7 +473,19 @@ mod tests {
         assert!(ins.is_deterministic());
         assert!(!ins.clone().union(Stmt::Skip).is_deterministic());
         assert!(!Stmt::Skip.star().is_deterministic());
-        assert!(ins.guarded_by(Formula::True).is_deterministic());
+        assert!(ins.clone().guarded_by(Formula::True).is_deterministic());
+
+        // The checked fragment admits bare tests, not loops or choice.
+        let tested = Stmt::Test(Formula::True).seq(ins.clone());
+        assert!(!tested.is_deterministic());
+        assert!(tested.is_loop_and_choice_free());
+        assert!(ins
+            .clone()
+            .guarded_by(Formula::True)
+            .is_loop_and_choice_free());
+        assert!(!ins.clone().union(Stmt::Skip).is_loop_and_choice_free());
+        assert!(!ins.clone().star().is_loop_and_choice_free());
+        assert!(!Stmt::While(Formula::True, Box::new(ins)).is_loop_and_choice_free());
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //! environment [`Valuation`]. Derived constructs are interpreted through
 //! their definitions.
 
+use std::collections::BTreeSet;
+
 use eclectic_kernel::Budget;
 use eclectic_logic::kernel::FxHashMap;
-use eclectic_logic::{eval, Elem, Valuation};
+use eclectic_logic::{eval, Elem, PredId, Term, Valuation};
 
 use crate::ast::Stmt;
 use crate::binrel::BinRel;
 use crate::error::{Result, RprError};
 use crate::schema::Schema;
-use crate::universe::FiniteUniverse;
+use crate::universe::{CodeView, FiniteUniverse};
 
 /// Hit/computed counters for a [`DenoteCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -251,42 +253,43 @@ fn relevant_env(stmt: &Stmt, env: &Valuation) -> Valuation {
 
 /// Computes `m(stmt)` over the universe, with parameters bound by `env`.
 ///
+/// Atomic statements never build a state: each reads the source state
+/// through its code's view and writes the target's code (see
+/// [`FiniteUniverse`]).
+///
 /// # Errors
 /// Propagates evaluation errors; returns [`RprError::BadStatement`] if a
 /// result state escapes the universe (a non-program symbol was modified).
 pub fn meaning(u: &FiniteUniverse, stmt: &Stmt, env: &Valuation) -> Result<BinRel> {
     let n = u.len();
+    // Terms mention no predicate.
+    let no_reads = BTreeSet::new();
     match stmt {
         Stmt::Skip => Ok(BinRel::identity(n)),
-        Stmt::Assign(x, t) => {
-            let mut out = BinRel::with_dim(n);
-            for (i, st) in u.states().iter().enumerate() {
-                let v = eval::eval_term(st.structure(), env, t)?;
-                let mut next = st.clone();
-                next.set_scalar(*x, v)?;
-                out.insert(i, u.index_or_err(&next)?);
-            }
-            Ok(out)
-        }
-        Stmt::RelAssign(r, f) => {
-            let mut out = BinRel::with_dim(n);
-            for (i, st) in u.states().iter().enumerate() {
-                let rows =
-                    eval::satisfying_assignments_with(st.structure(), env, &f.wff, &f.vars)?;
-                let mut next = st.clone();
-                next.structure_mut()
-                    .set_pred_relation(*r, rows.into_iter().collect())?;
-                out.insert(i, u.index_or_err(&next)?);
-            }
-            Ok(out)
-        }
+        Stmt::Assign(x, t) => function(
+            u,
+            &no_reads,
+            |view| Ok(eval::eval_term(view, env, t)?),
+            |i, &v| u.assign(i, *x, v),
+        ),
+        Stmt::RelAssign(r, f) => function(
+            u,
+            &f.wff.predicates(),
+            |view| Ok(eval::satisfying_assignments_with(view, env, &f.wff, &f.vars)?),
+            |i, rows| u.set_relation(i, *r, rows),
+        ),
         Stmt::Test(p) => {
             let mut out = BinRel::with_dim(n);
-            for (i, st) in u.states().iter().enumerate() {
-                if eval::satisfies(st.structure(), env, p)? {
-                    out.insert(i, i);
-                }
-            }
+            u.for_each_class(
+                &p.predicates(),
+                |view| Ok(eval::satisfies(view, env, p)?),
+                |i, &holds| {
+                    if holds {
+                        out.insert(i, i);
+                    }
+                    Ok(())
+                },
+            )?;
             Ok(out)
         }
         Stmt::Union(p, q) => Ok(meaning(u, p, env)?.union(&meaning(u, q, env)?)),
@@ -312,36 +315,41 @@ pub fn meaning(u: &FiniteUniverse, stmt: &Stmt, env: &Valuation) -> Result<BinRe
             let ntest = test.diag_complement(n);
             Ok(test.compose(&meaning(u, p, env)?).star(n).compose(&ntest))
         }
-        Stmt::Insert(r, args) => {
-            let mut out = BinRel::with_dim(n);
-            for (i, st) in u.states().iter().enumerate() {
-                let tuple = eval_tuple(st, env, args)?;
-                let mut next = st.clone();
-                next.insert(*r, tuple)?;
-                out.insert(i, u.index_or_err(&next)?);
-            }
-            Ok(out)
-        }
-        Stmt::Delete(r, args) => {
-            let mut out = BinRel::with_dim(n);
-            for (i, st) in u.states().iter().enumerate() {
-                let tuple = eval_tuple(st, env, args)?;
-                let mut next = st.clone();
-                next.delete(*r, &tuple);
-                out.insert(i, u.index_or_err(&next)?);
-            }
-            Ok(out)
-        }
+        Stmt::Insert(r, args) => function(
+            u,
+            &no_reads,
+            |view| eval_tuple(view, env, args),
+            |i, tuple| u.insert(i, *r, tuple),
+        ),
+        Stmt::Delete(r, args) => function(
+            u,
+            &no_reads,
+            |view| eval_tuple(view, env, args),
+            |i, tuple| u.delete(i, *r, tuple),
+        ),
     }
 }
 
-fn eval_tuple(
-    st: &crate::state::DbState,
-    env: &Valuation,
-    args: &[eclectic_logic::Term],
-) -> Result<Vec<Elem>> {
+/// The relation `{(i, next(i, value)) | i < n}` of a total function on
+/// codes, where `value` is `eval` on the view of code `i`, a formula or
+/// term over the predicates `reads` (see [`FiniteUniverse::for_each_class`]).
+fn function<T>(
+    u: &FiniteUniverse,
+    reads: &BTreeSet<PredId>,
+    eval: impl FnMut(&CodeView<'_>) -> Result<T>,
+    next: impl Fn(usize, &T) -> Result<usize>,
+) -> Result<BinRel> {
+    let mut out = BinRel::with_dim(u.len());
+    u.for_each_class(reads, eval, |i, value| {
+        out.insert(i, next(i, value)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+fn eval_tuple(view: &CodeView<'_>, env: &Valuation, args: &[Term]) -> Result<Vec<Elem>> {
     args.iter()
-        .map(|t| eval::eval_term(st.structure(), env, t).map_err(RprError::Logic))
+        .map(|t| eval::eval_term(view, env, t).map_err(RprError::Logic))
         .collect()
 }
 
@@ -484,8 +492,8 @@ mod tests {
         ];
         for p in programs {
             let m = meaning(&u, &p, &e).unwrap();
-            for (i, st) in u.states().iter().enumerate() {
-                let direct: std::collections::BTreeSet<usize> = run(st, &p, &e)
+            for i in 0..u.len() {
+                let direct: std::collections::BTreeSet<usize> = run(&u.state(i), &p, &e)
                     .unwrap()
                     .into_iter()
                     .map(|s| u.index_or_err(&s).unwrap())

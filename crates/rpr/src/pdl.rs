@@ -82,15 +82,8 @@ impl Pdl {
 /// # Errors
 /// Propagates meaning/evaluation errors.
 pub fn satisfying_states(u: &FiniteUniverse, phi: &Pdl) -> Result<Vec<bool>> {
-    let n = u.len();
     Ok(match phi {
-        Pdl::Atom(f) => {
-            let mut out = vec![false; n];
-            for (i, st) in u.states().iter().enumerate() {
-                out[i] = eval::models(st.structure(), f)?;
-            }
-            out
-        }
+        Pdl::Atom(f) => atom_states(u, f, &Valuation::new())?,
         Pdl::Not(p) => satisfying_states(u, p)?.into_iter().map(|b| !b).collect(),
         Pdl::And(p, q) => zip_with(satisfying_states(u, p)?, satisfying_states(u, q)?, |a, b| {
             a && b
@@ -114,6 +107,21 @@ pub fn satisfying_states(u: &FiniteUniverse, phi: &Pdl) -> Result<Vec<bool>> {
             m.diamond_states(&inner)
         }
     })
+}
+
+/// The states satisfying a first-order atom under `env`, evaluated on the
+/// codes' views (see [`FiniteUniverse::for_each_class`]).
+fn atom_states(u: &FiniteUniverse, f: &Formula, env: &Valuation) -> Result<Vec<bool>> {
+    let mut out = Vec::with_capacity(u.len());
+    u.for_each_class(
+        &f.predicates(),
+        |view| Ok(eval::satisfies(view, env, f)?),
+        |_, &holds| {
+            out.push(holds);
+            Ok(())
+        },
+    )?;
+    Ok(out)
 }
 
 fn zip_with(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
@@ -371,15 +379,8 @@ pub fn satisfying_states_governed(
     cache: &mut DenoteCache,
     budget: &Budget,
 ) -> Result<Vec<bool>> {
-    let n = u.len();
     Ok(match phi {
-        Pdl::Atom(f) => {
-            let mut out = vec![false; n];
-            for (i, st) in u.states().iter().enumerate() {
-                out[i] = eval::satisfies(st.structure(), env, f)?;
-            }
-            out
-        }
+        Pdl::Atom(f) => atom_states(u, f, env)?,
         Pdl::Not(p) => satisfying_states_governed(u, p, env, cache, budget)?
             .into_iter()
             .map(|b| !b)

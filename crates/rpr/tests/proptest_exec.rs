@@ -171,8 +171,8 @@ proptest! {
 
         let env = Valuation::new();
         let m = denote::meaning(&u, &p, &env).unwrap();
-        for (i, st) in u.states().iter().enumerate() {
-            let direct: std::collections::BTreeSet<usize> = exec::run(st, &p, &env)
+        for i in 0..u.len() {
+            let direct: std::collections::BTreeSet<usize> = exec::run(&u.state(i), &p, &env)
                 .unwrap()
                 .into_iter()
                 .map(|s| u.index_or_err(&s).unwrap())

@@ -18,8 +18,11 @@ env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src
 # sparse/compressed-backend sweeps),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
 # cargo package, so `--workspace` does not reach it), a one-second untraced
-# and traced smoke run of the benchmark driver on paper-1w (built into the
-# same target directory as those tests), and the parallel/crossover benches.
+# and traced smoke run of the benchmark driver on paper-1w and on
+# dynamic-bank (built into the same target directory as those tests; the
+# second is the only gate that runs the dynamic stage on the 4,096-state
+# bank universe, which is over paper-1w's PDL cap, against its known
+# answer), and the parallel/crossover benches.
 # The tier-1 steps run under a hard timeout so a hung sweep fails the gate
 # instead of wedging it.
 verify:
@@ -32,6 +35,8 @@ verify:
     timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
+    CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
+    CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
     cargo run -p eclectic-bench --bin bench_reach_parallel --release
     cargo run -p eclectic-bench --bin bench_verify_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release

@@ -6,9 +6,12 @@
 
 use std::sync::Arc;
 
-use eclectic::logic::{Formula, Signature, Term};
+use eclectic::logic::{Elem, Formula, Signature, Term};
+use eclectic::refine::check_dynamic_budget;
 use eclectic::rpr::pdl::{holds_at, satisfying_states, valid, Pdl};
 use eclectic::rpr::{parse_schema, DbState, FiniteUniverse, Schema, Stmt, PAPER_COURSES_SCHEMA};
+use eclectic::spec::domains::{bank, BankConfig};
+use eclectic_kernel::Budget;
 
 fn setup() -> (Schema, FiniteUniverse) {
     let mut sig = Signature::new();
@@ -130,4 +133,57 @@ fn diamond_and_box_are_dual() {
         satisfying_states(&u, &dia).unwrap(),
         satisfying_states(&u, &dual).unwrap()
     );
+}
+
+/// The bank at 2 accounts × 3 amounts, with `deposit`'s body passed through
+/// `edit`.
+fn bank_2x3(edit: impl Fn(Stmt) -> Stmt) -> (Schema, DbState) {
+    let (schema, _, template) = bank::representation_level(&BankConfig::sized(2, 3)).unwrap();
+    let mut procs = schema.procs().to_vec();
+    let deposit = procs.iter_mut().find(|p| p.name == "deposit").unwrap();
+    deposit.body = edit(deposit.body.clone());
+    let schema = Schema::new(
+        schema.signature().clone(),
+        schema.relations().to_vec(),
+        procs,
+    );
+    (schema.unwrap(), template)
+}
+
+#[test]
+fn a_bare_guard_test_fails_dynamic_totality() {
+    // `if c then p fi` skips when `c` fails; `c? ; p` is stuck there, so the
+    // dynamic stage must report `deposit` as not total at both accounts.
+    let (schema, template) = bank_2x3(|body| match body {
+        Stmt::IfThen(c, p) => Stmt::Test(c).seq(*p),
+        other => panic!("deposit is no longer `if c then p fi`: {other:?}"),
+    });
+    let report =
+        check_dynamic_budget(&schema, &template, 1 << 12, &Budget::unlimited(), 1).unwrap();
+    assert_eq!(report.universe_states, 1 << 10);
+    assert_eq!(report.checked, 9);
+    assert!(
+        report.unchecked_procs.is_empty(),
+        "{:?}",
+        report.unchecked_procs
+    );
+    let failures: Vec<_> = report
+        .failures
+        .iter()
+        .map(|f| (f.proc.as_str(), f.args.clone(), f.reason.as_str()))
+        .collect();
+    let not_total = "not total: some state has no successor";
+    assert_eq!(
+        failures,
+        [
+            ("deposit", vec![Elem(0)], not_total),
+            ("deposit", vec![Elem(1)], not_total)
+        ]
+    );
+
+    let (schema, template) = bank_2x3(|body| body);
+    let report =
+        check_dynamic_budget(&schema, &template, 1 << 12, &Budget::unlimited(), 1).unwrap();
+    assert_eq!(report.checked, 9);
+    assert!(report.is_correct(), "{:?}", report.failures);
 }

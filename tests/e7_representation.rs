@@ -92,7 +92,7 @@ fn denotation_agrees_with_execution_for_every_procedure() {
     ] {
         let k = denote::proc_meaning(&u, &schema, proc, &args).unwrap();
         for i in 0..u.len() {
-            let direct = exec::call_deterministic(&schema, u.state(i), proc, &args).unwrap();
+            let direct = exec::call_deterministic(&schema, &u.state(i), proc, &args).unwrap();
             let expected = u.index_of(&direct).unwrap();
             assert_eq!(
                 k.image(i).into_iter().collect::<Vec<_>>(),
