@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use eclectic_kernel::{
-    effective_workers, run_workers_prio, Budget, BudgetExceeded, Exhaustion, IndexQueue, Interner,
-    Priority, TermId,
+    effective_workers, run_workers_prio, Budget, BudgetExceeded, Exhaustion, IndexQueue, Priority,
+    TermId,
 };
 use eclectic_logic::{FuncId, Term};
 
@@ -110,8 +110,8 @@ pub fn coverage(spec: &AlgSpec) -> Result<Vec<MissingCase>> {
 ///
 /// # Errors
 /// Propagates unexpected rewriting errors.
-pub fn exhaustive_budget_with<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+pub fn exhaustive_budget_with(
+    rw: &mut Rewriter<'_>,
     space: &GroundSpace,
     max_failures: usize,
     budget: &Budget,
@@ -275,7 +275,7 @@ fn query_block(sig: &AlgSignature, space: &GroundSpace) -> Result<QueryBlock> {
 }
 
 /// Interns every parameter tuple of `block` into `rw`'s store, once.
-fn intern_block<S: Interner>(rw: &mut Rewriter<'_, S>, block: &QueryBlock) -> QueryBlockIds {
+fn intern_block(rw: &mut Rewriter<'_>, block: &QueryBlock) -> QueryBlockIds {
     block
         .iter()
         .map(|(q, tuples)| {
@@ -347,9 +347,9 @@ impl<'s> CompletenessSweep<'s> {
     /// caller's running stuck count. Returns `false` when the caller should
     /// stop claiming more ranges (budget stop, error event, or local stuck
     /// cap reached).
-    fn run_range_with<S: Interner>(
+    fn run_range_with(
         &self,
-        rw: &mut Rewriter<'_, S>,
+        rw: &mut Rewriter<'_>,
         block: &QueryBlockIds,
         range: std::ops::Range<usize>,
         budget: &Budget,
@@ -446,8 +446,8 @@ impl<'s> CompletenessSweep<'s> {
 /// Evaluates the ground query application `q(params…, state)` by id: `None`
 /// when it reduces to a parameter name, `Some` when it is stuck (including
 /// fuel exhaustion). Only a stuck instance is externed and rendered.
-fn eval_instance<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+fn eval_instance(
+    rw: &mut Rewriter<'_>,
     q: FuncId,
     params: &[TermId],
     state: TermId,
@@ -470,7 +470,7 @@ fn eval_instance<S: Interner>(
 }
 
 /// Renders an interned term in the concrete syntax.
-fn render<S: Interner>(rw: &Rewriter<'_, S>, t: TermId) -> String {
+fn render(rw: &Rewriter<'_>, t: TermId) -> String {
     term_str(rw.spec().signature(), &rw.extern_term(t))
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use eclectic_kernel::{FxHashMap, Interner, TermId};
+use eclectic_kernel::{FxHashMap, TermId};
 use eclectic_logic::{SortId, Term};
 
 use crate::error::{AlgError, Result};
@@ -48,8 +48,8 @@ pub fn param_tuples(sig: &AlgSignature, sorts: &[SortId]) -> Result<Vec<Vec<Term
 ///
 /// # Errors
 /// Returns [`AlgError::NotAParamSort`] if a sort is the state sort.
-pub fn param_tuple_ids<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+pub fn param_tuple_ids(
+    rw: &mut Rewriter<'_>,
     sorts: &[SortId],
 ) -> Result<Vec<Vec<TermId>>> {
     let sig = rw.spec().signature().clone();
@@ -82,34 +82,13 @@ pub fn param_tuple_ids<S: Interner>(
 ///
 /// # Errors
 /// Propagates signature errors.
-pub fn initial_state_ids<S: Interner>(rw: &mut Rewriter<'_, S>) -> Result<Vec<TermId>> {
+pub fn initial_state_ids(rw: &mut Rewriter<'_>) -> Result<Vec<TermId>> {
     let sig = rw.spec().signature().clone();
     let mut out = Vec::new();
     for u in sig.updates() {
         if !sig.update_takes_state(u)? {
             for params in param_tuple_ids(rw, &sig.update_params(u)?)? {
                 out.push(rw.app_id(u, &params));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Like [`successor_terms`], but over interned states: every state-taking
-/// update applied with every parameter tuple, built by id without cloning
-/// the (shared) state subtree.
-///
-/// # Errors
-/// Propagates signature errors.
-pub fn successor_ids<S: Interner>(rw: &mut Rewriter<'_, S>, state: TermId) -> Result<Vec<TermId>> {
-    let sig = rw.spec().signature().clone();
-    let mut out = Vec::new();
-    for u in sig.updates() {
-        if sig.update_takes_state(u)? {
-            for params in param_tuple_ids(rw, &sig.update_params(u)?)? {
-                let mut args = params;
-                args.push(state);
-                out.push(rw.app_id(u, &args));
             }
         }
     }
@@ -135,7 +114,7 @@ impl SuccessorPlan {
     ///
     /// # Errors
     /// Propagates signature errors.
-    pub fn new<S: Interner>(rw: &mut Rewriter<'_, S>) -> Result<Self> {
+    pub fn new(rw: &mut Rewriter<'_>) -> Result<Self> {
         let sig = rw.spec().signature().clone();
         let mut plan = Vec::new();
         let mut count = 0;
@@ -163,10 +142,10 @@ impl SuccessorPlan {
 
     /// Builds the one-step successors of `state` into a reusable buffer
     /// (cleared first), in the same (update, parameter-tuple) order as
-    /// [`successor_ids`].
-    pub fn successors_into<S: Interner>(
+    /// [`successor_terms`].
+    pub fn successors_into(
         &self,
-        rw: &mut Rewriter<'_, S>,
+        rw: &mut Rewriter<'_>,
         state: TermId,
         out: &mut Vec<TermId>,
     ) {

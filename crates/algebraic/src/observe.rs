@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use eclectic_kernel::{Interner, TermId};
+use eclectic_kernel::TermId;
 use eclectic_logic::{FuncId, Term};
 
 use crate::error::Result;
@@ -68,7 +68,7 @@ impl ObsKeys {
     ///
     /// # Errors
     /// Propagates signature errors.
-    pub fn new<S: Interner>(rw: &mut Rewriter<'_, S>) -> Result<Self> {
+    pub fn new(rw: &mut Rewriter<'_>) -> Result<Self> {
         let sig = rw.spec().signature().clone();
         let mut plan = Vec::new();
         let mut arity = 0;
@@ -93,9 +93,9 @@ impl ObsKeys {
     ///
     /// # Errors
     /// Propagates rewriting errors.
-    pub fn key_into<S: Interner>(
+    pub fn key_into(
         &self,
-        rw: &mut Rewriter<'_, S>,
+        rw: &mut Rewriter<'_>,
         state: TermId,
         out: &mut Vec<TermId>,
     ) -> Result<()> {
@@ -114,7 +114,7 @@ impl ObsKeys {
     ///
     /// # Errors
     /// Propagates rewriting errors.
-    pub fn key<S: Interner>(&self, rw: &mut Rewriter<'_, S>, state: TermId) -> Result<Vec<TermId>> {
+    pub fn key(&self, rw: &mut Rewriter<'_>, state: TermId) -> Result<Vec<TermId>> {
         let mut out = Vec::with_capacity(self.arity);
         self.key_into(rw, state, &mut out)?;
         Ok(out)
@@ -127,9 +127,9 @@ impl ObsKeys {
     ///
     /// # Errors
     /// Propagates rewriting errors.
-    pub fn key_id<S: Interner>(
+    pub fn key_id(
         &self,
-        rw: &mut Rewriter<'_, S>,
+        rw: &mut Rewriter<'_>,
         state: TermId,
         row: &mut Vec<TermId>,
     ) -> Result<TermId> {

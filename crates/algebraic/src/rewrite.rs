@@ -27,9 +27,7 @@
 
 use std::sync::Arc;
 
-use eclectic_kernel::{
-    Binding, Budget, FxHashMap, Interner, SharedMemo, TermId, TermNode, TermStore,
-};
+use eclectic_kernel::{Binding, Budget, FxHashMap, TermId, TermNode, TermStore};
 use eclectic_logic::{Formula, FuncId, SortId, Subst, Term, VarId};
 
 use crate::error::{AlgError, Result};
@@ -65,11 +63,9 @@ pub fn match_term(pattern: &Term, subject: &Term, binding: &mut Subst) -> bool {
 /// Matches an interned `pattern` against an interned `subject`, extending
 /// `binding`. Like [`match_term`] but over [`TermId`]s: the bound-variable
 /// consistency check for non-linear patterns is a single id comparison.
-/// Generic over the store backend so the concurrent exploration paths can
-/// match through per-thread handles.
 #[must_use]
-pub fn match_id<S: Interner + ?Sized>(
-    store: &S,
+pub fn match_id(
+    store: &TermStore,
     pattern: TermId,
     subject: TermId,
     binding: &mut Binding,
@@ -99,8 +95,7 @@ pub struct RewriteStats {
     pub steps: usize,
     /// Normal forms served from the cache.
     pub cache_hits: usize,
-    /// Normal forms computed because neither the local nor the shared memo
-    /// had them.
+    /// Normal forms computed because the memo did not have them.
     pub cache_misses: usize,
     /// Conditions evaluated.
     pub conditions: usize,
@@ -127,7 +122,7 @@ enum Cond {
     Unsupported,
 }
 
-fn compile_cond<S: Interner>(store: &mut S, f: &Formula) -> Cond {
+fn compile_cond(store: &mut TermStore, f: &Formula) -> Cond {
     match f {
         Formula::True => Cond::True,
         Formula::False => Cond::False,
@@ -168,18 +163,13 @@ struct Rule {
 
 /// A rewriting engine over one specification, with memoised normal forms.
 ///
-/// The engine owns a term store backend `S` holding every term it has seen;
-/// the memo table maps interned input terms to interned normal forms, so a
-/// repeat normalisation of any previously-seen subterm is one hash lookup.
-///
-/// `S` defaults to the serial [`TermStore`] (so `Rewriter<'_>` keeps its
-/// pre-existing meaning); parallel exploration instantiates it with a
-/// per-thread `StoreHandle` onto a shared `ConcurrentTermStore`, optionally
-/// wiring the thread-local memo to a cross-thread [`SharedMemo`].
+/// The engine owns a [`TermStore`] holding every term it has seen; the memo
+/// table maps interned input terms to interned normal forms, so a repeat
+/// normalisation of any previously-seen subterm is one hash lookup.
 #[derive(Debug)]
-pub struct Rewriter<'a, S: Interner = TermStore> {
+pub struct Rewriter<'a> {
     spec: &'a AlgSpec,
-    store: S,
+    store: TermStore,
     /// Normal-form memo: interned term → interned normal form.
     memo: FxHashMap<TermId, TermId>,
     /// Compiled rules, in equation order.
@@ -197,9 +187,6 @@ pub struct Rewriter<'a, S: Interner = TermStore> {
     fuel_limit: usize,
     remaining: usize,
     stats: RewriteStats,
-    /// Optional cross-thread normal-form memo, consulted on a local-memo
-    /// miss and fed with every normal form this rewriter computes.
-    shared_memo: Option<Arc<SharedMemo>>,
     /// Resource governor: polled every [`BUDGET_POLL_MASK`]+1 uncached
     /// normalisations with the store's node count. Unlimited by default.
     budget: Budget,
@@ -216,35 +203,19 @@ pub struct Rewriter<'a, S: Interner = TermStore> {
 const BUDGET_POLL_MASK: u32 = 63;
 
 impl<'a> Rewriter<'a> {
-    /// Creates a rewriter over a fresh serial [`TermStore`] with the default
-    /// fuel limit.
+    /// Creates a rewriter over a fresh [`TermStore`] with the default fuel
+    /// limit.
     #[must_use]
     pub fn new(spec: &'a AlgSpec) -> Self {
         Rewriter::with_fuel(spec, 1_000_000)
     }
 
-    /// Creates a rewriter over a fresh serial [`TermStore`] with a custom
-    /// fuel limit (rule applications per top-level call) — useful for
-    /// detecting non-terminating equation sets.
+    /// Creates a rewriter over a fresh [`TermStore`] with a custom fuel
+    /// limit (rule applications per top-level call) — useful for detecting
+    /// non-terminating equation sets.
     #[must_use]
     pub fn with_fuel(spec: &'a AlgSpec, fuel_limit: usize) -> Self {
-        Rewriter::with_store_and_fuel(spec, TermStore::new(), fuel_limit)
-    }
-}
-
-impl<'a, S: Interner> Rewriter<'a, S> {
-    /// Creates a rewriter over a caller-supplied store backend (e.g. a
-    /// per-thread `StoreHandle` onto a shared concurrent store) with the
-    /// default fuel limit. Rule compilation interns through the backend, so
-    /// handles onto the same concurrent store agree on every rule id.
-    #[must_use]
-    pub fn with_store(spec: &'a AlgSpec, store: S) -> Self {
-        Rewriter::with_store_and_fuel(spec, store, 1_000_000)
-    }
-
-    /// As [`Rewriter::with_store`], with a custom fuel limit.
-    #[must_use]
-    pub fn with_store_and_fuel(spec: &'a AlgSpec, mut store: S, fuel_limit: usize) -> Self {
+        let mut store = TermStore::new();
         let sig = spec.signature();
         let tru = store.constant(sig.true_fn());
         let fls = store.constant(sig.false_fn());
@@ -275,24 +246,16 @@ impl<'a, S: Interner> Rewriter<'a, S> {
             fuel_limit,
             remaining: fuel_limit,
             stats: RewriteStats::default(),
-            shared_memo: None,
             budget: Budget::unlimited(),
             poll_tick: 0,
             scratch: Vec::new(),
         }
     }
 
-    /// Attaches a cross-thread normal-form memo: `norm` consults it on a
-    /// local-memo miss and publishes every normal form it computes, so
-    /// rewriters on sibling threads reuse each other's work.
-    pub fn set_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        self.shared_memo = Some(memo);
-    }
-
     /// Attaches a resource [`Budget`]: normalisation polls it periodically
     /// (with the backing store's node count) and aborts with
     /// [`AlgError::Budget`] when it trips. An aborted normalisation never
-    /// publishes to either memo, so a later call with a fresh budget
+    /// publishes to the memo, so a later call with a fresh budget
     /// computes the true normal form.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
@@ -332,14 +295,14 @@ impl<'a, S: Interner> Rewriter<'a, S> {
     /// The term store backing this rewriter (terms stay valid for its whole
     /// lifetime; the store only grows).
     #[must_use]
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &TermStore {
         &self.store
     }
 
     /// Mutable access to the backing store, for callers that build terms
     /// directly from ids (e.g. successor construction during reachability
     /// exploration). The store only grows, so existing ids stay valid.
-    pub fn store_mut(&mut self) -> &mut S {
+    pub fn store_mut(&mut self) -> &mut TermStore {
         &mut self.store
     }
 
@@ -406,19 +369,9 @@ impl<'a, S: Interner> Rewriter<'a, S> {
             self.stats.cache_hits += 1;
             return Ok(hit);
         }
-        if let Some(shared) = &self.shared_memo {
-            if let Some(hit) = shared.get(t) {
-                self.stats.cache_hits += 1;
-                self.memo.insert(t, hit);
-                return Ok(hit);
-            }
-        }
         self.stats.cache_misses += 1;
         let out = self.norm_uncached(t)?;
         self.memo.insert(t, out);
-        if let Some(shared) = &self.shared_memo {
-            shared.insert(t, out);
-        }
         Ok(out)
     }
 
@@ -933,36 +886,6 @@ mod tests {
         // And a subsequent repeat is served from the memo, still correct.
         let n2 = rw.normalize(&subject).unwrap();
         assert_eq!(n2, spec.signature().true_term());
-    }
-
-    #[test]
-    fn fuel_exhaustion_does_not_poison_shared_memo() {
-        use eclectic_kernel::{ConcurrentTermStore, SharedMemo, StoreHandle};
-        let spec = mini_spec();
-        let store = ConcurrentTermStore::shared();
-        let memo = Arc::new(SharedMemo::new());
-        let subject_src = "offered(db, offer(ai, offer(ai, offer(ai, offer(db, initiate)))))";
-
-        // Worker A runs out of fuel mid-term and must publish nothing
-        // misleading to the shared memo.
-        let mut a = Rewriter::with_store_and_fuel(
-            &spec,
-            StoreHandle::new(Arc::clone(&store)),
-            2,
-        );
-        a.set_shared_memo(Arc::clone(&memo));
-        let t = term(&spec, subject_src);
-        assert!(matches!(a.normalize(&t), Err(AlgError::RewriteLimit { .. })));
-
-        // Worker B, sharing the store and memo, sees the true normal form.
-        let mut b =
-            Rewriter::with_store(&spec, StoreHandle::new(Arc::clone(&store)));
-        b.set_shared_memo(Arc::clone(&memo));
-        assert_eq!(b.normalize(&t).unwrap(), spec.signature().true_term());
-
-        // Worker A itself also recovers once its fuel is raised.
-        a.set_fuel_limit(1_000);
-        assert_eq!(a.normalize(&t).unwrap(), spec.signature().true_term());
     }
 
     #[test]

@@ -23,7 +23,6 @@ fn main() {
                 max_states: 10_000,
             },
             &Budget::unlimited(),
-            1,
         )
         .unwrap();
         let u = exploration.universe;

@@ -23,8 +23,7 @@
 //!   totality/functionality contracts;
 //! - the million-state capstone completes: a 2²⁰-state block-ring
 //!   relation closes under a relation-memory byte budget the uncompressed
-//!   sparse backend *exceeds* (asserted both ways), the compressed
-//!   closure is bit-identical at 1/2/4/8 workers, and the demand-driven
+//!   sparse backend *exceeds* (asserted both ways), and the demand-driven
 //!   modal sweeps and contracts agree between sparse and compressed.
 
 use std::sync::Arc;
@@ -32,8 +31,7 @@ use std::time::Instant;
 
 use eclectic_bench::{warning_json, Runner, SpeedupGate};
 use eclectic_kernel::{
-    force_rel_backend, force_worker_cap, Budget, BudgetExceeded, LazyClosure, Rel, RelBackend,
-    RelChoice,
+    force_rel_backend, Budget, BudgetExceeded, LazyClosure, Rel, RelBackend, RelChoice,
 };
 use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm, Valuation};
 use eclectic_rpr::denote::meaning;
@@ -48,9 +46,9 @@ const CLUSTER: usize = 8;
 /// containers compress and adjacency lists cannot.
 const BLOCK: usize = 64;
 
-/// Default relation-memory budget for the million-state capstone when
-/// `ECLECTIC_MAX_REL_BYTES` is unset: 64 MiB. The compressed closure
-/// fits in ~12 MiB; the sparse closure would need ~256 MiB.
+/// Relation-memory budget for the million-state capstone: 64 MiB. The
+/// compressed closure fits in ~12 MiB; the sparse closure would need
+/// ~256 MiB.
 const LARGE_BUDGET_BYTES: usize = 64 << 20;
 
 /// Edges of the disjoint-ring workload (`n` must be a multiple of
@@ -116,12 +114,11 @@ fn synthetic_universe(bits: usize, cap: usize) -> (FiniteUniverse, Vec<Pdl>, Stm
 /// PDL verdicts plus the dynamic-contract observations (totality and
 /// functionality of the deterministic `insert` application) on a
 /// synthetic universe — the fields that must be backend-invariant.
-fn batch_fingerprint(bits: usize, threads: usize) -> (Vec<bool>, Vec<bool>, bool, bool) {
+fn batch_fingerprint(bits: usize) -> (Vec<bool>, Vec<bool>, bool, bool) {
     let (u, formulas, insert) = synthetic_universe(bits, 1 << bits);
     let (env, budget) = (Valuation::new(), Budget::unlimited());
     let mut cache = DenoteCache::new();
-    let report =
-        check_batch_budget_with(&formulas, &u, &env, &mut cache, &budget, threads).unwrap();
+    let report = check_batch_budget_with(&formulas, &u, &env, &mut cache, &budget).unwrap();
     let r = meaning(&u, &insert, &env).unwrap();
     let first_sat = report.satisfying.first().cloned().unwrap_or_default();
     (
@@ -133,7 +130,7 @@ fn batch_fingerprint(bits: usize, threads: usize) -> (Vec<bool>, Vec<bool>, bool
 }
 
 /// Observations of the million-state capstone that must agree between the
-/// sparse and compressed backends and across worker counts.
+/// sparse and compressed backends.
 struct LargeCapstone {
     states: usize,
     budget_bytes: usize,
@@ -142,7 +139,6 @@ struct LargeCapstone {
     closure_pairs: usize,
     elapsed_ms: u128,
     sparse_trips: bool,
-    workers_identical: bool,
     verdicts_identical: bool,
     total: bool,
     functional: bool,
@@ -150,18 +146,13 @@ struct LargeCapstone {
 }
 
 /// Runs the 2²⁰-state block-ring capstone: the compressed closure must
-/// complete under a byte budget the sparse closure trips on, bit-identical
-/// at every worker count, with demand-driven modal sweeps and contracts
-/// agreeing between the two surviving backends.
+/// complete under a byte budget the sparse closure trips on, with
+/// demand-driven modal sweeps and contracts agreeing between the two
+/// surviving backends.
 fn large_capstone() -> LargeCapstone {
     let n = 1usize << 20;
-    let budget_bytes = Budget::from_env()
-        .max_rel_entries()
-        .unwrap_or(LARGE_BUDGET_BYTES);
+    let budget_bytes = LARGE_BUDGET_BYTES;
     let budget = Budget::unlimited().with_max_rel_entries(budget_bytes);
-    // Workers are forced past the host clamp so the 2/4/8 arms genuinely
-    // fan out (determinism, not scaling, is what is asserted here).
-    let _wcap = force_worker_cap(usize::MAX);
 
     let comp = block_ring(n, RelBackend::Compressed);
     let sparse = block_ring(n, RelBackend::Sparse);
@@ -169,7 +160,7 @@ fn large_capstone() -> LargeCapstone {
     // Compressed closure completes under the byte budget.
     let t0 = Instant::now();
     let closed = comp
-        .closure_governed(&budget, 4)
+        .closure_governed(&budget)
         .expect("compressed closure must fit the byte budget");
     let elapsed_ms = t0.elapsed().as_millis();
     let compressed_bytes = closed.mem_bytes();
@@ -181,21 +172,9 @@ fn large_capstone() -> LargeCapstone {
     // The sparse closure on the same budget must trip the memory axis
     // (that is the point of the compressed representation).
     let sparse_trips = matches!(
-        sparse.closure_governed(&budget, 4),
+        sparse.closure_governed(&budget),
         Err(BudgetExceeded::RelMemory)
     );
-
-    // The compressed closure is bit-identical at every worker count.
-    let mut workers_identical = true;
-    for threads in [1usize, 2, 8] {
-        let again = comp
-            .closure_governed(&budget, threads)
-            .expect("compressed closure must fit at every worker count");
-        if !again.set_eq(&closed) {
-            eprintln!("MISMATCH: compressed closure diverges at {threads} workers");
-            workers_identical = false;
-        }
-    }
 
     // Demand-driven modal sweeps over the closure (never materialized on
     // the sparse side) and the contracts must agree between backends.
@@ -225,7 +204,6 @@ fn large_capstone() -> LargeCapstone {
     let ok = compressed_bytes < budget_bytes
         && sparse_bytes > budget_bytes
         && sparse_trips
-        && workers_identical
         && verdicts_identical
         && total
         && functional
@@ -238,7 +216,6 @@ fn large_capstone() -> LargeCapstone {
         closure_pairs,
         elapsed_ms,
         sparse_trips,
-        workers_identical,
         verdicts_identical,
         total,
         functional,
@@ -263,9 +240,8 @@ fn report_large(large: &LargeCapstone) {
 
 fn main() {
     // `bench_rel_crossover large` runs only the million-state capstone —
-    // the `just bench-rel-large` entry point, which pins the byte budget
-    // via `ECLECTIC_MAX_REL_BYTES`. The full run (no argument) also
-    // includes it and records it in BENCH_rel.json.
+    // the `just bench-rel-large` entry point. The full run (no argument)
+    // also includes it and records it in BENCH_rel.json.
     if std::env::args().nth(1).as_deref() == Some("large") {
         let large = large_capstone();
         report_large(&large);
@@ -282,10 +258,10 @@ fn main() {
     // timing is trusted.
     let mut identical = true;
     for &n in &dims {
-        let dense = build(n, Some(RelBackend::Dense)).closure_reflexive_transitive(1);
-        let sparse = build(n, Some(RelBackend::Sparse)).closure_reflexive_transitive(1);
-        let comp = build(n, Some(RelBackend::Compressed)).closure_reflexive_transitive(1);
-        let auto = build(n, None).closure_reflexive_transitive(1);
+        let dense = build(n, Some(RelBackend::Dense)).closure_reflexive_transitive();
+        let sparse = build(n, Some(RelBackend::Sparse)).closure_reflexive_transitive();
+        let comp = build(n, Some(RelBackend::Compressed)).closure_reflexive_transitive();
+        let auto = build(n, None).closure_reflexive_transitive();
         if !dense.set_eq(&sparse) || !dense.set_eq(&comp) || !dense.set_eq(&auto) {
             eprintln!("MISMATCH: closure pair sets diverge at dim {n}");
             identical = false;
@@ -295,15 +271,15 @@ fn main() {
     // produce bit-identical verdicts under each forced backend.
     let fp_dense = {
         let _g = force_rel_backend(RelChoice::Dense);
-        batch_fingerprint(10, 4)
+        batch_fingerprint(10)
     };
     let fp_sparse = {
         let _g = force_rel_backend(RelChoice::Sparse);
-        batch_fingerprint(10, 4)
+        batch_fingerprint(10)
     };
     let fp_comp = {
         let _g = force_rel_backend(RelChoice::Compressed);
-        batch_fingerprint(10, 4)
+        batch_fingerprint(10)
     };
     if fp_dense != fp_sparse || fp_dense != fp_comp {
         eprintln!("MISMATCH: PDL/contract verdicts diverge between backends");
@@ -315,7 +291,7 @@ fn main() {
     // compressed floor, so the full PDL batch plus the dynamic contracts
     // run on the compressed backend unforced.
     let cap_start = Instant::now();
-    let (valid, first_sat, total, functional) = batch_fingerprint(17, 4);
+    let (valid, first_sat, total, functional) = batch_fingerprint(17);
     let cap_elapsed_ms = cap_start.elapsed().as_millis();
     let cap_states = 1usize << 17;
     let capstone_ok = valid == fp_dense.0 && total && functional && !first_sat.is_empty();
@@ -359,7 +335,7 @@ fn main() {
         ];
         for (k, (arm, rel)) in arms.iter().enumerate() {
             let m = r.bench(format!("star/{arm}_{n}"), || {
-                rel.closure_reflexive_transitive(1).count_ones()
+                rel.closure_reflexive_transitive().count_ones()
             });
             med[k] = m.median_ns;
             min[k] = m.min_ns;
@@ -422,7 +398,7 @@ fn main() {
         "  \"million_state_capstone\": {{\"states\": {}, \"budget_bytes\": {}, \
          \"compressed_bytes\": {}, \"sparse_bytes\": {}, \"closure_pairs\": {}, \
          \"elapsed_ms\": {}, \"sparse_trips_budget\": {}, \
-         \"workers_bit_identical\": {}, \"verdicts_bit_identical\": {}, \
+         \"verdicts_bit_identical\": {}, \
          \"contracts_total_and_functional\": {}, \"completed\": {}}},\n",
         large.states,
         large.budget_bytes,
@@ -431,7 +407,6 @@ fn main() {
         large.closure_pairs,
         large.elapsed_ms,
         large.sparse_trips,
-        large.workers_identical,
         large.verdicts_identical,
         large.total && large.functional,
         large.ok,

@@ -317,7 +317,6 @@ fn stage_cross(
     induced: &mut InducedAlgebra<'_>,
     config: &VerifyConfig,
     budget: &Budget,
-    threads: usize,
 ) -> Result<(Option<Mismatch>, CrossCheckStats, Option<Exhaustion>)> {
     let initial_name = initial_update_name(spec)?;
     let mut rng_state: u64 = 0x5eed_1234_abcd_0001;
@@ -340,7 +339,7 @@ fn stage_cross(
             &mut choose,
         )?;
         let (mismatch, stats, exhausted) =
-            cross_check_budget(&spec.functions, induced, &ops, budget, threads)?;
+            cross_check_budget(&spec.functions, induced, &ops, budget, 1)?;
         cross_stats.ops += stats.ops;
         cross_stats.comparisons += stats.comparisons;
         if mismatch.is_some() {
@@ -442,7 +441,7 @@ fn run_battery(
             &spec.info_domains,
             config.refine12.limits,
             budget,
-            threads,
+            1,
         );
         *explore_slot.lock().unwrap() = Some((r.map(Arc::new), span_ms(budget, t0)));
     });
@@ -471,7 +470,7 @@ fn run_battery(
     dag.spawn_dependent(Priority::High, &[equations], || {
         let t0 = budget.elapsed();
         let taken = induced_slot.lock().unwrap().take();
-        let r = taken.map(|mut induced| stage_cross(spec, &mut induced, config, budget, threads));
+        let r = taken.map(|mut induced| stage_cross(spec, &mut induced, config, budget));
         *cross_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
     });
     dag.spawn(Priority::Bulk, || {

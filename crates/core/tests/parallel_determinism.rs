@@ -1,23 +1,18 @@
-//! Determinism of the parallel engines: on every packaged domain, the
-//! level-synchronous parallel exploration, the parallel cross-level check,
-//! the completeness strips and the per-procedure dynamic units must
-//! reproduce the serial results bit-for-bit at every thread count.
-
-use std::sync::Arc;
+//! Determinism of the parallel grains: on every packaged domain, the
+//! obligation DAG, the completeness strips and the per-procedure dynamic
+//! units must reproduce the serial results bit-for-bit at every thread
+//! count. (`fuzz::run_corpus`, the fourth grain, is checked by the fuzz
+//! grid's worker arms.)
 
 use eclectic_algebraic::{completeness, parse_equations, AlgSignature, AlgSpec};
 use eclectic_kernel::{Budget, BudgetExceeded};
-use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm, Valuation};
 use eclectic_refine::{
     check_dynamic_budget, check_equations_budget, check_refinement_1_2_budget,
     check_valid_reachable, cross_check_budget, explore_algebraic_budget, random_ops,
-    AlgExploreLimits, AlgebraicExploration, CrossCheckStats, DynamicReport, FullReport,
-    InducedAlgebra, ValidReachableReport,
+    AlgExploreLimits, CrossCheckStats, DynamicReport, FullReport, InducedAlgebra,
+    ValidReachableReport,
 };
-use eclectic_rpr::{
-    check_batch_budget_with, wgrammar, BatchReport, DbState, DenoteCache, FiniteUniverse, Pdl,
-    Stmt,
-};
+use eclectic_rpr::wgrammar;
 use eclectic_spec::domains::{bank, courses, library};
 use eclectic_spec::fuzz::Fingerprint;
 use eclectic_spec::{
@@ -25,20 +20,6 @@ use eclectic_spec::{
 };
 
 const THREADS: [usize; 3] = [2, 4, 8];
-
-/// An unbudgeted exploration of `spec` with `threads` workers.
-fn explore(spec: &TriLevelSpec, limits: AlgExploreLimits, threads: usize) -> AlgebraicExploration {
-    explore_algebraic_budget(
-        &spec.functions,
-        &spec.interp_i,
-        spec.info_signature(),
-        &spec.info_domains,
-        limits,
-        &Budget::unlimited(),
-        threads,
-    )
-    .unwrap()
-}
 
 /// The unbudgeted dynamic obligations of `spec` (universe cap 1024) with
 /// `threads` workers.
@@ -59,130 +40,18 @@ fn exhaustive(
         .unwrap()
 }
 
-/// One PDL batch against a fresh denotation cache and the empty
-/// environment.
-fn batch(formulas: &[Pdl], u: &FiniteUniverse, budget: &Budget, threads: usize) -> BatchReport {
-    let mut cache = DenoteCache::new();
-    check_batch_budget_with(formulas, u, &Valuation::new(), &mut cache, budget, threads).unwrap()
-}
-
-fn domains() -> Vec<(&'static str, TriLevelSpec, usize)> {
+fn domains() -> Vec<(&'static str, TriLevelSpec)> {
     vec![
         (
             "courses",
             courses::courses(&courses::CoursesConfig::default()).unwrap(),
-            6,
         ),
         (
             "library",
             library::library(&library::LibraryConfig::default()).unwrap(),
-            6,
         ),
-        ("bank", bank::bank(&bank::BankConfig::default()).unwrap(), 8),
+        ("bank", bank::bank(&bank::BankConfig::default()).unwrap()),
     ]
-}
-
-#[test]
-fn parallel_exploration_matches_serial_on_every_domain() {
-    for (name, spec, depth) in domains() {
-        let limits = AlgExploreLimits {
-            max_depth: depth,
-            max_states: 10_000,
-        };
-        let serial = explore(&spec, limits, 1);
-        for threads in THREADS {
-            let par = explore(&spec, limits, threads);
-            assert_eq!(
-                par.universe.state_count(),
-                serial.universe.state_count(),
-                "{name}: state count at {threads} threads"
-            );
-            assert_eq!(
-                par.witnesses, serial.witnesses,
-                "{name}: witness order at {threads} threads"
-            );
-            assert_eq!(
-                par.depth, serial.depth,
-                "{name}: witness depths at {threads} threads"
-            );
-            assert_eq!(
-                par.truncated, serial.truncated,
-                "{name}: truncation at {threads} threads"
-            );
-            assert_eq!(
-                par.abstraction_collision, serial.abstraction_collision,
-                "{name}: collision flag at {threads} threads"
-            );
-            assert_eq!(
-                par.universe.edge_count(),
-                serial.universe.edge_count(),
-                "{name}: edge count at {threads} threads"
-            );
-            for s in serial.universe.state_indices() {
-                assert_eq!(
-                    par.universe.successors(s),
-                    serial.universe.successors(s),
-                    "{name}: successor sets at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn truncated_parallel_exploration_matches_serial() {
-    // Limits low enough to trip both the depth and the state bound.
-    let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
-    for limits in [
-        AlgExploreLimits {
-            max_depth: 1,
-            max_states: 10_000,
-        },
-        AlgExploreLimits {
-            max_depth: 6,
-            max_states: 3,
-        },
-    ] {
-        let serial = explore(&spec, limits, 1);
-        assert!(serial.truncated);
-        for threads in THREADS {
-            let par = explore(&spec, limits, threads);
-            assert_eq!(par.witnesses, serial.witnesses);
-            assert_eq!(par.depth, serial.depth);
-            assert_eq!(par.truncated, serial.truncated);
-            assert_eq!(par.universe.edge_count(), serial.universe.edge_count());
-        }
-    }
-}
-
-#[test]
-fn parallel_cross_check_matches_serial_on_every_domain() {
-    for (name, spec, _) in domains() {
-        let mut ind = InducedAlgebra::new(
-            &spec.functions,
-            &spec.representation,
-            &spec.interp_k,
-            spec.empty_state(),
-        )
-        .unwrap();
-        let mut state = 0x5eed_cafe_u64;
-        let mut rng = move |n: usize| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
-        };
-        let ops = random_ops(&spec.functions, &ind, "initiate", 20, &mut rng).unwrap();
-        let unlimited = Budget::unlimited();
-        let (m1, s1, _) =
-            cross_check_budget(&spec.functions, &mut ind, &ops, &unlimited, 1).unwrap();
-        for threads in THREADS {
-            let (m, s, _) =
-                cross_check_budget(&spec.functions, &mut ind, &ops, &unlimited, threads).unwrap();
-            assert_eq!(m, m1, "{name}: mismatch report at {threads} threads");
-            assert_eq!(s, s1, "{name}: stats at {threads} threads");
-        }
-    }
 }
 
 /// Syntactically covered but semantically incomplete: `offer` on a
@@ -211,7 +80,7 @@ fn stuck_spec() -> AlgSpec {
 
 #[test]
 fn parallel_completeness_matches_serial_on_every_domain() {
-    for (name, spec, _) in domains() {
+    for (name, spec) in domains() {
         let serial = exhaustive(&spec.functions, 3, 20, 1);
         assert!(serial.is_sufficiently_complete(), "{name}");
         for threads in THREADS {
@@ -244,7 +113,7 @@ fn parallel_pdl_batch_obligations_match_serial_on_every_domain() {
     // The dynamic-logic obligations run through the batched PDL model
     // checker; verdicts must not depend on the worker count. (The bank
     // universe exceeds the cap and exercises the graceful-skip path.)
-    for (name, spec, _) in domains() {
+    for (name, spec) in domains() {
         let serial = dynamic_report(&spec, 1);
         assert!(serial.is_correct(), "{name}: {:?}", serial.failures);
         for threads in THREADS {
@@ -279,87 +148,8 @@ fn node_budget(cap: usize) -> Budget {
 }
 
 #[test]
-fn node_capped_exploration_partial_report_is_thread_invariant() {
-    for (name, spec, depth) in domains() {
-        let limits = AlgExploreLimits {
-            max_depth: depth,
-            max_states: 10_000,
-        };
-        let budget = node_budget(200);
-        let base = explore_algebraic_budget(
-            &spec.functions,
-            &spec.interp_i,
-            spec.info_signature(),
-            &spec.info_domains,
-            limits,
-            &budget,
-            1,
-        )
-        .unwrap();
-        assert!(base.truncated, "{name}: cap 200 must trip");
-        let exhausted = base.exhausted.clone().expect(name);
-        assert_eq!(exhausted.stage, "explore", "{name}");
-        assert_eq!(exhausted.reason, BudgetExceeded::Nodes, "{name}");
-        for threads in BUDGET_THREADS {
-            let par = explore_algebraic_budget(
-                &spec.functions,
-                &spec.interp_i,
-                spec.info_signature(),
-                &spec.info_domains,
-                limits,
-                &budget,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par.exhausted, base.exhausted, "{name} at {threads} threads");
-            assert_eq!(
-                par.universe.state_count(),
-                base.universe.state_count(),
-                "{name}: partial state count at {threads} threads"
-            );
-            assert_eq!(
-                par.witnesses, base.witnesses,
-                "{name}: partial witnesses at {threads} threads"
-            );
-            assert_eq!(par.depth, base.depth, "{name} at {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn op_capped_cross_check_partial_report_is_thread_invariant() {
-    for (name, spec, _) in domains() {
-        let mut ind = InducedAlgebra::new(
-            &spec.functions,
-            &spec.representation,
-            &spec.interp_k,
-            spec.empty_state(),
-        )
-        .unwrap();
-        let mut state = 0x5eed_cafe_u64;
-        let mut rng = move |n: usize| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
-        };
-        let ops = random_ops(&spec.functions, &ind, "initiate", 20, &mut rng).unwrap();
-        let budget = node_budget(7);
-        let base = cross_check_budget(&spec.functions, &mut ind, &ops, &budget, 1).unwrap();
-        assert!(base.2.is_some(), "{name}: cap 7 must trip on 20 ops");
-        let e = base.2.as_ref().unwrap();
-        assert_eq!((e.stage, e.completed_units), ("cross", 7), "{name}");
-        for threads in BUDGET_THREADS {
-            let par =
-                cross_check_budget(&spec.functions, &mut ind, &ops, &budget, threads).unwrap();
-            assert_eq!(par, base, "{name}: partial cross-check at {threads} threads");
-        }
-    }
-}
-
-#[test]
 fn instance_capped_completeness_partial_report_is_thread_invariant() {
-    for (name, spec, _) in domains() {
+    for (name, spec) in domains() {
         let budget = node_budget(50);
         let base = completeness::exhaustive_budget(&spec.functions, 3, 20, &budget, 1).unwrap();
         let e = base.exhausted.clone().expect(name);
@@ -379,7 +169,7 @@ fn instance_capped_completeness_partial_report_is_thread_invariant() {
 
 #[test]
 fn application_capped_dynamic_partial_report_is_thread_invariant() {
-    for (name, spec, _) in domains() {
+    for (name, spec) in domains() {
         let budget = node_budget(5);
         let base =
             check_dynamic_budget(&spec.representation, &spec.empty_state(), 1_024, &budget, 1)
@@ -402,50 +192,6 @@ fn application_capped_dynamic_partial_report_is_thread_invariant() {
             assert_eq!(par.checked, base.checked, "{name} at {threads} threads");
             assert_eq!(par.exhausted, base.exhausted, "{name} at {threads} threads");
             assert_eq!(par.skipped, base.skipped, "{name} at {threads} threads");
-        }
-    }
-}
-
-/// The tiny universe and formula batch of the rpr PDL unit tests: three
-/// distinct programs to denote, four formulas to judge.
-fn pdl_fixture() -> (FiniteUniverse, Vec<Pdl>) {
-    let mut sig = Signature::new();
-    let course = sig.add_sort("course").unwrap();
-    let offered = sig.add_db_predicate("OFFERED", &[course]).unwrap();
-    let x = sig.add_constant("x", course).unwrap();
-    let dom = Domains::from_names(&sig, &[("course", &["db"])]).unwrap();
-    let sig = Arc::new(sig);
-    let mut template = DbState::new(sig.clone(), Arc::new(dom));
-    template.set_scalar(x, Elem(0)).unwrap();
-    let u = FiniteUniverse::enumerate(&template, &[offered], &[x], 100).unwrap();
-    let insert = Stmt::Insert(offered, vec![LogicTerm::constant(x)]);
-    let atom = Pdl::Atom(Formula::Pred(offered, vec![LogicTerm::constant(x)]));
-    let formulas = vec![
-        Pdl::after_all(insert.clone(), atom.clone()),
-        Pdl::after_some(insert.clone(), atom.clone()),
-        Pdl::after_all(Stmt::Skip, atom.clone()),
-        Pdl::after_all(insert.seq(Stmt::Skip), atom),
-    ];
-    (u, formulas)
-}
-
-#[test]
-fn unit_capped_pdl_batch_partial_report_is_thread_invariant() {
-    let (u, formulas) = pdl_fixture();
-    // Cap 2 trips during the denotation phase (3 distinct programs): no
-    // verdicts. Cap 5 trips during the judgement phase (units 3 + j): a
-    // two-formula verdict prefix survives.
-    for (cap, verdicts) in [(2, 0), (5, 2)] {
-        let budget = node_budget(cap);
-        let base = batch(&formulas, &u, &budget, 1);
-        let e = base.exhausted.clone().expect("cap must trip");
-        assert_eq!((e.stage, e.completed_units), ("pdl", cap));
-        assert_eq!(base.valid.len(), verdicts, "verdict prefix at cap {cap}");
-        for threads in BUDGET_THREADS {
-            let par = batch(&formulas, &u, &budget, threads);
-            assert_eq!(par.satisfying, base.satisfying, "cap {cap}, {threads} threads");
-            assert_eq!(par.valid, base.valid, "cap {cap}, {threads} threads");
-            assert_eq!(par.exhausted, base.exhausted, "cap {cap}, {threads} threads");
         }
     }
 }
@@ -477,35 +223,31 @@ fn instance_capped_equation_check_reports_exhaustion() {
 #[test]
 fn deadline_interrupts_oversized_exploration_instead_of_hanging() {
     // A carrier far too large to finish in 100 ms: the budget's deadline
-    // axis must stop the (iterative, level-synchronous) sweep gracefully,
-    // on both the serial and the parallel path.
+    // axis must stop the (iterative, breadth-first) search gracefully.
     let spec = bank::bank(&bank::BankConfig::sized(5, 6)).unwrap();
     let limits = AlgExploreLimits {
         max_depth: 1_000_000,
         max_states: 1_000_000,
     };
-    for threads in [1, 4] {
-        let budget = Budget::unlimited().with_deadline_ms(100);
-        let started = std::time::Instant::now();
-        let out = explore_algebraic_budget(
-            &spec.functions,
-            &spec.interp_i,
-            spec.info_signature(),
-            &spec.info_domains,
-            limits,
-            &budget,
-            threads,
-        )
-        .unwrap();
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(30),
-            "deadline ignored at {threads} threads"
-        );
-        let e = out.exhausted.expect("deadline must trip");
-        assert_eq!(e.stage, "explore");
-        assert_eq!(e.reason, BudgetExceeded::Deadline);
-        assert!(out.truncated);
-    }
+    let budget = Budget::unlimited().with_deadline_ms(100);
+    let started = std::time::Instant::now();
+    let out = explore_algebraic_budget(
+        &spec.functions,
+        &spec.interp_i,
+        spec.info_signature(),
+        &spec.info_domains,
+        limits,
+        &budget,
+    )
+    .unwrap();
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(30),
+        "deadline ignored"
+    );
+    let e = out.exhausted.expect("deadline must trip");
+    assert_eq!(e.stage, "explore");
+    assert_eq!(e.reason, BudgetExceeded::Deadline);
+    assert!(out.truncated);
 }
 
 #[test]
@@ -526,52 +268,6 @@ fn verify_under_tiny_node_cap_reports_deterministic_partial_outcome() {
     assert_eq!(run(), run(), "per-stage exhaustion must replay identically");
 }
 
-#[test]
-fn parallel_binrel_star_and_compose_match_serial() {
-    use eclectic_rpr::BinRel;
-    // Sizes straddling the kernel's serial threshold: small relations take
-    // the serial path regardless of the thread argument, the 300/512 cases
-    // genuinely fan rows across workers.
-    let mut state = 0x05ee_d0b1_75e7_u64;
-    let mut next = |n: usize| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % n as u64) as usize
-    };
-    for n in [3usize, 64, 300, 512] {
-        let mut r = BinRel::with_dim(n);
-        for _ in 0..n * 2 {
-            let (a, b) = (next(n), next(n));
-            r.insert(a, b);
-        }
-        let star = r.star(n);
-        let comp = r.compose(&r);
-        for threads in [2, 4, 8] {
-            assert_eq!(r.star_threads(n, threads), star, "star n={n} t={threads}");
-            assert_eq!(
-                r.compose_threads(&r, threads),
-                comp,
-                "compose n={n} t={threads}"
-            );
-        }
-        // Governed variants under an unlimited budget are the same code
-        // path with live polls; they must not perturb the output either.
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                r.star_governed(n, &Budget::unlimited(), threads).unwrap(),
-                star,
-                "governed star n={n} t={threads}"
-            );
-            assert_eq!(
-                r.compose_governed(&r, &Budget::unlimited(), threads).unwrap(),
-                comp,
-                "governed compose n={n} t={threads}"
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler-specific cases. The tests above run under `effective_workers`,
 // which clamps to the host's cores — on a small CI box "8 threads" can mean
@@ -585,32 +281,12 @@ fn parallel_binrel_star_and_compose_match_serial() {
 fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
     use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
-    for (name, spec, depth) in domains() {
-        let limits = AlgExploreLimits {
-            // Bound the deepest domain: the point is scheduling, not volume.
-            max_depth: depth.min(6),
-            max_states: 10_000,
-        };
-        let reference = explore(&spec, limits, 1);
+    for (name, spec) in domains() {
         let ref_dynamic = dynamic_report(&spec, 1);
         let ref_complete = exhaustive(&spec.functions, 3, 20, 1);
         // Work-stealing at every worker count must reproduce the 1-worker
         // reference.
         for threads in [2, 4, 8] {
-            let par = explore(&spec, limits, threads);
-            assert_eq!(
-                par.witnesses, reference.witnesses,
-                "{name}: witnesses at {threads} workers"
-            );
-            assert_eq!(
-                par.universe.edge_count(),
-                reference.universe.edge_count(),
-                "{name}: edges at {threads} workers"
-            );
-            assert_eq!(
-                par.truncated, reference.truncated,
-                "{name}: truncation at {threads} workers"
-            );
             let dynamic = dynamic_report(&spec, threads);
             assert_eq!(
                 dynamic.failures, ref_dynamic.failures,
@@ -631,138 +307,6 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
             );
         }
     }
-}
-
-#[test]
-fn node_capped_partials_are_bit_identical_under_real_stealing() {
-    use eclectic_kernel::force_worker_cap;
-    let _cap = force_worker_cap(usize::MAX);
-    for (name, spec, depth) in domains() {
-        let limits = AlgExploreLimits {
-            max_depth: depth,
-            max_states: 10_000,
-        };
-        let budget = node_budget(200);
-        let base = explore_algebraic_budget(
-            &spec.functions,
-            &spec.interp_i,
-            spec.info_signature(),
-            &spec.info_domains,
-            limits,
-            &budget,
-            1,
-        )
-        .unwrap();
-        assert!(base.truncated, "{name}: cap 200 must trip under stealing");
-        assert_eq!(
-            base.exhausted.as_ref().map(|e| e.reason),
-            Some(BudgetExceeded::Nodes),
-            "{name}"
-        );
-        for threads in [2, 4, 8] {
-            let par = explore_algebraic_budget(
-                &spec.functions,
-                &spec.interp_i,
-                spec.info_signature(),
-                &spec.info_domains,
-                limits,
-                &budget,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(
-                par.exhausted, base.exhausted,
-                "{name}: exhaustion at {threads} real workers"
-            );
-            assert_eq!(
-                par.witnesses, base.witnesses,
-                "{name}: partial witnesses at {threads} real workers"
-            );
-            assert_eq!(
-                par.universe.state_count(),
-                base.universe.state_count(),
-                "{name}: partial states at {threads} real workers"
-            );
-        }
-    }
-    // The PDL batch's serial-unit cap must also replay exactly with real
-    // workers stealing denotation and judgement items.
-    let (u, formulas) = pdl_fixture();
-    for (cap, verdicts) in [(2, 0), (5, 2)] {
-        let budget = node_budget(cap);
-        let base = batch(&formulas, &u, &budget, 1);
-        assert_eq!(base.valid.len(), verdicts, "verdict prefix at cap {cap}");
-        for threads in [2, 4, 8] {
-            let par = batch(&formulas, &u, &budget, threads);
-            assert_eq!(par.valid, base.valid, "cap {cap} at {threads} real workers");
-            assert_eq!(
-                par.exhausted, base.exhausted,
-                "cap {cap} at {threads} real workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn mid_sweep_cancel_leaves_shared_memos_unpoisoned() {
-    use eclectic_kernel::{force_worker_cap, CancelToken};
-    let _cap = force_worker_cap(usize::MAX);
-    let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
-    let mk_ind = || {
-        InducedAlgebra::new(
-            &spec.functions,
-            &spec.representation,
-            &spec.interp_k,
-            spec.empty_state(),
-        )
-        .unwrap()
-    };
-    let mut state = 0x5eed_cafe_u64;
-    let mut rng = move |n: usize| {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
-    };
-    let ops = random_ops(&spec.functions, &mk_ind(), "initiate", 20, &mut rng).unwrap();
-
-    // Pristine reference: a fresh algebra, no cancellation anywhere.
-    let mut pristine = mk_ind();
-    let expected =
-        cross_check_budget(&spec.functions, &mut pristine, &ops, &Budget::unlimited(), 4).unwrap();
-    assert!(expected.2.is_none(), "reference run must complete");
-
-    let mut ind = mk_ind();
-    // An already-flipped token trips at the first poll: a deterministic
-    // partial at every real worker count.
-    let token = CancelToken::new();
-    token.cancel();
-    let cancelled = Budget::unlimited().with_cancel(token);
-    for threads in [1, 2, 4, 8] {
-        let out = cross_check_budget(&spec.functions, &mut ind, &ops, &cancelled, threads).unwrap();
-        assert_eq!(
-            out.2.as_ref().map(|e| e.reason),
-            Some(BudgetExceeded::Cancelled),
-            "pre-tripped token at {threads} workers"
-        );
-    }
-    // A token flipped WHILE the sweep runs: whether or not workers observe
-    // it in time, the run must not corrupt the shared rewrite memos.
-    let racing = CancelToken::new();
-    let budget = Budget::unlimited().with_cancel(racing.clone());
-    let canceller = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_micros(200));
-        racing.cancel();
-    });
-    let _ = cross_check_budget(&spec.functions, &mut ind, &ops, &budget, 8).unwrap();
-    canceller.join().unwrap();
-
-    // The same (warmed, repeatedly interrupted) algebra must now finish the
-    // sweep and agree bit-for-bit with the pristine reference: cancellation
-    // may cut a sweep short but never poisons what the memos retain.
-    let redo =
-        cross_check_budget(&spec.functions, &mut ind, &ops, &Budget::unlimited(), 4).unwrap();
-    assert_eq!(redo, expected, "memos must be unpoisoned after cancellation");
 }
 
 // ---------------------------------------------------------------------------
@@ -903,7 +447,7 @@ fn assert_battery_matches_reference(config: &VerifyConfig) -> Vec<(&'static str,
     use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
     let mut references = Vec::new();
-    for (name, spec, _) in domains() {
+    for (name, spec) in domains() {
         let reference = Fingerprint::of(&reference_outcome(&spec, config));
         for workers in BUDGET_THREADS {
             let outcome = Fingerprint::of(&verify_with_threads(&spec, config, workers).unwrap());
@@ -982,7 +526,7 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     let cancelled = Budget::unlimited().with_cancel(token);
     let p = plan();
     let outcomes: Vec<_> = (0..p.procs())
-        .map(|i| p.run_proc(i, &cancelled, 1).unwrap())
+        .map(|i| p.run_proc(i, &cancelled).unwrap())
         .collect();
     let report = p.merge(outcomes, &cancelled);
     assert_eq!(
@@ -993,7 +537,7 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     assert_eq!(report.checked, 0, "no slot may complete under a tripped token");
     assert!(report.failures.is_empty());
 
-    // Token flipped WHILE units run on the pool: whatever prefix survives,
+    // Token flipped WHILE the units run: whatever prefix survives,
     // the shared inputs must not be poisoned. The canceller starts after
     // planning, so it can only race the units.
     let p = plan();
@@ -1004,7 +548,7 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
         racing.cancel();
     });
     let outcomes: Vec<_> = (0..p.procs())
-        .map(|i| p.run_proc(i, &budget, 4).unwrap())
+        .map(|i| p.run_proc(i, &budget).unwrap())
         .collect();
     let _ = p.merge(outcomes, &budget);
     canceller.join().unwrap();
@@ -1013,7 +557,7 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     // with the monolithic pristine reference exactly.
     let p = plan();
     let outcomes: Vec<_> = (0..p.procs())
-        .map(|i| p.run_proc(i, &Budget::unlimited(), 4).unwrap())
+        .map(|i| p.run_proc(i, &Budget::unlimited()).unwrap())
         .collect();
     let redo = p.merge(outcomes, &Budget::unlimited());
     assert_eq!(redo.failures, pristine.failures, "verdicts after cancellation");
@@ -1024,110 +568,3 @@ fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
     assert!(redo.exhausted.is_none(), "uncancelled replay must complete");
 }
 
-#[test]
-fn sparse_backend_star_compose_and_capped_pdl_are_thread_invariant() {
-    use eclectic_kernel::{force_rel_backend, RelChoice};
-    use eclectic_rpr::BinRel;
-    // Pin every relation to the sparse adjacency backend: the same
-    // bit-identity guarantees the dense kernel gives must hold on the
-    // semi-naive sparse kernels at every worker count.
-    let _g = force_rel_backend(RelChoice::Sparse);
-    let mut state = 0x0005_a7e1_117e_u64;
-    let mut next = |n: usize| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % n as u64) as usize
-    };
-    // 512 straddles the parallel threshold: rows genuinely fan out.
-    for n in [64usize, 512] {
-        let mut r = BinRel::with_dim(n);
-        for _ in 0..n * 2 {
-            let (a, b) = (next(n), next(n));
-            r.insert(a, b);
-        }
-        let star = r.star_threads(n, 1);
-        let comp = r.compose_threads(&r, 1);
-        for threads in BUDGET_THREADS {
-            assert_eq!(r.star_threads(n, threads), star, "star n={n} t={threads}");
-            assert_eq!(
-                r.compose_threads(&r, threads),
-                comp,
-                "compose n={n} t={threads}"
-            );
-        }
-    }
-    // Node caps are enforced at serial-order units in the PDL batch, so
-    // the partial report stays bit-identical on the sparse backend too.
-    let (u, formulas) = pdl_fixture();
-    for (cap, verdicts) in [(2, 0), (5, 2)] {
-        let budget = node_budget(cap);
-        let base = batch(&formulas, &u, &budget, 1);
-        let e = base.exhausted.clone().expect("cap must trip on sparse");
-        assert_eq!((e.stage, e.completed_units), ("pdl", cap));
-        assert_eq!(base.valid.len(), verdicts, "sparse verdict prefix, cap {cap}");
-        for threads in BUDGET_THREADS {
-            let par = batch(&formulas, &u, &budget, threads);
-            assert_eq!(par.satisfying, base.satisfying, "cap {cap}, {threads} threads");
-            assert_eq!(par.valid, base.valid, "cap {cap}, {threads} threads");
-            assert_eq!(par.exhausted, base.exhausted, "cap {cap}, {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn compressed_backend_closure_and_capped_pdl_are_thread_invariant() {
-    use eclectic_kernel::{force_rel_backend, RelChoice};
-    use eclectic_rpr::BinRel;
-    // Pin every relation to the compressed container backend: the chunked
-    // row representation must give the same bit-identity guarantees the
-    // dense and sparse kernels do, at every worker count, including for
-    // the semi-naive closure's row fan-out and node-capped PDL partials.
-    let _g = force_rel_backend(RelChoice::Compressed);
-    let mut state = 0x000c_a7e1_117e_u64;
-    let mut next = |n: usize| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % n as u64) as usize
-    };
-    // 512 straddles the parallel threshold: rows genuinely fan out across
-    // workers; 64 stays serial — both must agree with the 1-worker run.
-    for n in [64usize, 512] {
-        let mut r = BinRel::with_dim(n);
-        for _ in 0..n * 2 {
-            let (a, b) = (next(n), next(n));
-            r.insert(a, b);
-        }
-        let star = r.star_threads(n, 1);
-        let comp = r.compose_threads(&r, 1);
-        for threads in BUDGET_THREADS {
-            assert_eq!(r.star_threads(n, threads), star, "star n={n} t={threads}");
-            assert_eq!(
-                r.compose_threads(&r, threads),
-                comp,
-                "compose n={n} t={threads}"
-            );
-        }
-    }
-    // The node-capped partial must stop after the same serial unit and
-    // report bit-identically at 1/2/4/8 workers on this backend too.
-    let (u, formulas) = pdl_fixture();
-    for (cap, verdicts) in [(2, 0), (5, 2)] {
-        let budget = node_budget(cap);
-        let base = batch(&formulas, &u, &budget, 1);
-        let e = base.exhausted.clone().expect("cap must trip on compressed");
-        assert_eq!((e.stage, e.completed_units), ("pdl", cap));
-        assert_eq!(
-            base.valid.len(),
-            verdicts,
-            "compressed verdict prefix, cap {cap}"
-        );
-        for threads in BUDGET_THREADS {
-            let par = batch(&formulas, &u, &budget, threads);
-            assert_eq!(par.satisfying, base.satisfying, "cap {cap}, {threads} threads");
-            assert_eq!(par.valid, base.valid, "cap {cap}, {threads} threads");
-            assert_eq!(par.exhausted, base.exhausted, "cap {cap}, {threads} threads");
-        }
-    }
-}

@@ -18,37 +18,20 @@
 //! keep reports bit-identical with the set-based representation this
 //! module replaced.
 //!
-//! # Parallelism and budgets
+//! # Budgets
 //!
-//! `compose` and the closure fan rows across [`effective_workers`] worker
-//! threads in contiguous chunks; each output row depends only on the
-//! input matrix, so the result is bit-identical at every worker count.
 //! The `*_governed` variants poll a [`Budget`] every [`ROW_POLL_STRIDE`]
 //! rows and abort with the tripped axis. They are meant to be polled on
 //! the *timing* axes only (deadline, cancellation): callers enforce any
-//! node cap at their own serial-order unit boundaries and hand workers
-//! [`Budget::without_node_cap`], exactly like the strided verification
-//! sweeps.
+//! node cap at their own unit boundaries and hand the operation
+//! [`Budget::without_node_cap`].
 
 use crate::budget::{Budget, BudgetExceeded};
-use crate::envcfg::effective_workers;
-use crate::rel::PAR_MIN_DIM;
 
 /// Rows processed between two budget polls inside a governed sweep: often
 /// enough that a deadline is noticed quickly, rare enough that
 /// `Instant::now()` stays invisible in profiles.
 pub const ROW_POLL_STRIDE: usize = 64;
-
-/// One row-range job handed to the scheduler by the parallel relation
-/// sweeps: process rows, succeed or report the tripped budget axis.
-type RowTask<'a> = Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + 'a>;
-
-/// Rows per scheduler task for the parallel row sweeps: fine enough that
-/// idle pool workers can steal (≈4 tasks per worker), coarse enough that
-/// one task amortizes its dispatch (at least [`ROW_POLL_STRIDE`] rows).
-pub(crate) fn row_task_chunk(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers.max(1) * 4).max(ROW_POLL_STRIDE)
-}
 
 /// A dense square bit matrix over `0..n`, row-major in `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -234,27 +217,16 @@ impl BitMatrix {
     /// Panics if the dimensions differ.
     #[must_use]
     pub fn compose(&self, other: &BitMatrix) -> BitMatrix {
-        self.compose_threads(other, 1)
-    }
-
-    /// As [`compose`](Self::compose), fanning output rows across
-    /// [`effective_workers`]`(threads)` workers (bit-identical at every
-    /// worker count).
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    #[must_use]
-    pub fn compose_threads(&self, other: &BitMatrix, threads: usize) -> BitMatrix {
-        match self.compose_governed(other, &Budget::unlimited(), threads) {
+        match self.compose_governed(other, &Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
     }
 
-    /// As [`compose_threads`](Self::compose_threads), polling `budget`
-    /// every [`ROW_POLL_STRIDE`] rows. Intended for timing axes (deadline /
-    /// cancellation): hand workers [`Budget::without_node_cap`] and enforce
-    /// node caps at serial-order unit boundaries in the caller.
+    /// As [`compose`](Self::compose), polling `budget` every
+    /// [`ROW_POLL_STRIDE`] rows. Intended for timing axes (deadline /
+    /// cancellation): pass [`Budget::without_node_cap`] and enforce node
+    /// caps at unit boundaries in the caller.
     ///
     /// # Errors
     /// Returns the tripped axis; the partially composed matrix is
@@ -266,59 +238,34 @@ impl BitMatrix {
         &self,
         other: &BitMatrix,
         budget: &Budget,
-        threads: usize,
     ) -> Result<BitMatrix, BudgetExceeded> {
         assert_eq!(self.n, other.n, "BitMatrix dimension mismatch");
-        let n = self.n;
         let wpr = self.wpr;
         // Dense output cost is fixed at allocation time: guard the
         // relation-memory axis with the `n · wpr` words' byte size before
         // committing them.
-        if let Some(reason) = budget.check_rel(n * wpr * 8) {
+        if let Some(reason) = budget.check_rel(self.n * wpr * 8) {
             return Err(reason);
         }
-        let mut out = BitMatrix::new(n);
-        if n == 0 {
+        let mut out = BitMatrix::new(self.n);
+        if self.n == 0 {
             return Ok(out);
         }
-        let compose_rows = |first: usize, rows: &mut [u64]| -> Result<(), BudgetExceeded> {
-            for (i, orow) in rows.chunks_mut(wpr).enumerate() {
-                if i % ROW_POLL_STRIDE == 0 {
-                    if let Some(reason) = budget.check(0) {
-                        return Err(reason);
-                    }
-                }
-                let a = first + i;
-                for (k, &w) in self.row(a).iter().enumerate() {
-                    let mut bits = w;
-                    while bits != 0 {
-                        let b = (k << 6) + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        for (o, &src) in orow.iter_mut().zip(other.row(b)) {
-                            *o |= src;
-                        }
-                    }
+        for (a, orow) in out.bits.chunks_mut(wpr).enumerate() {
+            if a % ROW_POLL_STRIDE == 0 {
+                if let Some(reason) = budget.check(0) {
+                    return Err(reason);
                 }
             }
-            Ok(())
-        };
-        let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < PAR_MIN_DIM {
-            compose_rows(0, &mut out.bits)?;
-        } else {
-            let chunk = row_task_chunk(n, workers);
-            let compose_rows = &compose_rows;
-            let tasks: Vec<RowTask<'_>> = out
-                .bits
-                .chunks_mut(chunk * wpr)
-                .enumerate()
-                .map(|(c, rows)| {
-                    let f: RowTask<'_> = Box::new(move || compose_rows(c * chunk, rows));
-                    f
-                })
-                .collect();
-            for o in crate::sched::run_tasks(workers, tasks) {
-                o?;
+            for (k, &w) in self.row(a).iter().enumerate() {
+                let mut bits = w;
+                while bits != 0 {
+                    let b = (k << 6) + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for (o, &src) in orow.iter_mut().zip(other.row(b)) {
+                        *o |= src;
+                    }
+                }
             }
         }
         Ok(out)
@@ -328,8 +275,8 @@ impl BitMatrix {
     /// node reachable from `r` (including `r` itself), computed by one
     /// word-parallel BFS per source row.
     #[must_use]
-    pub fn closure_reflexive_transitive(&self, threads: usize) -> BitMatrix {
-        match self.closure_governed(&Budget::unlimited(), threads) {
+    pub fn closure_reflexive_transitive(&self) -> BitMatrix {
+        match self.closure_governed(&Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
@@ -341,65 +288,37 @@ impl BitMatrix {
     ///
     /// # Errors
     /// Returns the tripped axis; the partial closure is discarded.
-    pub fn closure_governed(
-        &self,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<BitMatrix, BudgetExceeded> {
-        let n = self.n;
+    pub fn closure_governed(&self, budget: &Budget) -> Result<BitMatrix, BudgetExceeded> {
         let wpr = self.wpr;
         // Same allocation-time relation-memory guard as `compose_governed`.
-        if let Some(reason) = budget.check_rel(n * wpr * 8) {
+        if let Some(reason) = budget.check_rel(self.n * wpr * 8) {
             return Err(reason);
         }
-        let mut out = BitMatrix::new(n);
-        if n == 0 {
+        let mut out = BitMatrix::new(self.n);
+        if self.n == 0 {
             return Ok(out);
         }
-        let close_rows = |first: usize, rows: &mut [u64]| -> Result<(), BudgetExceeded> {
-            let mut stack: Vec<usize> = Vec::new();
-            for (i, seen) in rows.chunks_mut(wpr).enumerate() {
-                if i % ROW_POLL_STRIDE == 0 {
-                    if let Some(reason) = budget.check(0) {
-                        return Err(reason);
-                    }
+        let mut stack: Vec<usize> = Vec::new();
+        for (src, seen) in out.bits.chunks_mut(wpr).enumerate() {
+            if src % ROW_POLL_STRIDE == 0 {
+                if let Some(reason) = budget.check(0) {
+                    return Err(reason);
                 }
-                let src = first + i;
-                seen[src >> 6] |= 1u64 << (src & 63);
-                stack.clear();
-                stack.push(src);
-                while let Some(x) = stack.pop() {
-                    for (k, &w) in self.row(x).iter().enumerate() {
-                        let mut new = w & !seen[k];
-                        if new != 0 {
-                            seen[k] |= new;
-                            while new != 0 {
-                                stack.push((k << 6) + new.trailing_zeros() as usize);
-                                new &= new - 1;
-                            }
+            }
+            seen[src >> 6] |= 1u64 << (src & 63);
+            stack.clear();
+            stack.push(src);
+            while let Some(x) = stack.pop() {
+                for (k, &w) in self.row(x).iter().enumerate() {
+                    let mut new = w & !seen[k];
+                    if new != 0 {
+                        seen[k] |= new;
+                        while new != 0 {
+                            stack.push((k << 6) + new.trailing_zeros() as usize);
+                            new &= new - 1;
                         }
                     }
                 }
-            }
-            Ok(())
-        };
-        let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < PAR_MIN_DIM {
-            close_rows(0, &mut out.bits)?;
-        } else {
-            let chunk = row_task_chunk(n, workers);
-            let close_rows = &close_rows;
-            let tasks: Vec<RowTask<'_>> = out
-                .bits
-                .chunks_mut(chunk * wpr)
-                .enumerate()
-                .map(|(c, rows)| {
-                    let f: RowTask<'_> = Box::new(move || close_rows(c * chunk, rows));
-                    f
-                })
-                .collect();
-            for o in crate::sched::run_tasks(workers, tasks) {
-                o?;
             }
         }
         Ok(out)
@@ -463,7 +382,7 @@ mod tests {
     #[test]
     fn closure_reaches_and_reflects() {
         let m = from_pairs(300, &[(0, 1), (1, 2), (2, 0), (5, 299)]);
-        let c = m.closure_reflexive_transitive(1);
+        let c = m.closure_reflexive_transitive();
         for i in [0, 1, 2] {
             for j in [0, 1, 2] {
                 assert!(c.get(i, j));
@@ -471,11 +390,6 @@ mod tests {
         }
         assert!(c.get(5, 5) && c.get(5, 299) && c.get(299, 299));
         assert!(!c.get(299, 5) && !c.get(3, 2));
-        // Every worker count reproduces the serial closure bit-for-bit.
-        for threads in [2, 4, 8] {
-            assert_eq!(m.closure_reflexive_transitive(threads), c);
-        }
-        assert_eq!(m.compose_threads(&c, 4), m.compose(&c));
     }
 
     #[test]
@@ -487,14 +401,14 @@ mod tests {
             Budget::unlimited().with_cancel(tok)
         };
         assert_eq!(
-            m.compose_governed(&m, &cancelled, 1),
+            m.compose_governed(&m, &cancelled),
             Err(BudgetExceeded::Cancelled)
         );
         assert_eq!(
-            m.closure_governed(&cancelled, 2),
+            m.closure_governed(&cancelled),
             Err(BudgetExceeded::Cancelled)
         );
-        assert!(m.compose_governed(&m, &Budget::unlimited(), 2).is_ok());
+        assert!(m.compose_governed(&m, &Budget::unlimited()).is_ok());
     }
 
     #[test]
@@ -504,15 +418,15 @@ mod tests {
         // allocation, and survives node-cap stripping (separate axis).
         let capped = Budget::unlimited().with_max_rel_entries(32);
         assert_eq!(
-            m.compose_governed(&m, &capped, 1),
+            m.compose_governed(&m, &capped),
             Err(BudgetExceeded::RelMemory)
         );
         assert_eq!(
-            m.closure_governed(&capped.without_node_cap(), 2),
+            m.closure_governed(&capped.without_node_cap()),
             Err(BudgetExceeded::RelMemory)
         );
         let roomy = Budget::unlimited().with_max_rel_entries(10_000);
-        assert!(m.compose_governed(&m, &roomy, 1).is_ok());
+        assert!(m.compose_governed(&m, &roomy).is_ok());
     }
 
     #[test]

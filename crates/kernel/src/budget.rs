@@ -6,8 +6,8 @@
 //! A [`Budget`] bounds the work done per request along three axes:
 //!
 //! - a **wall-clock deadline** measured from a monotonic start instant,
-//! - a **node cap** backed by the term arena's chunk accounting
-//!   ([`Interner::len`](crate::Interner::len) — the number of hash-consed
+//! - a **node cap** backed by the term arena's node accounting
+//!   ([`TermStore::len`](crate::TermStore::len) — the number of hash-consed
 //!   nodes allocated so far),
 //! - a **relation-memory cap** polled by the relation kernels with the
 //!   estimated *bytes* a single governed operation has allocated (8 per
@@ -76,9 +76,9 @@ pub enum BudgetExceeded {
     Nodes,
     /// A governed relation operation reached the configured cap on
     /// estimated backend bytes (dense words × 8 / sparse entries × 4 /
-    /// compressed container bytes). Like the deadline this is a safety
-    /// axis, not a serial-order one: a parallel sweep may notice it at a
-    /// schedule-dependent unit.
+    /// compressed container bytes). Each governed operation counts its own
+    /// bytes on its caller's thread, so a given operation trips at the
+    /// same row every run; it is still a safety axis, not a unit counter.
     RelMemory,
     /// A [`CancelToken`] was flipped.
     Cancelled,
@@ -155,9 +155,7 @@ impl Budget {
     /// [`without_node_cap`](Self::without_node_cap), so strided sweeps
     /// keep their memory protection while the node axis stays
     /// caller-enforced. The method name keeps the historical `entries`
-    /// wording for compatibility; the unit is bytes, and the documented
-    /// environment spelling is `ECLECTIC_MAX_REL_BYTES` (the legacy
-    /// `ECLECTIC_MAX_REL_ENTRIES` still works, with a one-time warning).
+    /// wording for compatibility; the unit is bytes.
     #[must_use]
     pub fn with_max_rel_entries(mut self, entries: usize) -> Self {
         self.max_rel_entries = Some(entries);
@@ -183,27 +181,6 @@ impl Budget {
             max_nodes: None,
             ..self.clone()
         }
-    }
-
-    /// Read `ECLECTIC_DEADLINE_MS` / `ECLECTIC_MAX_NODES` /
-    /// `ECLECTIC_MAX_REL_BYTES` from the environment; unset or
-    /// unparseable values leave that axis unlimited. The relation-memory
-    /// axis also accepts its legacy `ECLECTIC_MAX_REL_ENTRIES` spelling
-    /// (same byte unit, one-time deprecation warning) — see the kernel's
-    /// `envcfg` module.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut b = Budget::unlimited();
-        if let Some(ms) = env_u64("ECLECTIC_DEADLINE_MS") {
-            b = b.with_deadline_ms(ms);
-        }
-        if let Some(n) = env_u64("ECLECTIC_MAX_NODES") {
-            b = b.with_max_nodes(n as usize);
-        }
-        if let Some(n) = crate::envcfg::env_max_rel_bytes() {
-            b = b.with_max_rel_entries(n);
-        }
-        b
     }
 
     /// The configured deadline in milliseconds, if any.
@@ -297,17 +274,6 @@ impl Budget {
             max_nodes: self.max_nodes,
             max_rel_entries: self.max_rel_entries,
             deadline_ms: self.deadline_ms(),
-        }
-    }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    let raw = std::env::var(key).ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("eclectic: ignoring unparseable {key}={raw:?} (expected a non-negative integer)");
-            None
         }
     }
 }

@@ -23,10 +23,9 @@
 //!   known, no later source re-explores it;
 //! - [`materialize_governed`](LazyClosure::materialize_governed)
 //!   produces the full closure `Rel` when a caller really needs one.
-//!   With an empty memo it delegates to the backend's parallel
-//!   `closure_governed` (bit-identical to the eager path at every
-//!   worker count); with memoized rows it merges them in serial row
-//!   order, so reports stay deterministic.
+//!   With an empty memo it delegates to the backend's eager
+//!   `closure_governed`; with memoized rows it merges them in row order,
+//!   so the result is the same either way.
 //!
 //! The verdict memos are sound because reachability is transitive:
 //! every node visited during a *completed* clean box traversal from
@@ -140,27 +139,21 @@ impl<'a> LazyClosure<'a> {
     /// restricted to the universe, but traversal still passes through
     /// out-of-universe intermediate nodes).
     ///
-    /// With an empty memo this delegates to the backend's parallel
-    /// `closure_governed` — the eager fast path, bit-identical at every
-    /// worker count. With memoized rows it merges per-source rows in
-    /// serial row order (demanding the missing ones), so the result is
-    /// identical either way.
+    /// With an empty memo this delegates to the backend's eager
+    /// `closure_governed`. With memoized rows it merges per-source rows in
+    /// row order (demanding the missing ones), so the result is identical
+    /// either way.
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
     ///
     /// # Panics
     /// Panics if `n` exceeds the base dimension.
-    pub fn materialize_governed(
-        &mut self,
-        n: usize,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Rel, BudgetExceeded> {
+    pub fn materialize_governed(&mut self, n: usize, budget: &Budget) -> Result<Rel, BudgetExceeded> {
         let d = self.base.dim();
         assert!(n <= d, "materialize bound exceeds base dimension");
         if self.filled == 0 {
-            let mut closed = self.base.closure_governed(budget, threads)?;
+            let mut closed = self.base.closure_governed(budget)?;
             for r in n..d {
                 closed.clear_row(r);
             }
@@ -373,7 +366,7 @@ mod tests {
         let pairs = [(0, 1), (1, 2), (2, 0), (5, 9), (9, 9)];
         for backend in [RelBackend::Dense, RelBackend::Sparse, RelBackend::Compressed] {
             let base = from_pairs(10, backend, &pairs);
-            let eager = base.closure_reflexive_transitive(1);
+            let eager = base.closure_reflexive_transitive();
             let mut lazy = LazyClosure::new(&base);
             // Demand out of order; memoization must not disturb results.
             for src in [5usize, 0, 5, 9, 3] {
@@ -393,27 +386,27 @@ mod tests {
         // still passes through node 10 (5 -> 10 -> 6).
         let pairs = [(0, 1), (1, 2), (5, 10), (10, 6), (11, 3)];
         let base = from_pairs(12, RelBackend::Sparse, &pairs);
-        let mut eager = base.closure_reflexive_transitive(1);
+        let mut eager = base.closure_reflexive_transitive();
         for r in 10..12 {
             eager.clear_row(r);
         }
         // Fast path: empty memo.
         let mut lazy = LazyClosure::new(&base);
         let fast = lazy
-            .materialize_governed(10, &Budget::unlimited(), 1)
+            .materialize_governed(10, &Budget::unlimited())
             .unwrap();
         assert!(fast.set_eq(&eager));
         // Memoized path: pre-demand a row, then materialize serially.
         let mut lazy2 = LazyClosure::new(&base);
         lazy2.row(5, &Budget::unlimited()).unwrap();
         let merged = lazy2
-            .materialize_governed(10, &Budget::unlimited(), 1)
+            .materialize_governed(10, &Budget::unlimited())
             .unwrap();
         assert!(merged.set_eq(&eager));
         // A zero-byte relation-memory cap trips the memoized path too.
         let capped = Budget::unlimited().with_max_rel_entries(0);
         assert_eq!(
-            lazy2.materialize_governed(10, &capped, 1).err(),
+            lazy2.materialize_governed(10, &capped).err(),
             Some(BudgetExceeded::RelMemory)
         );
     }
@@ -433,7 +426,7 @@ mod tests {
         for backend in [RelBackend::Dense, RelBackend::Sparse, RelBackend::Compressed] {
             let base = from_pairs(12, backend, &pairs);
             let n = 10usize;
-            let mut closed = base.closure_reflexive_transitive(1);
+            let mut closed = base.closure_reflexive_transitive();
             for r in n..12 {
                 closed.clear_row(r);
             }

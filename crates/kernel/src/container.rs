@@ -34,25 +34,18 @@
 //! lexicographic `(r, c)` order a `BTreeSet<(usize, usize)>` would
 //! produce — the same contract the dense and sparse backends uphold.
 //!
-//! # Parallelism and budgets
+//! # Budgets
 //!
-//! `compose` and the closure fan output rows across
-//! [`effective_workers`] in contiguous chunks, exactly like the other
-//! kernels; each output row depends only on the inputs, so results are
-//! bit-identical at every worker count. The `*_governed` variants poll a
-//! [`Budget`] every [`ROW_POLL_STRIDE`] rows through
+//! The `*_governed` variants poll a [`Budget`] every [`ROW_POLL_STRIDE`]
+//! rows through
 //! [`Budget::check_rel`], passing the *estimated bytes* the operation
 //! has materialized so far (see [`CompressedRow::byte_size`] for the
 //! formula), so a runaway closure trips `RelMemory` instead of OOMing.
 //!
 //! [`set`]: CompressedRel::set
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::bitmat::{row_task_chunk, ROW_POLL_STRIDE};
+use crate::bitmat::ROW_POLL_STRIDE;
 use crate::budget::{Budget, BudgetExceeded};
-use crate::envcfg::effective_workers;
-use crate::rel::PAR_MIN_DIM;
 
 /// Columns per chunk: each container covers one 2¹⁶-aligned column range.
 const CHUNK_SPAN: usize = 1 << 16;
@@ -787,17 +780,15 @@ impl CompressedRel {
     /// Panics if the dimensions differ.
     #[must_use]
     pub fn compose(&self, other: &CompressedRel) -> CompressedRel {
-        match self.compose_governed(other, &Budget::unlimited(), 1) {
+        match self.compose_governed(other, &Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
     }
 
-    /// As [`compose`](Self::compose), fanning output rows across
-    /// [`effective_workers`]`(threads)` workers (bit-identical at every
-    /// worker count) and polling `budget` every [`ROW_POLL_STRIDE`] rows
-    /// via [`Budget::check_rel`] with the estimated bytes materialized so
-    /// far.
+    /// As [`compose`](Self::compose), polling `budget` every
+    /// [`ROW_POLL_STRIDE`] rows via [`Budget::check_rel`] with the
+    /// estimated bytes materialized so far.
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
@@ -808,37 +799,26 @@ impl CompressedRel {
         &self,
         other: &CompressedRel,
         budget: &Budget,
-        threads: usize,
     ) -> Result<CompressedRel, BudgetExceeded> {
         assert_eq!(self.n, other.n, "CompressedRel dimension mismatch");
-        let n = self.n;
-        let mut out = CompressedRel::new(n);
-        if n == 0 {
-            return Ok(out);
-        }
-        let bytes = AtomicUsize::new(0);
-        let compose_rows =
-            |first: usize, rows: &mut [CompressedRow]| -> Result<(), BudgetExceeded> {
-                let mut buf: Vec<u32> = Vec::new();
-                for (i, orow) in rows.iter_mut().enumerate() {
-                    if i % ROW_POLL_STRIDE == 0 {
-                        if let Some(reason) = budget.check_rel(bytes.load(Ordering::Relaxed)) {
-                            return Err(reason);
-                        }
-                    }
-                    let a = first + i;
-                    buf.clear();
-                    for b in self.rows[a].iter() {
-                        buf.extend(other.rows[b as usize].iter());
-                    }
-                    buf.sort_unstable();
-                    buf.dedup();
-                    *orow = CompressedRow::from_sorted(&buf);
-                    bytes.fetch_add(orow.byte_size(), Ordering::Relaxed);
+        let mut out = CompressedRel::new(self.n);
+        let mut bytes = 0usize;
+        let mut buf: Vec<u32> = Vec::new();
+        for (a, orow) in out.rows.iter_mut().enumerate() {
+            if a % ROW_POLL_STRIDE == 0 {
+                if let Some(reason) = budget.check_rel(bytes) {
+                    return Err(reason);
                 }
-                Ok(())
-            };
-        run_row_tasks(n, threads, &mut out.rows, &compose_rows)?;
+            }
+            buf.clear();
+            for b in self.rows[a].iter() {
+                buf.extend(other.rows[b as usize].iter());
+            }
+            buf.sort_unstable();
+            buf.dedup();
+            *orow = CompressedRow::from_sorted(&buf);
+            bytes += orow.byte_size();
+        }
         out.entries = out.rows.iter().map(CompressedRow::len).sum();
         Ok(out)
     }
@@ -847,8 +827,8 @@ impl CompressedRel {
     /// node reachable from `r` (including `r` itself), computed by one
     /// semi-naive delta fixpoint per source row, stored normalized.
     #[must_use]
-    pub fn closure_reflexive_transitive(&self, threads: usize) -> CompressedRel {
-        match self.closure_governed(&Budget::unlimited(), threads) {
+    pub fn closure_reflexive_transitive(&self) -> CompressedRel {
+        match self.closure_governed(&Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
@@ -860,90 +840,44 @@ impl CompressedRel {
     ///
     /// # Errors
     /// Returns the tripped axis; the partial closure is discarded.
-    pub fn closure_governed(
-        &self,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<CompressedRel, BudgetExceeded> {
+    pub fn closure_governed(&self, budget: &Budget) -> Result<CompressedRel, BudgetExceeded> {
         let n = self.n;
         let mut out = CompressedRel::new(n);
-        if n == 0 {
-            return Ok(out);
-        }
-        let bytes = AtomicUsize::new(0);
-        let close_rows = |first: usize, rows: &mut [CompressedRow]| -> Result<(), BudgetExceeded> {
-            // Per-worker scratch: a membership flag per node, reset after
-            // each source by walking only the nodes that were reached.
-            let mut in_closed = vec![false; n];
-            for (i, orow) in rows.iter_mut().enumerate() {
-                if i % ROW_POLL_STRIDE == 0 {
-                    if let Some(reason) = budget.check_rel(bytes.load(Ordering::Relaxed)) {
-                        return Err(reason);
-                    }
+        let mut bytes = 0usize;
+        // Membership flag per node, reset after each source by walking
+        // only the nodes that were reached.
+        let mut in_closed = vec![false; n];
+        for (src, orow) in out.rows.iter_mut().enumerate() {
+            if src % ROW_POLL_STRIDE == 0 {
+                if let Some(reason) = budget.check_rel(bytes) {
+                    return Err(reason);
                 }
-                let src = first + i;
-                // Semi-naive delta iteration, exactly as in the sparse
-                // backend: only rows discovered by the previous round are
-                // re-expanded.
-                let mut reach: Vec<u32> = vec![src as u32];
-                in_closed[src] = true;
-                let mut delta = 0usize;
-                while delta < reach.len() {
-                    let x = reach[delta] as usize;
-                    delta += 1;
-                    for t in self.rows[x].iter() {
-                        if !in_closed[t as usize] {
-                            in_closed[t as usize] = true;
-                            reach.push(t);
-                        }
-                    }
-                }
-                for &t in &reach {
-                    in_closed[t as usize] = false;
-                }
-                reach.sort_unstable();
-                *orow = CompressedRow::from_sorted(&reach);
-                bytes.fetch_add(orow.byte_size(), Ordering::Relaxed);
             }
-            Ok(())
-        };
-        run_row_tasks(n, threads, &mut out.rows, &close_rows)?;
+            // Semi-naive delta iteration, exactly as in the sparse
+            // backend: only rows discovered by the previous round are
+            // re-expanded.
+            let mut reach: Vec<u32> = vec![src as u32];
+            in_closed[src] = true;
+            let mut delta = 0usize;
+            while delta < reach.len() {
+                let x = reach[delta] as usize;
+                delta += 1;
+                for t in self.rows[x].iter() {
+                    if !in_closed[t as usize] {
+                        in_closed[t as usize] = true;
+                        reach.push(t);
+                    }
+                }
+            }
+            for &t in &reach {
+                in_closed[t as usize] = false;
+            }
+            reach.sort_unstable();
+            *orow = CompressedRow::from_sorted(&reach);
+            bytes += orow.byte_size();
+        }
         out.entries = out.rows.iter().map(CompressedRow::len).sum();
         Ok(out)
-    }
-}
-
-/// A governed per-chunk row task: `(first_row, rows)` to a budget verdict.
-type RowTask<'a> = dyn Fn(usize, &mut [CompressedRow]) -> Result<(), BudgetExceeded> + Sync + 'a;
-
-/// Fans `f(first_row, rows)` over contiguous row chunks across
-/// [`effective_workers`]`(threads)` workers (serial below
-/// [`PAR_MIN_DIM`]), mirroring the sparse backend's task layout so
-/// governed stops stay bit-identical per worker count.
-fn run_row_tasks(
-    n: usize,
-    threads: usize,
-    rows: &mut [CompressedRow],
-    f: &RowTask<'_>,
-) -> Result<(), BudgetExceeded> {
-    let workers = effective_workers(threads).min(n.max(1));
-    if workers <= 1 || n < PAR_MIN_DIM {
-        f(0, rows)
-    } else {
-        let chunk = row_task_chunk(n, workers);
-        let tasks: Vec<Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + '_>> = rows
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, rows)| {
-                let g: Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + '_> =
-                    Box::new(move || f(c * chunk, rows));
-                g
-            })
-            .collect();
-        for o in crate::sched::run_tasks(workers, tasks) {
-            o?;
-        }
-        Ok(())
     }
 }
 
@@ -1051,17 +985,13 @@ mod tests {
         for &(a, b) in &pairs {
             sp.set(a, b);
         }
-        let cc = cp.closure_reflexive_transitive(1);
-        let sc = sp.closure_reflexive_transitive(1);
+        let cc = cp.closure_reflexive_transitive();
+        let sc = sp.closure_reflexive_transitive();
         assert_eq!(cc.iter().collect::<Vec<_>>(), sc.iter().collect::<Vec<_>>());
         assert_eq!(
             cp.compose(&cp).iter().collect::<Vec<_>>(),
             sp.compose(&sp).iter().collect::<Vec<_>>()
         );
-        for threads in [2, 4, 8] {
-            assert_eq!(cp.closure_reflexive_transitive(threads), cc);
-            assert_eq!(cp.compose_governed(&cp, &Budget::unlimited(), threads), Ok(cp.compose(&cp)));
-        }
         let id = CompressedRel::identity(300);
         assert_eq!(cp.compose(&id), cp);
         assert_eq!(id.compose(&cp), cp);
@@ -1076,17 +1006,17 @@ mod tests {
             Budget::unlimited().with_cancel(tok)
         };
         assert_eq!(
-            m.compose_governed(&m, &cancelled, 1),
+            m.compose_governed(&m, &cancelled),
             Err(BudgetExceeded::Cancelled)
         );
         assert_eq!(
-            m.closure_governed(&cancelled, 2),
+            m.closure_governed(&cancelled),
             Err(BudgetExceeded::Cancelled)
         );
         // A zero-byte memory cap trips before the first row of output.
         let capped = Budget::unlimited().with_max_rel_entries(0);
-        assert_eq!(m.closure_governed(&capped, 1), Err(BudgetExceeded::RelMemory));
-        assert!(m.closure_governed(&Budget::unlimited(), 2).is_ok());
+        assert_eq!(m.closure_governed(&capped), Err(BudgetExceeded::RelMemory));
+        assert!(m.closure_governed(&Budget::unlimited()).is_ok());
     }
 
     #[test]
@@ -1099,14 +1029,14 @@ mod tests {
         for i in 0..n {
             m.set(i, (i & !63) + ((i + 1) & 63));
         }
-        let closed = m.closure_reflexive_transitive(1);
+        let closed = m.closure_reflexive_transitive();
         assert_eq!(closed.entry_count(), n * 64);
         assert_eq!(closed.byte_size(), n * (CONTAINER_OVERHEAD + 4));
         // A budget between the two byte estimates admits the compressed
         // closure and would reject a raw-entry one.
         let cap = 4 * closed.entry_count() / 2;
         assert!(closed.byte_size() < cap);
-        let governed = m.closure_governed(&Budget::unlimited().with_max_rel_entries(cap), 1);
+        let governed = m.closure_governed(&Budget::unlimited().with_max_rel_entries(cap));
         assert_eq!(governed, Ok(closed));
     }
 

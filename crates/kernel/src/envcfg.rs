@@ -11,17 +11,15 @@
 //! | `ECLECTIC_THREADS`                 | count, `0`/`auto`                    | 1 (serial)     |
 //! | `ECLECTIC_REL_BACKEND`             | `dense`/`sparse`/`compressed`/`auto` | auto crossover |
 //! | `ECLECTIC_REL_COMPRESSED_MIN_DIM`  | non-negative integer                 | 65536          |
-//! | `ECLECTIC_MAX_REL_BYTES`           | byte count (estimated)               | unlimited      |
 //!
 //! `ECLECTIC_THREADS` is read at the top only, by `spec::verify` and
 //! `fuzz::run_corpus` (see [`env_threads`]); every sweep below them takes
 //! its worker count as an argument.
 //!
-//! `ECLECTIC_MAX_REL_BYTES` also accepts its historical spelling
-//! `ECLECTIC_MAX_REL_ENTRIES` (the unit changed from entries to estimated
-//! bytes when the relation-memory axis became backend-spanning, but the
-//! name was kept for a release). The legacy name still works and warns
-//! once; the documented spelling wins when both are set.
+//! The CLI parses its own limit fallbacks (`ECLECTIC_DEADLINE_MS`,
+//! `ECLECTIC_MAX_NODES`) and rejects a bad value; the relation-memory
+//! budget axis has no environment spelling and is set with
+//! [`Budget::with_max_rel_entries`](crate::Budget::with_max_rel_entries).
 //!
 //! The parse functions are split from the environment reads so the full
 //! parse tables are unit-testable without touching the process
@@ -266,85 +264,6 @@ pub(crate) fn env_rel_backend() -> BackendSpec {
     })
 }
 
-// ---------------------------------------------------------------------------
-// ECLECTIC_MAX_REL_BYTES (legacy spelling: ECLECTIC_MAX_REL_ENTRIES)
-// ---------------------------------------------------------------------------
-
-/// How the pair of relation-memory variables parses. The documented
-/// spelling `ECLECTIC_MAX_REL_BYTES` wins over the legacy
-/// `ECLECTIC_MAX_REL_ENTRIES` when both are set; the legacy name alone
-/// still works (and the env reader warns once about the rename).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RelBytesSpec {
-    /// Neither variable set: the axis stays unlimited.
-    Unset,
-    /// A byte cap from the documented `ECLECTIC_MAX_REL_BYTES` spelling.
-    Bytes(usize),
-    /// A byte cap from the legacy `ECLECTIC_MAX_REL_ENTRIES` spelling
-    /// (the unit is bytes there too — PR 9 changed the unit but kept the
-    /// name; only the spelling is deprecated).
-    LegacyBytes(usize),
-    /// The winning variable is set but unparseable: leave the axis
-    /// unlimited, but warn.
-    Invalid,
-}
-
-pub(crate) fn parse_max_rel_bytes(
-    primary: Option<&str>,
-    legacy: Option<&str>,
-) -> RelBytesSpec {
-    if let Some(raw) = primary {
-        return match raw.trim().parse::<usize>() {
-            Ok(n) => RelBytesSpec::Bytes(n),
-            Err(_) => RelBytesSpec::Invalid,
-        };
-    }
-    match legacy {
-        None => RelBytesSpec::Unset,
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) => RelBytesSpec::LegacyBytes(n),
-            Err(_) => RelBytesSpec::Invalid,
-        },
-    }
-}
-
-/// The environment-selected relation-memory cap in estimated bytes, if
-/// any: `ECLECTIC_MAX_REL_BYTES`, falling back to the legacy
-/// `ECLECTIC_MAX_REL_ENTRIES` spelling with a one-time deprecation
-/// warning. Read once per process.
-pub(crate) fn env_max_rel_bytes() -> Option<usize> {
-    static CAP: OnceLock<Option<usize>> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let primary = std::env::var("ECLECTIC_MAX_REL_BYTES").ok();
-        let legacy = std::env::var("ECLECTIC_MAX_REL_ENTRIES").ok();
-        match parse_max_rel_bytes(primary.as_deref(), legacy.as_deref()) {
-            RelBytesSpec::Unset => None,
-            RelBytesSpec::Bytes(n) => Some(n),
-            RelBytesSpec::LegacyBytes(n) => {
-                eprintln!(
-                    "eclectic: ECLECTIC_MAX_REL_ENTRIES is a legacy spelling — the cap \
-                     measures estimated bytes, and the documented name is \
-                     ECLECTIC_MAX_REL_BYTES (honouring the legacy name this time)"
-                );
-                Some(n)
-            }
-            RelBytesSpec::Invalid => {
-                let (name, value) = if primary.is_some() {
-                    ("ECLECTIC_MAX_REL_BYTES", primary)
-                } else {
-                    ("ECLECTIC_MAX_REL_ENTRIES", legacy)
-                };
-                eprintln!(
-                    "eclectic: unparseable {name}={:?}; expected a non-negative byte count — \
-                     leaving the relation-memory axis unlimited",
-                    value.as_deref().unwrap_or_default()
-                );
-                None
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,36 +332,6 @@ mod tests {
             parse_rel_compressed_min_dim(Some("")),
             CompressedMinDimSpec::Invalid
         );
-    }
-
-    #[test]
-    fn max_rel_bytes_parse_table() {
-        // Neither spelling set.
-        assert_eq!(parse_max_rel_bytes(None, None), RelBytesSpec::Unset);
-        // The documented spelling alone.
-        assert_eq!(
-            parse_max_rel_bytes(Some("67108864"), None),
-            RelBytesSpec::Bytes(67_108_864)
-        );
-        assert_eq!(
-            parse_max_rel_bytes(Some(" 1024 "), None),
-            RelBytesSpec::Bytes(1024)
-        );
-        // The legacy spelling alone is honoured (as bytes) but flagged.
-        assert_eq!(
-            parse_max_rel_bytes(None, Some("4096")),
-            RelBytesSpec::LegacyBytes(4096)
-        );
-        // The documented spelling wins when both are set.
-        assert_eq!(
-            parse_max_rel_bytes(Some("10"), Some("20")),
-            RelBytesSpec::Bytes(10)
-        );
-        // Unparseable winning values leave the axis unlimited (with a warn).
-        assert_eq!(parse_max_rel_bytes(Some("abc"), None), RelBytesSpec::Invalid);
-        assert_eq!(parse_max_rel_bytes(Some(""), Some("64")), RelBytesSpec::Invalid);
-        assert_eq!(parse_max_rel_bytes(None, Some("-5")), RelBytesSpec::Invalid);
-        assert_eq!(parse_max_rel_bytes(Some("3.5"), None), RelBytesSpec::Invalid);
     }
 
     #[test]

@@ -16,15 +16,23 @@
 //! - **substitution over interned terms** ([`TermStore::subst`]) with
 //!   ground short-circuiting.
 //!
-//! The crate is dependency-free and defines only ids, terms, and hashing;
-//! names, declarations, parsing and printing stay in `eclectic-logic`.
+//! Beside the term store the crate holds the shared substrate the levels
+//! build on: the relation kernel ([`Rel`] over dense, sparse and
+//! compressed backends, plus the demand-driven [`LazyClosure`]), the
+//! resource governor ([`Budget`]), the work-stealing pool in [`sched`],
+//! and the environment configuration ([`env_threads`],
+//! `ECLECTIC_REL_BACKEND`, `ECLECTIC_REL_COMPRESSED_MIN_DIM`). Relation and
+//! term operations run on their caller's thread: the pool runs whole
+//! obligation units, never a share of one relation or term sweep.
+//!
+//! The crate is dependency-free; names, declarations, parsing and printing
+//! stay in `eclectic-logic`.
 
 #![warn(missing_docs)]
 
 mod bitmat;
 mod budget;
 mod closure;
-mod concurrent;
 mod container;
 mod envcfg;
 pub mod hash;
@@ -46,11 +54,9 @@ pub use rel::{
 };
 pub use rng::Rng;
 pub use sched::{
-    run_chunked, run_tasks, run_tasks_prio, run_workers_prio, DagBuilder, IndexQueue, Priority,
-    TaskHandle,
+    run_tasks, run_tasks_prio, run_workers_prio, DagBuilder, IndexQueue, Priority, TaskHandle,
 };
 pub use sparse::SparseRel;
-pub use concurrent::{ConcurrentTermStore, SharedMemo, StoreHandle};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{FuncId, PredId, SortId, VarId};
-pub use store::{Binding, Interner, SortError, SortOracle, TermId, TermNode, TermStore};
+pub use store::{Binding, SortError, SortOracle, TermId, TermNode, TermStore};

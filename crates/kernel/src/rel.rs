@@ -45,10 +45,6 @@ use crate::sparse::SparseRel;
 /// `BENCH_rel.json` for the measured crossover).
 pub const REL_DENSE_MAX_DIM: usize = 512;
 
-/// Minimum dimension before relation compose/closure fan out to worker
-/// threads; below this the task overhead dwarfs the row work.
-pub(crate) const PAR_MIN_DIM: usize = 256;
-
 /// Which storage backend a [`Rel`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RelBackend {
@@ -501,32 +497,21 @@ impl Rel {
     }
 
     /// Relational composition (`self` applied first) at the joined
-    /// dimension, on the policy backend for it; rows fan across
-    /// [`crate::effective_workers`]`(threads)` workers and `budget` is
-    /// polled at row-stride boundaries (timing axes plus the
-    /// relation-memory axis).
+    /// dimension, on the policy backend for it; `budget` is polled at
+    /// row-stride boundaries (timing axes plus the relation-memory axis).
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
-    pub fn compose_governed(
-        &self,
-        other: &Rel,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Rel, BudgetExceeded> {
+    pub fn compose_governed(&self, other: &Rel, budget: &Budget) -> Result<Rel, BudgetExceeded> {
         let d = self.dim().max(other.dim());
         let backend = rel_backend_for(d);
         let lhs = self.coerced(d, backend);
         let rhs = other.coerced(d, backend);
         match (&lhs, &rhs) {
-            (Rel::Dense(a), Rel::Dense(b)) => {
-                Ok(Rel::Dense(a.compose_governed(b, budget, threads)?))
-            }
-            (Rel::Sparse(a), Rel::Sparse(b)) => {
-                Ok(Rel::Sparse(a.compose_governed(b, budget, threads)?))
-            }
+            (Rel::Dense(a), Rel::Dense(b)) => Ok(Rel::Dense(a.compose_governed(b, budget)?)),
+            (Rel::Sparse(a), Rel::Sparse(b)) => Ok(Rel::Sparse(a.compose_governed(b, budget)?)),
             (Rel::Compressed(a), Rel::Compressed(b)) => {
-                Ok(Rel::Compressed(a.compose_governed(b, budget, threads)?))
+                Ok(Rel::Compressed(a.compose_governed(b, budget)?))
             }
             _ => unreachable!("operands coerced to one backend"),
         }
@@ -538,22 +523,18 @@ impl Rel {
     ///
     /// # Errors
     /// Returns the tripped axis; the partial closure is discarded.
-    pub fn closure_governed(
-        &self,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Rel, BudgetExceeded> {
+    pub fn closure_governed(&self, budget: &Budget) -> Result<Rel, BudgetExceeded> {
         match self {
-            Rel::Dense(m) => Ok(Rel::Dense(m.closure_governed(budget, threads)?)),
-            Rel::Sparse(m) => Ok(Rel::Sparse(m.closure_governed(budget, threads)?)),
-            Rel::Compressed(m) => Ok(Rel::Compressed(m.closure_governed(budget, threads)?)),
+            Rel::Dense(m) => Ok(Rel::Dense(m.closure_governed(budget)?)),
+            Rel::Sparse(m) => Ok(Rel::Sparse(m.closure_governed(budget)?)),
+            Rel::Compressed(m) => Ok(Rel::Compressed(m.closure_governed(budget)?)),
         }
     }
 
     /// The reflexive-transitive closure under an unlimited budget.
     #[must_use]
-    pub fn closure_reflexive_transitive(&self, threads: usize) -> Rel {
-        match self.closure_governed(&Budget::unlimited(), threads) {
+    pub fn closure_reflexive_transitive(&self) -> Rel {
+        match self.closure_governed(&Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
@@ -727,9 +708,7 @@ mod tests {
         );
         let m = small.meet(&big);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![(0, 1)]);
-        let c = big
-            .compose_governed(&big, &Budget::unlimited(), 1)
-            .unwrap();
+        let c = big.compose_governed(&big, &Budget::unlimited()).unwrap();
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![(31, 0), (100, 1)]);
         // Growth across the crossover migrates storage.
         let grown = small.resized(128);
@@ -776,14 +755,14 @@ mod tests {
             assert_eq!(d.is_total(n), s.is_total(n));
             assert_eq!(d.is_total(n), c.is_total(n));
         }
-        let closed: Vec<_> = d.closure_reflexive_transitive(1).iter().collect();
+        let closed: Vec<_> = d.closure_reflexive_transitive().iter().collect();
         assert_eq!(
             closed,
-            s.closure_reflexive_transitive(1).iter().collect::<Vec<_>>()
+            s.closure_reflexive_transitive().iter().collect::<Vec<_>>()
         );
         assert_eq!(
             closed,
-            c.closure_reflexive_transitive(1).iter().collect::<Vec<_>>()
+            c.closure_reflexive_transitive().iter().collect::<Vec<_>>()
         );
     }
 
@@ -802,7 +781,7 @@ mod tests {
         // ...while bulk-built rows normalize: composing with the identity
         // rebuilds the row as one 4-byte run per chunk.
         let norm = r
-            .compose_governed(&Rel::identity(70_000), &Budget::unlimited(), 1)
+            .compose_governed(&Rel::identity(70_000), &Budget::unlimited())
             .unwrap();
         assert!(norm.set_eq(&r));
         assert_eq!(norm.mem_bytes(), 2 * (8 + 4));

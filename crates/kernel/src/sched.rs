@@ -1,17 +1,25 @@
 //! The deterministic work-stealing scheduler: one persistent worker pool
-//! driving every parallel sweep in the workspace.
+//! driving every parallel grain in the workspace.
 //!
-//! # Why a shared executor
+//! # The four grains
 //!
-//! Before this module, each of the ~10 parallel entry points (confluence
-//! overlap resolution, the completeness grid, batched PDL denotation,
-//! reachability BFS, cross-level checks, relation compose/closure) spawned
-//! its own `std::thread::scope` with level-synchronous barriers. Threads
-//! were paid for per call, and a stage whose workers went idle at a
-//! barrier could not lend them to a concurrently-runnable sibling stage.
-//! [`run_tasks`] replaces every one of those call sites: tasks from all
-//! active sweeps land in one region list served by one lazily-grown pool,
-//! so independent stages of `core::verify` interleave on the same threads.
+//! Parallelism lives at the level of proof obligations, never inside one
+//! relation or term operation. Exactly four call sites submit work:
+//!
+//! - the obligation DAG of `core::verify` ([`DagBuilder`]);
+//! - the sufficient-completeness strips of
+//!   `algebraic::completeness` ([`run_workers_prio`]);
+//! - the per-procedure dynamic-logic units of
+//!   `refine::check_dynamic_budget` ([`run_tasks_prio`]);
+//! - the fuzz corpus of `core::fuzz::run_corpus` ([`run_tasks`]).
+//!
+//! Tasks from all of them land in one region list served by one
+//! lazily-grown pool, so the completeness strips and dynamic units nested
+//! inside DAG nodes interleave with the other obligations on the same
+//! threads. Reachability exploration, the cross-level check, PDL
+//! denotation and the relation kernels run on their caller's thread:
+//! measured on the paper domains, splitting them across workers lost to
+//! the serial search.
 //!
 //! # Determinism contract
 //!
@@ -63,8 +71,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 /// unblocks downstream work (refine12 exploration → witness enumeration,
 /// equations → cross-check) — run [`High`](Priority::High); ordinary
 /// sweeps run [`Normal`](Priority::Normal); wide grid sweeps with no
-/// dependents (completeness strips, per-procedure dynamic obligations,
-/// batched PDL denotation) run [`Bulk`](Priority::Bulk) so they soak up
+/// dependents (completeness strips, per-procedure dynamic obligations)
+/// run [`Bulk`](Priority::Bulk) so they soak up
 /// whatever threads the critical path leaves idle instead of starving it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
@@ -484,42 +492,6 @@ where
         .map(|w| Box::new(make(w)) as Box<dyn FnOnce() -> T + Send + 'env>)
         .collect();
     run_tasks_prio(workers, priority, tasks)
-}
-
-/// Convenience for the ubiquitous "fan `0..len` items across `workers`
-/// with chunked claiming" shape: runs `work(range)` for every claimed
-/// chunk on each of `min(workers, len)` tasks and returns the per-task
-/// outputs (task order). `make_worker` is called once per task with the
-/// task's serial position to build per-worker state.
-#[must_use]
-pub fn run_chunked<T, W, F>(
-    workers: usize,
-    len: usize,
-    mut make_worker: W,
-    work: F,
-) -> Vec<T>
-where
-    T: Send,
-    W: FnMut(usize) -> T,
-    F: Fn(&mut T, Range<usize>) + Sync,
-{
-    let workers = workers.min(len).max(1);
-    let queue = IndexQueue::new(len, workers);
-    let queue = &queue;
-    let work = &work;
-    let tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>> = (0..workers)
-        .map(|w| {
-            let mut state = make_worker(w);
-            let f: Box<dyn FnOnce() -> T + Send + '_> = Box::new(move || {
-                while let Some(range) = queue.claim() {
-                    work(&mut state, range);
-                }
-                state
-            });
-            f
-        })
-        .collect();
-    run_tasks(workers, tasks)
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,32 +986,6 @@ mod tests {
         }
         assert_eq!(seen, (0..103).collect::<Vec<_>>());
         assert!(q.claim().is_none());
-    }
-
-    #[test]
-    fn run_chunked_is_deterministic_across_worker_counts() {
-        let _cap = force_worker_cap(usize::MAX);
-        let serial = run_chunked(1, 257, |_| Vec::new(), |out: &mut Vec<(usize, usize)>, r| {
-            for k in r {
-                out.push((k, k * 3));
-            }
-        });
-        let merge = |parts: Vec<Vec<(usize, usize)>>| {
-            let mut slots = vec![0usize; 257];
-            for (k, v) in parts.into_iter().flatten() {
-                slots[k] = v;
-            }
-            slots
-        };
-        let expect = merge(serial);
-        for workers in [2usize, 4, 8] {
-            let parts = run_chunked(workers, 257, |_| Vec::new(), |out, r| {
-                for k in r {
-                    out.push((k, k * 3));
-                }
-            });
-            assert_eq!(merge(parts), expect, "workers={workers}");
-        }
     }
 
     #[test]

@@ -24,25 +24,18 @@
 //! would produce — the same contract the dense backend upholds, so the two
 //! are interchangeable under every report built on top.
 //!
-//! # Parallelism and budgets
+//! # Budgets
 //!
-//! `compose` and the closure fan output rows across
-//! [`effective_workers`] in contiguous chunks, exactly like the dense
-//! kernel; each output row depends only on the inputs, so results are
-//! bit-identical at every worker count. The `*_governed` variants poll a
-//! [`Budget`] every [`ROW_POLL_STRIDE`] rows through
+//! The `*_governed` variants poll a [`Budget`] every [`ROW_POLL_STRIDE`]
+//! rows through
 //! [`Budget::check_rel`], passing the estimated *bytes* (4 per adjacency
 //! entry) the operation has materialized so far — the same currency every
 //! backend reports, so `RelMemory` means one thing regardless of
 //! representation — and a runaway closure on a huge universe trips
 //! instead of OOMing.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::bitmat::{row_task_chunk, ROW_POLL_STRIDE};
+use crate::bitmat::ROW_POLL_STRIDE;
 use crate::budget::{Budget, BudgetExceeded};
-use crate::envcfg::effective_workers;
-use crate::rel::PAR_MIN_DIM;
 
 /// A sparse square boolean matrix over `0..n`: one sorted, deduplicated
 /// `u32` column list per row.
@@ -282,27 +275,15 @@ impl SparseRel {
     /// Panics if the dimensions differ.
     #[must_use]
     pub fn compose(&self, other: &SparseRel) -> SparseRel {
-        self.compose_threads(other, 1)
-    }
-
-    /// As [`compose`](Self::compose), fanning output rows across
-    /// [`effective_workers`]`(threads)` workers (bit-identical at every
-    /// worker count).
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    #[must_use]
-    pub fn compose_threads(&self, other: &SparseRel, threads: usize) -> SparseRel {
-        match self.compose_governed(other, &Budget::unlimited(), threads) {
+        match self.compose_governed(other, &Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
     }
 
-    /// As [`compose_threads`](Self::compose_threads), polling `budget`
-    /// every [`ROW_POLL_STRIDE`] rows via [`Budget::check_rel`] with the
-    /// estimated bytes (4 per entry) materialized so far across all
-    /// workers.
+    /// As [`compose`](Self::compose), polling `budget` every
+    /// [`ROW_POLL_STRIDE`] rows via [`Budget::check_rel`] with the
+    /// estimated bytes (4 per entry) materialized so far.
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
@@ -313,56 +294,25 @@ impl SparseRel {
         &self,
         other: &SparseRel,
         budget: &Budget,
-        threads: usize,
     ) -> Result<SparseRel, BudgetExceeded> {
         assert_eq!(self.n, other.n, "SparseRel dimension mismatch");
-        let n = self.n;
-        let mut out = SparseRel::new(n);
-        if n == 0 {
-            return Ok(out);
-        }
-        let entries = AtomicUsize::new(0);
-        let compose_rows = |first: usize, rows: &mut [Vec<u32>]| -> Result<(), BudgetExceeded> {
-            let mut buf: Vec<u32> = Vec::new();
-            for (i, orow) in rows.iter_mut().enumerate() {
-                if i % ROW_POLL_STRIDE == 0 {
-                    if let Some(reason) = budget.check_rel(4 * entries.load(Ordering::Relaxed)) {
-                        return Err(reason);
-                    }
+        let mut out = SparseRel::new(self.n);
+        let mut buf: Vec<u32> = Vec::new();
+        for (a, orow) in out.rows.iter_mut().enumerate() {
+            if a % ROW_POLL_STRIDE == 0 {
+                if let Some(reason) = budget.check_rel(4 * out.entries) {
+                    return Err(reason);
                 }
-                let a = first + i;
-                buf.clear();
-                for &b in &self.rows[a] {
-                    buf.extend_from_slice(&other.rows[b as usize]);
-                }
-                buf.sort_unstable();
-                buf.dedup();
-                entries.fetch_add(buf.len(), Ordering::Relaxed);
-                *orow = buf.clone();
             }
-            Ok(())
-        };
-        let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < PAR_MIN_DIM {
-            compose_rows(0, &mut out.rows)?;
-        } else {
-            let chunk = row_task_chunk(n, workers);
-            let compose_rows = &compose_rows;
-            let tasks: Vec<Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + '_>> = out
-                .rows
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(c, rows)| {
-                    let f: Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + '_> =
-                        Box::new(move || compose_rows(c * chunk, rows));
-                    f
-                })
-                .collect();
-            for o in crate::sched::run_tasks(workers, tasks) {
-                o?;
+            buf.clear();
+            for &b in &self.rows[a] {
+                buf.extend_from_slice(&other.rows[b as usize]);
             }
+            buf.sort_unstable();
+            buf.dedup();
+            out.entries += buf.len();
+            *orow = buf.clone();
         }
-        out.entries = entries.load(Ordering::Relaxed);
         Ok(out)
     }
 
@@ -370,8 +320,8 @@ impl SparseRel {
     /// node reachable from `r` (including `r` itself), computed by one
     /// semi-naive delta fixpoint per source row.
     #[must_use]
-    pub fn closure_reflexive_transitive(&self, threads: usize) -> SparseRel {
-        match self.closure_governed(&Budget::unlimited(), threads) {
+    pub fn closure_reflexive_transitive(&self) -> SparseRel {
+        match self.closure_governed(&Budget::unlimited()) {
             Ok(m) => m,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
@@ -384,75 +334,42 @@ impl SparseRel {
     ///
     /// # Errors
     /// Returns the tripped axis; the partial closure is discarded.
-    pub fn closure_governed(
-        &self,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<SparseRel, BudgetExceeded> {
+    pub fn closure_governed(&self, budget: &Budget) -> Result<SparseRel, BudgetExceeded> {
         let n = self.n;
         let mut out = SparseRel::new(n);
-        if n == 0 {
-            return Ok(out);
-        }
-        let entries = AtomicUsize::new(0);
-        let close_rows = |first: usize, rows: &mut [Vec<u32>]| -> Result<(), BudgetExceeded> {
-            // Per-worker scratch: a membership flag per node, reset after
-            // each source by walking only the nodes that were reached.
-            let mut in_closed = vec![false; n];
-            for (i, seen) in rows.iter_mut().enumerate() {
-                if i % ROW_POLL_STRIDE == 0 {
-                    if let Some(reason) = budget.check_rel(4 * entries.load(Ordering::Relaxed)) {
-                        return Err(reason);
+        // Membership flag per node, reset after each source by walking
+        // only the nodes that were reached.
+        let mut in_closed = vec![false; n];
+        for (src, seen) in out.rows.iter_mut().enumerate() {
+            if src % ROW_POLL_STRIDE == 0 {
+                if let Some(reason) = budget.check_rel(4 * out.entries) {
+                    return Err(reason);
+                }
+            }
+            // Semi-naive delta iteration: `reach[delta..]` is exactly the
+            // set of rows discovered by the previous round; only their
+            // adjacency is scanned, and already-closed nodes are never
+            // re-expanded.
+            let mut reach: Vec<u32> = vec![src as u32];
+            in_closed[src] = true;
+            let mut delta = 0usize;
+            while delta < reach.len() {
+                let x = reach[delta] as usize;
+                delta += 1;
+                for &t in &self.rows[x] {
+                    if !in_closed[t as usize] {
+                        in_closed[t as usize] = true;
+                        reach.push(t);
                     }
                 }
-                let src = first + i;
-                // Semi-naive delta iteration: `reach[delta..]` is exactly
-                // the set of rows discovered by the previous round; only
-                // their adjacency is scanned, and already-closed nodes are
-                // never re-expanded.
-                let mut reach: Vec<u32> = vec![src as u32];
-                in_closed[src] = true;
-                let mut delta = 0usize;
-                while delta < reach.len() {
-                    let x = reach[delta] as usize;
-                    delta += 1;
-                    for &t in &self.rows[x] {
-                        if !in_closed[t as usize] {
-                            in_closed[t as usize] = true;
-                            reach.push(t);
-                        }
-                    }
-                }
-                for &t in &reach {
-                    in_closed[t as usize] = false;
-                }
-                reach.sort_unstable();
-                entries.fetch_add(reach.len(), Ordering::Relaxed);
-                *seen = reach;
             }
-            Ok(())
-        };
-        let workers = effective_workers(threads).min(n.max(1));
-        if workers <= 1 || n < PAR_MIN_DIM {
-            close_rows(0, &mut out.rows)?;
-        } else {
-            let chunk = row_task_chunk(n, workers);
-            let close_rows = &close_rows;
-            let tasks: Vec<Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + '_>> = out
-                .rows
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(c, rows)| {
-                    let f: Box<dyn FnOnce() -> Result<(), BudgetExceeded> + Send + '_> =
-                        Box::new(move || close_rows(c * chunk, rows));
-                    f
-                })
-                .collect();
-            for o in crate::sched::run_tasks(workers, tasks) {
-                o?;
+            for &t in &reach {
+                in_closed[t as usize] = false;
             }
+            reach.sort_unstable();
+            out.entries += reach.len();
+            *seen = reach;
         }
-        out.entries = entries.load(Ordering::Relaxed);
         Ok(out)
     }
 }
@@ -520,13 +437,9 @@ mod tests {
         for &(a, b) in &pairs {
             dn.set(a, b);
         }
-        let cs = sp.closure_reflexive_transitive(1);
-        let cd = dn.closure_reflexive_transitive(1);
+        let cs = sp.closure_reflexive_transitive();
+        let cd = dn.closure_reflexive_transitive();
         assert_eq!(cs.iter().collect::<Vec<_>>(), cd.iter().collect::<Vec<_>>());
-        for threads in [2, 4, 8] {
-            assert_eq!(sp.closure_reflexive_transitive(threads), cs);
-            assert_eq!(sp.compose_threads(&sp, threads), sp.compose(&sp));
-        }
     }
 
     #[test]
@@ -538,17 +451,17 @@ mod tests {
             Budget::unlimited().with_cancel(tok)
         };
         assert_eq!(
-            m.compose_governed(&m, &cancelled, 1),
+            m.compose_governed(&m, &cancelled),
             Err(BudgetExceeded::Cancelled)
         );
         assert_eq!(
-            m.closure_governed(&cancelled, 2),
+            m.closure_governed(&cancelled),
             Err(BudgetExceeded::Cancelled)
         );
         // A zero-entry memory cap trips before the first row of output.
         let capped = Budget::unlimited().with_max_rel_entries(0);
-        assert_eq!(m.closure_governed(&capped, 1), Err(BudgetExceeded::RelMemory));
-        assert!(m.closure_governed(&Budget::unlimited(), 2).is_ok());
+        assert_eq!(m.closure_governed(&capped), Err(BudgetExceeded::RelMemory));
+        assert!(m.closure_governed(&Budget::unlimited()).is_ok());
     }
 
     #[test]
@@ -561,14 +474,12 @@ mod tests {
             m.set(i, i + 1);
         }
         let capped = Budget::unlimited().with_max_rel_entries(10_000);
-        for threads in [1, 4] {
-            assert_eq!(
-                m.closure_governed(&capped, threads),
-                Err(BudgetExceeded::RelMemory)
-            );
-        }
+        assert_eq!(
+            m.closure_governed(&capped),
+            Err(BudgetExceeded::RelMemory)
+        );
         // The same closure under an unlimited budget does materialize.
-        let full = m.closure_reflexive_transitive(1);
+        let full = m.closure_reflexive_transitive();
         assert_eq!(full.entry_count(), n * (n + 1) / 2);
     }
 

@@ -36,17 +36,6 @@ impl TermId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Crate-internal constructor from a raw id (used by the concurrent
-    /// store, whose ids encode a shard in the low bits).
-    pub(crate) fn from_raw(raw: u32) -> TermId {
-        TermId(raw)
-    }
-
-    /// The raw u32 behind the handle.
-    pub(crate) fn raw(self) -> u32 {
-        self.0
-    }
 }
 
 /// An interned term node: a variable or an application of a function symbol
@@ -60,10 +49,10 @@ pub enum TermNode {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Meta {
-    pub(crate) ground: bool,
-    pub(crate) size: u32,
-    pub(crate) depth: u32,
+struct Meta {
+    ground: bool,
+    size: u32,
+    depth: u32,
 }
 
 /// Sorting errors reported by [`TermStore::sort_of`], in terms of raw ids;
@@ -201,7 +190,7 @@ pub struct TermStore {
     dedup: FxHashMap<u64, Vec<TermId>>,
 }
 
-pub(crate) fn hash_var(v: VarId) -> u64 {
+fn hash_var(v: VarId) -> u64 {
     use std::hash::Hasher;
     let mut h = crate::hash::FxHasher::default();
     h.write_u32(0x5615_u32);
@@ -209,7 +198,7 @@ pub(crate) fn hash_var(v: VarId) -> u64 {
     h.finish()
 }
 
-pub(crate) fn hash_app(f: FuncId, args: &[TermId]) -> u64 {
+fn hash_app(f: FuncId, args: &[TermId]) -> u64 {
     use std::hash::Hasher;
     let mut h = crate::hash::FxHasher::default();
     h.write_u32(0xa442_u32);
@@ -218,108 +207,6 @@ pub(crate) fn hash_app(f: FuncId, args: &[TermId]) -> u64 {
         h.write_u32(a.0);
     }
     h.finish()
-}
-
-/// The intern/read interface shared by every term-store backend: the
-/// single-threaded [`TermStore`] and the per-thread
-/// [`crate::StoreHandle`] of a [`crate::ConcurrentTermStore`].
-///
-/// All implementations maintain the hash-consing invariant — one node per
-/// structurally distinct term, so [`TermId`] equality is structural
-/// equality — which is what lets generic code (the rewriter, reachability
-/// exploration, the cross-level bridges) run unchanged over either backend.
-pub trait Interner {
-    /// Interns a variable term.
-    fn var(&mut self, v: VarId) -> TermId;
-
-    /// Interns an application `f(args…)`; constants are 0-ary applications.
-    fn app(&mut self, f: FuncId, args: &[TermId]) -> TermId;
-
-    /// Interns a constant (0-ary application).
-    fn constant(&mut self, f: FuncId) -> TermId {
-        self.app(f, &[])
-    }
-
-    /// The node denoted by an id.
-    fn node(&self, t: TermId) -> &TermNode;
-
-    /// Whether the term contains no variables (cached at intern time).
-    fn is_ground(&self, t: TermId) -> bool;
-
-    /// Number of symbol occurrences (cached at intern time).
-    fn size(&self, t: TermId) -> usize;
-
-    /// Maximum nesting depth; a constant or variable has depth 1 (cached).
-    fn depth(&self, t: TermId) -> usize;
-
-    /// Number of distinct terms interned so far — the backend's node
-    /// accounting, used by [`crate::Budget`] node caps. For a
-    /// [`crate::StoreHandle`] this is the *shared* store's count, so every
-    /// worker sees the same figure at a synchronized boundary.
-    fn len(&self) -> usize;
-
-    /// Whether nothing has been interned yet (companion to [`Interner::len`]).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Applies a binding, returning the interned result. Ground subtrees
-    /// are returned as-is; unbound variables are left in place.
-    fn subst(&mut self, t: TermId, binding: &Binding) -> TermId {
-        if binding.is_empty() || self.is_ground(t) {
-            return t;
-        }
-        let (f, args) = match self.node(t) {
-            TermNode::Var(v) => return binding.get(*v).unwrap_or(t),
-            TermNode::App(f, args) => (*f, args.to_vec()),
-        };
-        let mut changed = false;
-        let mut out = Vec::with_capacity(args.len());
-        for a in args {
-            let b = self.subst(a, binding);
-            changed |= b != a;
-            out.push(b);
-        }
-        if changed {
-            self.app(f, &out)
-        } else {
-            t
-        }
-    }
-}
-
-impl Interner for TermStore {
-    fn var(&mut self, v: VarId) -> TermId {
-        TermStore::var(self, v)
-    }
-
-    fn app(&mut self, f: FuncId, args: &[TermId]) -> TermId {
-        TermStore::app(self, f, args)
-    }
-
-    fn node(&self, t: TermId) -> &TermNode {
-        TermStore::node(self, t)
-    }
-
-    fn is_ground(&self, t: TermId) -> bool {
-        TermStore::is_ground(self, t)
-    }
-
-    fn size(&self, t: TermId) -> usize {
-        TermStore::size(self, t)
-    }
-
-    fn depth(&self, t: TermId) -> usize {
-        TermStore::depth(self, t)
-    }
-
-    fn len(&self) -> usize {
-        TermStore::len(self)
-    }
-
-    fn subst(&mut self, t: TermId, binding: &Binding) -> TermId {
-        TermStore::subst(self, t, binding)
-    }
 }
 
 impl TermStore {

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use eclectic_kernel::{Interner, TermId, TermNode};
+use eclectic_kernel::{TermId, TermNode, TermStore};
 
 use crate::error::{LogicError, Result};
 use crate::signature::Signature;
@@ -141,15 +141,13 @@ impl Term {
         self.subterms().contains(&other)
     }
 
-    /// Interns this term into a kernel store (any [`Interner`] backend —
-    /// the serial `TermStore` or a concurrent `StoreHandle`), returning its
-    /// handle.
+    /// Interns this term into a kernel [`TermStore`], returning its handle.
     ///
     /// The handle's equality is structural equality (the store's
     /// hash-consing invariant), so interning is the bridge from this owned
     /// tree representation to the O(1)-comparable interned one used by the
     /// rewriting and reachability hot paths.
-    pub fn intern<S: Interner + ?Sized>(&self, store: &mut S) -> TermId {
+    pub fn intern(&self, store: &mut TermStore) -> TermId {
         match self {
             Term::Var(v) => store.var(*v),
             Term::App(f, args) => {
@@ -162,7 +160,7 @@ impl Term {
     /// Reconstructs an owned [`Term`] from an interned handle (the inverse
     /// of [`Term::intern`] up to structural equality).
     #[must_use]
-    pub fn from_interned<S: Interner + ?Sized>(store: &S, id: TermId) -> Term {
+    pub fn from_interned(store: &TermStore, id: TermId) -> Term {
         match store.node(id) {
             TermNode::Var(v) => Term::Var(*v),
             TermNode::App(f, args) => Term::App(

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use eclectic_algebraic::AlgSignature;
-use eclectic_kernel::{Interner, TermId, TermNode};
+use eclectic_kernel::{TermId, TermNode, TermStore};
 use eclectic_logic::{Domains, Elem, FuncId, Signature, SortId, Term};
 
 use crate::error::{RefineError, Result};
@@ -116,7 +116,7 @@ impl ParamBridge {
     ///
     /// # Errors
     /// Returns [`RefineError::BridgeMismatch`] for non-constant terms.
-    pub fn elem_of_id<S: Interner + ?Sized>(&self, store: &S, t: TermId) -> Result<(SortId, Elem)> {
+    pub fn elem_of_id(&self, store: &TermStore, t: TermId) -> Result<(SortId, Elem)> {
         match store.node(t) {
             TermNode::App(f, args) if args.is_empty() => self.elem(*f),
             _ => Err(RefineError::BridgeMismatch(

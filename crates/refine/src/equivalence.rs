@@ -2,22 +2,11 @@
 //! the functions level (term rewriting) and at the representation level
 //! (procedure execution) must yield the same answer to every query — the
 //! one-to-one correspondence between query functions and relations.
-//!
-//! With more than one worker (see [`cross_check_budget`]) the
-//! level-2 side of each step — one rewriting evaluation per (query,
-//! parameter tuple) — is fanned out across worker threads sharing one
-//! [`ConcurrentTermStore`] and [`SharedMemo`]; level-3 execution and the
-//! comparisons stay on the calling thread, in the same (query, tuple) order
-//! as the serial check, so the reported mismatch (if any) is identical.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use eclectic_algebraic::{induction, AlgError, AlgSpec, Rewriter};
-use eclectic_kernel::{
-    run_tasks, Budget, BudgetExceeded, ConcurrentTermStore, Exhaustion, IndexQueue, Interner,
-    SharedMemo, StoreHandle, TermId,
-};
+use eclectic_kernel::{Budget, Exhaustion, TermId};
 use eclectic_logic::{Elem, FuncId, Term};
 use eclectic_rpr::DbState;
 
@@ -57,15 +46,19 @@ pub struct CrossCheckStats {
 type QueryItem = (FuncId, Vec<Term>, Vec<TermId>);
 
 /// Replays `ops` at both levels, comparing every query after every step,
-/// with `threads` workers for the level-2 evaluations. Returns the first
-/// mismatch, if any.
+/// in (query, parameter tuple) order. Returns the first mismatch, if any.
 ///
 /// The [`Budget`] is polled before each trace operation with the number of
-/// operations fully replayed so far, so a node cap stops after the same
-/// operation at every worker count; deadline and cancellation trips
-/// additionally interrupt the level-2 evaluations mid-operation and report
-/// the operations completed. Exhaustion returns the statistics so far with
-/// an [`Exhaustion`] record instead of failing.
+/// operations fully replayed so far, so a node cap stops after a whole
+/// operation; deadline and cancellation trips additionally interrupt the
+/// level-2 evaluations mid-operation and report the operations completed.
+/// Exhaustion returns the statistics so far with an [`Exhaustion`] record
+/// instead of failing.
+///
+/// `_threads` is ignored: the check runs on the calling thread. The
+/// parameter stays only because the benchmark package (`perfbench/`) calls
+/// this function by name with a worker count; it goes at the next change
+/// to the benchmark. Callers in this workspace pass 1.
 ///
 /// # Errors
 /// Propagates rewriting/execution errors (e.g. the trace must start with an
@@ -76,22 +69,62 @@ pub fn cross_check_budget(
     ind: &mut InducedAlgebra<'_>,
     ops: &[Op],
     budget: &Budget,
-    threads: usize,
+    _threads: usize,
 ) -> Result<(Option<Mismatch>, CrossCheckStats, Option<Exhaustion>)> {
-    let threads = eclectic_kernel::effective_workers(threads);
-    if threads <= 1 {
-        cross_check_serial(ind, ops, budget, Rewriter::new(spec))
-    } else {
-        cross_check_parallel(spec, ind, ops, budget, threads)
+    let mut stats = CrossCheckStats::default();
+    let exhaust =
+        |stats, reason, i| Ok((None, stats, Some(budget.exhaustion("cross", reason, i))));
+    if let Some(reason) = budget.check(0) {
+        return exhaust(stats, reason, 0);
     }
+    let mut rw = Rewriter::new(spec);
+    rw.set_budget(budget.without_node_cap());
+    let items = match query_items(&mut rw, ind) {
+        Ok(items) => items,
+        Err(e) => match budget_stop(&e) {
+            Some(reason) => return exhaust(stats, reason, 0),
+            None => return Err(e),
+        },
+    };
+
+    let mut term: Option<TermId> = None;
+    let mut state: Option<DbState> = None;
+
+    for (i, (name, args)) in ops.iter().enumerate() {
+        if let Some(reason) = budget.check(i) {
+            return exhaust(stats, reason, i);
+        }
+        let (new_term, next_state) = match step(&mut rw, ind, name, args, &mut term, &mut state) {
+            Ok(pair) => pair,
+            Err(e) => match budget_stop(&e) {
+                Some(reason) => return exhaust(stats, reason, i),
+                None => return Err(e),
+            },
+        };
+        stats.ops += 1;
+        for item in &items {
+            stats.comparisons += 1;
+            let l2 = match rw.eval_query_id(item.0, &item.2, new_term) {
+                Ok(l2) => l2,
+                Err(AlgError::Budget { reason }) => return exhaust(stats, reason, i),
+                Err(e) => return Err(e.into()),
+            };
+            if let Some(m) = compare_site(&mut rw, ind, item, l2, &next_state, i + 1)? {
+                return Ok((Some(m), stats, None));
+            }
+        }
+        term = Some(new_term);
+        state = Some(next_state);
+    }
+    Ok((None, stats, None))
 }
 
 /// Enumerates every (query, parameter tuple) comparison site, with the
 /// tuples both as terms (for level 3) and interned (for level 2). The term
 /// and id enumerations align because `param_tuples` and `param_tuple_ids`
 /// produce tuples in the same order.
-fn query_items<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+fn query_items(
+    rw: &mut Rewriter<'_>,
     ind: &InducedAlgebra<'_>,
 ) -> Result<Vec<QueryItem>> {
     let alg = rw.spec().signature().clone();
@@ -104,7 +137,8 @@ fn query_items<S: Interner>(
             .into_iter()
             .zip(tuple_ids)
         {
-            // Pre-validate the bridge mapping so workers never need it.
+            // Pre-validate the bridge mapping so a parameter it cannot map
+            // fails before any trace step runs.
             for &p in &param_ids {
                 ind.bridge().elem_of_id(rw.store(), p)?;
             }
@@ -116,8 +150,8 @@ fn query_items<S: Interner>(
 
 /// Extends the interned level-2 trace term by one operation and runs the
 /// induced level-3 update, returning the new (term, state) pair.
-fn step<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+fn step(
+    rw: &mut Rewriter<'_>,
     ind: &mut InducedAlgebra<'_>,
     name: &str,
     args: &[Elem],
@@ -175,8 +209,8 @@ fn step<S: Interner>(
 
 /// Compares one site's level-2 answer against level-3 execution, building
 /// the mismatch report if they disagree.
-fn compare_site<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+fn compare_site(
+    rw: &mut Rewriter<'_>,
     ind: &mut InducedAlgebra<'_>,
     item: &QueryItem,
     l2: TermId,
@@ -210,204 +244,9 @@ fn compare_site<S: Interner>(
     Ok(None)
 }
 
-fn cross_check_serial<S: Interner>(
-    ind: &mut InducedAlgebra<'_>,
-    ops: &[Op],
-    budget: &Budget,
-    mut rw: Rewriter<'_, S>,
-) -> Result<(Option<Mismatch>, CrossCheckStats, Option<Exhaustion>)> {
-    let mut stats = CrossCheckStats::default();
-    let exhaust =
-        |stats, reason, i| Ok((None, stats, Some(budget.exhaustion("cross", reason, i))));
-    if let Some(reason) = budget.check(0) {
-        return exhaust(stats, reason, 0);
-    }
-    rw.set_budget(budget.without_node_cap());
-    let items = match query_items(&mut rw, ind) {
-        Ok(items) => items,
-        Err(e) => match budget_stop(&e) {
-            Some(reason) => return exhaust(stats, reason, 0),
-            None => return Err(e),
-        },
-    };
-
-    let mut term: Option<TermId> = None;
-    let mut state: Option<DbState> = None;
-
-    for (i, (name, args)) in ops.iter().enumerate() {
-        if let Some(reason) = budget.check(i) {
-            return exhaust(stats, reason, i);
-        }
-        let (new_term, next_state) = match step(&mut rw, ind, name, args, &mut term, &mut state) {
-            Ok(pair) => pair,
-            Err(e) => match budget_stop(&e) {
-                Some(reason) => return exhaust(stats, reason, i),
-                None => return Err(e),
-            },
-        };
-        stats.ops += 1;
-        for item in &items {
-            stats.comparisons += 1;
-            let l2 = match rw.eval_query_id(item.0, &item.2, new_term) {
-                Ok(l2) => l2,
-                Err(AlgError::Budget { reason }) => return exhaust(stats, reason, i),
-                Err(e) => return Err(e.into()),
-            };
-            if let Some(m) = compare_site(&mut rw, ind, item, l2, &next_state, i + 1)? {
-                return Ok((Some(m), stats, None));
-            }
-        }
-        term = Some(new_term);
-        state = Some(next_state);
-    }
-    Ok((None, stats, None))
-}
-
-fn cross_check_parallel(
-    spec: &AlgSpec,
-    ind: &mut InducedAlgebra<'_>,
-    ops: &[Op],
-    budget: &Budget,
-    threads: usize,
-) -> Result<(Option<Mismatch>, CrossCheckStats, Option<Exhaustion>)> {
-    let mut stats = CrossCheckStats::default();
-    let exhaust =
-        |stats, reason, i| Ok((None, stats, Some(budget.exhaustion("cross", reason, i))));
-    if let Some(reason) = budget.check(0) {
-        return exhaust(stats, reason, 0);
-    }
-    let store = ConcurrentTermStore::shared();
-    let memo = Arc::new(SharedMemo::default());
-    let mut rw0 = Rewriter::with_store(spec, StoreHandle::new(store.clone()));
-    rw0.set_shared_memo(memo.clone());
-    rw0.set_budget(budget.without_node_cap());
-    let items = match query_items(&mut rw0, ind) {
-        Ok(items) => items,
-        Err(e) => match budget_stop(&e) {
-            Some(reason) => return exhaust(stats, reason, 0),
-            None => return Err(e),
-        },
-    };
-
-    let mut workers: Vec<Rewriter<'_, StoreHandle>> = (0..threads)
-        .map(|_| {
-            let mut rw = Rewriter::with_store(spec, StoreHandle::new(store.clone()));
-            rw.set_shared_memo(memo.clone());
-            rw.set_budget(budget.without_node_cap());
-            rw
-        })
-        .collect();
-
-    let mut term: Option<TermId> = None;
-    let mut state: Option<DbState> = None;
-
-    for (i, (name, args)) in ops.iter().enumerate() {
-        if let Some(reason) = budget.check(i) {
-            return exhaust(stats, reason, i);
-        }
-        let (new_term, next_state) = match step(&mut rw0, ind, name, args, &mut term, &mut state) {
-            Ok(pair) => pair,
-            Err(e) => match budget_stop(&e) {
-                Some(reason) => return exhaust(stats, reason, i),
-                None => return Err(e),
-            },
-        };
-        stats.ops += 1;
-
-        // Fan the level-2 evaluations across the workers; ids are
-        // comparable across rewriters because every handle interns into the
-        // same concurrent store. Sites are claimed in chunks off a shared
-        // queue and slotted by site index, so the merge replays serial
-        // site order whatever the claim interleaving was.
-        let nworkers = workers.len().min(items.len()).max(1);
-        let queue = IndexQueue::new(items.len(), nworkers);
-        type SitesOut = (
-            Vec<(usize, TermId)>,
-            Option<(usize, BudgetExceeded)>,
-            Option<(usize, RefineError)>,
-        );
-        let site_outs: Vec<SitesOut> = {
-            let queue = &queue;
-            let items = &items;
-            let tasks: Vec<Box<dyn FnOnce() -> SitesOut + Send + '_>> = workers
-                .iter_mut()
-                .take(nworkers)
-                .map(|w| {
-                    let f: Box<dyn FnOnce() -> SitesOut + Send + '_> = Box::new(move || {
-                        let mut out = Vec::new();
-                        while let Some(range) = queue.claim() {
-                            for k in range {
-                                let (q, _, param_ids) = &items[k];
-                                match w.eval_query_id(*q, param_ids, new_term) {
-                                    Ok(id) => out.push((k, id)),
-                                    Err(AlgError::Budget { reason }) => {
-                                        return (out, Some((k, reason)), None);
-                                    }
-                                    Err(e) => {
-                                        return (out, None, Some((k, RefineError::Alg(e))));
-                                    }
-                                }
-                            }
-                        }
-                        (out, None, None)
-                    });
-                    f
-                })
-                .collect();
-            run_tasks(nworkers, tasks)
-        };
-        // Replay in site order: the earliest hard error wins (exactly the
-        // one the serial site loop would have hit), else the earliest
-        // timing stop.
-        let first_err = site_outs
-            .iter()
-            .filter_map(|(_, _, e)| e.as_ref().map(|(k, _)| *k))
-            .min();
-        if let Some(k0) = first_err {
-            let (_, e) = site_outs
-                .into_iter()
-                .filter_map(|(_, _, e)| e)
-                .find(|(k, _)| *k == k0)
-                .expect("error index recorded");
-            return Err(e);
-        }
-        let stop = site_outs
-            .iter()
-            .filter_map(|(_, s, _)| *s)
-            .min_by_key(|(k, _)| *k);
-        if let Some((_, reason)) = stop {
-            // A timing axis tripped inside a worker: this operation's
-            // comparisons are incomplete, so drop them and report the
-            // operations fully replayed.
-            return exhaust(stats, reason, i);
-        }
-        let mut slots: Vec<Option<TermId>> = vec![None; items.len()];
-        for (ids, _, _) in site_outs {
-            for (k, id) in ids {
-                slots[k] = Some(id);
-            }
-        }
-        let l2s: Vec<TermId> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every site evaluated"))
-            .collect();
-
-        // Level 3 and the comparison stay serial, in site order.
-        for (item, &l2) in items.iter().zip(&l2s) {
-            stats.comparisons += 1;
-            if let Some(m) = compare_site(&mut rw0, ind, item, l2, &next_state, i + 1)? {
-                return Ok((Some(m), stats, None));
-            }
-        }
-        term = Some(new_term);
-        state = Some(next_state);
-    }
-    Ok((None, stats, None))
-}
-
-fn level2_value<S: Interner>(
+fn level2_value(
     ind: &InducedAlgebra<'_>,
-    rw: &mut Rewriter<'_, S>,
+    rw: &mut Rewriter<'_>,
     t: TermId,
 ) -> Result<IndValue> {
     if t == rw.true_id() {

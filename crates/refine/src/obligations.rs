@@ -105,10 +105,10 @@ impl Refine12Report {
 }
 
 /// Checks obligations (a), (b) and (d) for `T2` against `T1` under `I`,
-/// governed by `budget` (shared with other stages by the caller) and run
-/// with `threads` workers. When the completeness pass or the exploration
-/// exhausts the budget, the remaining obligations are skipped and the
-/// partial report carries the exhaustion — see
+/// governed by `budget` (shared with other stages by the caller), with
+/// `threads` workers for the completeness sweep. When the completeness
+/// pass or the exploration exhausts the budget, the remaining obligations
+/// are skipped and the partial report carries the exhaustion — see
 /// [`Refine12Report::exhausted`].
 ///
 /// # Errors
@@ -129,7 +129,7 @@ pub fn check_refinement_1_2_budget(
     let completeness =
         obligation_completeness(spec, config.completeness_depth, budget, threads)?;
     let exploration =
-        obligation_exploration(spec, interp, info_sig, domains, config.limits, budget, threads)?;
+        obligation_exploration(spec, interp, info_sig, domains, config.limits, budget, 1)?;
     let (static_violations, transition_violations) =
         obligation_axioms(theory, spec, config.policy, &exploration)?;
     Ok(Refine12Report {
@@ -172,6 +172,12 @@ pub fn obligation_completeness(
 /// completion is what unblocks the axiom sweep (obligations (b)/(d)) and
 /// the witness enumeration (obligation (c)) in the obligation DAG.
 ///
+/// `_threads` is ignored: the exploration runs on the calling thread (see
+/// [`explore_algebraic_budget`]). The parameter stays only because the
+/// benchmark package (`perfbench/`) calls this function by name with a
+/// worker count; it goes at the next change to the benchmark. Callers in
+/// this workspace pass 1.
+///
 /// # Errors
 /// Propagates exploration errors; budget exhaustion is *not* an error.
 pub fn obligation_exploration(
@@ -181,9 +187,9 @@ pub fn obligation_exploration(
     domains: &Arc<Domains>,
     limits: AlgExploreLimits,
     budget: &Budget,
-    threads: usize,
+    _threads: usize,
 ) -> Result<AlgebraicExploration> {
-    explore_algebraic_budget(spec, interp, info_sig, domains, limits, budget, threads)
+    explore_algebraic_budget(spec, interp, info_sig, domains, limits, budget)
 }
 
 /// Obligations (b) and (d): the per-axiom per-state satisfaction sweep
@@ -320,7 +326,7 @@ pub fn check_dynamic_budget(
     let plan_ref = &plan;
     let units: Vec<Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>> = (0..n)
         .map(|i| {
-            Box::new(move || plan_ref.run_proc(i, budget, 1))
+            Box::new(move || plan_ref.run_proc(i, budget))
                 as Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>
         })
         .collect();
@@ -445,12 +451,6 @@ impl<'s> DynamicPlan<'s> {
         self.proc_ranges.len()
     }
 
-    /// Total number of application slots.
-    #[must_use]
-    pub fn apps_len(&self) -> usize {
-        self.apps.len()
-    }
-
     /// Runs the dynamic obligations of procedure unit `i` (one contiguous
     /// slot range, processed in increasing serial order with a private
     /// denotation cache), polling `budget` at each global slot index. The
@@ -459,7 +459,7 @@ impl<'s> DynamicPlan<'s> {
     ///
     /// # Errors
     /// Propagates non-budget evaluation errors.
-    pub fn run_proc(&self, i: usize, budget: &Budget, threads: usize) -> Result<DynamicUnitOutcome> {
+    pub fn run_proc(&self, i: usize, budget: &Budget) -> Result<DynamicUnitOutcome> {
         let mut cache = DenoteCache::new();
         let mut out = Vec::new();
         let mut stop = None;
@@ -469,7 +469,7 @@ impl<'s> DynamicPlan<'s> {
                 stop = Some((k, reason));
                 break;
             }
-            match check_application(&self.u, proc, args, env, &mut cache, &self.timing, threads) {
+            match check_application(&self.u, proc, args, env, &mut cache, &self.timing) {
                 Ok(failures) => out.push((k, failures)),
                 Err(e) => match crate::reach::budget_stop(&e) {
                     Some(reason) => {
@@ -528,12 +528,10 @@ fn check_application(
     env: &Valuation,
     cache: &mut DenoteCache,
     timing: &Budget,
-    threads: usize,
 ) -> Result<Vec<DynamicFailure>> {
     let mut failures = Vec::new();
     let total = Pdl::after_some(proc.body.clone(), Pdl::Atom(Formula::True));
-    let batch =
-        pdl::check_batch_budget_with(std::slice::from_ref(&total), u, env, cache, timing, threads)?;
+    let batch = pdl::check_batch_budget_with(std::slice::from_ref(&total), u, env, cache, timing)?;
     if let Some(ex) = batch.exhausted {
         // Re-raise as an error so the unit loop unwinds; `run_proc`
         // converts it back into a graceful budget stop.

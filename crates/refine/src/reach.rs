@@ -9,32 +9,15 @@
 //! table (observational equality, §4.1); accessibility edges are single
 //! update applications.
 //!
-//! # Parallel exploration
-//!
-//! [`explore_algebraic_budget`] runs a *level-synchronous* breadth-first
-//! search: with more than one worker every BFS level is split across
-//! worker threads, each owning a thread-local
-//! [`Rewriter`] over a [`StoreHandle`] of one shared
-//! [`ConcurrentTermStore`], plus a [`SharedMemo`] so normal forms computed
-//! by one worker are reused by all. Workers evaluate observation keys and
-//! candidate structures; the main thread then merges discoveries serially
-//! in (parent order, successor order) — exactly the order the serial FIFO
-//! search admits states — so state numbering, edges, witnesses and depths
-//! are **bit-identical** to the single-threaded result.
-//!
-//! Worker-side structure computation keyed by observation id is sound
-//! because the observation key covers *every* query at *every* parameter
-//! tuple, and the induced structure is a function of exactly those query
-//! values: equal keys imply equal structures.
+//! Exploration is one breadth-first search over one [`Rewriter`]; it runs
+//! as a single obligation unit of the verification DAG and has no worker
+//! grain of its own.
 
 use std::sync::Arc;
 
 use eclectic_algebraic::induction::SuccessorPlan;
 use eclectic_algebraic::{induction, observe, AlgError, AlgSpec, Rewriter};
-use eclectic_kernel::{
-    run_tasks, Budget, BudgetExceeded, ConcurrentTermStore, Exhaustion, FxHashMap, IndexQueue,
-    Interner, SharedMemo, StoreHandle, TermId,
-};
+use eclectic_kernel::{Budget, BudgetExceeded, Exhaustion, FxHashMap, TermId};
 use eclectic_logic::{Domains, Signature, Structure, Term};
 use eclectic_temporal::{StateIdx, Universe};
 
@@ -79,18 +62,17 @@ pub struct AlgebraicExploration {
     pub exhausted: Option<Exhaustion>,
 }
 
-/// Explores the reachable states of `spec` and builds `M(T2)` with
-/// `threads` workers. `threads <= 1` runs the serial search over a private
-/// [`eclectic_kernel::TermStore`]; more workers run the level-synchronous
-/// parallel search over a shared [`ConcurrentTermStore`]. Both produce
-/// bit-identical explorations.
+/// Explores the reachable states of `spec` and builds `M(T2)` by a
+/// breadth-first search over a private [`eclectic_kernel::TermStore`].
+/// States are deduplicated by *packed observation id* (one interned tuple
+/// node per observation row — see [`observe::ObsKeys::key_id`]), so
+/// frontier lookup is a single id hash.
 ///
-/// The [`Budget`] is polled once per BFS level against the term store's
-/// node count, so a node cap stops at the same level boundary regardless of
-/// worker count; deadline and cancellation trips additionally interrupt
-/// workers mid-level and stop at the enclosing level. Exhaustion sets
-/// `truncated` and `exhausted` on the partial exploration instead of
-/// failing.
+/// The [`Budget`]'s node cap is polled once per BFS level against the term
+/// store's node count, so it stops at a level boundary; deadline and
+/// cancellation trips interrupt the rewriter mid-level and stop at the
+/// enclosing level. Exhaustion sets `truncated` and `exhausted` on the
+/// partial exploration instead of failing.
 ///
 /// # Errors
 /// Propagates rewriting/bridge errors; limit hits set `truncated`, and
@@ -102,22 +84,25 @@ pub fn explore_algebraic_budget(
     domains: &Arc<Domains>,
     limits: AlgExploreLimits,
     budget: &Budget,
-    threads: usize,
 ) -> Result<AlgebraicExploration> {
-    let threads = eclectic_kernel::effective_workers(threads);
-    if threads <= 1 {
-        explore_serial(
-            spec,
-            interp,
-            info_sig,
-            domains,
-            limits,
-            budget,
-            Rewriter::new(spec),
-        )
-    } else {
-        explore_parallel(spec, interp, info_sig, domains, limits, budget, threads)
+    let mut rw = Rewriter::new(spec);
+    let mut ex = Explore::new(info_sig, domains);
+    if let Some(reason) = budget.check(rw.store().len()) {
+        ex.exhaust(budget, reason, 0);
+        return Ok(ex.finish());
     }
+    // The search polls the node cap itself at level boundaries; the
+    // rewriter only watches the timing axes (deadline, cancellation).
+    rw.set_budget(budget.without_node_cap());
+    let mut level = 0usize;
+    if let Err(e) = explore_body(spec, interp, info_sig, domains, limits, budget, &mut rw, &mut ex, &mut level)
+    {
+        match budget_stop(&e) {
+            Some(reason) => ex.exhaust(budget, reason, level),
+            None => return Err(e),
+        }
+    }
+    Ok(ex.finish())
 }
 
 /// Extracts the budget-trip reason from a propagated rewriting error, if
@@ -145,7 +130,7 @@ struct AdmitCtx<'c> {
     domains: &'c Arc<Domains>,
 }
 
-/// Mutable exploration state shared by admission and merge.
+/// Mutable exploration state.
 struct Explore {
     universe: Universe,
     witnesses: Vec<Term>,
@@ -173,9 +158,9 @@ impl Explore {
     /// observation id, computes the induced structure only for fresh
     /// observational states. Returns the state index and whether it is a
     /// fresh frontier entry.
-    fn admit<S: Interner>(
+    fn admit(
         &mut self,
-        rw: &mut Rewriter<'_, S>,
+        rw: &mut Rewriter<'_>,
         ctx: &AdmitCtx<'_>,
         row: &mut Vec<TermId>,
         term: TermId,
@@ -186,18 +171,6 @@ impl Explore {
             return Ok((idx, false));
         }
         let st = structure_of_id(rw, ctx.interp, ctx.bridge, ctx.info_sig, ctx.domains, term)?;
-        self.insert_fresh_obs(obs, st, || rw.extern_term(term), d)
-    }
-
-    /// Installs a structure for a fresh observation id (not in `by_obs`).
-    /// `witness` is only materialised when the structure is genuinely new.
-    fn insert_fresh_obs(
-        &mut self,
-        obs: TermId,
-        st: Structure,
-        witness: impl FnOnce() -> Term,
-        d: usize,
-    ) -> Result<(StateIdx, bool)> {
         let pre_existing = self.universe.find_state(&st).is_some();
         let (idx, fresh) = self.universe.add_state(st)?;
         if pre_existing {
@@ -208,7 +181,7 @@ impl Explore {
         }
         debug_assert!(fresh);
         self.by_obs.insert(obs, idx);
-        self.witnesses.push(witness());
+        self.witnesses.push(rw.extern_term(term));
         self.depth.push(d);
         Ok((idx, true))
     }
@@ -232,48 +205,15 @@ impl Explore {
     }
 }
 
-/// The serial search, generic over the term-store backend. States are
-/// deduplicated by *packed observation id* (one interned tuple node per
-/// observation row — see [`observe::ObsKeys::key_id`]), so frontier lookup
-/// is a single id hash. Observation rows and successor lists reuse scratch
-/// buffers across states.
-fn explore_serial<S: Interner>(
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    limits: AlgExploreLimits,
-    budget: &Budget,
-    mut rw: Rewriter<'_, S>,
-) -> Result<AlgebraicExploration> {
-    let mut ex = Explore::new(info_sig, domains);
-    if let Some(reason) = budget.check(rw.store().len()) {
-        ex.exhaust(budget, reason, 0);
-        return Ok(ex.finish());
-    }
-    // The search polls the node cap itself at level boundaries; the
-    // rewriter only watches the timing axes (deadline, cancellation).
-    rw.set_budget(budget.without_node_cap());
-    let mut level = 0usize;
-    if let Err(e) = explore_serial_body(spec, interp, info_sig, domains, limits, budget, &mut rw, &mut ex, &mut level)
-    {
-        match budget_stop(&e) {
-            Some(reason) => ex.exhaust(budget, reason, level),
-            None => return Err(e),
-        }
-    }
-    Ok(ex.finish())
-}
-
 #[allow(clippy::too_many_arguments)]
-fn explore_serial_body<S: Interner>(
+fn explore_body(
     spec: &AlgSpec,
     interp: &InterpretationI,
     info_sig: &Arc<Signature>,
     domains: &Arc<Domains>,
     limits: AlgExploreLimits,
     budget: &Budget,
-    rw: &mut Rewriter<'_, S>,
+    rw: &mut Rewriter<'_>,
     ex: &mut Explore,
     level: &mut usize,
 ) -> Result<()> {
@@ -315,8 +255,7 @@ fn explore_serial_body<S: Interner>(
         if d > *level {
             // First pop of a new BFS level: every shallower state has been
             // expanded, so the store's node count here is a pure function of
-            // the levels completed — the same poll the parallel search makes
-            // between levels.
+            // the levels completed.
             *level = d;
             if let Some(reason) = budget.check(rw.store().len()) {
                 return Err(budget_err(reason));
@@ -339,298 +278,11 @@ fn explore_serial_body<S: Interner>(
     Ok(())
 }
 
-/// Per-item worker output: the successors of one frontier state, each with
-/// its packed observation id.
-type ItemSuccs = Vec<(TermId, TermId)>;
-
-/// One worker task's output: successors keyed by frontier index, the
-/// candidate structures for observation keys not yet in the dedup map,
-/// the budget trip (if any) that made the worker stop early, and the
-/// first hard error (if any), both keyed by the frontier index they
-/// occurred at so the merge can replay serial order.
-type TaskResult = (
-    Vec<(usize, ItemSuccs)>,
-    FxHashMap<TermId, Structure>,
-    Option<(usize, BudgetExceeded)>,
-    Option<(usize, RefineError)>,
-);
-
-/// A persistent worker: a rewriter over a shared-store handle plus scratch
-/// buffers, reused across BFS levels.
-struct Worker<'a> {
-    rw: Rewriter<'a, StoreHandle>,
-    row: Vec<TermId>,
-    succs: Vec<TermId>,
-}
-
-/// The level-synchronous parallel search. Every level runs two phases:
-///
-/// * **Phase A (parallel):** the frontier is split into contiguous chunks,
-///   one per worker. Each worker builds the successors of its states,
-///   evaluates their packed observation ids, and computes the induced
-///   structure for every observation id not already admitted (deduplicated
-///   locally). `by_obs` is only *read* during this phase.
-/// * **Phase B (serial merge):** discoveries are merged in (parent order,
-///   successor order) — the exact order the serial FIFO pops them — so the
-///   admitted states, their numbering, edges, witnesses and depths are
-///   bit-identical to [`explore_serial`].
-fn explore_parallel(
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    limits: AlgExploreLimits,
-    budget: &Budget,
-    threads: usize,
-) -> Result<AlgebraicExploration> {
-    let store = ConcurrentTermStore::shared();
-    let mut ex = Explore::new(info_sig, domains);
-    if let Some(reason) = budget.check(store.len()) {
-        ex.exhaust(budget, reason, 0);
-        return Ok(ex.finish());
-    }
-    let mut level = 0usize;
-    if let Err(e) = explore_parallel_body(
-        spec, interp, info_sig, domains, limits, budget, threads, &store, &mut ex, &mut level,
-    ) {
-        match budget_stop(&e) {
-            Some(reason) => ex.exhaust(budget, reason, level),
-            None => return Err(e),
-        }
-    }
-    Ok(ex.finish())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn explore_parallel_body(
-    spec: &AlgSpec,
-    interp: &InterpretationI,
-    info_sig: &Arc<Signature>,
-    domains: &Arc<Domains>,
-    limits: AlgExploreLimits,
-    budget: &Budget,
-    threads: usize,
-    store: &Arc<ConcurrentTermStore>,
-    ex: &mut Explore,
-    level: &mut usize,
-) -> Result<()> {
-    let bridge = ParamBridge::new(spec.signature(), info_sig, domains)?;
-    let memo = Arc::new(SharedMemo::default());
-    let mut rw0 = Rewriter::with_store(spec, StoreHandle::new(store.clone()));
-    rw0.set_shared_memo(memo.clone());
-    rw0.set_budget(budget.without_node_cap());
-    let keys = observe::ObsKeys::new(&mut rw0)?;
-    let plan = SuccessorPlan::new(&mut rw0)?;
-    let ctx = AdmitCtx {
-        keys: &keys,
-        interp,
-        bridge: &bridge,
-        info_sig,
-        domains,
-    };
-
-    let mut row: Vec<TermId> = Vec::with_capacity(keys.arity());
-
-    let initials = induction::initial_state_ids(&mut rw0)?;
-    if initials.is_empty() {
-        return Err(RefineError::Alg(
-            eclectic_algebraic::AlgError::BadDescription("no initial state constant".into()),
-        ));
-    }
-
-    // The BFS frontier, admitted level by level. The serial FIFO queue
-    // always holds states of at most two consecutive depths, and the depth
-    // limit/truncation checks apply uniformly per level, so a frontier
-    // vector per level reproduces its order exactly.
-    let mut frontier: Vec<(StateIdx, TermId, usize)> = Vec::new();
-    for t in initials {
-        let (idx, fresh) = ex.admit(&mut rw0, &ctx, &mut row, t, 0)?;
-        if fresh {
-            frontier.push((idx, t, 0));
-        }
-    }
-
-    let mut workers: Vec<Worker<'_>> = (0..threads)
-        .map(|_| {
-            let mut rw = Rewriter::with_store(spec, StoreHandle::new(store.clone()));
-            rw.set_shared_memo(memo.clone());
-            rw.set_budget(budget.without_node_cap());
-            Worker {
-                rw,
-                row: Vec::with_capacity(keys.arity()),
-                succs: Vec::with_capacity(plan.count()),
-            }
-        })
-        .collect();
-
-    while !frontier.is_empty() {
-        let d = frontier[0].2;
-        if d >= limits.max_depth {
-            // The serial search pops each of these and marks truncation.
-            ex.truncated = true;
-            break;
-        }
-        if d > 0 {
-            // Level boundary: the shared store holds exactly the nodes the
-            // completed levels interned (hash-consing makes the set, hence
-            // the count, schedule-independent), so this poll stops at the
-            // same level as the serial search for the node axis.
-            *level = d;
-            if let Some(reason) = budget.check(store.len()) {
-                return Err(budget_err(reason));
-            }
-        }
-
-        // Phase A: expand the level in parallel. Frontier items are
-        // claimed in chunks off a shared queue (idle scheduler workers
-        // steal the tail of a slow worker's share) and keyed by frontier
-        // index, so the merge below replays serial order regardless of
-        // which worker expanded what.
-        let nworkers = workers.len().min(frontier.len()).max(1);
-        let queue = IndexQueue::new(frontier.len(), nworkers);
-        let by_obs = &ex.by_obs;
-        let task_results: Vec<TaskResult> = {
-            let queue = &queue;
-            let frontier = &frontier;
-            let tasks: Vec<Box<dyn FnOnce() -> TaskResult + Send + '_>> = workers
-                .iter_mut()
-                .take(nworkers)
-                .map(|w| {
-                    let ctx = &ctx;
-                    let plan = &plan;
-                    let f: Box<dyn FnOnce() -> TaskResult + Send + '_> = Box::new(move || {
-                        let mut per_item: Vec<(usize, ItemSuccs)> = Vec::new();
-                        let mut structs: FxHashMap<TermId, Structure> = FxHashMap::default();
-                        while let Some(range) = queue.claim() {
-                            for k in range {
-                                let (_, term, _) = frontier[k];
-                                plan.successors_into(&mut w.rw, term, &mut w.succs);
-                                let mut out: ItemSuccs = Vec::with_capacity(w.succs.len());
-                                for i in 0..w.succs.len() {
-                                    let succ = w.succs[i];
-                                    let obs = match ctx.keys.key_id(&mut w.rw, succ, &mut w.row)
-                                    {
-                                        Ok(obs) => obs,
-                                        Err(AlgError::Budget { reason }) => {
-                                            return (per_item, structs, Some((k, reason)), None);
-                                        }
-                                        Err(e) => {
-                                            return (per_item, structs, None, Some((k, e.into())));
-                                        }
-                                    };
-                                    if !by_obs.contains_key(&obs) && !structs.contains_key(&obs) {
-                                        let st = match structure_of_id(
-                                            &mut w.rw,
-                                            ctx.interp,
-                                            ctx.bridge,
-                                            ctx.info_sig,
-                                            ctx.domains,
-                                            succ,
-                                        ) {
-                                            Ok(st) => st,
-                                            Err(e) => match budget_stop(&e) {
-                                                Some(reason) => {
-                                                    return (
-                                                        per_item,
-                                                        structs,
-                                                        Some((k, reason)),
-                                                        None,
-                                                    );
-                                                }
-                                                None => {
-                                                    return (per_item, structs, None, Some((k, e)));
-                                                }
-                                            },
-                                        };
-                                        structs.insert(obs, st);
-                                    }
-                                    out.push((succ, obs));
-                                }
-                                per_item.push((k, out));
-                            }
-                        }
-                        (per_item, structs, None, None)
-                    });
-                    f
-                })
-                .collect();
-            run_tasks(nworkers, tasks)
-        };
-
-        // Surface the first error in frontier order — the same error the
-        // serial search hits first among those its admission order would
-        // reach.
-        let first_err = task_results
-            .iter()
-            .filter_map(|(_, _, _, e)| e.as_ref().map(|(k, _)| *k))
-            .min();
-        if let Some(k0) = first_err {
-            let (_, e) = task_results
-                .into_iter()
-                .filter_map(|(_, _, _, e)| e)
-                .find(|(k, _)| *k == k0)
-                .expect("error index recorded");
-            return Err(e);
-        }
-        let stop = task_results
-            .iter()
-            .filter_map(|(_, _, s, _)| s.as_ref().map(|(_, r)| *r))
-            .next();
-        let mut slots: Vec<Option<ItemSuccs>> = vec![None; frontier.len()];
-        let mut fresh_structs: FxHashMap<TermId, Structure> = FxHashMap::default();
-        for (items, structs, _, _) in task_results {
-            for (k, out) in items {
-                slots[k] = Some(out);
-            }
-            // Workers deduplicate locally; across workers the entries for
-            // one observation id are identical structures.
-            fresh_structs.extend(structs);
-        }
-        if let Some(reason) = stop {
-            // A timing axis tripped inside a worker: the level is
-            // incomplete, so discard it and report the levels that finished.
-            *level = d;
-            return Err(budget_err(reason));
-        }
-        let per_item: Vec<ItemSuccs> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every frontier item expanded"))
-            .collect();
-
-        // Phase B: serial merge in (parent, successor) order.
-        let mut next: Vec<(StateIdx, TermId, usize)> = Vec::new();
-        for (&(pidx, _, _), succs) in frontier.iter().zip(&per_item) {
-            for &(succ, obs) in succs {
-                if ex.universe.state_count() >= limits.max_states {
-                    ex.truncated = true;
-                    break;
-                }
-                if let Some(&sidx) = ex.by_obs.get(&obs) {
-                    ex.universe.add_edge(pidx, sidx);
-                    continue;
-                }
-                let st = fresh_structs
-                    .remove(&obs)
-                    .expect("phase A computed a structure for every fresh observation");
-                let (sidx, fresh) =
-                    ex.insert_fresh_obs(obs, st, || rw0.extern_term(succ), d + 1)?;
-                ex.universe.add_edge(pidx, sidx);
-                if fresh {
-                    next.push((sidx, succ, d + 1));
-                }
-            }
-        }
-        frontier = next;
-    }
-
-    Ok(())
-}
-
 /// Builds the `L1` structure induced by a ground state term: each
 /// db-predicate holds of the tuples whose interpreting query rewrites to
 /// `True`.
-pub fn structure_of<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+pub fn structure_of(
+    rw: &mut Rewriter<'_>,
     interp: &InterpretationI,
     bridge: &ParamBridge,
     info_sig: &Arc<Signature>,
@@ -644,8 +296,8 @@ pub fn structure_of<S: Interner>(
 /// As [`structure_of`], over an already-interned state term — the hot-path
 /// variant used by exploration: queries are evaluated by id with no term
 /// trees built.
-pub fn structure_of_id<S: Interner>(
-    rw: &mut Rewriter<'_, S>,
+pub fn structure_of_id(
+    rw: &mut Rewriter<'_>,
     interp: &InterpretationI,
     bridge: &ParamBridge,
     info_sig: &Arc<Signature>,
@@ -726,17 +378,16 @@ mod tests {
         (spec, interp, Arc::new(info), Arc::new(dom))
     }
 
-    /// An unbudgeted exploration with `threads` workers.
+    /// An unbudgeted exploration.
     fn explore(
         spec: &AlgSpec,
         interp: &InterpretationI,
         info: &Arc<Signature>,
         dom: &Arc<Domains>,
         limits: AlgExploreLimits,
-        threads: usize,
     ) -> AlgebraicExploration {
         let budget = Budget::unlimited();
-        explore_algebraic_budget(spec, interp, info, dom, limits, &budget, threads).unwrap()
+        explore_algebraic_budget(spec, interp, info, dom, limits, &budget).unwrap()
     }
 
     #[test]
@@ -746,7 +397,7 @@ mod tests {
             max_depth: 5,
             max_states: 100,
         };
-        let exp = explore(&spec, &interp, &info, &dom, limits, 1);
+        let exp = explore(&spec, &interp, &info, &dom, limits);
         // offer/cancel generate all 4 subsets of {db, ai}.
         assert_eq!(exp.universe.state_count(), 4);
         assert!(!exp.truncated);
@@ -770,7 +421,7 @@ mod tests {
             max_depth: 1,
             max_states: 100,
         };
-        let exp = explore(&spec, &interp, &info, &dom, limits, 1);
+        let exp = explore(&spec, &interp, &info, &dom, limits);
         assert!(exp.truncated);
         assert_eq!(exp.universe.state_count(), 3); // {} and the singletons
     }
@@ -795,26 +446,20 @@ mod tests {
     fn node_cap_zero_exhausts_before_exploring() {
         let (spec, interp, info, dom) = setup();
         let budget = Budget::unlimited().with_max_nodes(0);
-        let mut reports = Vec::new();
-        for threads in [1, 2, 4] {
-            let exp = explore_algebraic_budget(
-                &spec,
-                &interp,
-                &info,
-                &dom,
-                AlgExploreLimits::default(),
-                &budget,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(exp.universe.state_count(), 0);
-            assert!(exp.truncated);
-            let e = exp.exhausted.expect("node cap 0 must exhaust");
-            assert_eq!(e.stage, "explore");
-            assert_eq!(e.completed_units, 0);
-            reports.push(e);
-        }
-        assert!(reports.windows(2).all(|w| w[0] == w[1]));
+        let exp = explore_algebraic_budget(
+            &spec,
+            &interp,
+            &info,
+            &dom,
+            AlgExploreLimits::default(),
+            &budget,
+        )
+        .unwrap();
+        assert_eq!(exp.universe.state_count(), 0);
+        assert!(exp.truncated);
+        let e = exp.exhausted.expect("node cap 0 must exhaust");
+        assert_eq!(e.stage, "explore");
+        assert_eq!(e.completed_units, 0);
     }
 
     #[test]
@@ -823,42 +468,17 @@ mod tests {
         let tok = eclectic_kernel::CancelToken::new();
         tok.cancel();
         let budget = Budget::unlimited().with_cancel(tok);
-        for threads in [1, 4] {
-            let exp = explore_algebraic_budget(
-                &spec,
-                &interp,
-                &info,
-                &dom,
-                AlgExploreLimits::default(),
-                &budget,
-                threads,
-            )
-            .unwrap();
-            assert!(exp.truncated);
-            let e = exp.exhausted.expect("cancelled budget must exhaust");
-            assert_eq!(e.reason, eclectic_kernel::BudgetExceeded::Cancelled);
-        }
-    }
-
-    #[test]
-    fn parallel_exploration_is_bit_identical_to_serial() {
-        let (spec, interp, info, dom) = setup();
-        let limits = AlgExploreLimits {
-            max_depth: 5,
-            max_states: 100,
-        };
-        let serial = explore(&spec, &interp, &info, &dom, limits, 1);
-        for threads in [2, 4, 8] {
-            let par = explore(&spec, &interp, &info, &dom, limits, threads);
-            assert_eq!(par.universe.state_count(), serial.universe.state_count());
-            assert_eq!(par.universe.edge_count(), serial.universe.edge_count());
-            assert_eq!(par.witnesses, serial.witnesses);
-            assert_eq!(par.depth, serial.depth);
-            assert_eq!(par.truncated, serial.truncated);
-            assert_eq!(par.abstraction_collision, serial.abstraction_collision);
-            for s in serial.universe.state_indices() {
-                assert_eq!(par.universe.successors(s), serial.universe.successors(s));
-            }
-        }
+        let exp = explore_algebraic_budget(
+            &spec,
+            &interp,
+            &info,
+            &dom,
+            AlgExploreLimits::default(),
+            &budget,
+        )
+        .unwrap();
+        assert!(exp.truncated);
+        let e = exp.exhausted.expect("cancelled budget must exhaust");
+        assert_eq!(e.reason, eclectic_kernel::BudgetExceeded::Cancelled);
     }
 }

@@ -18,10 +18,8 @@
 //! builders that know the universe size up front use [`BinRel::with_dim`]
 //! to skip the growth re-layouts (and to let the policy pick the sparse
 //! backend immediately on huge universes). Long-running operators have
-//! `*_threads` variants (row-strided across
-//! [`eclectic_kernel::effective_workers`], bit-identical at every worker
-//! count) and `*_governed` variants polling a [`Budget`] at row-stride
-//! boundaries on the timing and relation-memory axes.
+//! `*_governed` variants polling a [`Budget`] at row-stride boundaries on
+//! the timing and relation-memory axes.
 
 use std::collections::BTreeSet;
 
@@ -190,34 +188,21 @@ impl BinRel {
     /// Composition — `m(p ; q) = m(p) ∘ m(q)` (apply `self` first).
     #[must_use]
     pub fn compose(&self, other: &BinRel) -> BinRel {
-        self.compose_threads(other, 1)
-    }
-
-    /// As [`compose`](Self::compose), fanning output rows across
-    /// [`eclectic_kernel::effective_workers`]`(threads)` workers; the
-    /// result is bit-identical at every worker count.
-    #[must_use]
-    pub fn compose_threads(&self, other: &BinRel, threads: usize) -> BinRel {
-        match self.compose_governed(other, &Budget::unlimited(), threads) {
+        match self.compose_governed(other, &Budget::unlimited()) {
             Ok(r) => r,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
     }
 
-    /// As [`compose_threads`](Self::compose_threads), polling `budget` at
-    /// row-stride boundaries (timing and relation-memory axes; callers
-    /// strip the node cap).
+    /// As [`compose`](Self::compose), polling `budget` at row-stride
+    /// boundaries (timing and relation-memory axes; callers strip the node
+    /// cap).
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
-    pub fn compose_governed(
-        &self,
-        other: &BinRel,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<BinRel, BudgetExceeded> {
+    pub fn compose_governed(&self, other: &BinRel, budget: &Budget) -> Result<BinRel, BudgetExceeded> {
         Ok(BinRel {
-            rel: self.rel.compose_governed(&other.rel, budget, threads)?,
+            rel: self.rel.compose_governed(&other.rel, budget)?,
         })
     }
 
@@ -228,41 +213,26 @@ impl BinRel {
     /// never *starts* from a source `≥ n`.
     #[must_use]
     pub fn star(&self, n: usize) -> BinRel {
-        self.star_threads(n, 1)
-    }
-
-    /// As [`star`](Self::star), fanning source rows across
-    /// [`eclectic_kernel::effective_workers`]`(threads)` workers; the
-    /// result is bit-identical at every worker count.
-    #[must_use]
-    pub fn star_threads(&self, n: usize, threads: usize) -> BinRel {
-        match self.star_governed(n, &Budget::unlimited(), threads) {
+        match self.star_governed(n, &Budget::unlimited()) {
             Ok(r) => r,
             Err(_) => unreachable!("unlimited budget never trips"),
         }
     }
 
-    /// As [`star_threads`](Self::star_threads), polling `budget` at
-    /// row-stride boundaries (timing and relation-memory axes; callers
-    /// strip the node cap).
+    /// As [`star`](Self::star), polling `budget` at row-stride boundaries
+    /// (timing and relation-memory axes; callers strip the node cap).
     ///
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
-    pub fn star_governed(
-        &self,
-        n: usize,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<BinRel, BudgetExceeded> {
+    pub fn star_governed(&self, n: usize, budget: &Budget) -> Result<BinRel, BudgetExceeded> {
         // Materialization goes through the demand-driven closure layer;
-        // with nothing pre-demanded it takes the backend's parallel
-        // fast path, so only sources < n start a traversal and the
-        // result is bit-identical at every worker count.
+        // with nothing pre-demanded it takes the backend's eager closure,
+        // so only sources < n start a traversal.
         let closed = if self.rel.dim() >= n {
-            LazyClosure::new(&self.rel).materialize_governed(n, budget, threads)?
+            LazyClosure::new(&self.rel).materialize_governed(n, budget)?
         } else {
             let grown = self.rel.resized(n);
-            LazyClosure::new(&grown).materialize_governed(n, budget, threads)?
+            LazyClosure::new(&grown).materialize_governed(n, budget)?
         };
         Ok(BinRel { rel: closed })
     }
@@ -437,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_variants_are_bit_identical() {
+    fn random_star_and_compose_match_image_references() {
         let mut r = BinRel::with_dim(300);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..600 {
@@ -446,12 +416,19 @@ mod tests {
             x ^= x << 17;
             r.insert((x % 300) as usize, ((x >> 16) % 300) as usize);
         }
-        let star1 = r.star(300);
-        let comp1 = r.compose(&r);
-        for threads in [2, 4, 8] {
-            assert_eq!(r.star_threads(300, threads), star1);
-            assert_eq!(r.compose_threads(&r, threads), comp1);
+        let comp_ref = BinRel::from_pairs(
+            (0..300).flat_map(|a| r.image(a).into_iter().flat_map(|b| r.image(b)).map(move |c| (a, c))),
+        );
+        assert_eq!(r.compose(&r), comp_ref);
+        let mut star_ref = BinRel::identity(300);
+        loop {
+            let next = star_ref.union(&star_ref.compose(&r));
+            if next == star_ref {
+                break;
+            }
+            star_ref = next;
         }
+        assert_eq!(r.star(300), star_ref);
     }
 
     #[test]

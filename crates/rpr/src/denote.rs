@@ -85,34 +85,6 @@ impl DenoteCache {
         let key = relevant_env(stmt, env);
         self.map.get(&key).is_some_and(|m| m.contains_key(stmt))
     }
-
-    /// A copy holding the same entries but zeroed counters — the
-    /// worker-local starting point for a parallel batch phase, whose
-    /// counters then record only that worker's activity.
-    #[must_use]
-    pub fn clone_entries(&self) -> DenoteCache {
-        DenoteCache {
-            map: self.map.clone(),
-            computed: 0,
-            hits: 0,
-        }
-    }
-
-    /// Adopts every entry of `other` this cache does not already hold
-    /// (entries for the same key are necessarily equal — denotations are
-    /// deterministic). Newly adopted entries count as computed.
-    pub fn absorb(&mut self, other: DenoteCache) {
-        self.hits += other.hits;
-        for (env, inner) in other.map {
-            let bucket = self.map.entry(env).or_default();
-            for (stmt, rel) in inner {
-                if let std::collections::hash_map::Entry::Vacant(e) = bucket.entry(stmt) {
-                    self.computed += 1;
-                    e.insert(rel);
-                }
-            }
-        }
-    }
 }
 
 /// As [`meaning`], memoised: every sub-statement's denotation is looked up
@@ -127,18 +99,17 @@ pub fn meaning_cached(
     env: &Valuation,
     cache: &mut DenoteCache,
 ) -> Result<BinRel> {
-    meaning_cached_governed(u, stmt, env, cache, &Budget::unlimited(), 1)
+    meaning_cached_governed(u, stmt, env, cache, &Budget::unlimited())
 }
 
 /// As [`meaning_cached`], with the long-running relational operators
-/// (`compose` on `Seq`/guards, `star` on loops) row-striped across
-/// `threads` workers and polling `budget` at row-stride boundaries.
+/// (`compose` on `Seq`/guards, `star` on loops) polling `budget` at
+/// row-stride boundaries.
 ///
 /// Callers that also enforce a node cap strip it first
 /// ([`Budget::without_node_cap`]) — here the polls govern only the timing
-/// axes (deadline, cancellation), so partial reports stay bit-identical at
-/// every thread count; unit counting belongs to the caller's serial-order
-/// boundaries.
+/// and relation-memory axes (deadline, cancellation, bytes); unit counting
+/// belongs to the caller's unit boundaries.
 ///
 /// # Errors
 /// As [`meaning`], plus [`RprError::Budget`] when the budget trips; the
@@ -149,7 +120,6 @@ pub fn meaning_cached_governed(
     env: &Valuation,
     cache: &mut DenoteCache,
     budget: &Budget,
-    threads: usize,
 ) -> Result<BinRel> {
     let key = relevant_env(stmt, env);
     if let Some(r) = cache.map.get(&key).and_then(|m| m.get(stmt)) {
@@ -166,37 +136,37 @@ pub fn meaning_cached_governed(
         | Stmt::Test(_)
         | Stmt::Insert(..)
         | Stmt::Delete(..) => meaning(u, stmt, env)?,
-        Stmt::Union(p, q) => meaning_cached_governed(u, p, env, cache, budget, threads)?
-            .union(&meaning_cached_governed(u, q, env, cache, budget, threads)?),
+        Stmt::Union(p, q) => meaning_cached_governed(u, p, env, cache, budget)?
+            .union(&meaning_cached_governed(u, q, env, cache, budget)?),
         Stmt::Seq(p, q) => {
-            let mp = meaning_cached_governed(u, p, env, cache, budget, threads)?;
-            let mq = meaning_cached_governed(u, q, env, cache, budget, threads)?;
-            governed(mp.compose_governed(&mq, budget, threads))?
+            let mp = meaning_cached_governed(u, p, env, cache, budget)?;
+            let mq = meaning_cached_governed(u, q, env, cache, budget)?;
+            governed(mp.compose_governed(&mq, budget))?
         }
         Stmt::Star(p) => {
-            let mp = meaning_cached_governed(u, p, env, cache, budget, threads)?;
-            governed(mp.star_governed(u.len(), budget, threads))?
+            let mp = meaning_cached_governed(u, p, env, cache, budget)?;
+            governed(mp.star_governed(u.len(), budget))?
         }
         Stmt::IfThen(c, p) => {
-            let test = meaning_cached_governed(u, &Stmt::Test(c.clone()), env, cache, budget, threads)?;
+            let test = meaning_cached_governed(u, &Stmt::Test(c.clone()), env, cache, budget)?;
             let ntest = cached_neg_test(u, c, &test, env, cache);
-            let mp = meaning_cached_governed(u, p, env, cache, budget, threads)?;
-            governed(test.compose_governed(&mp, budget, threads))?.union(&ntest)
+            let mp = meaning_cached_governed(u, p, env, cache, budget)?;
+            governed(test.compose_governed(&mp, budget))?.union(&ntest)
         }
         Stmt::IfThenElse(c, p, q) => {
-            let test = meaning_cached_governed(u, &Stmt::Test(c.clone()), env, cache, budget, threads)?;
+            let test = meaning_cached_governed(u, &Stmt::Test(c.clone()), env, cache, budget)?;
             let ntest = cached_neg_test(u, c, &test, env, cache);
-            let mp = meaning_cached_governed(u, p, env, cache, budget, threads)?;
-            let mq = meaning_cached_governed(u, q, env, cache, budget, threads)?;
-            governed(test.compose_governed(&mp, budget, threads))?
-                .union(&governed(ntest.compose_governed(&mq, budget, threads))?)
+            let mp = meaning_cached_governed(u, p, env, cache, budget)?;
+            let mq = meaning_cached_governed(u, q, env, cache, budget)?;
+            governed(test.compose_governed(&mp, budget))?
+                .union(&governed(ntest.compose_governed(&mq, budget))?)
         }
         Stmt::While(c, p) => {
-            let test = meaning_cached_governed(u, &Stmt::Test(c.clone()), env, cache, budget, threads)?;
+            let test = meaning_cached_governed(u, &Stmt::Test(c.clone()), env, cache, budget)?;
             let ntest = cached_neg_test(u, c, &test, env, cache);
-            let mp = meaning_cached_governed(u, p, env, cache, budget, threads)?;
-            let body = governed(test.compose_governed(&mp, budget, threads))?;
-            governed(body.star_governed(u.len(), budget, threads))?
+            let mp = meaning_cached_governed(u, p, env, cache, budget)?;
+            let body = governed(test.compose_governed(&mp, budget))?;
+            governed(body.star_governed(u.len(), budget))?
                 .compose(&ntest)
         }
     };

@@ -7,10 +7,7 @@
 //! statements and whose atoms are first-order wffs, model-checked over a
 //! finite universe.
 
-use eclectic_kernel::{
-    effective_workers, run_workers_prio, Budget, BudgetExceeded, Exhaustion, FxHashSet, IndexQueue,
-    Priority,
-};
+use eclectic_kernel::{Budget, Exhaustion, FxHashSet};
 use eclectic_logic::{eval, Formula, Valuation};
 
 use crate::ast::Stmt;
@@ -152,9 +149,7 @@ pub struct BatchReport {
     pub satisfying: Vec<Vec<bool>>,
     /// Per input formula, whether it is valid in the universe.
     pub valid: Vec<bool>,
-    /// Denotation-cache counters after the run. Unlike `satisfying` and
-    /// `valid` — which are bit-identical at every thread count — the
-    /// counters depend on how work was split across workers.
+    /// Denotation-cache counters after the run.
     pub stats: CacheStats,
     /// Set when a [`Budget`] tripped: `satisfying`/`valid` then hold the
     /// verdicts of the formula prefix that completed (empty when the
@@ -170,19 +165,16 @@ pub struct BatchReport {
 /// the cache key).
 ///
 /// Phase one computes the denotation of every not-yet-cached modality
-/// program — in parallel when `threads > 1`, each distinct program on
-/// exactly one worker. Phase two walks the formulas serially against the
-/// filled cache. `satisfying`/`valid` are bit-identical at every thread
-/// count; the cache counters are not (workers that race on a shared
-/// sub-statement each compute it locally).
+/// program, in first-occurrence order. Phase two walks the formulas
+/// against the filled cache.
 ///
-/// The run is governed by a [`Budget`]. Work is counted in serial-order
-/// units: first the not-yet-cached modality programs (polled before each
-/// denotation, by index), then the formulas (polled before each walk,
-/// offset by the program count) — so a node cap stops after the same unit
-/// at every worker count. Exhaustion keeps the verdict prefix computed so
-/// far and sets `exhausted` instead of failing; denotations finished
-/// before the stop stay in `cache` (they are complete, valid entries).
+/// The run is governed by a [`Budget`]. Work is counted in units: first
+/// the not-yet-cached modality programs (polled before each denotation, by
+/// index), then the formulas (polled before each walk, offset by the
+/// program count), so a node cap of `k` stops after `k` units. Exhaustion
+/// keeps the verdict prefix computed so far and sets `exhausted` instead
+/// of failing; denotations finished before the stop stay in `cache` (they
+/// are complete, valid entries).
 ///
 /// # Errors
 /// See [`satisfying_states`]; budget exhaustion is *not* an error.
@@ -192,9 +184,7 @@ pub fn check_batch_budget_with(
     env: &Valuation,
     cache: &mut DenoteCache,
     budget: &Budget,
-    threads: usize,
 ) -> Result<BatchReport> {
-    let threads = effective_workers(threads);
     if let Some(reason) = budget.check(0) {
         return Ok(BatchReport {
             satisfying: Vec::new(),
@@ -212,8 +202,8 @@ pub fn check_batch_budget_with(
     // needs the closure relation itself — phase 2 answers it with a
     // demand-driven sweep over `m(q)`. Substitute `q*` with `q` here so
     // phase 1 denotes only the base relation (first-occurrence order and
-    // the serial unit count stay deterministic; `While` and nested stars
-    // still materialize inside `meaning_cached_governed`).
+    // the unit count stay deterministic; `While` and nested stars still
+    // materialize inside `meaning_cached_governed`).
     let mut seen_subst: FxHashSet<&Stmt> = FxHashSet::default();
     let todo: Vec<&Stmt> = programs
         .into_iter()
@@ -226,69 +216,18 @@ pub fn check_batch_budget_with(
         .collect();
     let denotations = todo.len();
 
-    // Workers and governed relational ops poll only the timing axes; the
-    // node cap is enforced here, at serial-order unit boundaries, so a
-    // capped partial stops after the same unit at every thread count.
+    // Governed relational ops poll only the timing axes; the node cap is
+    // enforced here, at unit boundaries.
     let timing = budget.without_node_cap();
-    let mut stop: Option<(usize, BudgetExceeded)> = None;
-    if threads > 1 && todo.len() > 1 {
-        let workers = threads.min(todo.len());
-        type LocalOut = Result<(DenoteCache, Option<(usize, BudgetExceeded)>)>;
-        let queue = IndexQueue::new(todo.len(), workers);
-        let locals: Vec<LocalOut> = run_workers_prio(workers, Priority::Bulk, |_| {
-            let todo = &todo;
-            let base = &*cache;
-            let timing = &timing;
-            let queue = &queue;
-            move || {
-                let mut local = base.clone_entries();
-                let mut stop = None;
-                'claims: while let Some(range) = queue.claim() {
-                    for k in range {
-                        let prog = todo[k];
-                        if let Some(reason) = budget.check(k) {
-                            stop = Some((k, reason));
-                            break 'claims;
-                        }
-                        match meaning_cached_governed(u, prog, env, &mut local, timing, 1) {
-                            Ok(_) => {}
-                            Err(RprError::Budget { reason }) => {
-                                stop = Some((k, reason));
-                                break 'claims;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Ok((local, stop))
-            }
-        });
-        for local in locals {
-            let (local, s) = local?;
-            cache.absorb(local);
-            if s.is_some_and(|(k, _)| stop.is_none_or(|(k0, _)| k < k0)) {
-                stop = s;
-            }
-        }
-    } else {
-        for (k, prog) in todo.iter().enumerate() {
-            if let Some(reason) = budget.check(k) {
-                stop = Some((k, reason));
-                break;
-            }
-            // A lone oversized program still gets row-level parallelism
-            // inside its star/compose operators.
-            match meaning_cached_governed(u, prog, env, cache, &timing, threads) {
-                Ok(_) => {}
-                Err(RprError::Budget { reason }) => {
-                    stop = Some((k, reason));
-                    break;
-                }
+    for (k, prog) in todo.iter().enumerate() {
+        let reason = match budget.check(k) {
+            Some(reason) => reason,
+            None => match meaning_cached_governed(u, prog, env, cache, &timing) {
+                Ok(_) => continue,
+                Err(RprError::Budget { reason }) => reason,
                 Err(e) => return Err(e),
-            }
-        }
-    }
-    if let Some((k, reason)) = stop {
+            },
+        };
         return Ok(BatchReport {
             satisfying: Vec::new(),
             valid: Vec::new(),
@@ -349,25 +288,12 @@ fn collect_programs<'a>(phi: &'a Pdl, seen: &mut FxHashSet<&'a Stmt>, out: &mut 
 
 /// As [`satisfying_states`] against a caller-held denotation cache and
 /// parameter environment (atoms are evaluated under `env` too, which for
-/// the empty environment coincides with the closed-formula evaluation).
-///
-/// # Errors
-/// See [`satisfying_states`].
-pub fn satisfying_states_cached(
-    u: &FiniteUniverse,
-    phi: &Pdl,
-    env: &Valuation,
-    cache: &mut DenoteCache,
-) -> Result<Vec<bool>> {
-    satisfying_states_governed(u, phi, env, cache, &Budget::unlimited())
-}
-
-/// As [`satisfying_states_cached`], polling `budget` inside the lazy
-/// `[q*]`/`⟨q*⟩` sweeps. A star modality whose closure is *not* already
-/// cached is answered by a demand-driven sweep over the cached `m(q)`
-/// (see [`BinRel::box_star_states_governed`]) — the closure relation is
-/// never materialized and never enters the cache; a cached closure (or
-/// any non-star program) is swept directly.
+/// the empty environment coincides with the closed-formula evaluation),
+/// polling `budget` inside the lazy `[q*]`/`⟨q*⟩` sweeps. A star modality
+/// whose closure is *not* already cached is answered by a demand-driven
+/// sweep over the cached `m(q)` (see [`BinRel::box_star_states_governed`])
+/// — the closure relation is never materialized and never enters the
+/// cache; a cached closure (or any non-star program) is swept directly.
 ///
 /// # Errors
 /// See [`satisfying_states`], plus [`RprError::Budget`] when the budget
@@ -433,10 +359,10 @@ mod tests {
     use std::sync::Arc;
 
     /// One batch against a fresh cache and the empty environment.
-    fn check_batch(formulas: &[Pdl], u: &FiniteUniverse, threads: usize) -> BatchReport {
+    fn check_batch(formulas: &[Pdl], u: &FiniteUniverse) -> BatchReport {
         let mut cache = DenoteCache::new();
         let (env, budget) = (Valuation::new(), Budget::unlimited());
-        check_batch_budget_with(formulas, u, &env, &mut cache, &budget, threads).unwrap()
+        check_batch_budget_with(formulas, u, &env, &mut cache, &budget).unwrap()
     }
 
     fn setup() -> (FiniteUniverse, Stmt, Formula) {
@@ -500,7 +426,7 @@ mod tests {
             Pdl::after_all(Stmt::Skip, a.clone()),
             Pdl::after_all(insert.clone().seq(Stmt::Skip), a.clone()),
         ];
-        let report = check_batch(&batch, &u, 1);
+        let report = check_batch(&batch, &u);
         // Three distinct denotations: insert, skip, insert;skip. The
         // duplicated `insert` modality, the seq's two children, and the
         // phase-two lookups of the three programs hit the cache.
@@ -517,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_thread_count_invariant() {
+    fn batch_with_star_and_union_agrees_with_single_formula_checks() {
         let (u, insert, atom) = setup();
         let a = Pdl::Atom(atom);
         let batch = vec![
@@ -527,11 +453,10 @@ mod tests {
             Pdl::after_some(insert.clone().seq(Stmt::Skip), a.clone()),
             Pdl::after_all(insert.clone().union(Stmt::Skip), a.clone()).implies(a.clone()),
         ];
-        let serial = check_batch(&batch, &u, 1);
-        for threads in [2, 4, 8] {
-            let par = check_batch(&batch, &u, threads);
-            assert_eq!(par.satisfying, serial.satisfying, "threads={threads}");
-            assert_eq!(par.valid, serial.valid, "threads={threads}");
+        let report = check_batch(&batch, &u);
+        for (k, phi) in batch.iter().enumerate() {
+            assert_eq!(report.satisfying[k], satisfying_states(&u, phi).unwrap(), "formula {k}");
+            assert_eq!(report.valid[k], valid(&u, phi).unwrap(), "formula {k}");
         }
     }
 
@@ -542,11 +467,11 @@ mod tests {
         let mut cache = DenoteCache::new();
         let (env, budget) = (Valuation::new(), Budget::unlimited());
         let first = vec![Pdl::after_all(insert.clone(), a.clone())];
-        check_batch_budget_with(&first, &u, &env, &mut cache, &budget, 1).unwrap();
+        check_batch_budget_with(&first, &u, &env, &mut cache, &budget).unwrap();
         let computed_before = cache.stats().computed;
         // Re-checking the same program is a pure cache hit.
         let second = vec![Pdl::after_some(insert, a)];
-        check_batch_budget_with(&second, &u, &env, &mut cache, &budget, 1).unwrap();
+        check_batch_budget_with(&second, &u, &env, &mut cache, &budget).unwrap();
         assert_eq!(cache.stats().computed, computed_before);
         assert!(cache.stats().hits > 0);
     }

@@ -173,7 +173,7 @@ impl Universe {
             }
         }
         let closed = eclectic_kernel::LazyClosure::new(&mat)
-            .materialize_governed(n, &eclectic_kernel::Budget::unlimited(), 1)
+            .materialize_governed(n, &eclectic_kernel::Budget::unlimited())
             .unwrap_or_else(|_| unreachable!("unlimited budget never trips"));
         self.succ = (0..n)
             .map(|a| closed.iter_row(a).map(StateIdx).collect())

@@ -10,19 +10,26 @@ perf_ok := "import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]);
 # caller, so `ECLECTIC_THREADS` can never override an explicit count.
 env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src | grep -vxF -e crates/kernel/src/envcfg.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs); if [ -n \"$files\" ]; then echo \"env_threads( called outside the top-level entry points: $files\"; exit 1; fi"
 
+# Fails if a library file other than the scheduler and the four parallel
+# grains (the obligation DAG in `verify`, the completeness strips, the
+# per-procedure dynamic units in `obligations`, the fuzz corpus) submits
+# work to the pool: parallelism lives at the obligation level, and every
+# sweep inside an obligation stays serial.
+grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_tasks_prio(' -e 'run_workers_prio(' -e 'DagBuilder::new' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs -e crates/refine/src/obligations.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the four parallel grains: $files\"; exit 1; fi"
+
 # The full offline gate: release build, tests, lints and rustdoc with
 # warnings denied (so a doc link to a deleted item fails the gate), the
-# `ECLECTIC_THREADS` read-site check, the
-# parallel-determinism suite in release mode (covering exploration,
-# cross-check, completeness, PDL-batch, dynamic, budget-exhaustion and
-# sparse/compressed-backend sweeps),
+# `ECLECTIC_THREADS` read-site and parallel-grain checks, the
+# parallel-determinism suite in release mode (covering the obligation-DAG
+# battery, the completeness strips and the per-procedure dynamic units,
+# with and without budget exhaustion),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
 # cargo package, so `--workspace` does not reach it), a one-second untraced
 # and traced smoke run of the benchmark driver on paper-1w and on
 # dynamic-bank (built into the same target directory as those tests; the
 # second is the only gate that runs the dynamic stage on the 4,096-state
 # bank universe, which is over paper-1w's PDL cap, against its known
-# answer), and the parallel/crossover benches.
+# answer), and the verification, crossover and fuzz benches.
 # The tier-1 steps run under a hard timeout so a hung sweep fails the gate
 # instead of wedging it.
 verify:
@@ -31,25 +38,25 @@ verify:
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     {{env_threads_ok}}
+    {{grain_ok}}
     timeout 600 cargo test -q -p eclectic-spec --release --test parallel_determinism
     timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
-    cargo run -p eclectic-bench --bin bench_reach_parallel --release
     cargo run -p eclectic-bench --bin bench_verify_parallel --release
-    timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
-    timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
+    timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
-# Lints alone, warnings denied — the clippy, rustdoc and
-# `ECLECTIC_THREADS` read-site slice of `just verify`.
+# Lints alone, warnings denied — the clippy, rustdoc, `ECLECTIC_THREADS`
+# read-site and parallel-grain slice of `just verify`.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     {{env_threads_ok}}
+    {{grain_ok}}
 
 # Timing benches, one target per experiment in EXPERIMENTS.md.
 bench:
@@ -59,19 +66,10 @@ bench:
 harness:
     cargo run -p eclectic-bench --bin harness --release
 
-# Serial-vs-parallel reachability bench; writes BENCH_reach.json.
-bench-reach:
-    cargo run -p eclectic-bench --bin bench_reach_parallel --release
-
 # Serial-vs-parallel verification sweep (confluence + completeness + dynamic
 # PDL obligations); writes BENCH_verify.json.
 bench-verify:
     cargo run -p eclectic-bench --bin bench_verify_parallel --release
-
-# Old-vs-new relation-kernel comparison on the batched PDL/dynamic-logic
-# workload (bit-identity asserted in-bench); writes BENCH_pdl.json.
-bench-pdl:
-    timeout 900 cargo run -p eclectic-bench --bin bench_pdl_parallel --release
 
 # Dense-vs-sparse-vs-compressed-vs-auto relation-kernel crossover on
 # star-closure workloads plus the 2^17-state generated-domain capstone and
@@ -80,11 +78,11 @@ bench-pdl:
 bench-rel:
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
 
-# Million-state compressed-closure capstone alone, under an explicit
-# relation-memory byte budget (64 MiB) that the uncompressed sparse
-# backend must trip — the focused `perf` slice of bench-rel.
+# Million-state compressed-closure capstone alone, under a 64 MiB
+# relation-memory byte budget that the uncompressed sparse backend must
+# trip — the focused `perf` slice of bench-rel.
 bench-rel-large:
-    timeout 900 env ECLECTIC_MAX_REL_BYTES=67108864 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
+    timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
 
 # Differential fuzzing smoke: a fixed 32-seed corpus through the full
 # engine grid; fails on any divergence or generator panic.
@@ -97,7 +95,8 @@ fuzz-smoke:
 fuzz:
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release
 
-# Every benchmark artifact in one shot: harness + all parallel benches,
-# closing with the starved-host warning status recorded in the artifacts.
-bench-all: harness bench-reach bench-verify bench-pdl bench-rel bench-rel-large fuzz
+# Every benchmark artifact in one shot: harness + the verification,
+# crossover and fuzz benches, closing with the starved-host warning status
+# recorded in the artifacts.
+bench-all: harness bench-verify bench-rel bench-rel-large fuzz
     @grep -o '"warning": [^,]*' BENCH_rel.json

@@ -6,12 +6,15 @@
 
 use std::sync::Arc;
 
-use eclectic::logic::{Elem, Formula, Signature, Term};
+use eclectic::logic::{Elem, Formula, Signature, Term, Valuation};
 use eclectic::refine::check_dynamic_budget;
 use eclectic::rpr::pdl::{holds_at, satisfying_states, valid, Pdl};
-use eclectic::rpr::{parse_schema, DbState, FiniteUniverse, Schema, Stmt, PAPER_COURSES_SCHEMA};
+use eclectic::rpr::{
+    check_batch_budget_with, parse_schema, DbState, DenoteCache, FiniteUniverse, Schema, Stmt,
+    PAPER_COURSES_SCHEMA,
+};
 use eclectic::spec::domains::{bank, BankConfig};
-use eclectic_kernel::Budget;
+use eclectic_kernel::{force_rel_backend, Budget, RelChoice};
 
 fn setup() -> (Schema, FiniteUniverse) {
     let mut sig = Signature::new();
@@ -186,4 +189,53 @@ fn a_bare_guard_test_fails_dynamic_totality() {
         check_dynamic_budget(&schema, &template, 1 << 12, &Budget::unlimited(), 1).unwrap();
     assert_eq!(report.checked, 9);
     assert!(report.is_correct(), "{:?}", report.failures);
+}
+
+/// A one-course universe and a batch with three distinct programs to
+/// denote (`insert`, `skip`, `insert ; skip`) and four formulas to judge.
+fn pdl_fixture() -> (FiniteUniverse, Vec<Pdl>) {
+    let mut sig = Signature::new();
+    let course = sig.add_sort("course").unwrap();
+    let offered = sig.add_db_predicate("OFFERED", &[course]).unwrap();
+    let x = sig.add_constant("x", course).unwrap();
+    let dom = eclectic::logic::Domains::from_names(&sig, &[("course", &["db"])]).unwrap();
+    let sig = Arc::new(sig);
+    let mut template = DbState::new(sig, Arc::new(dom));
+    template.set_scalar(x, Elem(0)).unwrap();
+    let u = FiniteUniverse::enumerate(&template, &[offered], &[x], 100).unwrap();
+    let insert = Stmt::Insert(offered, vec![Term::constant(x)]);
+    let atom = Pdl::Atom(Formula::Pred(offered, vec![Term::constant(x)]));
+    let formulas = vec![
+        Pdl::after_all(insert.clone(), atom.clone()),
+        Pdl::after_some(insert.clone(), atom.clone()),
+        Pdl::after_all(Stmt::Skip, atom.clone()),
+        Pdl::after_all(insert.seq(Stmt::Skip), atom),
+    ];
+    (u, formulas)
+}
+
+/// The batch checker counts units (programs denoted, then formulas judged)
+/// against the node cap on every relation backend: cap 2 trips during the
+/// denotation phase and leaves no verdict; cap 5 trips after two formulas
+/// (units 3 + j) and keeps their verdicts.
+#[test]
+fn unit_capped_pdl_batch_keeps_the_verdict_prefix_on_every_backend() {
+    let (u, formulas) = pdl_fixture();
+    for backend in [RelChoice::Dense, RelChoice::Sparse, RelChoice::Compressed] {
+        let _g = force_rel_backend(backend);
+        for (cap, verdicts) in [(2, 0), (5, 2)] {
+            let mut cache = DenoteCache::new();
+            let budget = Budget::unlimited().with_max_nodes(cap);
+            let report =
+                check_batch_budget_with(&formulas, &u, &Valuation::new(), &mut cache, &budget)
+                    .unwrap();
+            let e = report.exhausted.expect("cap must trip");
+            assert_eq!((e.stage, e.completed_units), ("pdl", cap), "{backend:?}");
+            assert_eq!(report.valid.len(), verdicts, "{backend:?}, cap {cap}");
+            assert_eq!(report.satisfying.len(), verdicts, "{backend:?}, cap {cap}");
+            for (k, phi) in formulas.iter().take(verdicts).enumerate() {
+                assert_eq!(report.valid[k], valid(&u, phi).unwrap(), "{backend:?}, formula {k}");
+            }
+        }
+    }
 }

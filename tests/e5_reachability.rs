@@ -3,10 +3,11 @@
 //! axioms) must all appear in the explored universe.
 
 use eclectic::refine::{
-    check_refinement_1_2_budget, check_valid_reachable, AlgExploreLimits, Refine12Config,
+    check_refinement_1_2_budget, check_valid_reachable, explore_algebraic_budget,
+    AlgExploreLimits, Refine12Config,
 };
 use eclectic::spec::domains::{bank, courses, library};
-use eclectic_kernel::Budget;
+use eclectic_kernel::{Budget, BudgetExceeded};
 
 #[test]
 fn courses_valid_states_are_reachable() {
@@ -106,4 +107,43 @@ fn truncated_exploration_is_flagged() {
     let vr = check_valid_reachable(&full.information, &report.exploration, 1_000_000).unwrap();
     assert!(!vr.holds());
     assert!(vr.exploration_truncated);
+}
+
+/// A node cap stops the search at a BFS level boundary: the partial
+/// exploration is flagged, reports the node axis, and holds a prefix of
+/// the uncapped exploration's states, in the same order and at the same
+/// depths.
+#[test]
+fn node_capped_exploration_returns_a_prefix_of_the_witness_order() {
+    let domains = [
+        ("courses", courses::courses(&courses::CoursesConfig::default()).unwrap(), 6),
+        ("library", library::library(&library::LibraryConfig::default()).unwrap(), 6),
+        ("bank", bank::bank(&bank::BankConfig::default()).unwrap(), 8),
+    ];
+    for (name, full, depth) in domains {
+        let limits = AlgExploreLimits {
+            max_depth: depth,
+            max_states: 10_000,
+        };
+        let explore = |budget: &Budget| {
+            explore_algebraic_budget(
+                &full.functions,
+                &full.interp_i,
+                full.info_signature(),
+                &full.info_domains,
+                limits,
+                budget,
+            )
+            .unwrap()
+        };
+        let whole = explore(&Budget::unlimited());
+        let capped = explore(&Budget::unlimited().with_max_nodes(200));
+        assert!(capped.truncated, "{name}: cap 200 must truncate");
+        let e = capped.exhausted.as_ref().expect(name);
+        assert_eq!((e.stage, e.reason), ("explore", BudgetExceeded::Nodes), "{name}");
+        let k = capped.witnesses.len();
+        assert!(k < whole.witnesses.len(), "{name}: cap 200 must stop early");
+        assert_eq!(capped.witnesses[..], whole.witnesses[..k], "{name}: witness prefix");
+        assert_eq!(capped.depth[..], whole.depth[..k], "{name}: depth prefix");
+    }
 }

@@ -6,7 +6,7 @@
 use eclectic::refine::{cross_check_budget, random_ops, InducedAlgebra};
 use eclectic::spec::domains::{bank, courses, library};
 use eclectic::spec::TriLevelSpec;
-use eclectic_kernel::Budget;
+use eclectic_kernel::{Budget, BudgetExceeded, CancelToken};
 
 fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
     let mut state = seed;
@@ -64,6 +64,49 @@ fn library_levels_agree_on_random_traces() {
 fn bank_levels_agree_on_random_traces() {
     let spec = bank::bank(&bank::BankConfig::default()).unwrap();
     agree(&spec, "initiate", 8, 25, 0xbead);
+}
+
+/// Budget stops end the cross-check gracefully: a node cap of 7 over a
+/// 20-operation trace stops after exactly 7 whole operations, and a
+/// pre-tripped cancel token stops it at once. Neither stop leaves anything
+/// stale in the induced algebra: a later unlimited run on it equals a run
+/// on a pristine one.
+#[test]
+fn budget_stops_leave_the_induced_algebra_reusable() {
+    let domains = [
+        courses::courses(&courses::CoursesConfig::default()).unwrap(),
+        library::library(&library::LibraryConfig::default()).unwrap(),
+        bank::bank(&bank::BankConfig::default()).unwrap(),
+    ];
+    for spec in &domains {
+        let mk = || {
+            InducedAlgebra::new(
+                &spec.functions,
+                &spec.representation,
+                &spec.interp_k,
+                spec.empty_state(),
+            )
+            .unwrap()
+        };
+        let mut ind = mk();
+        let ops = random_ops(&spec.functions, &ind, "initiate", 20, xorshift(0x5eed_cafe)).unwrap();
+        let capped = Budget::unlimited().with_max_nodes(7);
+        let (_, _, e) = cross_check_budget(&spec.functions, &mut ind, &ops, &capped, 1).unwrap();
+        let e = e.expect("cap 7 must trip on 20 ops");
+        assert_eq!((e.stage, e.completed_units), ("cross", 7), "{}", spec.name);
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = Budget::unlimited().with_cancel(token);
+        let (_, _, e) = cross_check_budget(&spec.functions, &mut ind, &ops, &cancelled, 1).unwrap();
+        assert_eq!(e.map(|e| e.reason), Some(BudgetExceeded::Cancelled), "{}", spec.name);
+
+        let unlimited = Budget::unlimited();
+        let redo = cross_check_budget(&spec.functions, &mut ind, &ops, &unlimited, 1).unwrap();
+        let pristine = cross_check_budget(&spec.functions, &mut mk(), &ops, &unlimited, 1).unwrap();
+        assert!(redo.2.is_none(), "{}: unlimited run must complete", spec.name);
+        assert_eq!(redo, pristine, "{}", spec.name);
+    }
 }
 
 /// The full one-call verification passes for every domain (grammar check,
