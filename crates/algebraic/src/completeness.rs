@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use eclectic_kernel::{
-    effective_workers, run_workers_prio, Budget, BudgetExceeded, Exhaustion, IndexQueue, Priority,
-    TermId,
+    effective_workers, run_workers, Budget, BudgetExceeded, Exhaustion, IndexQueue, TermId,
 };
 use eclectic_logic::{FuncId, Term};
 
@@ -226,11 +225,10 @@ pub fn exhaustive_budget(
 
     // Each worker owns a plain thread-local rewriter: the ground instances
     // are independent, so nothing needs the shared store, and a private
-    // memo avoids shard-lock traffic on every intern. The region runs at
-    // Bulk priority — it is a wide grid with no dependents.
+    // memo avoids shard-lock traffic on every intern.
     let workers = threads.min(sweep.len());
     let queue = IndexQueue::new(sweep.len(), workers);
-    let strips: Vec<SweepEvents> = run_workers_prio(workers, Priority::Bulk, |_| {
+    let strips: Vec<SweepEvents> = run_workers(workers, |_| {
         let sweep = &sweep;
         let queue = &queue;
         move || {

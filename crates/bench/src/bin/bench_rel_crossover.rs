@@ -1,22 +1,23 @@
-//! Dense vs sparse vs compressed vs auto relation-kernel comparison on
-//! sparse star-closure workloads; writes `BENCH_rel.json`.
+//! Dense vs sparse vs compressed relation-kernel comparison on sparse
+//! star-closure workloads; writes `BENCH_rel.json`.
 //!
 //! The workload is the shape the non-dense backends exist for: disjoint
 //! 8-node rings, so every source's reflexive-transitive closure reaches
 //! exactly its own cluster. Entry count stays linear in the dimension
 //! while the dense bit matrix pays `n · ⌈n/64⌉` words regardless — the
 //! dense per-source BFS touches whole rows, the semi-naive worklists only
-//! the eight reached nodes. Four arms per dimension (256 / 1 k / 4 k):
-//! forced dense, forced sparse, forced compressed, and the unforced
-//! automatic policy.
+//! the eight reached nodes. Three timed arms per dimension (256 / 1 k /
+//! 4 k): forced dense, forced sparse and forced compressed.
 //!
 //! Pass gates:
-//! - at every dimension the auto arm is within 10% of the best backend
-//!   (the crossover constants must route each size to the right kernel);
+//! - at every dimension the automatic policy ([`rel_backend_for`]) picks
+//!   the arm with the lowest median (the crossover constants must route
+//!   each size to the fastest kernel);
 //! - sparse beats dense by ≥ 1.5× at dim 4096;
-//! - closure pair sets are bit-identical across all four arms at every
-//!   dimension, and a 1024-state PDL + contract batch produces
-//!   bit-identical verdicts under forced dense, sparse, and compressed;
+//! - closure pair sets are bit-identical across the three forced backends
+//!   and the automatic policy at every dimension, and a 1024-state PDL +
+//!   contract batch produces bit-identical verdicts under forced dense,
+//!   sparse, and compressed;
 //! - the generated-domain capstone completes: a 2¹⁷-state domain (far
 //!   beyond the dense wall of ~2 GB per relation, and past the automatic
 //!   policy's compressed floor) model-checks its full PDL batch and its
@@ -31,7 +32,8 @@ use std::time::Instant;
 
 use eclectic_bench::{warning_json, Runner, SpeedupGate};
 use eclectic_kernel::{
-    force_rel_backend, Budget, BudgetExceeded, LazyClosure, Rel, RelBackend, RelChoice,
+    force_rel_backend, rel_backend_for, Budget, BudgetExceeded, LazyClosure, Rel, RelBackend,
+    RelChoice,
 };
 use eclectic_logic::{Domains, Elem, Formula, Signature, Term as LogicTerm, Valuation};
 use eclectic_rpr::denote::meaning;
@@ -306,46 +308,38 @@ fn main() {
     let large = large_capstone();
     report_large(&large);
 
+    let arms = [
+        RelBackend::Dense,
+        RelBackend::Sparse,
+        RelBackend::Compressed,
+    ];
+    let name = |b: RelBackend| match b {
+        RelBackend::Dense => "dense",
+        RelBackend::Sparse => "sparse",
+        RelBackend::Compressed => "compressed",
+    };
     let mut r = Runner::new("rel_crossover").sample_size(12).warmup(2);
-    // Per row: (dim, median dense/sparse/compressed/auto, min
-    // dense/sparse/compressed/auto, auto backend). Medians are reported;
-    // the routing gate compares best-case (min) samples — on a shared
-    // single-core host the median absorbs scheduler noise that has
-    // nothing to do with backend routing (under auto the 4k arm runs the
-    // *same* sparse code path as the forced-sparse arm).
-    type Row = (usize, [f64; 4], [f64; 4], &'static str);
+    // Per row: (dim, median dense/sparse/compressed, the backend the
+    // automatic policy picks, the arm with the lowest median).
+    type Row = (usize, [f64; 3], RelBackend, RelBackend);
     let mut rows: Vec<Row> = Vec::new();
     for &n in &dims {
-        let dense = build(n, Some(RelBackend::Dense));
-        let sparse = build(n, Some(RelBackend::Sparse));
-        let comp = build(n, Some(RelBackend::Compressed));
-        let auto = build(n, None);
-        let auto_backend = match auto.backend() {
-            RelBackend::Dense => "dense",
-            RelBackend::Sparse => "sparse",
-            RelBackend::Compressed => "compressed",
-        };
-        let mut med = [0.0f64; 4];
-        let mut min = [0.0f64; 4];
-        let arms: [(&str, &Rel); 4] = [
-            ("dense", &dense),
-            ("sparse", &sparse),
-            ("compressed", &comp),
-            ("auto", &auto),
-        ];
-        for (k, (arm, rel)) in arms.iter().enumerate() {
-            let m = r.bench(format!("star/{arm}_{n}"), || {
-                rel.closure_reflexive_transitive().count_ones()
-            });
-            med[k] = m.median_ns;
-            min[k] = m.min_ns;
+        let mut med = [0.0f64; 3];
+        for (k, &backend) in arms.iter().enumerate() {
+            let rel = build(n, Some(backend));
+            let label = format!("star/{}_{n}", name(backend));
+            med[k] = r
+                .bench(label, || rel.closure_reflexive_transitive().count_ones())
+                .median_ns;
         }
-        rows.push((n, med, min, auto_backend));
+        let fastest = (0..3).min_by(|&a, &b| med[a].total_cmp(&med[b])).unwrap();
+        rows.push((n, med, rel_backend_for(n), arms[fastest]));
     }
     r.finish();
 
-    let best = |t: &[f64; 4]| t[0].min(t[1]).min(t[2]);
-    let gate_auto = rows.iter().all(|&(_, _, min, _)| min[3] <= best(&min) * 1.10);
+    let gate_routing = rows
+        .iter()
+        .all(|&(_, _, picked, fastest)| picked == fastest);
     let sparse_speedup_4k = rows
         .iter()
         .find(|&&(n, ..)| n == 4096)
@@ -355,34 +349,31 @@ fn main() {
     // so it is enforceable on any host (gate threads = 1).
     let gate = SpeedupGate::new(1, 1.5, sparse_speedup_4k);
     let gate_sparse = gate.pass();
-    let pass = gate_auto && gate_sparse && identical && capstone_ok && large.ok;
+    let pass = gate_routing && gate_sparse && identical && capstone_ok && large.ok;
 
     let mut json = String::from("{\n  \"bench\": \"rel_crossover\",\n");
     json.push_str(&format!("  \"workload\": \"{workload}\",\n"));
     json.push_str(&format!("  \"available_cores\": {cores},\n"));
     json.push_str(&format!("  {},\n", warning_json()));
     json.push_str("  \"rows\": [\n");
-    for (i, (n, med, min, ab)) in rows.iter().enumerate() {
+    for (i, &(n, med, picked, fastest)) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"dim\": {n}, \"dense_ns\": {:.0}, \"sparse_ns\": {:.0}, \
-             \"compressed_ns\": {:.0}, \"auto_ns\": {:.0}, \"auto_min_ns\": {:.0}, \
-             \"best_min_ns\": {:.0}, \"auto_backend\": \"{ab}\", \
-             \"sparse_speedup_vs_dense\": {:.3}, \"auto_within_10pct_of_best\": {}}}{}\n",
+             \"compressed_ns\": {:.0}, \"policy_backend\": \"{}\", \
+             \"fastest_backend\": \"{}\", \"sparse_speedup_vs_dense\": {:.3}}}{}\n",
             med[0],
             med[1],
             med[2],
-            med[3],
-            min[3],
-            best(min),
+            name(picked),
+            name(fastest),
             med[0] / med[1],
-            min[3] <= best(min) * 1.10,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
     json.push_str(&format!(
         "  ],\n  \"sparse_speedup_at_4096\": {sparse_speedup_4k:.3},\n  \
          \"sparse_speedup_threshold\": 1.5,\n  \"speedup_gate\": {},\n  \
-         \"gate_auto_within_10pct\": {gate_auto},\n  \
+         \"gate_policy_picks_fastest\": {gate_routing},\n  \
          \"gate_sparse_speedup\": {gate_sparse},\n  \"verdicts_bit_identical\": {identical},\n",
         gate.json()
     ));
@@ -414,8 +405,8 @@ fn main() {
     json.push_str(&format!("  \"pass\": {pass}\n}}\n"));
     std::fs::write("BENCH_rel.json", &json).expect("write BENCH_rel.json");
     println!(
-        "\nBENCH_rel.json written (sparse {sparse_speedup_4k:.2}x dense at 4096, auto within \
-         10% of best: {gate_auto}, identical: {identical}, capstone: {capstone_ok}, \
+        "\nBENCH_rel.json written (sparse {sparse_speedup_4k:.2}x dense at 4096, policy picks \
+         the fastest arm: {gate_routing}, identical: {identical}, capstone: {capstone_ok}, \
          million-state: {})",
         large.ok
     );

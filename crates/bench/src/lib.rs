@@ -12,11 +12,6 @@
 use std::hint::black_box as bb;
 use std::time::Instant;
 
-/// Re-export of [`std::hint::black_box`] for bench bodies.
-pub fn black_box<T>(x: T) -> T {
-    bb(x)
-}
-
 /// One measured benchmark: label plus timing summary in nanoseconds.
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -30,18 +25,6 @@ pub struct Measurement {
     pub mean_ns: f64,
     /// Fastest sample (ns).
     pub min_ns: f64,
-}
-
-impl Measurement {
-    /// Median iterations per second.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        if self.median_ns > 0.0 {
-            1e9 / self.median_ns
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// A fixed-sample benchmark runner (the offline stand-in for Criterion).

@@ -2,28 +2,31 @@
 //! obligation of the paper, plus the W-grammar syntax check and randomized
 //! cross-formalism testing.
 //!
-//! The battery runs as one task DAG on the shared [`eclectic_kernel::sched`]
-//! pool at every worker count. Every proof obligation is its own task —
-//! termination, the completeness sweep, the universe exploration, the axiom
-//! sweep, witness enumeration, the equation check, the dynamic-logic
-//! contracts (fanned out as per-procedure units) and the cross check — with
-//! completion-count edges (`explore → {axioms, witness}`, `equations →
-//! cross`) so each task unblocks the moment its inputs exist.
-//! Latency-critical tasks run at [`Priority::High`]; wide grid sweeps at
-//! [`Priority::Bulk`] so they cannot starve the critical path. At one
-//! worker the DAG runs inline in (priority, spawn-index) order:
-//! termination, explore, witness, equations, cross, then completeness,
-//! axioms, dynamic.
+//! The battery is one [`run_tasks`] call on the shared
+//! [`eclectic_kernel::sched`] pool at every worker count. The paper's
+//! obligations share data along three edges only — witness enumeration
+//! (§4.4 (c)) and the axiom sweep (§4.4 (b), (d)) read the universe the
+//! exploration builds, and the cross check reuses the algebra induced by
+//! interpretation `K` for the §5.4 equations — so the battery is five
+//! independent chains, each edge a sequence inside one of them:
+//!
+//! 1. termination;
+//! 2. exploration, then witness and axioms as a nested [`run_tasks`];
+//! 3. equations, then cross;
+//! 4. completeness (its strips fan out on the same pool);
+//! 5. dynamic (its per-procedure units fan out on the same pool).
+//!
+//! At one worker the chains run inline in that order: termination,
+//! explore, witness, axioms, equations, cross, completeness, dynamic.
 //!
 //! Every governed sweep owns its term store and polls deterministic budget
 //! axes at serial slot indices, so reports are bit-identical across worker
 //! counts; the reported stage order stays canonical.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use eclectic_algebraic::{completeness, termination};
-use eclectic_kernel::{effective_workers, env_threads, Budget, DagBuilder, Exhaustion, Priority};
+use eclectic_kernel::{effective_workers, env_threads, run_tasks, Budget, Exhaustion};
 use eclectic_refine::{
     check_dynamic_budget, check_equations_budget, check_valid_reachable, cross_check_budget,
     obligation_axioms, obligation_completeness, obligation_exploration, obligation_termination,
@@ -354,36 +357,44 @@ fn stage_cross(
     Ok((cross_mismatch, cross_stats, cross_exhausted))
 }
 
-/// Milliseconds elapsed on the shared budget clock since `start`.
-fn span_ms(budget: &Budget, start: Duration) -> u64 {
-    u64::try_from(budget.elapsed().saturating_sub(start).as_millis()).unwrap_or(u64::MAX)
+/// Stores a chain's result in its slot.
+fn put<T>(slot: &Mutex<Option<T>>, value: T) {
+    *slot.lock().expect("a slot is locked only to store a value") = Some(value);
 }
 
-/// The obligation battery: every proof obligation is its own pool task,
-/// wired with completion-count edges so a task unblocks the moment its
-/// actual inputs exist:
+/// Takes a stage's result out of its slot once the battery has run.
+fn take<T>(slot: Mutex<Option<T>>, stage: &str) -> T {
+    slot.into_inner()
+        .expect("a slot is locked only to store a value")
+        .unwrap_or_else(|| panic!("the {stage} stage did not run"))
+}
+
+/// Runs `f`, returning its result and the milliseconds it took on the
+/// shared budget clock.
+fn timed<T>(budget: &Budget, f: impl FnOnce() -> T) -> (T, u64) {
+    let t0 = budget.elapsed();
+    let r = f();
+    let ms = budget.elapsed().saturating_sub(t0).as_millis();
+    (r, u64::try_from(ms).unwrap_or(u64::MAX))
+}
+
+/// The obligation battery: five chains on one [`run_tasks`] call, each
+/// data edge a sequence inside its chain:
 ///
 /// ```text
-///   term (High)      compl (Bulk)      explore (High)      equations (High)      dynamic (Bulk)
-///                                        /        \              |
-///                                axioms (Bulk)  witness (High)  cross (High)
+///   termination
+///   explore ──► run_tasks [witness, axioms]
+///   equations ──► cross
+///   completeness
+///   dynamic
 /// ```
 ///
-/// In particular `witness` depends on `explore` *only* — it starts while
-/// the axiom sweep is still grinding. Bulk tasks (wide grid sweeps, and the
-/// per-procedure dynamic units spawned inside the `dynamic` task) drain
-/// after High ones under the priority-aware injector, keeping the
-/// latency-critical `explore → witness` and `equations → cross` paths
-/// short. At one worker, [`DagBuilder::run`] executes the same nodes inline
-/// in (priority, spawn-index) order.
-///
-/// Nodes communicate through caller-frame slots; the dependency edges are
-/// the happens-before each read needs, and the DAG barrier covers the
-/// assembly reads. Every obligation computes exactly its serial result, so
-/// the assembled reports are bit-identical at every worker count; errors
-/// surface in canonical order (termination, completeness, exploration,
-/// axioms, witness, equations, dynamic, cross) whatever order the nodes ran
-/// in.
+/// Chains write into caller-frame slots, and `run_tasks` returning is the
+/// happens-before the assembly reads need. Every obligation computes
+/// exactly its serial result, so the assembled reports are bit-identical
+/// at every worker count; errors surface in canonical order (termination,
+/// completeness, exploration, axioms, witness, equations, dynamic, cross)
+/// whatever order the chains ran in.
 #[allow(clippy::too_many_lines)]
 fn run_battery(
     spec: &TriLevelSpec,
@@ -391,122 +402,104 @@ fn run_battery(
     budget: &Budget,
     threads: usize,
 ) -> Result<VerifyBody> {
-    use std::sync::Arc;
     type RR<T> = std::result::Result<T, eclectic_refine::RefineError>;
-
     type Timed<T> = Option<(T, u64)>;
+    type Violations = (Vec<StateViolation>, Vec<StateViolation>);
+    type CrossOut = (Option<Mismatch>, CrossCheckStats, Option<Exhaustion>);
     let term_slot: Mutex<Timed<RR<termination::TerminationReport>>> = Mutex::new(None);
     let compl_slot: Mutex<Timed<RR<completeness::CompletenessReport>>> = Mutex::new(None);
-    let explore_slot: Mutex<Timed<RR<Arc<AlgebraicExploration>>>> = Mutex::new(None);
-    type Violations = (Vec<StateViolation>, Vec<StateViolation>);
-    let axioms_slot: Mutex<Timed<Option<RR<Violations>>>> = Mutex::new(None);
-    let witness_slot: Mutex<Timed<Option<Result<ValidReachableReport>>>> = Mutex::new(None);
+    let explore_slot: Mutex<Timed<RR<AlgebraicExploration>>> = Mutex::new(None);
+    let axioms_slot: Mutex<Timed<RR<Violations>>> = Mutex::new(None);
+    let witness_slot: Mutex<Timed<Result<ValidReachableReport>>> = Mutex::new(None);
     let equations_slot: Mutex<Timed<Result<EquationCheckReport>>> = Mutex::new(None);
-    let induced_slot: Mutex<Option<InducedAlgebra<'_>>> = Mutex::new(None);
-    type CrossOut = (Option<Mismatch>, CrossCheckStats, Option<Exhaustion>);
-    let cross_slot: Mutex<Timed<Option<Result<CrossOut>>>> = Mutex::new(None);
+    let cross_slot: Mutex<Timed<Result<CrossOut>>> = Mutex::new(None);
     let dynamic_slot: Mutex<Timed<Result<DynamicReport>>> = Mutex::new(None);
 
-    // A successfully explored universe, cloned out of the slot by each
-    // downstream task (cheap: it is behind an `Arc`).
-    let explored = || -> Option<Arc<AlgebraicExploration>> {
-        match explore_slot.lock().unwrap().as_ref() {
-            Some((Ok(e), _)) => Some(e.clone()),
-            _ => None,
-        }
-    };
-
-    let mut dag: DagBuilder<'_, ()> = DagBuilder::new();
-    dag.spawn(Priority::High, || {
-        let t0 = budget.elapsed();
-        let r = obligation_termination(&spec.functions);
-        *term_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    dag.spawn(Priority::Bulk, || {
-        let t0 = budget.elapsed();
-        let r = obligation_completeness(
-            &spec.functions,
-            config.refine12.completeness_depth,
-            budget,
-            threads,
-        );
-        *compl_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    let explore = dag.spawn(Priority::High, || {
-        let t0 = budget.elapsed();
-        let r = obligation_exploration(
-            &spec.functions,
-            &spec.interp_i,
-            spec.info_signature(),
-            &spec.info_domains,
-            config.refine12.limits,
-            budget,
-            1,
-        );
-        *explore_slot.lock().unwrap() = Some((r.map(Arc::new), span_ms(budget, t0)));
-    });
-    dag.spawn_dependent(Priority::Bulk, &[explore], || {
-        let t0 = budget.elapsed();
-        let r = explored().map(|e| {
-            obligation_axioms(&spec.information, &spec.functions, config.refine12.policy, &e)
-        });
-        *axioms_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    dag.spawn_dependent(Priority::High, &[explore], || {
-        let t0 = budget.elapsed();
-        let r = explored().map(|e| stage_witness(spec, &e, config));
-        *witness_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    let equations = dag.spawn(Priority::High, || {
-        let t0 = budget.elapsed();
-        let r = (|| {
-            let mut induced = make_induced(spec)?;
-            let eqs = stage_equations(&mut induced, config, budget)?;
-            *induced_slot.lock().unwrap() = Some(induced);
-            Ok(eqs)
-        })();
-        *equations_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    dag.spawn_dependent(Priority::High, &[equations], || {
-        let t0 = budget.elapsed();
-        let taken = induced_slot.lock().unwrap().take();
-        let r = taken.map(|mut induced| stage_cross(spec, &mut induced, config, budget));
-        *cross_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    dag.spawn(Priority::Bulk, || {
-        let t0 = budget.elapsed();
-        let r = stage_dynamic(spec, config, budget, threads);
-        *dynamic_slot.lock().unwrap() = Some((r, span_ms(budget, t0)));
-    });
-    let _: Vec<()> = dag.run(threads);
+    let chains: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+        Box::new(|| {
+            let r = timed(budget, || obligation_termination(&spec.functions));
+            put(&term_slot, r);
+        }),
+        Box::new(|| {
+            let (explored, explore_ms) = timed(budget, || {
+                obligation_exploration(
+                    &spec.functions,
+                    &spec.interp_i,
+                    spec.info_signature(),
+                    &spec.info_domains,
+                    config.refine12.limits,
+                    budget,
+                    1,
+                )
+            });
+            if let Ok(e) = &explored {
+                let readers: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                    Box::new(|| {
+                        let r = timed(budget, || stage_witness(spec, e, config));
+                        put(&witness_slot, r);
+                    }),
+                    Box::new(|| {
+                        let (info, policy) = (&spec.information, config.refine12.policy);
+                        let r = timed(budget, || {
+                            obligation_axioms(info, &spec.functions, policy, e)
+                        });
+                        put(&axioms_slot, r);
+                    }),
+                ];
+                let _: Vec<()> = run_tasks(threads, readers);
+            }
+            put(&explore_slot, (explored, explore_ms));
+        }),
+        Box::new(|| {
+            let (r, equations_ms) = timed(budget, || -> Result<_> {
+                let mut induced = make_induced(spec)?;
+                let eqs = stage_equations(&mut induced, config, budget)?;
+                Ok((eqs, induced))
+            });
+            let eqs = r.map(|(eqs, mut induced)| {
+                let r = timed(budget, || stage_cross(spec, &mut induced, config, budget));
+                put(&cross_slot, r);
+                eqs
+            });
+            put(&equations_slot, (eqs, equations_ms));
+        }),
+        Box::new(|| {
+            let r = timed(budget, || {
+                obligation_completeness(
+                    &spec.functions,
+                    config.refine12.completeness_depth,
+                    budget,
+                    threads,
+                )
+            });
+            put(&compl_slot, r);
+        }),
+        Box::new(|| {
+            let r = timed(budget, || stage_dynamic(spec, config, budget, threads));
+            put(&dynamic_slot, r);
+        }),
+    ];
+    let _: Vec<()> = run_tasks(threads, chains);
 
     // Assemble in canonical order, so the error surfaced (and the
-    // partial-report semantics) do not depend on the execution order:
-    // termination, completeness, exploration, axioms, witness, equations,
-    // dynamic, cross.
-    let (term_r, term_ms) = term_slot.into_inner().unwrap().expect("termination task ran");
-    let termination = term_r?;
-    let (compl_r, compl_ms) = compl_slot.into_inner().unwrap().expect("completeness task ran");
-    let completeness = compl_r?;
-    let (explore_r, explore_ms) = explore_slot.into_inner().unwrap().expect("exploration task ran");
-    let exploration_arc = explore_r?;
-    let (axioms_r, axioms_ms) = axioms_slot.into_inner().unwrap().expect("axioms task ran");
-    let (static_violations, transition_violations) =
-        axioms_r.expect("axioms ran after successful exploration")?;
-    let (witness_r, witness_ms) = witness_slot.into_inner().unwrap().expect("witness task ran");
-    let valid_reachable = witness_r.expect("witness ran after successful exploration")?;
-    let (equations_r, equations_ms) = equations_slot.into_inner().unwrap().expect("equations task ran");
-    let equations = equations_r?;
-    let (dynamic_r, dynamic_ms) = dynamic_slot.into_inner().unwrap().expect("dynamic task ran");
-    let dynamic = dynamic_r?;
-    let (cross_r, cross_ms) = cross_slot.into_inner().unwrap().expect("cross task ran");
-    let (cross_mismatch, cross_stats, cross_exhausted) =
-        cross_r.expect("cross ran after successful equations")?;
+    // partial-report semantics) do not depend on the execution order.
+    let (termination, term_ms) = take(term_slot, "termination");
+    let termination = termination?;
+    let (completeness, compl_ms) = take(compl_slot, "completeness");
+    let completeness = completeness?;
+    let (exploration, explore_ms) = take(explore_slot, "exploration");
+    let exploration = exploration?;
+    let (axioms, axioms_ms) = take(axioms_slot, "axioms");
+    let (static_violations, transition_violations) = axioms?;
+    let (witness, witness_ms) = take(witness_slot, "witness");
+    let valid_reachable = witness?;
+    let (equations, equations_ms) = take(equations_slot, "equations");
+    let equations = equations?;
+    let (dynamic, dynamic_ms) = take(dynamic_slot, "dynamic");
+    let dynamic = dynamic?;
+    let (cross, cross_ms) = take(cross_slot, "cross");
+    let (cross_mismatch, cross_stats, cross_exhausted) = cross?;
 
-    // Every other `Arc` clone died with its task; a failed unwrap can only
-    // mean a leaked clone, so fall back to a deep clone rather than panic.
-    let exploration =
-        Arc::try_unwrap(exploration_arc).unwrap_or_else(|a| a.as_ref().clone());
     let refine12 = Refine12Report {
         termination,
         completeness,

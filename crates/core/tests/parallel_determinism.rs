@@ -1,5 +1,5 @@
 //! Determinism of the parallel grains: on every packaged domain, the
-//! obligation DAG, the completeness strips and the per-procedure dynamic
+//! obligation battery, the completeness strips and the per-procedure dynamic
 //! units must reproduce the serial results bit-for-bit at every thread
 //! count. (`fuzz::run_corpus`, the fourth grain, is checked by the fuzz
 //! grid's worker arms.)
@@ -310,14 +310,14 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// The obligation-DAG battery. `verify` decomposes the battery into
-// per-obligation pool tasks (refine12 obligations with dependency edges into
-// witness enumeration, per-procedure dynamic units); its reports must be
-// bit-identical to an independent serial reference at every genuine worker
-// count, including budget-capped partials.
+// The obligation battery. `verify` runs five chains of obligations as pool
+// tasks (exploration followed by witness enumeration and the axiom sweep,
+// equations followed by the cross check, per-procedure dynamic units); its
+// reports must be bit-identical to an independent serial reference at every
+// genuine worker count, including budget-capped partials.
 // ---------------------------------------------------------------------------
 
-/// An independent reference for the DAG's assembly: the public obligation
+/// An independent reference for the battery's assembly: the public obligation
 /// functions called one after another in the canonical serial order, at one
 /// worker, sharing one budget and `verify`'s cross-check seed.
 fn reference_outcome(spec: &TriLevelSpec, config: &VerifyConfig) -> VerificationOutcome {
@@ -490,7 +490,7 @@ fn node_capped_exhaustion_partial_is_worker_invariant() {
 
 #[test]
 fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
-    // The per-procedure dynamic units of the obligation DAG under a
+    // The per-procedure dynamic units of the obligation battery under a
     // CancelToken: a pre-tripped token stops every unit at its first slot
     // and the merge reports the cancellation at slot 0; a token flipped
     // while units are in flight may cut the sweep anywhere, but must leave

@@ -1,16 +1,14 @@
-//! Consolidated environment configuration for the kernel.
+//! Environment configuration for the kernel, plus the worker cap.
 //!
-//! Every tunable the workspace reads from the process environment parses
-//! here, through one warn-once discipline: each variable is read once per
-//! process (`OnceLock`), an unparseable value falls back to the documented
-//! default and emits a single stderr warning naming the bad value —
-//! silently ignoring a typo'd tunable is a miserable thing to debug.
+//! The one tunable the kernel reads from the process environment parses
+//! here, with a warn-once discipline: an unparseable value falls back to
+//! the documented default and emits a single stderr warning naming the bad
+//! value — silently ignoring a typo'd tunable is a miserable thing to
+//! debug.
 //!
-//! | variable                           | values                               | default        |
-//! |------------------------------------|--------------------------------------|----------------|
-//! | `ECLECTIC_THREADS`                 | count, `0`/`auto`                    | 1 (serial)     |
-//! | `ECLECTIC_REL_BACKEND`             | `dense`/`sparse`/`compressed`/`auto` | auto crossover |
-//! | `ECLECTIC_REL_COMPRESSED_MIN_DIM`  | non-negative integer                 | 65536          |
+//! | variable           | values            | default    |
+//! |--------------------|-------------------|------------|
+//! | `ECLECTIC_THREADS` | count, `0`/`auto` | 1 (serial) |
 //!
 //! `ECLECTIC_THREADS` is read at the top only, by `spec::verify` and
 //! `fuzz::run_corpus` (see [`env_threads`]); every sweep below them takes
@@ -20,13 +18,16 @@
 //! `ECLECTIC_MAX_NODES`) and rejects a bad value; the relation-memory
 //! budget axis has no environment spelling and is set with
 //! [`Budget::with_max_rel_entries`](crate::Budget::with_max_rel_entries).
+//! The relation backend has none either: the dimension rule in
+//! [`rel_backend_for`](crate::rel_backend_for) picks it, and tests and
+//! benches pin one with [`force_rel_backend`](crate::force_rel_backend).
 //!
-//! The parse functions are split from the environment reads so the full
-//! parse tables are unit-testable without touching the process
-//! environment (see the parse-table tests at the bottom).
+//! The parse function is split from the environment read so the full
+//! parse table is unit-testable without touching the process environment
+//! (see the parse-table test at the bottom).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // ECLECTIC_THREADS
@@ -151,119 +152,6 @@ pub fn effective_workers(requested: usize) -> usize {
     requested.min(cap).max(1)
 }
 
-// ---------------------------------------------------------------------------
-// ECLECTIC_REL_COMPRESSED_MIN_DIM
-// ---------------------------------------------------------------------------
-
-/// Default minimum dimension at which the `auto` policy prefers the
-/// compressed chunk-container backend over plain sorted adjacency: one
-/// full 2¹⁶ chunk. Below this every row fits one chunk and the sparse
-/// backend's flat `u32` rows have less per-row overhead; at and above it
-/// closures of block-structured transition relations compress entries
-/// into runs (see `BENCH_rel.json` for the measured capstone).
-pub(crate) const REL_COMPRESSED_MIN_DIM_DEFAULT: usize = 1 << 16;
-
-/// How one `ECLECTIC_REL_COMPRESSED_MIN_DIM` value parses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CompressedMinDimSpec {
-    /// Variable unset: use [`REL_COMPRESSED_MIN_DIM_DEFAULT`].
-    Unset,
-    /// A parsed dimension floor (0 means "always prefer compressed over
-    /// sparse").
-    Dim(usize),
-    /// Unparseable: fall back to the default, but warn.
-    Invalid,
-}
-
-pub(crate) fn parse_rel_compressed_min_dim(value: Option<&str>) -> CompressedMinDimSpec {
-    let Some(raw) = value else {
-        return CompressedMinDimSpec::Unset;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(d) => CompressedMinDimSpec::Dim(d),
-        Err(_) => CompressedMinDimSpec::Invalid,
-    }
-}
-
-/// The effective compressed-crossover floor for the `auto` relation
-/// policy: `ECLECTIC_REL_COMPRESSED_MIN_DIM` if set and parseable, else
-/// [`REL_COMPRESSED_MIN_DIM_DEFAULT`].
-pub(crate) fn rel_compressed_min_dim() -> usize {
-    static DIM: OnceLock<usize> = OnceLock::new();
-    *DIM.get_or_init(|| {
-        let value = std::env::var("ECLECTIC_REL_COMPRESSED_MIN_DIM").ok();
-        match parse_rel_compressed_min_dim(value.as_deref()) {
-            CompressedMinDimSpec::Unset => REL_COMPRESSED_MIN_DIM_DEFAULT,
-            CompressedMinDimSpec::Dim(d) => d,
-            CompressedMinDimSpec::Invalid => {
-                eprintln!(
-                    "eclectic: unparseable ECLECTIC_REL_COMPRESSED_MIN_DIM={:?}; expected a \
-                     non-negative integer — falling back to {REL_COMPRESSED_MIN_DIM_DEFAULT}",
-                    value.as_deref().unwrap_or_default()
-                );
-                REL_COMPRESSED_MIN_DIM_DEFAULT
-            }
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// ECLECTIC_REL_BACKEND
-// ---------------------------------------------------------------------------
-
-/// How one `ECLECTIC_REL_BACKEND` value parses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BackendSpec {
-    /// Variable unset: the automatic crossover policy.
-    Unset,
-    /// `auto`: the automatic crossover policy, explicitly.
-    Auto,
-    /// `dense`: every relation on the bit-matrix backend.
-    Dense,
-    /// `sparse`: every relation on the adjacency backend.
-    Sparse,
-    /// `compressed`: every relation on the chunk-container backend.
-    Compressed,
-    /// Unparseable: fall back to `auto`, but warn.
-    Invalid,
-}
-
-pub(crate) fn parse_rel_backend(value: Option<&str>) -> BackendSpec {
-    let Some(raw) = value else {
-        return BackendSpec::Unset;
-    };
-    let s = raw.trim();
-    if s.eq_ignore_ascii_case("auto") {
-        BackendSpec::Auto
-    } else if s.eq_ignore_ascii_case("dense") {
-        BackendSpec::Dense
-    } else if s.eq_ignore_ascii_case("sparse") {
-        BackendSpec::Sparse
-    } else if s.eq_ignore_ascii_case("compressed") {
-        BackendSpec::Compressed
-    } else {
-        BackendSpec::Invalid
-    }
-}
-
-/// The environment-selected relation backend policy, read once per process
-/// (relations are constructed on hot paths; `std::env::var` takes a lock).
-pub(crate) fn env_rel_backend() -> BackendSpec {
-    static SPEC: OnceLock<BackendSpec> = OnceLock::new();
-    *SPEC.get_or_init(|| {
-        let value = std::env::var("ECLECTIC_REL_BACKEND").ok();
-        let spec = parse_rel_backend(value.as_deref());
-        if spec == BackendSpec::Invalid {
-            eprintln!(
-                "eclectic: unparseable ECLECTIC_REL_BACKEND={:?}; expected `dense`, `sparse`, \
-                 `compressed` or `auto` — falling back to the automatic crossover",
-                value.as_deref().unwrap_or_default()
-            );
-        }
-        spec
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,49 +177,6 @@ mod tests {
         // `worker_cap_guard_overrides_and_restores`, which serializes on
         // the override lock).
         assert_eq!(parse_threads(Some("100000")), ThreadsSpec::Count(100_000));
-    }
-
-    #[test]
-    fn rel_backend_parse_table() {
-        assert_eq!(parse_rel_backend(None), BackendSpec::Unset);
-        assert_eq!(parse_rel_backend(Some("auto")), BackendSpec::Auto);
-        assert_eq!(parse_rel_backend(Some(" DENSE ")), BackendSpec::Dense);
-        assert_eq!(parse_rel_backend(Some("sparse")), BackendSpec::Sparse);
-        assert_eq!(
-            parse_rel_backend(Some(" Compressed ")),
-            BackendSpec::Compressed
-        );
-        assert_eq!(parse_rel_backend(Some("roaring")), BackendSpec::Invalid);
-        assert_eq!(parse_rel_backend(Some("btree")), BackendSpec::Invalid);
-        assert_eq!(parse_rel_backend(Some("")), BackendSpec::Invalid);
-    }
-
-    #[test]
-    fn rel_compressed_min_dim_parse_table() {
-        assert_eq!(
-            parse_rel_compressed_min_dim(None),
-            CompressedMinDimSpec::Unset
-        );
-        assert_eq!(
-            parse_rel_compressed_min_dim(Some("0")),
-            CompressedMinDimSpec::Dim(0)
-        );
-        assert_eq!(
-            parse_rel_compressed_min_dim(Some(" 131072 ")),
-            CompressedMinDimSpec::Dim(131_072)
-        );
-        assert_eq!(
-            parse_rel_compressed_min_dim(Some("abc")),
-            CompressedMinDimSpec::Invalid
-        );
-        assert_eq!(
-            parse_rel_compressed_min_dim(Some("-1")),
-            CompressedMinDimSpec::Invalid
-        );
-        assert_eq!(
-            parse_rel_compressed_min_dim(Some("")),
-            CompressedMinDimSpec::Invalid
-        );
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! Beside the term store the crate holds the shared substrate the levels
 //! build on: the relation kernel ([`Rel`] over dense, sparse and
 //! compressed backends, plus the demand-driven [`LazyClosure`]), the
-//! resource governor ([`Budget`]), the work-stealing pool in [`sched`],
-//! and the environment configuration ([`env_threads`],
-//! `ECLECTIC_REL_BACKEND`, `ECLECTIC_REL_COMPRESSED_MIN_DIM`). Relation and
-//! term operations run on their caller's thread: the pool runs whole
-//! obligation units, never a share of one relation or term sweep.
+//! resource governor ([`Budget`]), the FIFO work-stealing pool in
+//! [`sched`] ([`run_tasks`], [`run_workers`]), and the environment
+//! configuration ([`env_threads`]). Relation and term operations run on
+//! their caller's thread: the pool runs whole obligation units, never a
+//! share of one relation or term sweep.
 //!
 //! The crate is dependency-free; names, declarations, parsing and printing
 //! stay in `eclectic-logic`.
@@ -53,9 +53,7 @@ pub use rel::{
     RelChoice, RelFaultGuard, RowIter, REL_DENSE_MAX_DIM,
 };
 pub use rng::Rng;
-pub use sched::{
-    run_tasks, run_tasks_prio, run_workers_prio, DagBuilder, IndexQueue, Priority, TaskHandle,
-};
+pub use sched::{run_tasks, run_workers, IndexQueue};
 pub use sparse::SparseRel;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{FuncId, PredId, SortId, VarId};

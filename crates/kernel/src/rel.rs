@@ -8,35 +8,30 @@
 //! dimension the same relation would cost `n · ⌈n/64⌉` words *per
 //! relation* regardless of content (a million-state relation is ~125 GB),
 //! so large universes live on the sparse backend, which spends one `u32`
-//! entry per pair. Past the *compressed* crossover
-//! ([`crate::envcfg`]'s `ECLECTIC_REL_COMPRESSED_MIN_DIM`, default one
-//! full 2¹⁶ chunk) relations move to the chunk-container backend, whose
-//! run encodings collapse the contiguous reachable blocks that
-//! million-state closures produce to a few bytes per row.
-//! [`rel_backend_for`] decides: an explicit
-//! `ECLECTIC_REL_BACKEND=dense|sparse|compressed` pins every relation to
-//! one backend; unset or `auto` picks dense at dimensions up to
-//! [`REL_DENSE_MAX_DIM`], compressed at the compressed floor and above,
-//! and sparse between. Binary operations between mixed backends coerce
-//! both operands to the policy backend for the result dimension, so the
-//! choice never leaks into results.
+//! entry per pair. From one full 2¹⁶ chunk up, relations move to the
+//! chunk-container backend, whose run encodings collapse the contiguous
+//! reachable blocks that million-state closures produce to a few bytes per
+//! row. [`rel_backend_for`] decides by dimension alone: dense up to
+//! [`REL_DENSE_MAX_DIM`], compressed from `REL_COMPRESSED_MIN_DIM` (2¹⁶),
+//! sparse between. Binary operations between mixed backends coerce both
+//! operands to the policy backend for the result dimension, so the choice
+//! never leaks into results.
 //!
 //! Both backends uphold the same *iteration-order contract*: pairs stream
 //! in ascending lexicographic `(a, b)` order, exactly the order a
 //! `BTreeSet<(usize, usize)>` would produce — every report built on top
 //! is bit-identical whichever backend computed it.
 //!
-//! Tests that need a specific backend regardless of the environment hold
-//! a [`force_rel_backend`] guard, which also serializes them against each
+//! Tests and benches that need a specific backend hold a
+//! [`force_rel_backend`] guard, which also serializes them against each
 //! other (the override is process-global).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::bitmat::BitMatrix;
-use crate::container::{CompressedRel, RowValues};
-use crate::envcfg::{env_rel_backend, rel_compressed_min_dim, BackendSpec};
 use crate::budget::{Budget, BudgetExceeded};
+use crate::container::{CompressedRel, RowValues};
 use crate::sparse::SparseRel;
 
 /// Crossover dimension for the `auto` policy: relations of dimension up
@@ -44,6 +39,14 @@ use crate::sparse::SparseRel;
 /// larger ones go sparse (content-proportional memory; see
 /// `BENCH_rel.json` for the measured crossover).
 pub const REL_DENSE_MAX_DIM: usize = 512;
+
+/// Dimension from which the `auto` policy prefers the compressed
+/// chunk-container backend over plain sorted adjacency: one full 2¹⁶
+/// chunk. Below it every row fits one chunk and the sparse backend's flat
+/// `u32` rows have less per-row overhead; at and above it closures of
+/// block-structured transition relations compress entries into runs (see
+/// `BENCH_rel.json` for the measured capstone).
+const REL_COMPRESSED_MIN_DIM: usize = 1 << 16;
 
 /// Which storage backend a [`Rel`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -81,8 +84,8 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// other.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-/// RAII guard for a forced backend policy; restores the environment-driven
-/// policy on drop. Holding it excludes every other forced-backend section
+/// RAII guard for a forced backend policy; restores the dimension rule on
+/// drop. Holding it excludes every other forced-backend section
 /// in the process.
 pub struct RelBackendGuard {
     _lock: MutexGuard<'static, ()>,
@@ -96,7 +99,7 @@ impl Drop for RelBackendGuard {
 
 /// Forces the backend policy for the lifetime of the returned guard.
 /// Intended for tests and benches that must exercise a specific backend
-/// (or a specific crossover) regardless of `ECLECTIC_REL_BACKEND`.
+/// (or a specific crossover) whatever the dimension rule would pick.
 #[must_use]
 pub fn force_rel_backend(choice: RelChoice) -> RelBackendGuard {
     let lock = OVERRIDE_LOCK
@@ -161,7 +164,7 @@ fn rel_fault_active() -> bool {
 fn auto_backend(dim: usize, dense_max: usize) -> RelBackend {
     if dim <= dense_max {
         RelBackend::Dense
-    } else if dim >= rel_compressed_min_dim() {
+    } else if dim >= REL_COMPRESSED_MIN_DIM {
         RelBackend::Compressed
     } else {
         RelBackend::Sparse
@@ -169,26 +172,16 @@ fn auto_backend(dim: usize, dense_max: usize) -> RelBackend {
 }
 
 /// The backend the current policy assigns to a relation of the given
-/// dimension: a [`force_rel_backend`] override wins, then
-/// `ECLECTIC_REL_BACKEND`, then the automatic tiering at
-/// [`REL_DENSE_MAX_DIM`] and the compressed floor
-/// (`ECLECTIC_REL_COMPRESSED_MIN_DIM`).
+/// dimension: a [`force_rel_backend`] override wins, else the automatic
+/// tiering at [`REL_DENSE_MAX_DIM`] and the compressed floor (2¹⁶).
 #[must_use]
 pub fn rel_backend_for(dim: usize) -> RelBackend {
     match OVERRIDE.load(Ordering::SeqCst) {
-        0 => {}
-        1 => return RelBackend::Dense,
-        2 => return RelBackend::Sparse,
-        3 => return RelBackend::Compressed,
-        k => return auto_backend(dim, k - 4),
-    }
-    match env_rel_backend() {
-        BackendSpec::Dense => RelBackend::Dense,
-        BackendSpec::Sparse => RelBackend::Sparse,
-        BackendSpec::Compressed => RelBackend::Compressed,
-        BackendSpec::Unset | BackendSpec::Auto | BackendSpec::Invalid => {
-            auto_backend(dim, REL_DENSE_MAX_DIM)
-        }
+        0 => auto_backend(dim, REL_DENSE_MAX_DIM),
+        1 => RelBackend::Dense,
+        2 => RelBackend::Sparse,
+        3 => RelBackend::Compressed,
+        k => auto_backend(dim, k - 4),
     }
 }
 
@@ -676,13 +669,10 @@ mod tests {
             let _g = force_rel_backend(RelChoice::AutoAt(100));
             assert_eq!(rel_backend_for(100), RelBackend::Dense);
             assert_eq!(rel_backend_for(101), RelBackend::Sparse);
-            // The compressed floor still applies above the dense band
-            // (default one full chunk unless the env overrides it).
-            let floor = crate::envcfg::rel_compressed_min_dim();
-            if floor > 101 {
-                assert_eq!(rel_backend_for(floor - 1), RelBackend::Sparse);
-            }
-            assert_eq!(rel_backend_for(floor.max(101)), RelBackend::Compressed);
+            // The compressed floor still applies above the dense band.
+            let floor = REL_COMPRESSED_MIN_DIM;
+            assert_eq!(rel_backend_for(floor - 1), RelBackend::Sparse);
+            assert_eq!(rel_backend_for(floor), RelBackend::Compressed);
         }
     }
 

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use eclectic_algebraic::{completeness, termination, AlgSpec};
-use eclectic_kernel::{run_tasks_prio, Budget, BudgetExceeded, Exhaustion, Priority};
+use eclectic_kernel::{run_tasks, Budget, BudgetExceeded, Exhaustion};
 use eclectic_logic::{Domains, Elem, Formula, Signature, Theory, Valuation};
 use eclectic_rpr::pdl::Pdl;
 use eclectic_rpr::{denote, pdl, DbState, DenoteCache, FiniteUniverse, RprError, Schema};
@@ -142,7 +142,7 @@ pub fn check_refinement_1_2_budget(
 }
 
 /// Obligation (a), circularity half: the Q-equation termination analysis.
-/// A per-obligation entry point, so an obligation-DAG scheduler can run it
+/// A per-obligation entry point, so the verification battery can run it
 /// as its own pool task.
 ///
 /// # Errors
@@ -153,7 +153,7 @@ pub fn obligation_termination(spec: &AlgSpec) -> Result<termination::Termination
 
 /// Obligation (a), coverage half: the exhaustive sufficient-completeness
 /// sweep at `depth`, reporting up to 20 stuck terms. A per-obligation
-/// entry point for obligation-DAG schedulers; independent of the other
+/// entry point for the verification battery; independent of the other
 /// refine12 obligations.
 ///
 /// # Errors
@@ -168,9 +168,9 @@ pub fn obligation_completeness(
 }
 
 /// The universe construction `M(T2)`: bounded exploration of the
-/// algebraic transition system. A per-obligation entry point; its
-/// completion is what unblocks the axiom sweep (obligations (b)/(d)) and
-/// the witness enumeration (obligation (c)) in the obligation DAG.
+/// algebraic transition system. A per-obligation entry point; the
+/// verification battery runs the axiom sweep (obligations (b)/(d)) and the
+/// witness enumeration (obligation (c)) on its result.
 ///
 /// `_threads` is ignored: the exploration runs on the calling thread (see
 /// [`explore_algebraic_budget`]). The parameter stays only because the
@@ -301,12 +301,12 @@ impl DynamicReport {
 /// Checks the dynamic-logic obligations over the representation schema,
 /// governed by a [`Budget`] and run with `threads` workers. The obligations
 /// run as one [`DynamicPlan::run_proc`] unit per procedure, fanned over the
-/// shared pool at [`Priority::Bulk`]; each unit owns its denotation cache
-/// and polls the budget before each serial-order application slot with the
-/// slot index, so a node cap stops after the same number of applications
-/// at every worker count; deadline and cancellation stops report the
-/// applications whose serial-order prefix completed. Exhaustion returns the
-/// partial report with `exhausted` set instead of failing.
+/// shared pool; each unit owns its denotation cache and polls the budget
+/// before each serial-order application slot with the slot index, so a
+/// node cap stops after the same number of applications at every worker
+/// count; deadline and cancellation stops report the applications whose
+/// serial-order prefix completed. Exhaustion returns the partial report
+/// with `exhausted` set instead of failing.
 ///
 /// # Errors
 /// Propagates enumeration/evaluation errors (a universe over `cap` is a
@@ -331,7 +331,7 @@ pub fn check_dynamic_budget(
         })
         .collect();
     let workers = eclectic_kernel::effective_workers(threads).min(n);
-    let outcomes = run_tasks_prio(workers, Priority::Bulk, units)
+    let outcomes = run_tasks(workers, units)
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
     Ok(plan.merge(outcomes, budget))

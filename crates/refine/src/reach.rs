@@ -10,8 +10,8 @@
 //! update applications.
 //!
 //! Exploration is one breadth-first search over one [`Rewriter`]; it runs
-//! as a single obligation unit of the verification DAG and has no worker
-//! grain of its own.
+//! as a single obligation unit of the verification battery and has no
+//! worker grain of its own.
 
 use std::sync::Arc;
 

@@ -1,18 +1,18 @@
 //! Binary relations over finite universes — the meanings of RPR statements.
 //!
-//! Since PR 6 the representation is no longer a `BTreeSet<(usize, usize)>`
-//! but the kernel's dual-backend [`eclectic_kernel::Rel`]: a dense
-//! row-major bit matrix on small universes (union/meet are word-wise
-//! OR/AND, composition an OR-gather of rows, the reflexive-transitive
-//! closure a word-parallel per-source BFS) and a sparse sorted-adjacency
-//! store past the crossover dimension (sorted-merge set algebra,
-//! semi-naive delta closure), selected per relation by
-//! `ECLECTIC_REL_BACKEND` / the automatic policy. The observable behaviour
-//! is unchanged on both backends: [`BinRel::iter`] streams pairs in the
-//! exact ascending `(a, b)` order of the old set, and equality compares
-//! the *pair sets* (two relations of different allocated dimensions — or
-//! different backends — are equal iff they hold the same pairs), so every
-//! report built on top stays bit-identical.
+//! The representation is the kernel's multi-backend
+//! [`eclectic_kernel::Rel`]: a dense row-major bit matrix on small
+//! universes (union/meet are word-wise OR/AND, composition an OR-gather of
+//! rows, the reflexive-transitive closure a word-parallel per-source BFS),
+//! a sparse sorted-adjacency store past the crossover dimension
+//! (sorted-merge set algebra, semi-naive delta closure) and compressed
+//! chunk-container rows from 2¹⁶ states, selected per relation by
+//! dimension ([`eclectic_kernel::rel_backend_for`]). The observable
+//! behaviour is the same on every backend: [`BinRel::iter`] streams pairs
+//! in ascending `(a, b)` order, and equality compares the *pair sets* (two
+//! relations of different allocated dimensions — or different backends —
+//! are equal iff they hold the same pairs), so every report built on top
+//! stays bit-identical.
 //!
 //! The allocated dimension grows on demand under [`BinRel::insert`];
 //! builders that know the universe size up front use [`BinRel::with_dim`]
@@ -225,15 +225,16 @@ impl BinRel {
     /// # Errors
     /// Returns the tripped axis; partial output is discarded.
     pub fn star_governed(&self, n: usize, budget: &Budget) -> Result<BinRel, BudgetExceeded> {
-        // Materialization goes through the demand-driven closure layer;
-        // with nothing pre-demanded it takes the backend's eager closure,
-        // so only sources < n start a traversal.
-        let closed = if self.rel.dim() >= n {
-            LazyClosure::new(&self.rel).materialize_governed(n, budget)?
+        let mut closed = if self.rel.dim() >= n {
+            self.rel.closure_governed(budget)?
         } else {
-            let grown = self.rel.resized(n);
-            LazyClosure::new(&grown).materialize_governed(n, budget)?
+            self.rel.resized(n).closure_governed(budget)?
         };
+        // Sources are restricted to the universe; traversal still passes
+        // through out-of-universe intermediate nodes.
+        for r in n..closed.dim() {
+            closed.clear_row(r);
+        }
         Ok(BinRel { rel: closed })
     }
 

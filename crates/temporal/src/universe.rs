@@ -172,9 +172,7 @@ impl Universe {
                 mat.set(a, b.index());
             }
         }
-        let closed = eclectic_kernel::LazyClosure::new(&mat)
-            .materialize_governed(n, &eclectic_kernel::Budget::unlimited())
-            .unwrap_or_else(|_| unreachable!("unlimited budget never trips"));
+        let closed = mat.closure_reflexive_transitive();
         self.succ = (0..n)
             .map(|a| closed.iter_row(a).map(StateIdx).collect())
             .collect();

@@ -11,16 +11,16 @@ perf_ok := "import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]);
 env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src | grep -vxF -e crates/kernel/src/envcfg.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs); if [ -n \"$files\" ]; then echo \"env_threads( called outside the top-level entry points: $files\"; exit 1; fi"
 
 # Fails if a library file other than the scheduler and the four parallel
-# grains (the obligation DAG in `verify`, the completeness strips, the
+# grains (the obligation chains in `verify`, the completeness strips, the
 # per-procedure dynamic units in `obligations`, the fuzz corpus) submits
 # work to the pool: parallelism lives at the obligation level, and every
 # sweep inside an obligation stays serial.
-grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_tasks_prio(' -e 'run_workers_prio(' -e 'DagBuilder::new' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs -e crates/refine/src/obligations.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the four parallel grains: $files\"; exit 1; fi"
+grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_workers(' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs -e crates/refine/src/obligations.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the four parallel grains: $files\"; exit 1; fi"
 
 # The full offline gate: release build, tests, lints and rustdoc with
 # warnings denied (so a doc link to a deleted item fails the gate), the
 # `ECLECTIC_THREADS` read-site and parallel-grain checks, the
-# parallel-determinism suite in release mode (covering the obligation-DAG
+# parallel-determinism suite in release mode (covering the obligation
 # battery, the completeness strips and the per-procedure dynamic units,
 # with and without budget exhaustion),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
@@ -29,7 +29,7 @@ grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_tasks_pr
 # dynamic-bank (built into the same target directory as those tests; the
 # second is the only gate that runs the dynamic stage on the 4,096-state
 # bank universe, which is over paper-1w's PDL cap, against its known
-# answer), and the verification, crossover and fuzz benches.
+# answer), and the crossover and fuzz benches.
 # The tier-1 steps run under a hard timeout so a hung sweep fails the gate
 # instead of wedging it.
 verify:
@@ -45,7 +45,6 @@ verify:
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
-    cargo run -p eclectic-bench --bin bench_verify_parallel --release
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
@@ -62,17 +61,12 @@ lint:
 bench:
     cargo bench --workspace
 
-# Regenerate the EXPERIMENTS.md artifact table and BENCH_rewrite.json.
+# Regenerate the EXPERIMENTS.md artifact table.
 harness:
     cargo run -p eclectic-bench --bin harness --release
 
-# Serial-vs-parallel verification sweep (confluence + completeness + dynamic
-# PDL obligations); writes BENCH_verify.json.
-bench-verify:
-    cargo run -p eclectic-bench --bin bench_verify_parallel --release
-
-# Dense-vs-sparse-vs-compressed-vs-auto relation-kernel crossover on
-# star-closure workloads plus the 2^17-state generated-domain capstone and
+# Dense-vs-sparse-vs-compressed relation-kernel crossover on star-closure
+# workloads (asserting the automatic policy picks the fastest arm) plus the 2^17-state generated-domain capstone and
 # the 2^20-state compressed-closure capstone (bit-identity asserted
 # in-bench); writes BENCH_rel.json.
 bench-rel:
@@ -95,8 +89,8 @@ fuzz-smoke:
 fuzz:
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release
 
-# Every benchmark artifact in one shot: harness + the verification,
-# crossover and fuzz benches, closing with the starved-host warning status
-# recorded in the artifacts.
-bench-all: harness bench-verify bench-rel bench-rel-large fuzz
+# Every benchmark artifact in one shot: harness + the crossover and fuzz
+# benches, closing with the starved-host warning status recorded in the
+# artifacts.
+bench-all: harness bench-rel bench-rel-large fuzz
     @grep -o '"warning": [^,]*' BENCH_rel.json
