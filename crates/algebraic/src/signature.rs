@@ -13,7 +13,6 @@
 //! `⟨s, s, Boolean⟩`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use eclectic_logic::{FuncId, Signature, SortId, Term, VarId};
 
@@ -109,17 +108,6 @@ impl AlgSignature {
         self.kinds.insert(eq, OpKind::Parameter);
         self.eq_fns.insert(sort, eq);
         Ok(sort)
-    }
-
-    /// Declares an additional parameter constant of an existing sort.
-    ///
-    /// # Errors
-    /// Returns an error on duplicate names or unknown sorts.
-    pub fn add_param_constant(&mut self, name: &str, sort: SortId) -> Result<FuncId> {
-        self.check_param_sort(sort)?;
-        let f = self.sig.add_constant(name, sort)?;
-        self.kinds.insert(f, OpKind::Parameter);
-        Ok(f)
     }
 
     /// Declares a parameter function (no `state` in its sort).
@@ -373,12 +361,6 @@ impl AlgSignature {
             }
             _ => false,
         }
-    }
-
-    /// Freezes the signature into a shareable form.
-    #[must_use]
-    pub fn into_shared(self) -> Arc<AlgSignature> {
-        Arc::new(self)
     }
 }
 

@@ -74,13 +74,6 @@ impl AlgSpec {
             .map(|&i| &self.equations[i])
     }
 
-    /// The kind of the `i`-th equation (cached at validation time — no
-    /// re-sorting).
-    #[must_use]
-    pub fn kind_of(&self, i: usize) -> EquationKind {
-        self.kinds[i]
-    }
-
     /// The Q-equations.
     ///
     /// # Errors

@@ -146,103 +146,6 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// An honest parallel-speedup gate: the threshold is only *enforced* when
-/// the host really has `threads` cores to scale onto. On a starved host
-/// (fewer cores than the gate's thread count) a shortfall downgrades to a
-/// warning — a single-core CI box cannot falsify a 4- or 8-thread scaling
-/// claim, and asserting fictitious scaling there would gate merges on the
-/// container, not the code. The JSON fragment records both the verdict and
-/// whether it was enforced.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeedupGate {
-    /// Thread count the speedup claim is made at.
-    pub threads: usize,
-    /// Required speedup when the gate is enforced.
-    pub threshold: f64,
-    /// Measured speedup.
-    pub speedup: f64,
-    /// Actual host parallelism at measurement time.
-    pub available_cores: usize,
-}
-
-impl SpeedupGate {
-    /// A gate over the current host (see [`host_cores`]).
-    #[must_use]
-    pub fn new(threads: usize, threshold: f64, speedup: f64) -> Self {
-        Self::with_cores(threads, threshold, speedup, host_cores())
-    }
-
-    /// A gate with an explicit core count (for tests).
-    #[must_use]
-    pub fn with_cores(threads: usize, threshold: f64, speedup: f64, cores: usize) -> Self {
-        SpeedupGate {
-            threads,
-            threshold,
-            speedup,
-            available_cores: cores.max(1),
-        }
-    }
-
-    /// Whether the host can honestly evaluate the claim.
-    #[must_use]
-    pub fn enforced(&self) -> bool {
-        self.available_cores >= self.threads
-    }
-
-    /// Whether the measured speedup meets the threshold.
-    #[must_use]
-    pub fn holds(&self) -> bool {
-        self.speedup >= self.threshold
-    }
-
-    /// Gate verdict: a shortfall only fails when the gate is enforced.
-    #[must_use]
-    pub fn pass(&self) -> bool {
-        self.holds() || !self.enforced()
-    }
-
-    /// The gate as a JSON object fragment.
-    #[must_use]
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"threads\": {}, \"threshold\": {}, \"speedup\": {:.3}, \
-             \"available_cores\": {}, \"enforced\": {}, \"holds\": {}}}",
-            self.threads,
-            self.threshold,
-            self.speedup,
-            self.available_cores,
-            self.enforced(),
-            self.holds()
-        )
-    }
-
-    /// Panics if an enforced gate fails; prints a `WARN:` line when the
-    /// host is too small to evaluate the claim and the threshold was
-    /// missed.
-    ///
-    /// # Panics
-    /// When the gate is enforced and the speedup is below the threshold.
-    pub fn check(&self, what: &str) {
-        if self.enforced() {
-            assert!(
-                self.holds(),
-                "{what}: speedup {:.2}x below threshold {:.2}x at {} threads \
-                 ({} cores available)",
-                self.speedup,
-                self.threshold,
-                self.threads,
-                self.available_cores,
-            );
-        } else if !self.holds() {
-            println!(
-                "WARN: {what}: speedup {:.2}x below threshold {:.2}x at {} threads, \
-                 but host has only {} core(s) — gate not enforced",
-                self.speedup, self.threshold, self.threads, self.available_cores,
-            );
-        }
-    }
-}
-
 /// Formats a nanosecond count with a human unit.
 #[must_use]
 pub fn fmt_ns(ns: f64) -> String {
@@ -270,24 +173,6 @@ mod tests {
         assert!(m.min_ns <= m.median_ns);
         assert_eq!(r.results.len(), 1);
         r.finish();
-    }
-
-    #[test]
-    fn speedup_gate_verdicts() {
-        // Enough cores: the threshold is enforced both ways.
-        let ok = SpeedupGate::with_cores(4, 1.5, 2.0, 8);
-        assert!(ok.enforced() && ok.holds() && ok.pass());
-        let bad = SpeedupGate::with_cores(4, 1.5, 1.1, 8);
-        assert!(bad.enforced() && !bad.holds() && !bad.pass());
-        // Starved host: a shortfall downgrades to a warning, not a failure.
-        let starved = SpeedupGate::with_cores(8, 1.15, 0.9, 1);
-        assert!(!starved.enforced() && !starved.holds() && starved.pass());
-        starved.check("starved gate must not panic");
-        // A 1-thread gate is always enforceable.
-        assert!(SpeedupGate::with_cores(1, 1.0, 1.0, 1).enforced());
-        // JSON fragment records enforcement honestly.
-        let j = starved.json();
-        assert!(j.contains("\"enforced\": false") && j.contains("\"available_cores\": 1"));
     }
 
     #[test]

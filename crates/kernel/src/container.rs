@@ -1,5 +1,5 @@
-//! Compressed chunk-container rows — the million-state backend for binary
-//! relations over finite universes.
+//! Compressed chunk-container rows — the million-state row encoding for
+//! binary relations over finite universes.
 //!
 //! A [`CompressedRel`] stores an `n × n` boolean matrix as one
 //! [`CompressedRow`] per row; each row splits its column set into
@@ -15,37 +15,21 @@
 //!   closures of chain/ring-shaped transition relations produce (a
 //!   fully-reachable block of any size is a single 4-byte run).
 //!
-//! Bulk-built rows (compose, closure, [`CompressedRow::from_sorted`],
-//! union, meet) are *normalized*: the encoding is re-chosen per chunk by
-//! byte size, preferring the array on ties. Point inserts ([`set`]) keep
-//! the current encoding and only promote array→bitmap past 4096 entries
-//! and runs→bitmap past 2048 runs, exactly like Roaring — a row built by
-//! scattered `set` calls may therefore be larger than its normalized
-//! form, but never asymptotically so.
+//! Bulk-built rows (compose, closure, union, meet) are *normalized*: the
+//! encoding is re-chosen per chunk by byte size, preferring the array on
+//! ties. Point inserts keep the current encoding and only promote
+//! array→bitmap past 4096 entries and runs→bitmap past 2048 runs, exactly
+//! like Roaring — a row built by scattered inserts may therefore be larger
+//! than its normalized form, but never asymptotically so.
 //!
 //! Every container caches its cardinality, so [`Container::len`] is O(1)
-//! and row/relation counts are sums over containers, not entries.
-//!
-//! # Iteration order
-//!
-//! Chunks are kept sorted by chunk key and every container iterates its
-//! values ascending, so [`CompressedRel::iter`] and
-//! [`CompressedRel::iter_row`] stream pairs in exactly the ascending
-//! lexicographic `(r, c)` order a `BTreeSet<(usize, usize)>` would
-//! produce — the same contract the dense and sparse backends uphold.
-//!
-//! # Budgets
-//!
-//! The `*_governed` variants poll a [`Budget`] every [`ROW_POLL_STRIDE`]
-//! rows through
-//! [`Budget::check_rel`], passing the *estimated bytes* the operation
-//! has materialized so far (see [`CompressedRow::byte_size`] for the
-//! formula), so a runaway closure trips `RelMemory` instead of OOMing.
-//!
-//! [`set`]: CompressedRel::set
+//! and row counts are sums over containers, not entries. Chunks are kept
+//! sorted by chunk key and every container iterates its values ascending,
+//! so rows yield their columns in the ascending order the shared
+//! [`RowRel`] algebra (composition, closure, budgets) relies on; the byte
+//! estimate it charges per row is [`RowSet::bytes`].
 
-use crate::bitmat::ROW_POLL_STRIDE;
-use crate::budget::{Budget, BudgetExceeded};
+use crate::rows::{RowRel, RowSet};
 
 /// Columns per chunk: each container covers one 2¹⁶-aligned column range.
 const CHUNK_SPAN: usize = 1 << 16;
@@ -66,7 +50,7 @@ const RUNS_MAX: usize = BITMAP_BYTES / 4;
 
 /// Estimated bookkeeping bytes charged per container (chunk key,
 /// discriminant, cached cardinality) in the byte-accounting formula.
-pub(crate) const CONTAINER_OVERHEAD: usize = 8;
+const CONTAINER_OVERHEAD: usize = 8;
 
 /// One 2¹⁶-column chunk of a row, in whichever encoding is smallest.
 #[derive(Debug, Clone)]
@@ -411,72 +395,56 @@ pub struct CompressedRow {
     chunks: Vec<(u32, Container)>,
 }
 
-impl CompressedRow {
-    /// Cardinality of the row — a sum of cached container counts, O(#chunks).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.chunks.iter().map(|(_, c)| c.len()).sum()
-    }
+impl RowSet for CompressedRow {
+    type Values<'a> = RowValues<'a>;
 
-    /// Whether the row is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Estimated bytes of the row under the byte-accounting formula:
-    /// per container, a fixed 8-byte overhead plus 2 bytes per array
-    /// entry / 8192 flat bytes per bitmap / 4 bytes per run.
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|(_, c)| CONTAINER_OVERHEAD + c.bytes())
-            .sum()
-    }
-
-    /// Whether column `c` is present.
-    #[must_use]
-    pub fn contains(&self, c: u32) -> bool {
-        let key = c >> 16;
-        match self.chunks.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.chunks[i].1.contains((c & 0xFFFF) as u16),
-            Err(_) => false,
-        }
-    }
-
-    /// Inserts column `c`; returns whether it was previously absent.
-    pub fn insert(&mut self, c: u32) -> bool {
-        let key = c >> 16;
-        let v = (c & 0xFFFF) as u16;
-        match self.chunks.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.chunks[i].1.insert(v),
-            Err(pos) => {
-                self.chunks.insert(pos, (key, Container::Array(vec![v])));
-                true
-            }
-        }
-    }
-
-    /// Clears the row.
-    pub fn clear(&mut self) {
-        self.chunks.clear();
-    }
-
-    /// Ascending iterator over the row's columns.
-    #[must_use]
-    pub fn iter(&self) -> RowValues<'_> {
+    fn values(&self) -> RowValues<'_> {
         RowValues {
             chunks: self.chunks.iter(),
             cur: None,
         }
     }
 
-    /// Builds a normalized row from sorted, deduplicated columns: split
-    /// by chunk, coalesce each chunk's values into maximal runs, pick
-    /// the smallest encoding per chunk.
-    #[must_use]
-    pub fn from_sorted(vals: &[u32]) -> CompressedRow {
+    /// A sum of cached container counts, O(#chunks).
+    fn len(&self) -> usize {
+        self.chunks.iter().map(|(_, c)| c.len()).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// Per container, a fixed 8-byte overhead plus 2 bytes per array entry
+    /// / 8192 flat bytes per bitmap / 4 bytes per run.
+    fn bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .map(|(_, c)| CONTAINER_OVERHEAD + c.bytes())
+            .sum()
+    }
+
+    fn contains(&self, c: u32) -> bool {
+        match self.chunks.binary_search_by_key(&(c >> 16), |&(k, _)| k) {
+            Ok(i) => self.chunks[i].1.contains((c & 0xFFFF) as u16),
+            Err(_) => false,
+        }
+    }
+
+    fn insert(&mut self, c: u32) -> bool {
+        let v = (c & 0xFFFF) as u16;
+        match self.chunks.binary_search_by_key(&(c >> 16), |&(k, _)| k) {
+            Ok(i) => self.chunks[i].1.insert(v),
+            Err(pos) => {
+                self.chunks
+                    .insert(pos, (c >> 16, Container::Array(vec![v])));
+                true
+            }
+        }
+    }
+
+    /// Splits the columns by chunk, coalesces each chunk's values into
+    /// maximal runs and picks the smallest encoding per chunk.
+    fn from_sorted(vals: &[u32]) -> CompressedRow {
         let mut chunks = Vec::new();
         let mut runs: Vec<(u32, u32)> = Vec::new();
         let mut i = 0;
@@ -501,9 +469,8 @@ impl CompressedRow {
         CompressedRow { chunks }
     }
 
-    /// Normalized union of two rows via per-chunk run merges.
-    #[must_use]
-    pub fn union(&self, other: &CompressedRow) -> CompressedRow {
+    /// Normalized union via per-chunk run merges.
+    fn union(&self, other: &CompressedRow) -> CompressedRow {
         let mut chunks = Vec::with_capacity(self.chunks.len().max(other.chunks.len()));
         let (mut i, mut j) = (0, 0);
         let (mut ra, mut rb) = (Vec::new(), Vec::new());
@@ -536,9 +503,8 @@ impl CompressedRow {
         CompressedRow { chunks }
     }
 
-    /// Normalized intersection of two rows via per-chunk run merges.
-    #[must_use]
-    pub fn intersect(&self, other: &CompressedRow) -> CompressedRow {
+    /// Normalized intersection via per-chunk run merges.
+    fn intersect(&self, other: &CompressedRow) -> CompressedRow {
         let mut chunks = Vec::new();
         let (mut i, mut j) = (0, 0);
         let (mut ra, mut rb) = (Vec::new(), Vec::new());
@@ -590,300 +556,12 @@ impl Iterator for RowValues<'_> {
 
 /// A compressed square boolean matrix over `0..n`: one chunk-container
 /// row per source, with a cached total entry count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CompressedRel {
-    n: usize,
-    rows: Vec<CompressedRow>,
-    entries: usize,
-}
-
-impl CompressedRel {
-    /// The empty (all-zero) relation of dimension `n`.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds `u32::MAX` (column indices are stored as
-    /// chunked `u16` values under `u32` keys).
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(
-            u32::try_from(n).is_ok(),
-            "CompressedRel dimension exceeds u32 index space"
-        );
-        CompressedRel {
-            n,
-            rows: vec![CompressedRow::default(); n],
-            entries: 0,
-        }
-    }
-
-    /// The identity relation of dimension `n` (a diagonal fill).
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = CompressedRel::new(n);
-        for (i, row) in m.rows.iter_mut().enumerate() {
-            row.insert(i as u32);
-        }
-        m.entries = n;
-        m
-    }
-
-    /// The dimension `n`.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Total pairs stored — a cached running count, O(1).
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        self.entries
-    }
-
-    /// Estimated bytes under the byte-accounting formula, summed over all
-    /// containers — the units the relation-memory budget axis accounts
-    /// for this backend. O(#containers), not O(#entries).
-    #[must_use]
-    pub fn byte_size(&self) -> usize {
-        self.rows.iter().map(CompressedRow::byte_size).sum()
-    }
-
-    /// Whether bit `(r, c)` is set.
-    ///
-    /// # Panics
-    /// Panics if `r` or `c` is out of range.
-    #[must_use]
-    pub fn get(&self, r: usize, c: usize) -> bool {
-        assert!(r < self.n && c < self.n);
-        self.rows[r].contains(c as u32)
-    }
-
-    /// Sets bit `(r, c)`; returns whether it was previously clear.
-    ///
-    /// # Panics
-    /// Panics if `r` or `c` is out of range.
-    pub fn set(&mut self, r: usize, c: usize) -> bool {
-        assert!(r < self.n && c < self.n);
-        let fresh = self.rows[r].insert(c as u32);
-        if fresh {
-            self.entries += 1;
-        }
-        fresh
-    }
-
-    /// Row `r`'s chunk-container row.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn row(&self, r: usize) -> &CompressedRow {
-        assert!(r < self.n);
-        &self.rows[r]
-    }
-
-    /// Clears row `r`.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range.
-    pub fn clear_row(&mut self, r: usize) {
-        assert!(r < self.n);
-        self.entries -= self.rows[r].len();
-        self.rows[r].clear();
-    }
-
-    /// Number of set bits, O(1) (cached).
-    #[must_use]
-    pub fn count_ones(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether no bit is set.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Union of `other` into `self`, row by row (normalized rows).
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    pub fn or_assign(&mut self, other: &CompressedRel) {
-        assert_eq!(self.n, other.n, "CompressedRel dimension mismatch");
-        let mut entries = 0;
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            if !b.is_empty() {
-                if a.is_empty() {
-                    *a = b.clone();
-                } else {
-                    *a = a.union(b);
-                }
-            }
-            entries += a.len();
-        }
-        self.entries = entries;
-    }
-
-    /// Intersection of `other` into `self`, row by row (normalized rows).
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    pub fn and_assign(&mut self, other: &CompressedRel) {
-        assert_eq!(self.n, other.n, "CompressedRel dimension mismatch");
-        let mut entries = 0;
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            if !a.is_empty() {
-                if b.is_empty() {
-                    a.clear();
-                } else {
-                    *a = a.intersect(b);
-                }
-            }
-            entries += a.len();
-        }
-        self.entries = entries;
-    }
-
-    /// Ascending iterator over the set columns of row `r`.
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range.
-    pub fn iter_row(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(r).iter().map(|c| c as usize)
-    }
-
-    /// Ascending lexicographic iterator over all set `(r, c)` pairs — the
-    /// `BTreeSet<(usize, usize)>` order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .flat_map(|(r, row)| row.iter().map(move |c| (r, c as usize)))
-    }
-
-    /// A copy resized to dimension `d ≥ n` (new rows are empty).
-    ///
-    /// # Panics
-    /// Panics if `d < n` (shrinking would silently drop pairs).
-    #[must_use]
-    pub fn resized(&self, d: usize) -> CompressedRel {
-        assert!(d >= self.n, "CompressedRel cannot shrink");
-        let mut out = CompressedRel::new(d);
-        out.rows[..self.n].clone_from_slice(&self.rows);
-        out.entries = self.entries;
-        out
-    }
-
-    /// Relational composition (`self` applied first): output row `a`
-    /// gathers `other`'s rows over every entry of `self`'s row `a`, then
-    /// normalizes. See [`compose_governed`](Self::compose_governed).
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    #[must_use]
-    pub fn compose(&self, other: &CompressedRel) -> CompressedRel {
-        match self.compose_governed(other, &Budget::unlimited()) {
-            Ok(m) => m,
-            Err(_) => unreachable!("unlimited budget never trips"),
-        }
-    }
-
-    /// As [`compose`](Self::compose), polling `budget` every
-    /// [`ROW_POLL_STRIDE`] rows via [`Budget::check_rel`] with the
-    /// estimated bytes materialized so far.
-    ///
-    /// # Errors
-    /// Returns the tripped axis; partial output is discarded.
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    pub fn compose_governed(
-        &self,
-        other: &CompressedRel,
-        budget: &Budget,
-    ) -> Result<CompressedRel, BudgetExceeded> {
-        assert_eq!(self.n, other.n, "CompressedRel dimension mismatch");
-        let mut out = CompressedRel::new(self.n);
-        let mut bytes = 0usize;
-        let mut buf: Vec<u32> = Vec::new();
-        for (a, orow) in out.rows.iter_mut().enumerate() {
-            if a % ROW_POLL_STRIDE == 0 {
-                if let Some(reason) = budget.check_rel(bytes) {
-                    return Err(reason);
-                }
-            }
-            buf.clear();
-            for b in self.rows[a].iter() {
-                buf.extend(other.rows[b as usize].iter());
-            }
-            buf.sort_unstable();
-            buf.dedup();
-            *orow = CompressedRow::from_sorted(&buf);
-            bytes += orow.byte_size();
-        }
-        out.entries = out.rows.iter().map(CompressedRow::len).sum();
-        Ok(out)
-    }
-
-    /// The reflexive-transitive closure: row `r` of the result holds every
-    /// node reachable from `r` (including `r` itself), computed by one
-    /// semi-naive delta fixpoint per source row, stored normalized.
-    #[must_use]
-    pub fn closure_reflexive_transitive(&self) -> CompressedRel {
-        match self.closure_governed(&Budget::unlimited()) {
-            Ok(m) => m,
-            Err(_) => unreachable!("unlimited budget never trips"),
-        }
-    }
-
-    /// As [`closure_reflexive_transitive`](Self::closure_reflexive_transitive),
-    /// polling `budget` every [`ROW_POLL_STRIDE`] source rows via
-    /// [`Budget::check_rel`] with the estimated bytes materialized so far.
-    ///
-    /// # Errors
-    /// Returns the tripped axis; the partial closure is discarded.
-    pub fn closure_governed(&self, budget: &Budget) -> Result<CompressedRel, BudgetExceeded> {
-        let n = self.n;
-        let mut out = CompressedRel::new(n);
-        let mut bytes = 0usize;
-        // Membership flag per node, reset after each source by walking
-        // only the nodes that were reached.
-        let mut in_closed = vec![false; n];
-        for (src, orow) in out.rows.iter_mut().enumerate() {
-            if src % ROW_POLL_STRIDE == 0 {
-                if let Some(reason) = budget.check_rel(bytes) {
-                    return Err(reason);
-                }
-            }
-            // Semi-naive delta iteration, exactly as in the sparse
-            // backend: only rows discovered by the previous round are
-            // re-expanded.
-            let mut reach: Vec<u32> = vec![src as u32];
-            in_closed[src] = true;
-            let mut delta = 0usize;
-            while delta < reach.len() {
-                let x = reach[delta] as usize;
-                delta += 1;
-                for t in self.rows[x].iter() {
-                    if !in_closed[t as usize] {
-                        in_closed[t as usize] = true;
-                        reach.push(t);
-                    }
-                }
-            }
-            for &t in &reach {
-                in_closed[t as usize] = false;
-            }
-            reach.sort_unstable();
-            *orow = CompressedRow::from_sorted(&reach);
-            bytes += orow.byte_size();
-        }
-        out.entries = out.rows.iter().map(CompressedRow::len).sum();
-        Ok(out)
-    }
-}
+pub type CompressedRel = RowRel<CompressedRow>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
 
     fn from_pairs(n: usize, pairs: &[(usize, usize)]) -> CompressedRel {
         let mut m = CompressedRel::new(n);
@@ -891,6 +569,14 @@ mod tests {
             m.set(a, b);
         }
         m
+    }
+
+    fn closure(m: &CompressedRel) -> CompressedRel {
+        m.closure_governed(&Budget::unlimited()).unwrap()
+    }
+
+    fn values(row: &CompressedRow) -> Vec<u32> {
+        row.values().collect()
     }
 
     #[test]
@@ -906,7 +592,6 @@ mod tests {
             m.iter().collect::<Vec<_>>(),
             vec![(0, 2), (0, 65_535), (0, 65_536), (131_072, 7)]
         );
-        assert_eq!(m.count_ones(), 4);
         assert_eq!(m.entry_count(), 4);
         m.clear_row(0);
         assert_eq!(m.entry_count(), 1);
@@ -918,20 +603,20 @@ mod tests {
         // per chunk, 4 bytes of payload each.
         let row = CompressedRow::from_sorted(&(60_000..70_000).collect::<Vec<u32>>());
         assert_eq!(row.len(), 10_000);
-        assert_eq!(row.byte_size(), 2 * (CONTAINER_OVERHEAD + 4));
+        assert_eq!(row.bytes(), 2 * (CONTAINER_OVERHEAD + 4));
         // Scattered values stay an array while small...
         let sparse_vals: Vec<u32> = (0..1000).map(|i| i * 7).collect();
         let arr = CompressedRow::from_sorted(&sparse_vals);
-        assert_eq!(arr.byte_size(), CONTAINER_OVERHEAD + 2 * 1000);
+        assert_eq!(arr.bytes(), CONTAINER_OVERHEAD + 2 * 1000);
         // ...and become a bitmap once the array would exceed 8192 bytes.
         let dense_vals: Vec<u32> = (0..10_000).map(|i| i * 6).collect();
         let bm = CompressedRow::from_sorted(&dense_vals);
-        assert_eq!(bm.byte_size(), CONTAINER_OVERHEAD + BITMAP_BYTES);
+        assert_eq!(bm.bytes(), CONTAINER_OVERHEAD + BITMAP_BYTES);
         assert_eq!(bm.len(), 10_000);
         assert!(bm.contains(6 * 9_999) && !bm.contains(5));
         // All three encodings iterate ascending.
-        assert_eq!(bm.iter().collect::<Vec<_>>(), dense_vals);
-        assert_eq!(arr.iter().collect::<Vec<_>>(), sparse_vals);
+        assert_eq!(values(&bm), dense_vals);
+        assert_eq!(values(&arr), sparse_vals);
     }
 
     #[test]
@@ -941,14 +626,14 @@ mod tests {
         assert!(row.insert(6));
         assert!(row.insert(5));
         assert!(!row.insert(3));
-        assert_eq!(row.iter().collect::<Vec<_>>(), (0..=6).collect::<Vec<_>>());
+        assert_eq!(values(&row), (0..=6).collect::<Vec<_>>());
         // Array promotes to bitmap past ARRAY_MAX point inserts.
         let mut big = CompressedRow::default();
         for v in 0..=(ARRAY_MAX as u32) {
             assert!(big.insert(v * 2));
         }
         assert_eq!(big.len(), ARRAY_MAX + 1);
-        assert_eq!(big.byte_size(), CONTAINER_OVERHEAD + BITMAP_BYTES);
+        assert_eq!(big.bytes(), CONTAINER_OVERHEAD + BITMAP_BYTES);
         assert!(big.contains(2 * ARRAY_MAX as u32) && !big.contains(1));
         // The u16 edge: coalescing against a run ending at 65535 must not
         // overflow.
@@ -962,17 +647,15 @@ mod tests {
     fn union_meet_normalize() {
         let a = CompressedRow::from_sorted(&[0, 1, 2, 100, 65_535, 65_536]);
         let b = CompressedRow::from_sorted(&[2, 3, 100, 65_536, 200_000]);
-        let u = a.union(&b);
         assert_eq!(
-            u.iter().collect::<Vec<_>>(),
+            values(&a.union(&b)),
             vec![0, 1, 2, 3, 100, 65_535, 65_536, 200_000]
         );
-        let m = a.intersect(&b);
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![2, 100, 65_536]);
+        assert_eq!(values(&a.intersect(&b)), vec![2, 100, 65_536]);
         let mut ra = from_pairs(70_000, &[(0, 1), (2, 3)]);
         let rb = from_pairs(70_000, &[(0, 1), (4, 69_999)]);
         ra.or_assign(&rb);
-        assert_eq!(ra.count_ones(), 3);
+        assert_eq!(ra.entry_count(), 3);
         ra.and_assign(&rb);
         assert_eq!(ra.iter().collect::<Vec<_>>(), vec![(0, 1), (4, 69_999)]);
     }
@@ -985,38 +668,20 @@ mod tests {
         for &(a, b) in &pairs {
             sp.set(a, b);
         }
-        let cc = cp.closure_reflexive_transitive();
-        let sc = sp.closure_reflexive_transitive();
-        assert_eq!(cc.iter().collect::<Vec<_>>(), sc.iter().collect::<Vec<_>>());
+        let unlimited = Budget::unlimited();
+        let sc = sp.closure_governed(&unlimited).unwrap();
         assert_eq!(
-            cp.compose(&cp).iter().collect::<Vec<_>>(),
-            sp.compose(&sp).iter().collect::<Vec<_>>()
+            closure(&cp).iter().collect::<Vec<_>>(),
+            sc.iter().collect::<Vec<_>>()
         );
+        let (c2, s2) = (
+            cp.compose_governed(&cp, &unlimited).unwrap(),
+            sp.compose_governed(&sp, &unlimited).unwrap(),
+        );
+        assert_eq!(c2.iter().collect::<Vec<_>>(), s2.iter().collect::<Vec<_>>());
         let id = CompressedRel::identity(300);
-        assert_eq!(cp.compose(&id), cp);
-        assert_eq!(id.compose(&cp), cp);
-    }
-
-    #[test]
-    fn governed_ops_trip_on_timing_and_memory_axes() {
-        let m = from_pairs(64, &[(0, 1)]);
-        let cancelled = {
-            let tok = crate::budget::CancelToken::new();
-            tok.cancel();
-            Budget::unlimited().with_cancel(tok)
-        };
-        assert_eq!(
-            m.compose_governed(&m, &cancelled),
-            Err(BudgetExceeded::Cancelled)
-        );
-        assert_eq!(
-            m.closure_governed(&cancelled),
-            Err(BudgetExceeded::Cancelled)
-        );
-        // A zero-byte memory cap trips before the first row of output.
-        let capped = Budget::unlimited().with_max_rel_entries(0);
-        assert_eq!(m.closure_governed(&capped), Err(BudgetExceeded::RelMemory));
-        assert!(m.closure_governed(&Budget::unlimited()).is_ok());
+        assert_eq!(cp.compose_governed(&id, &unlimited), Ok(cp.clone()));
+        assert_eq!(id.compose_governed(&cp, &unlimited), Ok(cp));
     }
 
     #[test]
@@ -1029,7 +694,7 @@ mod tests {
         for i in 0..n {
             m.set(i, (i & !63) + ((i + 1) & 63));
         }
-        let closed = m.closure_reflexive_transitive();
+        let closed = closure(&m);
         assert_eq!(closed.entry_count(), n * 64);
         assert_eq!(closed.byte_size(), n * (CONTAINER_OVERHEAD + 4));
         // A budget between the two byte estimates admits the compressed

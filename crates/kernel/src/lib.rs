@@ -17,8 +17,8 @@
 //!   ground short-circuiting.
 //!
 //! Beside the term store the crate holds the shared substrate the levels
-//! build on: the relation kernel ([`Rel`] over dense, sparse and
-//! compressed backends, plus the demand-driven [`LazyClosure`]), the
+//! build on: the relation kernel ([`Rel`] over a dense backend and two
+//! row encodings of one row matrix, sparse and compressed), the
 //! resource governor ([`Budget`]), the FIFO work-stealing pool in
 //! [`sched`] ([`run_tasks`], [`run_workers`]), and the environment
 //! configuration ([`env_threads`]). Relation and term operations run on
@@ -32,7 +32,6 @@
 
 mod bitmat;
 mod budget;
-mod closure;
 mod container;
 mod envcfg;
 pub mod hash;
@@ -40,12 +39,12 @@ mod ids;
 mod rel;
 pub mod rng;
 pub mod sched;
+mod rows;
 mod sparse;
 mod store;
 
 pub use bitmat::{BitMatrix, ROW_POLL_STRIDE};
 pub use budget::{Budget, BudgetExceeded, CancelToken, Exhaustion};
-pub use closure::LazyClosure;
 pub use container::{CompressedRel, CompressedRow};
 pub use envcfg::{effective_workers, env_threads, force_worker_cap, WorkerCapGuard};
 pub use rel::{

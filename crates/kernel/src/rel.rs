@@ -17,8 +17,12 @@
 //! operands to the policy backend for the result dimension, so the choice
 //! never leaks into results.
 //!
-//! Both backends uphold the same *iteration-order contract*: pairs stream
-//! in ascending lexicographic `(a, b)` order, exactly the order a
+//! The sparse and compressed backends are one row matrix with two row
+//! encodings: their union, meet, composition and closure are written
+//! once, generic over the row.
+//!
+//! All three backends uphold the same *iteration-order contract*: pairs
+//! stream in ascending lexicographic `(a, b)` order, exactly the order a
 //! `BTreeSet<(usize, usize)>` would produce — every report built on top
 //! is bit-identical whichever backend computed it.
 //!
@@ -32,6 +36,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::bitmat::BitMatrix;
 use crate::budget::{Budget, BudgetExceeded};
 use crate::container::{CompressedRel, RowValues};
+use crate::rows::RowSet;
 use crate::sparse::SparseRel;
 
 /// Crossover dimension for the `auto` policy: relations of dimension up
@@ -185,7 +190,7 @@ pub fn rel_backend_for(dim: usize) -> RelBackend {
     }
 }
 
-/// A binary relation on one of the two storage backends. All operations
+/// A binary relation on one of the three storage backends. All operations
 /// are backend-transparent: results depend only on the pair set (and the
 /// documented dimension semantics), never on which backend held it.
 #[derive(Debug, Clone)]
@@ -230,7 +235,7 @@ impl Iterator for DenseRowIter<'_> {
     }
 }
 
-/// Ascending iterator over the set columns of one [`Rel`] row, on either
+/// Ascending iterator over the set columns of one [`Rel`] row, on any
 /// backend.
 pub enum RowIter<'a> {
     /// A dense row scan.
@@ -312,7 +317,7 @@ impl Rel {
     pub fn mem_bytes(&self) -> usize {
         match self {
             Rel::Dense(m) => m.word_count() * 8,
-            Rel::Sparse(m) => m.entry_count() * 4,
+            Rel::Sparse(m) => m.byte_size(),
             Rel::Compressed(m) => m.byte_size(),
         }
     }
@@ -359,8 +364,8 @@ impl Rel {
     pub fn count_ones(&self) -> usize {
         match self {
             Rel::Dense(m) => m.count_ones(),
-            Rel::Sparse(m) => m.count_ones(),
-            Rel::Compressed(m) => m.count_ones(),
+            Rel::Sparse(m) => m.entry_count(),
+            Rel::Compressed(m) => m.entry_count(),
         }
     }
 
@@ -369,8 +374,8 @@ impl Rel {
     pub fn is_zero(&self) -> bool {
         match self {
             Rel::Dense(m) => m.is_zero(),
-            Rel::Sparse(m) => m.is_zero(),
-            Rel::Compressed(m) => m.is_zero(),
+            Rel::Sparse(m) => m.entry_count() == 0,
+            Rel::Compressed(m) => m.entry_count() == 0,
         }
     }
 
@@ -397,12 +402,12 @@ impl Rel {
                 word: 0,
             }),
             Rel::Sparse(m) => RowIter::Sparse(m.row(r).iter()),
-            Rel::Compressed(m) => RowIter::Compressed(m.row(r).iter()),
+            Rel::Compressed(m) => RowIter::Compressed(m.row(r).values()),
         }
     }
 
     /// Ascending lexicographic iterator over all set `(r, c)` pairs — the
-    /// `BTreeSet<(usize, usize)>` order, on either backend.
+    /// `BTreeSet<(usize, usize)>` order, on any backend.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.dim()).flat_map(move |r| self.iter_row(r).map(move |c| (r, c)))
     }

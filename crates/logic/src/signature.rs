@@ -293,12 +293,6 @@ impl Signature {
         self.preds.len()
     }
 
-    /// Number of declared variables.
-    #[must_use]
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
     /// Iterates over all sort ids.
     pub fn sort_ids(&self) -> impl Iterator<Item = SortId> {
         (0..self.sorts.len()).map(|i| SortId(i as u32))

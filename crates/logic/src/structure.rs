@@ -287,19 +287,6 @@ impl Structure {
         Ok(())
     }
 
-    /// Clears every predicate relation (used by e.g. `initiate`).
-    pub fn clear_preds(&mut self) {
-        for rel in &mut self.preds {
-            rel.clear();
-        }
-    }
-
-    /// Total number of tuples across all predicate relations.
-    #[must_use]
-    pub fn total_tuples(&self) -> usize {
-        self.preds.iter().map(BTreeSet::len).sum()
-    }
-
     /// A compact canonical key identifying this structure's tables, suitable
     /// for deduplication in state-space searches.
     #[must_use]

@@ -4,10 +4,11 @@
 //! [`eclectic_kernel::Rel`]: a dense row-major bit matrix on small
 //! universes (union/meet are word-wise OR/AND, composition an OR-gather of
 //! rows, the reflexive-transitive closure a word-parallel per-source BFS),
-//! a sparse sorted-adjacency store past the crossover dimension
-//! (sorted-merge set algebra, semi-naive delta closure) and compressed
-//! chunk-container rows from 2¹⁶ states, selected per relation by
-//! dimension ([`eclectic_kernel::rel_backend_for`]). The observable
+//! and, past the crossover dimension, one row matrix (sorted-merge set
+//! algebra, semi-naive delta closure) whose rows are sorted adjacency
+//! lists below 2¹⁶ states and compressed chunk containers from there,
+//! selected per relation by dimension
+//! ([`eclectic_kernel::rel_backend_for`]). The observable
 //! behaviour is the same on every backend: [`BinRel::iter`] streams pairs
 //! in ascending `(a, b)` order, and equality compares the *pair sets* (two
 //! relations of different allocated dimensions — or different backends —
@@ -23,7 +24,7 @@
 
 use std::collections::BTreeSet;
 
-use eclectic_kernel::{Budget, BudgetExceeded, LazyClosure, Rel, RelBackend};
+use eclectic_kernel::{Budget, BudgetExceeded, Rel, RelBackend};
 
 /// A binary relation over state indices `0..n`.
 #[derive(Clone, Default)]
@@ -91,8 +92,8 @@ impl BinRel {
     }
 
     /// The storage backend currently holding the relation — dense bit
-    /// matrix or sparse adjacency, per the kernel's crossover policy. Not
-    /// part of the relation's identity.
+    /// matrix, sparse adjacency or compressed containers, per the kernel's
+    /// crossover policy. Not part of the relation's identity.
     #[must_use]
     pub fn backend(&self) -> RelBackend {
         self.rel.backend()
@@ -100,7 +101,8 @@ impl BinRel {
 
     /// Grows the allocated dimension to at least `d` (geometric, rounded to
     /// whole words, so repeated inserts re-layout O(log) times); growth
-    /// across the crossover migrates the relation to sparse storage.
+    /// across a crossover migrates the relation to the backend the policy
+    /// assigns the new dimension.
     fn ensure_dim(&mut self, d: usize) {
         if d <= self.rel.dim() {
             return;
@@ -134,7 +136,7 @@ impl BinRel {
     }
 
     /// Iterates over the pairs in ascending `(a, b)` order — identical on
-    /// both backends.
+    /// every backend.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.rel.iter()
     }
@@ -238,48 +240,6 @@ impl BinRel {
         Ok(BinRel { rel: closed })
     }
 
-    /// `[self*]`-modality sweep without materializing the closure:
-    /// equivalent to `self.star_governed(inner.len(), ..)` followed by
-    /// [`box_states`](Self::box_states), but each source's traversal
-    /// stops at the first violating reachable state and sweep-wide
-    /// verdict memos keep the whole pass near-linear — the closure
-    /// relation itself is never built.
-    ///
-    /// # Errors
-    /// Returns the tripped axis; partial verdicts are discarded.
-    pub fn box_star_states_governed(
-        &self,
-        inner: &[bool],
-        budget: &Budget,
-    ) -> Result<Vec<bool>, BudgetExceeded> {
-        if self.rel.dim() >= inner.len() {
-            LazyClosure::new(&self.rel).box_star_states(inner, budget)
-        } else {
-            let grown = self.rel.resized(inner.len());
-            LazyClosure::new(&grown).box_star_states(inner, budget)
-        }
-    }
-
-    /// `⟨self*⟩`-modality sweep without materializing the closure:
-    /// equivalent to `self.star_governed(inner.len(), ..)` followed by
-    /// [`diamond_states`](Self::diamond_states); dual memoization to
-    /// [`box_star_states_governed`](Self::box_star_states_governed).
-    ///
-    /// # Errors
-    /// Returns the tripped axis; partial verdicts are discarded.
-    pub fn diamond_star_states_governed(
-        &self,
-        inner: &[bool],
-        budget: &Budget,
-    ) -> Result<Vec<bool>, BudgetExceeded> {
-        if self.rel.dim() >= inner.len() {
-            LazyClosure::new(&self.rel).diamond_star_states(inner, budget)
-        } else {
-            let grown = self.rel.resized(inner.len());
-            LazyClosure::new(&grown).diamond_star_states(inner, budget)
-        }
-    }
-
     /// Whether the relation is a partial function (each source has at most
     /// one target).
     #[must_use]
@@ -298,7 +258,9 @@ impl BinRel {
     /// lies in `inner` (vacuously true for target-free rows). `inner[j]`
     /// gives the satisfaction of the inner formula at state `j`; targets
     /// `≥ inner.len()` count as unsatisfied. Word-parallel on the dense
-    /// backend, an adjacency scan on the sparse one.
+    /// backend, a row scan on the sparse and compressed ones. A `[p*]`
+    /// modality sweeps the materialized `m(p*)` (see
+    /// [`star_governed`](Self::star_governed)).
     #[must_use]
     pub fn box_states(&self, inner: &[bool]) -> Vec<bool> {
         self.rel.box_states(inner)

@@ -198,26 +198,17 @@ pub fn check_batch_budget_with(
     for phi in formulas {
         collect_programs(phi, &mut seen, &mut programs);
     }
-    // Formula-directed laziness: a top-level `[q*]`/`⟨q*⟩` modality never
-    // needs the closure relation itself — phase 2 answers it with a
-    // demand-driven sweep over `m(q)`. Substitute `q*` with `q` here so
-    // phase 1 denotes only the base relation (first-occurrence order and
-    // the unit count stay deterministic; `While` and nested stars still
-    // materialize inside `meaning_cached_governed`).
-    let mut seen_subst: FxHashSet<&Stmt> = FxHashSet::default();
+    // A star modality `[q*]`/`⟨q*⟩` denotes `m(q*)` here like any other
+    // program: the closure is built under the budget's relation-memory
+    // axis and swept like any relation in phase two.
     let todo: Vec<&Stmt> = programs
         .into_iter()
-        .map(|p| match p {
-            Stmt::Star(q) if !cache.contains(p, env) => &**q,
-            other => other,
-        })
-        .filter(|p| seen_subst.insert(*p))
         .filter(|p| !cache.contains(p, env))
         .collect();
     let denotations = todo.len();
 
-    // Governed relational ops poll only the timing axes; the node cap is
-    // enforced here, at unit boundaries.
+    // Governed relational ops poll the timing and relation-memory axes;
+    // the node cap is enforced here, at unit boundaries.
     let timing = budget.without_node_cap();
     for (k, prog) in todo.iter().enumerate() {
         let reason = match budget.check(k) {
@@ -244,18 +235,7 @@ pub fn check_batch_budget_with(
             exhausted = Some(budget.exhaustion("pdl", reason, denotations + j));
             break;
         }
-        // Lazy star sweeps inside poll the timing and relation-memory
-        // axes; the node cap stays enforced at the serial unit boundary
-        // above, and the loop is serial, so a trip surfaces after the
-        // same formula at every thread count.
-        let sat = match satisfying_states_governed(u, phi, env, cache, &timing) {
-            Ok(s) => s,
-            Err(RprError::Budget { reason }) => {
-                exhausted = Some(budget.exhaustion("pdl", reason, denotations + j));
-                break;
-            }
-            Err(e) => return Err(e),
-        };
+        let sat = cached_states(u, phi, env, cache)?;
         valid.push(sat.iter().all(|b| *b));
         satisfying.push(sat);
     }
@@ -288,65 +268,43 @@ fn collect_programs<'a>(phi: &'a Pdl, seen: &mut FxHashSet<&'a Stmt>, out: &mut 
 
 /// As [`satisfying_states`] against a caller-held denotation cache and
 /// parameter environment (atoms are evaluated under `env` too, which for
-/// the empty environment coincides with the closed-formula evaluation),
-/// polling `budget` inside the lazy `[q*]`/`⟨q*⟩` sweeps. A star modality
-/// whose closure is *not* already cached is answered by a demand-driven
-/// sweep over the cached `m(q)` (see [`BinRel::box_star_states_governed`])
-/// — the closure relation is never materialized and never enters the
-/// cache; a cached closure (or any non-star program) is swept directly.
-///
-/// # Errors
-/// See [`satisfying_states`], plus [`RprError::Budget`] when the budget
-/// trips inside a lazy sweep.
-pub fn satisfying_states_governed(
+/// the empty environment coincides with the closed-formula evaluation).
+/// Phase one of [`check_batch_budget_with`] has already denoted every
+/// modality program, so each lookup here is a cache hit.
+fn cached_states(
     u: &FiniteUniverse,
     phi: &Pdl,
     env: &Valuation,
     cache: &mut DenoteCache,
-    budget: &Budget,
 ) -> Result<Vec<bool>> {
     Ok(match phi {
         Pdl::Atom(f) => atom_states(u, f, env)?,
-        Pdl::Not(p) => satisfying_states_governed(u, p, env, cache, budget)?
+        Pdl::Not(p) => cached_states(u, p, env, cache)?
             .into_iter()
             .map(|b| !b)
             .collect(),
         Pdl::And(p, q) => zip_with(
-            satisfying_states_governed(u, p, env, cache, budget)?,
-            satisfying_states_governed(u, q, env, cache, budget)?,
+            cached_states(u, p, env, cache)?,
+            cached_states(u, q, env, cache)?,
             |a, b| a && b,
         ),
         Pdl::Or(p, q) => zip_with(
-            satisfying_states_governed(u, p, env, cache, budget)?,
-            satisfying_states_governed(u, q, env, cache, budget)?,
+            cached_states(u, p, env, cache)?,
+            cached_states(u, q, env, cache)?,
             |a, b| a || b,
         ),
         Pdl::Implies(p, q) => zip_with(
-            satisfying_states_governed(u, p, env, cache, budget)?,
-            satisfying_states_governed(u, q, env, cache, budget)?,
+            cached_states(u, p, env, cache)?,
+            cached_states(u, q, env, cache)?,
             |a, b| !a || b,
         ),
         Pdl::Box(prog, p) => {
-            let inner = satisfying_states_governed(u, p, env, cache, budget)?;
-            match prog {
-                Stmt::Star(q) if !cache.contains(prog, env) => {
-                    let mq = meaning_cached(u, q, env, cache)?;
-                    mq.box_star_states_governed(&inner, budget)
-                        .map_err(|reason| RprError::Budget { reason })?
-                }
-                _ => meaning_cached(u, prog, env, cache)?.box_states(&inner),
-            }
+            let inner = cached_states(u, p, env, cache)?;
+            meaning_cached(u, prog, env, cache)?.box_states(&inner)
         }
         Pdl::Diamond(prog, p) => {
-            let inner = satisfying_states_governed(u, p, env, cache, budget)?;
-            match prog {
-                Stmt::Star(q) if !cache.contains(prog, env) => {
-                    let mq = meaning_cached(u, q, env, cache)?;
-                    mq.diamond_star_states_governed(&inner, budget)
-                        .map_err(|reason| RprError::Budget { reason })?
-                }
-                _ => meaning_cached(u, prog, env, cache)?.diamond_states(&inner),
-            }
+            let inner = cached_states(u, p, env, cache)?;
+            meaning_cached(u, prog, env, cache)?.diamond_states(&inner)
         }
     })
 }

@@ -26,12 +26,6 @@ impl DbState {
         }
     }
 
-    /// Wraps an existing structure.
-    #[must_use]
-    pub fn from_structure(inner: Structure) -> Self {
-        DbState { inner }
-    }
-
     /// The underlying structure (for formula evaluation).
     #[must_use]
     pub fn structure(&self) -> &Structure {
@@ -41,12 +35,6 @@ impl DbState {
     /// Mutable access to the underlying structure.
     pub fn structure_mut(&mut self) -> &mut Structure {
         &mut self.inner
-    }
-
-    /// Consumes the wrapper.
-    #[must_use]
-    pub fn into_structure(self) -> Structure {
-        self.inner
     }
 
     /// The signature.

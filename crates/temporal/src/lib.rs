@@ -12,8 +12,6 @@
 //! - [`satisfaction`]: the modal satisfaction relation `A ⊨_U P[v]`,
 //!   including the paper's `◇` rule;
 //! - [`constraints`]: checking static and transition axioms over universes;
-//! - [`transition`]: bounded generation of universes from successor
-//!   functions (updates);
 //! - [`Trace`]: finite paths and invariant checking along them.
 //!
 //! # Example
@@ -51,11 +49,9 @@ pub mod constraints;
 pub mod satisfaction;
 pub mod timed;
 mod trace;
-pub mod transition;
 mod universe;
 
 pub use constraints::{AccessibilityPolicy, CheckReport, Violation};
 pub use timed::TimedTranslation;
 pub use trace::{random_walk, Trace};
-pub use transition::{explore, Exploration, ExploreLimits};
 pub use universe::{StateIdx, Universe};

@@ -46,7 +46,6 @@ verify:
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload dynamic-bank --seed 0 --seconds 1 --trace 1 | python3 -c "{{perf_ok}}"
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
-    timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
 # Lints alone, warnings denied — the clippy, rustdoc, `ECLECTIC_THREADS`
@@ -66,17 +65,13 @@ harness:
     cargo run -p eclectic-bench --bin harness --release
 
 # Dense-vs-sparse-vs-compressed relation-kernel crossover on star-closure
-# workloads (asserting the automatic policy picks the fastest arm) plus the 2^17-state generated-domain capstone and
-# the 2^20-state compressed-closure capstone (bit-identity asserted
-# in-bench); writes BENCH_rel.json.
+# workloads (asserting the automatic policy picks the fastest arm and
+# sparse beats dense by 1.5x at 4096) plus the 2^17-state generated-domain
+# capstone and the 2^20-state compressed-closure capstone, which must fit
+# a 64 MiB relation-memory budget the sparse closure trips; writes
+# BENCH_rel.json.
 bench-rel:
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
-
-# Million-state compressed-closure capstone alone, under a 64 MiB
-# relation-memory byte budget that the uncompressed sparse backend must
-# trip — the focused `perf` slice of bench-rel.
-bench-rel-large:
-    timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release -- large
 
 # Differential fuzzing smoke: a fixed 32-seed corpus through the full
 # engine grid; fails on any divergence or generator panic.
@@ -92,5 +87,5 @@ fuzz:
 # Every benchmark artifact in one shot: harness + the crossover and fuzz
 # benches, closing with the starved-host warning status recorded in the
 # artifacts.
-bench-all: harness bench-rel bench-rel-large fuzz
+bench-all: harness bench-rel fuzz
     @grep -o '"warning": [^,]*' BENCH_rel.json

@@ -14,7 +14,7 @@ use eclectic::rpr::{
     PAPER_COURSES_SCHEMA,
 };
 use eclectic::spec::domains::{bank, BankConfig};
-use eclectic_kernel::{force_rel_backend, Budget, RelChoice};
+use eclectic_kernel::{force_rel_backend, Budget, BudgetExceeded, RelChoice};
 
 fn setup() -> (Schema, FiniteUniverse) {
     let mut sig = Signature::new();
@@ -237,5 +237,39 @@ fn unit_capped_pdl_batch_keeps_the_verdict_prefix_on_every_backend() {
                 assert_eq!(report.valid[k], valid(&u, phi).unwrap(), "{backend:?}, formula {k}");
             }
         }
+    }
+}
+
+/// A star modality denotes `m(p*)` like any other program, so its closure
+/// is charged to the relation-memory axis: on a 128-state universe (one
+/// predicate over 7 courses, `x` pinned) a one-byte cap trips while the
+/// batch denotes `insert(x)*`, before any verdict, on every backend.
+#[test]
+fn a_star_modality_trips_the_relation_memory_cap_on_every_backend() {
+    let mut sig = Signature::new();
+    let course = sig.add_sort("course").unwrap();
+    let offered = sig.add_db_predicate("OFFERED", &[course]).unwrap();
+    let x = sig.add_constant("x", course).unwrap();
+    let courses = ["c0", "c1", "c2", "c3", "c4", "c5", "c6"];
+    let dom = eclectic::logic::Domains::from_names(&sig, &[("course", &courses)]).unwrap();
+    let mut template = DbState::new(Arc::new(sig), Arc::new(dom));
+    template.set_scalar(x, Elem(0)).unwrap();
+    let u = FiniteUniverse::enumerate(&template, &[offered], &[], 1 << 7).unwrap();
+    assert_eq!(u.len(), 128);
+    let insert = Stmt::Insert(offered, vec![Term::constant(x)]);
+    let atom = Pdl::Atom(Formula::Pred(offered, vec![Term::constant(x)]));
+    let batch = [Pdl::after_some(insert.star(), atom)];
+    for backend in [RelChoice::Dense, RelChoice::Sparse, RelChoice::Compressed] {
+        let _g = force_rel_backend(backend);
+        let mut cache = DenoteCache::new();
+        let budget = Budget::unlimited().with_max_rel_entries(1);
+        let report =
+            check_batch_budget_with(&batch, &u, &Valuation::new(), &mut cache, &budget).unwrap();
+        let e = report
+            .exhausted
+            .expect("the closure must trip the relation-memory cap");
+        assert_eq!(e.reason, BudgetExceeded::RelMemory, "{backend:?}");
+        assert!(report.valid.is_empty(), "{backend:?}");
+        assert!(report.satisfying.is_empty(), "{backend:?}");
     }
 }
