@@ -95,17 +95,20 @@ pub fn coverage(spec: &AlgSpec) -> Result<Vec<MissingCase>> {
     Ok(missing)
 }
 
-/// The serial exhaustive pass over a pre-enumerated [`GroundSpace`] against
-/// a caller-held rewriter, so the sweep can reuse (and further warm) a
+/// The exhaustive pass over a pre-enumerated [`GroundSpace`] against a
+/// caller-held rewriter, so the sweep can reuse (and further warm) a
 /// normal-form memo the caller shares with other passes over the same
-/// space. Stops collecting after `max_failures` stuck terms. The resource
-/// [`Budget`] is polled before every ground instance; a budget-aborted
-/// normalisation inside an instance ([`AlgError::Budget`]) also stops the
-/// sweep at that instance instead of mislabelling the term as stuck.
+/// space. Stops collecting after `max_failures` stuck terms; a
+/// `max_failures` of 0 behaves as 1. The resource [`Budget`] is polled
+/// before every ground instance; a budget-aborted normalisation inside an
+/// instance ([`AlgError::Budget`]) also stops the sweep at that instance
+/// instead of mislabelling the term as stuck.
 ///
-/// The sweep stays inside the rewriter's store: each state and each query's
-/// parameter tuples are interned once, every instance is one interned
-/// application normalised by id, and only stuck instances are rendered.
+/// This is [`exhaustive_budget`]'s strip loop run over the whole instance
+/// range as one strip, followed by the same event merge. The sweep stays
+/// inside the rewriter's store: each state and each query's parameter
+/// tuples are interned once, every instance is one interned application
+/// normalised by id, and only stuck instances are rendered.
 ///
 /// # Errors
 /// Propagates unexpected rewriting errors.
@@ -115,40 +118,11 @@ pub fn exhaustive_budget_with(
     max_failures: usize,
     budget: &Budget,
 ) -> Result<CompletenessReport> {
-    let mut report = CompletenessReport {
-        missing: coverage(rw.spec())?,
-        ..CompletenessReport::default()
-    };
-    let block = query_block(rw.spec().signature(), space)?;
-    let block = intern_block(rw, &block);
-    let mut args = Vec::new();
-    for st in space.states() {
-        let st = rw.intern(st);
-        for (q, tuples) in &block {
-            for params in tuples {
-                if let Some(reason) = budget.check(report.evaluated) {
-                    report.exhausted =
-                        Some(budget.exhaustion("completeness", reason, report.evaluated));
-                    return Ok(report);
-                }
-                match eval_instance(rw, *q, params, st, &mut args) {
-                    Ok(None) => {}
-                    Ok(Some(stuck)) => report.stuck.push(stuck),
-                    Err(AlgError::Budget { reason }) => {
-                        report.exhausted =
-                            Some(budget.exhaustion("completeness", reason, report.evaluated));
-                        return Ok(report);
-                    }
-                    Err(e) => return Err(e),
-                }
-                report.evaluated += 1;
-                if report.stuck.len() >= max_failures {
-                    return Ok(report);
-                }
-            }
-        }
-    }
-    Ok(report)
+    let sweep = CompletenessSweep::new(rw.spec(), space, max_failures)?;
+    let block = intern_block(rw, &sweep.block);
+    let mut events = SweepEvents(Vec::new());
+    sweep.run_range_with(rw, &block, 0..sweep.len(), budget, &mut 0, &mut events);
+    sweep.merge(vec![events], budget)
 }
 
 /// One exhaustive-pass event, tagged with the ground instance's position in
@@ -179,24 +153,25 @@ impl EvalEvent {
 
 /// Exhaustive evaluation of all ground query applications over all state
 /// terms with at most `max_steps` updates, with `threads` workers. Stops
-/// collecting after `max_failures` stuck terms. The sweep polls `budget`
-/// before every ground instance (in serial enumeration order) and, when it
-/// trips, returns the verdicts for the completed prefix with
-/// [`CompletenessReport::exhausted`] set.
+/// collecting after `max_failures` stuck terms; a `max_failures` of 0
+/// behaves as 1. The sweep polls `budget` before every ground instance (in
+/// serial enumeration order) and, when it trips, returns the verdicts for
+/// the completed prefix with [`CompletenessReport::exhausted`] set.
 ///
-/// Parallel runs are bit-identical to serial (same `stuck` contents and
-/// ordering, same `evaluated` count): workers stride over the ground
-/// instances, each instance's verdict is order-independent, and the merge
-/// replays the events in serial order — including the early stop once
-/// `max_failures` stuck terms have accumulated. Workers poll the budget
-/// before each of their serial-order slots, so a node-cap stop happens at
-/// the same instance index at every worker count; deadline and cancellation
-/// stops yield a valid serial prefix whose length depends on timing.
+/// Every worker count runs the same strip loop and the same merge (one
+/// worker runs one strip), so reports are bit-identical across worker
+/// counts (same `stuck` contents and ordering, same `evaluated` count):
+/// workers claim contiguous instance ranges in increasing order, each
+/// instance's verdict is order-independent, and the merge replays the
+/// events in serial order — including the early stop once `max_failures`
+/// stuck terms have accumulated. Workers poll the budget before each of
+/// their serial-order slots, so a node-cap stop happens at the same
+/// instance index at every worker count; a deadline stop yields a valid
+/// serial prefix whose length depends on timing.
 ///
 /// # Errors
 /// Propagates unexpected rewriting errors (fuel exhaustion is recorded as a
-/// stuck term instead); the earliest error in enumeration order wins,
-/// exactly as in the serial loop.
+/// stuck term instead); the earliest error in enumeration order wins.
 pub fn exhaustive_budget(
     spec: &AlgSpec,
     max_steps: usize,
@@ -205,28 +180,10 @@ pub fn exhaustive_budget(
     threads: usize,
 ) -> Result<CompletenessReport> {
     let space = GroundSpace::new(spec.signature(), max_steps)?;
-    let threads = effective_workers(threads);
-    let serial = || {
-        let mut rw = Rewriter::new(spec);
-        rw.set_budget(budget.without_node_cap());
-        exhaustive_budget_with(&mut rw, &space, max_failures, budget)
-    };
-    // `max_failures == 0` makes the serial loop stop after the very first
-    // evaluation regardless of its outcome; only the serial path reproduces
-    // that, so route it (and single-worker runs) there before any planning,
-    // and trivial workloads right after.
-    if threads <= 1 || max_failures == 0 {
-        return serial();
-    }
     let sweep = CompletenessSweep::new(spec, &space, max_failures)?;
-    if sweep.len() < 2 {
-        return serial();
-    }
-
-    // Each worker owns a plain thread-local rewriter: the ground instances
-    // are independent, so nothing needs the shared store, and a private
-    // memo avoids shard-lock traffic on every intern.
-    let workers = threads.min(sweep.len());
+    // Each worker owns a private rewriter: the ground instances are
+    // independent, so nothing needs a shared store.
+    let workers = effective_workers(threads).min(sweep.len()).max(1);
     let queue = IndexQueue::new(sweep.len(), workers);
     let strips: Vec<SweepEvents> = run_workers(workers, |_| {
         let sweep = &sweep;
@@ -289,7 +246,7 @@ fn intern_block(rw: &mut Rewriter<'_>, block: &QueryBlock) -> QueryBlockIds {
 /// The exhaustive-evaluation workload: every ground query application in
 /// serial enumeration order (states outer, then queries, then parameter
 /// tuples), addressed by slot index without materialising any instance.
-/// Workers evaluate contiguous slot ranges; [`CompletenessSweep::merge`]
+/// Strips evaluate contiguous slot ranges; [`CompletenessSweep::merge`]
 /// replays any set of strip results covering the serial prefix into the
 /// serial report, bit-identical however the ranges were scheduled or
 /// partitioned.
@@ -382,10 +339,10 @@ impl<'s> CompletenessSweep<'s> {
                     out.0.push(EvalEvent::Stuck(k, stuck));
                     *stuck_seen += 1;
                     // This strip alone has reached the global cap; the
-                    // serial loop cannot look past the index where that
-                    // happens, and slots within a strip are processed in
-                    // increasing order, so everything further is
-                    // unreachable.
+                    // serial-order replay stops at or before the index
+                    // where that happens, and slots within a strip are
+                    // processed in increasing order, so everything further
+                    // is unreachable.
                     if *stuck_seen >= self.max_failures {
                         return false;
                     }
@@ -407,11 +364,10 @@ impl<'s> CompletenessSweep<'s> {
     /// including the early stop once `max_failures` stuck terms have
     /// accumulated. Every strip covered its slots at least up to the
     /// globally earliest stop (local early exits happen at or past that
-    /// point), so no event the serial loop would have seen is missing.
+    /// point), so no event below the replay's stop is missing.
     ///
     /// # Errors
-    /// Propagates the earliest rewriting error in enumeration order,
-    /// exactly as in the serial loop.
+    /// Propagates the earliest rewriting error in enumeration order.
     fn merge(&self, strips: Vec<SweepEvents>, budget: &Budget) -> Result<CompletenessReport> {
         let mut report = CompletenessReport {
             missing: coverage(self.spec)?,

@@ -34,7 +34,7 @@ pub enum AlgError {
         /// caller never wrote.
         at: String,
     },
-    /// A resource budget (node cap, cancellation or deadline) tripped
+    /// A resource budget (node cap or deadline) tripped
     /// during rewriting. Unlike [`AlgError::RewriteLimit`] this is not a
     /// property of the specification — the same term may normalise fine
     /// under a larger budget.

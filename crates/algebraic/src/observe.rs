@@ -19,10 +19,6 @@ use crate::rewrite::Rewriter;
 /// names) → normal form`.
 pub type ObsTable = BTreeMap<(FuncId, Vec<Term>), Term>;
 
-/// The observations on which two states differ: `(query, params) →
-/// (value in the first state, value in the second)`.
-pub type ObsDiff = BTreeMap<(FuncId, Vec<Term>), (Term, Term)>;
-
 /// Computes every simple observation of a ground state term.
 ///
 /// # Errors
@@ -145,24 +141,6 @@ impl ObsKeys {
 /// Propagates rewriting errors.
 pub fn obs_equal(rw: &mut Rewriter<'_>, a: &Term, b: &Term) -> Result<bool> {
     Ok(observations(rw, a)? == observations(rw, b)?)
-}
-
-/// The observations on which two states differ:
-/// `(query, params) → (value in a, value in b)`.
-///
-/// # Errors
-/// Propagates rewriting errors.
-pub fn obs_diff(rw: &mut Rewriter<'_>, a: &Term, b: &Term) -> Result<ObsDiff> {
-    let ta = observations(rw, a)?;
-    let tb = observations(rw, b)?;
-    let mut out = ObsDiff::new();
-    for (k, va) in ta {
-        let vb = tb.get(&k).expect("same observation keys");
-        if *vb != va {
-            out.insert(k, (va, vb.clone()));
-        }
-    }
-    Ok(out)
 }
 
 /// Deduplicates a list of ground state terms up to observational equality,
@@ -322,8 +300,9 @@ mod tests {
         // But offer db ≠ initiate.
         let a = term(&spec, "offer(db, initiate)");
         assert!(!obs_equal(&mut rw, &a, &b).unwrap());
-        let diff = obs_diff(&mut rw, &a, &b).unwrap();
-        assert_eq!(diff.len(), 1);
+        // They differ on exactly one observation: offered(db).
+        let (ta, tb) = (observations(&mut rw, &a).unwrap(), observations(&mut rw, &b).unwrap());
+        assert_eq!(ta.iter().filter(|(k, v)| tb[*k] != **v).count(), 1);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use eclectic_kernel::TermStore;
-use eclectic_logic::{FuncId, Term};
+use eclectic_logic::FuncId;
 
 use crate::equation::{ConditionalEquation, EquationKind};
 use crate::error::{AlgError, Result};
-use crate::signature::{AlgSignature, OpKind};
+use crate::signature::AlgSignature;
 
 /// An algebraic specification: an [`AlgSignature`] plus validated
 /// conditional equations, restricted — as in the paper — to finitely
@@ -109,45 +109,12 @@ impl AlgSpec {
     pub fn equation(&self, name: &str) -> Option<&ConditionalEquation> {
         self.equations.iter().find(|e| e.name == name)
     }
-
-    /// Builds the ground `state` term for a trace of update applications:
-    /// `ops[n-1](…, ops[n-2](…, … ops[0](…)))`. The first op must be a
-    /// state constant such as `initiate`; each later op appends one update.
-    ///
-    /// Each element of `ops` is `(update symbol, parameter terms)`.
-    ///
-    /// # Errors
-    /// Returns an error if symbols are not updates or arities mismatch.
-    pub fn trace_term(&self, ops: &[(FuncId, Vec<Term>)]) -> Result<Term> {
-        let mut iter = ops.iter();
-        let (first, first_params) = iter.next().ok_or_else(|| {
-            AlgError::BadDescription("trace must start with an initial state constant".into())
-        })?;
-        if self.sig.kind(*first) != OpKind::Update || self.sig.update_takes_state(*first)? {
-            return Err(AlgError::NotAnUpdate(
-                self.sig.logic().func(*first).name.clone(),
-            ));
-        }
-        let mut t = Term::App(*first, first_params.clone());
-        for (u, params) in iter {
-            if self.sig.kind(*u) != OpKind::Update || !self.sig.update_takes_state(*u)? {
-                return Err(AlgError::NotAnUpdate(
-                    self.sig.logic().func(*u).name.clone(),
-                ));
-            }
-            let mut args = params.clone();
-            args.push(t);
-            t = Term::App(*u, args);
-        }
-        t.check(self.sig.logic())?;
-        Ok(t)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eclectic_logic::parse_term;
+    use eclectic_logic::{parse_term, Term};
 
     fn tiny() -> AlgSpec {
         let mut a = AlgSignature::new().unwrap();
@@ -173,22 +140,6 @@ mod tests {
         assert!(spec.equation("nope").is_none());
         assert_eq!(spec.q_equations().unwrap().len(), 2);
         assert!(spec.u_equations().unwrap().is_empty());
-    }
-
-    #[test]
-    fn trace_terms() {
-        let spec = tiny();
-        let sig = spec.signature().clone();
-        let initiate = sig.logic().func_id("initiate").unwrap();
-        let offer = sig.logic().func_id("offer").unwrap();
-        let db = Term::constant(sig.logic().func_id("db").unwrap());
-        let t = spec
-            .trace_term(&[(initiate, vec![]), (offer, vec![db.clone()])])
-            .unwrap();
-        assert_eq!(t.depth(), 2);
-        // Wrong order rejected: offer cannot start a trace.
-        assert!(spec.trace_term(&[(offer, vec![db])]).is_err());
-        assert!(spec.trace_term(&[]).is_err());
     }
 
     #[test]

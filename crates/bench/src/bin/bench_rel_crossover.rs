@@ -7,12 +7,15 @@
 //! while the dense bit matrix pays `n · ⌈n/64⌉` words regardless — the
 //! dense per-source BFS touches whole rows, the semi-naive worklists only
 //! the eight reached nodes. Three timed arms per dimension (256 / 1 k /
-//! 4 k): forced dense, forced sparse and forced compressed.
+//! 4 k): forced dense, forced sparse and forced compressed, sampled
+//! round-robin — each round times one closure of every arm, and the arm
+//! that goes first rotates — so a host phase change mid-run falls on all
+//! three arms alike instead of on one arm's block of samples.
 //!
 //! Pass gates:
 //! - at every dimension the automatic policy ([`rel_backend_for`]) picks
-//!   the arm with the lowest median (the crossover constants must route
-//!   each size to the fastest kernel);
+//!   the arm with the lowest median of its interleaved samples (the
+//!   crossover constants must route each size to the fastest kernel);
 //! - sparse beats dense by ≥ 1.5× at dim 4096;
 //! - closure pair sets are bit-identical across the three forced backends
 //!   and the automatic policy at every dimension, and a 1024-state PDL +
@@ -29,10 +32,11 @@
 //!   node reaches exactly its own block), and the contracts agree between
 //!   sparse and compressed.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use eclectic_bench::{warning_json, Runner};
+use eclectic_bench::{fmt_ns, starved_host_warning, warning_json};
 use eclectic_kernel::{
     force_rel_backend, rel_backend_for, Budget, BudgetExceeded, Rel, RelBackend, RelChoice,
 };
@@ -53,6 +57,11 @@ const BLOCK: usize = 64;
 /// content-proportional closure must clearly beat the `n · ⌈n/64⌉`-word
 /// one where the crossover policy sends that dimension.
 const SPARSE_SPEEDUP_MIN: f64 = 1.5;
+
+/// Untimed warmup rounds and timed rounds of the interleaved arm sampling;
+/// every round takes one sample of each arm.
+const WARMUP_ROUNDS: usize = 2;
+const SAMPLE_ROUNDS: usize = 12;
 
 /// Relation-memory budget for the million-state capstone: 64 MiB. The
 /// compressed closure fits in ~12 MiB; the sparse closure would need
@@ -90,6 +99,28 @@ fn block_ring(n: usize, backend: RelBackend) -> Rel {
         r.set(i, (i & !(BLOCK - 1)) + ((i + 1) & (BLOCK - 1)));
     }
     r
+}
+
+/// Times the closure of each relation in `rels` round-robin: round `i`
+/// takes one sample of every arm, starting with arm `i mod 3`. Returns
+/// each arm's sorted samples in nanoseconds.
+fn interleaved_samples(rels: &[Rel; 3]) -> [Vec<f64>; 3] {
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for round in 0..WARMUP_ROUNDS + SAMPLE_ROUNDS {
+        for k in 0..3 {
+            let arm = (round + k) % 3;
+            let t0 = Instant::now();
+            black_box(rels[arm].closure_reflexive_transitive().count_ones());
+            let ns = t0.elapsed().as_nanos() as f64;
+            if round >= WARMUP_ROUNDS {
+                samples[arm].push(ns);
+            }
+        }
+    }
+    for s in &mut samples {
+        s.sort_by(f64::total_cmp);
+    }
+    samples
 }
 
 /// A generated domain with one marked-items predicate over `bits` items:
@@ -303,24 +334,27 @@ fn main() {
         RelBackend::Sparse => "sparse",
         RelBackend::Compressed => "compressed",
     };
-    let mut r = Runner::new("rel_crossover").sample_size(12).warmup(2);
     // Per row: (dim, median dense/sparse/compressed, the backend the
     // automatic policy picks, the arm with the lowest median).
     type Row = (usize, [f64; 3], RelBackend, RelBackend);
     let mut rows: Vec<Row> = Vec::new();
     for &n in &dims {
-        let mut med = [0.0f64; 3];
-        for (k, &backend) in arms.iter().enumerate() {
-            let rel = build(n, Some(backend));
-            let label = format!("star/{}_{n}", name(backend));
-            med[k] = r
-                .bench(label, || rel.closure_reflexive_transitive().count_ones())
-                .median_ns;
+        let samples = interleaved_samples(&arms.map(|backend| build(n, Some(backend))));
+        let med = samples.each_ref().map(|s| s[s.len() / 2]);
+        for (k, s) in samples.iter().enumerate() {
+            println!(
+                "{:<40} median {:>12} min {:>12}",
+                format!("rel_crossover/star/{}_{n}", name(arms[k])),
+                fmt_ns(med[k]),
+                fmt_ns(s[0]),
+            );
         }
         let fastest = (0..3).min_by(|&a, &b| med[a].total_cmp(&med[b])).unwrap();
         rows.push((n, med, rel_backend_for(n), arms[fastest]));
     }
-    r.finish();
+    if let Some(w) = starved_host_warning() {
+        println!("WARN: {w}");
+    }
 
     let gate_routing = rows
         .iter()
@@ -335,6 +369,10 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"rel_crossover\",\n");
     json.push_str(&format!("  \"workload\": \"{workload}\",\n"));
+    json.push_str(&format!(
+        "  \"sampling\": \"round-robin over the three arms, first arm rotated each round, \
+         {SAMPLE_ROUNDS} timed rounds after {WARMUP_ROUNDS} warmup rounds\",\n"
+    ));
     json.push_str(&format!("  \"available_cores\": {cores},\n"));
     json.push_str(&format!("  {},\n", warning_json()));
     json.push_str("  \"rows\": [\n");

@@ -11,10 +11,10 @@
 //! independent chains, each edge a sequence inside one of them:
 //!
 //! 1. termination;
-//! 2. exploration, then witness and axioms as a nested [`run_tasks`];
+//! 2. exploration, then witness, then axioms;
 //! 3. equations, then cross;
 //! 4. completeness (its strips fan out on the same pool);
-//! 5. dynamic (its per-procedure units fan out on the same pool).
+//! 5. dynamic.
 //!
 //! At one worker the chains run inline in that order: termination,
 //! explore, witness, axioms, equations, cross, completeness, dynamic.
@@ -220,9 +220,8 @@ pub fn verify_with_threads(
     let threads = effective_workers(threads);
     spec.check_shape()?;
 
-    // One budget, shared by every stage: the deadline and cancellation axes
-    // persist across stages, while the node cap governs each stage's own
-    // term store.
+    // One budget, shared by every stage: the deadline persists across
+    // stages, while the node cap governs each stage's own term store.
     let budget = config.budget();
 
     // Syntactic correctness under the W-grammar (paper §5.4 step 1).
@@ -296,20 +295,18 @@ fn stage_equations(
 }
 
 /// §5.1.2/§5.3 dynamic-logic obligations over the representation universe
-/// (batched PDL model checking, one pool task and one denotation cache per
-/// procedure).
+/// (batched PDL model checking, one denotation cache per procedure).
 fn stage_dynamic(
     spec: &TriLevelSpec,
     config: &VerifyConfig,
     budget: &Budget,
-    threads: usize,
 ) -> Result<DynamicReport> {
     Ok(check_dynamic_budget(
         &spec.representation,
         &spec.empty_state(),
         config.pdl_universe_cap,
         budget,
-        threads,
+        1,
     )?)
 }
 
@@ -383,7 +380,7 @@ fn timed<T>(budget: &Budget, f: impl FnOnce() -> T) -> (T, u64) {
 ///
 /// ```text
 ///   termination
-///   explore ──► run_tasks [witness, axioms]
+///   explore ──► witness ──► axioms
 ///   equations ──► cross
 ///   completeness
 ///   dynamic
@@ -433,20 +430,10 @@ fn run_battery(
                 )
             });
             if let Ok(e) = &explored {
-                let readers: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                    Box::new(|| {
-                        let r = timed(budget, || stage_witness(spec, e, config));
-                        put(&witness_slot, r);
-                    }),
-                    Box::new(|| {
-                        let (info, policy) = (&spec.information, config.refine12.policy);
-                        let r = timed(budget, || {
-                            obligation_axioms(info, &spec.functions, policy, e)
-                        });
-                        put(&axioms_slot, r);
-                    }),
-                ];
-                let _: Vec<()> = run_tasks(threads, readers);
+                put(&witness_slot, timed(budget, || stage_witness(spec, e, config)));
+                let (info, policy) = (&spec.information, config.refine12.policy);
+                let r = timed(budget, || obligation_axioms(info, &spec.functions, policy, e));
+                put(&axioms_slot, r);
             }
             put(&explore_slot, (explored, explore_ms));
         }),
@@ -475,7 +462,7 @@ fn run_battery(
             put(&compl_slot, r);
         }),
         Box::new(|| {
-            let r = timed(budget, || stage_dynamic(spec, config, budget, threads));
+            let r = timed(budget, || stage_dynamic(spec, config, budget));
             put(&dynamic_slot, r);
         }),
     ];

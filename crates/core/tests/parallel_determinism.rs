@@ -1,16 +1,15 @@
 //! Determinism of the parallel grains: on every packaged domain, the
-//! obligation battery, the completeness strips and the per-procedure dynamic
-//! units must reproduce the serial results bit-for-bit at every thread
-//! count. (`fuzz::run_corpus`, the fourth grain, is checked by the fuzz
-//! grid's worker arms.)
+//! obligation battery and the completeness strips must reproduce the serial
+//! results bit-for-bit at every thread count, and every governed sweep must
+//! stop a capped run at the same serial slot. (`fuzz::run_corpus`, the third
+//! grain, is checked by the fuzz grid's worker arms.)
 
 use eclectic_algebraic::{completeness, parse_equations, AlgSignature, AlgSpec};
 use eclectic_kernel::{Budget, BudgetExceeded};
 use eclectic_refine::{
     check_dynamic_budget, check_equations_budget, check_refinement_1_2_budget,
     check_valid_reachable, cross_check_budget, explore_algebraic_budget, random_ops,
-    AlgExploreLimits, CrossCheckStats, DynamicReport, FullReport, InducedAlgebra,
-    ValidReachableReport,
+    AlgExploreLimits, CrossCheckStats, FullReport, InducedAlgebra, ValidReachableReport,
 };
 use eclectic_rpr::wgrammar;
 use eclectic_spec::domains::{bank, courses, library};
@@ -20,14 +19,6 @@ use eclectic_spec::{
 };
 
 const THREADS: [usize; 3] = [2, 4, 8];
-
-/// The unbudgeted dynamic obligations of `spec` (universe cap 1024) with
-/// `threads` workers.
-fn dynamic_report(spec: &TriLevelSpec, threads: usize) -> DynamicReport {
-    let unlimited = Budget::unlimited();
-    check_dynamic_budget(&spec.representation, &spec.empty_state(), 1_024, &unlimited, threads)
-        .unwrap()
-}
 
 /// The unbudgeted completeness sweep at `depth` with `threads` workers.
 fn exhaustive(
@@ -108,34 +99,6 @@ fn parallel_completeness_early_stop_matches_serial() {
     }
 }
 
-#[test]
-fn parallel_pdl_batch_obligations_match_serial_on_every_domain() {
-    // The dynamic-logic obligations run through the batched PDL model
-    // checker; verdicts must not depend on the worker count. (The bank
-    // universe exceeds the cap and exercises the graceful-skip path.)
-    for (name, spec) in domains() {
-        let serial = dynamic_report(&spec, 1);
-        assert!(serial.is_correct(), "{name}: {:?}", serial.failures);
-        for threads in THREADS {
-            let par = dynamic_report(&spec, threads);
-            assert_eq!(par.failures, serial.failures, "{name} at {threads} threads");
-            assert_eq!(par.checked, serial.checked, "{name} at {threads} threads");
-            assert_eq!(
-                par.universe_states, serial.universe_states,
-                "{name} at {threads} threads"
-            );
-            assert_eq!(
-                par.unchecked_procs, serial.unchecked_procs,
-                "{name} at {threads} threads"
-            );
-            assert_eq!(par.skipped, serial.skipped, "{name} at {threads} threads");
-            // Each procedure owns its denotation cache, so the counters are
-            // worker-invariant too.
-            assert_eq!(par.cache_stats, serial.cache_stats, "{name} at {threads} threads");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Budget exhaustion: every governed sweep must produce the SAME partial
 // report at every thread count when the (deterministic) node axis trips.
@@ -168,7 +131,10 @@ fn instance_capped_completeness_partial_report_is_thread_invariant() {
 }
 
 #[test]
-fn application_capped_dynamic_partial_report_is_thread_invariant() {
+fn application_capped_dynamic_partial_report_stops_at_the_capped_slot() {
+    // The dynamic stage polls the node cap before each application's serial
+    // slot, so cap 5 stops after exactly five applications. (The bank
+    // universe exceeds the cap of 1,024 and takes the graceful-skip path.)
     for (name, spec) in domains() {
         let budget = node_budget(5);
         let base =
@@ -178,20 +144,6 @@ fn application_capped_dynamic_partial_report_is_thread_invariant() {
             let e = base.exhausted.clone().expect(name);
             assert_eq!((e.stage, e.completed_units), ("dynamic", 5), "{name}");
             assert_eq!(base.checked, 5, "{name}");
-        }
-        for threads in BUDGET_THREADS {
-            let par = check_dynamic_budget(
-                &spec.representation,
-                &spec.empty_state(),
-                1_024,
-                &budget,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(par.failures, base.failures, "{name} at {threads} threads");
-            assert_eq!(par.checked, base.checked, "{name} at {threads} threads");
-            assert_eq!(par.exhausted, base.exhausted, "{name} at {threads} threads");
-            assert_eq!(par.skipped, base.skipped, "{name} at {threads} threads");
         }
     }
 }
@@ -282,24 +234,10 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
     use eclectic_kernel::force_worker_cap;
     let _cap = force_worker_cap(usize::MAX);
     for (name, spec) in domains() {
-        let ref_dynamic = dynamic_report(&spec, 1);
         let ref_complete = exhaustive(&spec.functions, 3, 20, 1);
         // Work-stealing at every worker count must reproduce the 1-worker
         // reference.
         for threads in [2, 4, 8] {
-            let dynamic = dynamic_report(&spec, threads);
-            assert_eq!(
-                dynamic.failures, ref_dynamic.failures,
-                "{name}: PDL verdicts at {threads} workers"
-            );
-            assert_eq!(
-                dynamic.checked, ref_dynamic.checked,
-                "{name}: PDL volume at {threads} workers"
-            );
-            assert_eq!(
-                dynamic.cache_stats, ref_dynamic.cache_stats,
-                "{name}: PDL cache counters at {threads} workers"
-            );
             let complete = exhaustive(&spec.functions, 3, 20, threads);
             assert_eq!(
                 complete, ref_complete,
@@ -312,7 +250,7 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
 // ---------------------------------------------------------------------------
 // The obligation battery. `verify` runs five chains of obligations as pool
 // tasks (exploration followed by witness enumeration and the axiom sweep,
-// equations followed by the cross check, per-procedure dynamic units); its
+// equations followed by the cross check); its
 // reports must be bit-identical to an independent serial reference at every
 // genuine worker count, including budget-capped partials.
 // ---------------------------------------------------------------------------
@@ -487,84 +425,3 @@ fn node_capped_exhaustion_partial_is_worker_invariant() {
         );
     }
 }
-
-#[test]
-fn mid_sweep_cancel_trips_dynamic_units_without_poisoning_shared_state() {
-    // The per-procedure dynamic units of the obligation battery under a
-    // CancelToken: a pre-tripped token stops every unit at its first slot
-    // and the merge reports the cancellation at slot 0; a token flipped
-    // while units are in flight may cut the sweep anywhere, but must leave
-    // the schema and template reusable — a fresh uncancelled run must
-    // reproduce the pristine report bit for bit.
-    use eclectic_kernel::{force_worker_cap, CancelToken};
-    use eclectic_refine::{plan_dynamic, DynamicPrep};
-    let _cap = force_worker_cap(usize::MAX);
-    let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
-    let pristine =
-        check_dynamic_budget(&spec.representation, &spec.empty_state(), 1_024, &Budget::unlimited(), 4)
-            .unwrap();
-    assert!(pristine.exhausted.is_none(), "reference run must complete");
-
-    // Planning checks its budget on entry, so every plan is made under an
-    // unlimited budget; only the units run under the budget under test.
-    let plan = || match plan_dynamic(
-        &spec.representation,
-        &spec.empty_state(),
-        1_024,
-        &Budget::unlimited(),
-    )
-    .unwrap()
-    {
-        DynamicPrep::Plan(p) => p,
-        DynamicPrep::Done(r) => panic!("courses must leave per-procedure units, got {r:?}"),
-    };
-
-    // Pre-tripped token: every unit stops at the first slot of its range,
-    // so the merged stop replays at global slot 0 with nothing checked.
-    let token = CancelToken::new();
-    token.cancel();
-    let cancelled = Budget::unlimited().with_cancel(token);
-    let p = plan();
-    let outcomes: Vec<_> = (0..p.procs())
-        .map(|i| p.run_proc(i, &cancelled).unwrap())
-        .collect();
-    let report = p.merge(outcomes, &cancelled);
-    assert_eq!(
-        report.exhausted.as_ref().map(|e| e.reason),
-        Some(BudgetExceeded::Cancelled),
-        "pre-tripped token must surface as a cancellation partial"
-    );
-    assert_eq!(report.checked, 0, "no slot may complete under a tripped token");
-    assert!(report.failures.is_empty());
-
-    // Token flipped WHILE the units run: whatever prefix survives,
-    // the shared inputs must not be poisoned. The canceller starts after
-    // planning, so it can only race the units.
-    let p = plan();
-    let racing = CancelToken::new();
-    let budget = Budget::unlimited().with_cancel(racing.clone());
-    let canceller = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_micros(200));
-        racing.cancel();
-    });
-    let outcomes: Vec<_> = (0..p.procs())
-        .map(|i| p.run_proc(i, &budget).unwrap())
-        .collect();
-    let _ = p.merge(outcomes, &budget);
-    canceller.join().unwrap();
-
-    // A fresh uncancelled plan over the same schema and template must agree
-    // with the monolithic pristine reference exactly.
-    let p = plan();
-    let outcomes: Vec<_> = (0..p.procs())
-        .map(|i| p.run_proc(i, &Budget::unlimited()).unwrap())
-        .collect();
-    let redo = p.merge(outcomes, &Budget::unlimited());
-    assert_eq!(redo.failures, pristine.failures, "verdicts after cancellation");
-    assert_eq!(redo.checked, pristine.checked, "volume after cancellation");
-    assert_eq!(redo.universe_states, pristine.universe_states);
-    assert_eq!(redo.unchecked_procs, pristine.unchecked_procs);
-    assert_eq!(redo.skipped, pristine.skipped);
-    assert!(redo.exhausted.is_none(), "uncancelled replay must complete");
-}
-

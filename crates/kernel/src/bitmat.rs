@@ -22,7 +22,7 @@
 //!
 //! The `*_governed` variants poll a [`Budget`] every [`ROW_POLL_STRIDE`]
 //! rows and abort with the tripped axis. They are meant to be polled on
-//! the *timing* axes only (deadline, cancellation): callers enforce any
+//! the *timing* axis only (the deadline): callers enforce any
 //! node cap at their own unit boundaries and hand the operation
 //! [`Budget::without_node_cap`].
 
@@ -224,8 +224,8 @@ impl BitMatrix {
     }
 
     /// As [`compose`](Self::compose), polling `budget` every
-    /// [`ROW_POLL_STRIDE`] rows. Intended for timing axes (deadline /
-    /// cancellation): pass [`Budget::without_node_cap`] and enforce node
+    /// [`ROW_POLL_STRIDE`] rows. Intended for the timing axis (the
+    /// deadline): pass [`Budget::without_node_cap`] and enforce node
     /// caps at unit boundaries in the caller.
     ///
     /// # Errors
@@ -395,18 +395,14 @@ mod tests {
     #[test]
     fn governed_ops_trip_on_timing_axes() {
         let m = from_pairs(64, &[(0, 1)]);
-        let cancelled = {
-            let tok = crate::budget::CancelToken::new();
-            tok.cancel();
-            Budget::unlimited().with_cancel(tok)
-        };
+        let expired = Budget::unlimited().with_deadline_ms(0);
         assert_eq!(
-            m.compose_governed(&m, &cancelled),
-            Err(BudgetExceeded::Cancelled)
+            m.compose_governed(&m, &expired),
+            Err(BudgetExceeded::Deadline)
         );
         assert_eq!(
-            m.closure_governed(&cancelled),
-            Err(BudgetExceeded::Cancelled)
+            m.closure_governed(&expired),
+            Err(BudgetExceeded::Deadline)
         );
         assert!(m.compose_governed(&m, &Budget::unlimited()).is_ok());
     }

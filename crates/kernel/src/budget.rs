@@ -8,67 +8,37 @@
 //! - a **wall-clock deadline** measured from a monotonic start instant,
 //! - a **node cap** backed by the term arena's node accounting
 //!   ([`TermStore::len`](crate::TermStore::len) — the number of hash-consed
-//!   nodes allocated so far),
+//!   nodes allocated so far), and
 //! - a **relation-memory cap** polled by the relation kernels with the
 //!   estimated *bytes* a single governed operation has allocated (8 per
 //!   dense `u64` word, 4 per sparse adjacency entry, the container byte
 //!   formula for the compressed backend) — one currency across all
 //!   backends, so the cap means the same thing whichever representation
 //!   the policy picks, and a materialization that would exhaust memory
-//!   trips [`Exhaustion`] instead of OOMing, and
-//! - a cooperative [`CancelToken`] (an `Arc<AtomicBool>`) that an external
-//!   caller may flip at any time.
+//!   trips [`Exhaustion`] instead of OOMing.
 //!
 //! Budgets are polled cooperatively at *deterministic* boundaries —
-//! frontier levels in the BFS closures, per-unit stride slots in the
-//! embarrassingly parallel sweeps — so that exhaustion produces the same
-//! partial report at every thread count: the node axis is checked first
-//! (it depends only on serial-order progress, never on the scheduler), and
-//! an exhausted sweep reports an [`Exhaustion`] that echoes the *configured*
-//! limits rather than observed counters, making reports comparable with
-//! `==` across runs.
+//! frontier levels in the BFS closures, serial slot indices in the
+//! obligation sweeps — so that exhaustion produces the same partial report
+//! at every thread count: the node axis is checked first (it depends only
+//! on serial-order progress, never on the scheduler), and an exhausted
+//! sweep reports an [`Exhaustion`] that echoes the *configured* limits
+//! rather than observed counters, making reports comparable with `==`
+//! across runs.
 //!
-//! Cheapness matters: `Budget::check` on an unlimited budget is three
+//! Cheapness matters: `Budget::check` on an unlimited budget is two
 //! `Option` tests and no syscall; `Instant::now()` is only consulted when a
 //! deadline is actually set.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cooperative cancellation flag, cheaply cloneable and shareable across
-/// worker threads. Flipping it does not interrupt anything by itself; the
-/// governed sweeps poll it at their serial-order boundaries and wind down
-/// with a partial report.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request cancellation. Idempotent; visible to all clones.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Has [`cancel`](Self::cancel) been called on any clone?
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// Which budget axis tripped.
 ///
 /// The variants are ordered by check priority: node caps are examined
-/// before cancellation and deadlines because the node axis is a pure
-/// function of serial-order progress — checking it first keeps exhaustion
-/// reports bit-identical across thread counts even when a deadline is also
+/// before deadlines because the node axis is a pure function of
+/// serial-order progress — checking it first keeps exhaustion reports
+/// bit-identical across thread counts even when a deadline is also
 /// configured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BudgetExceeded {
@@ -80,8 +50,6 @@ pub enum BudgetExceeded {
     /// bytes on its caller's thread, so a given operation trips at the
     /// same row every run; it is still a safety axis, not a unit counter.
     RelMemory,
-    /// A [`CancelToken`] was flipped.
-    Cancelled,
     /// The wall-clock deadline elapsed.
     Deadline,
 }
@@ -91,23 +59,21 @@ impl fmt::Display for BudgetExceeded {
         f.write_str(match self {
             BudgetExceeded::Nodes => "node cap reached",
             BudgetExceeded::RelMemory => "relation memory cap reached",
-            BudgetExceeded::Cancelled => "cancelled",
             BudgetExceeded::Deadline => "deadline elapsed",
         })
     }
 }
 
-/// A shareable work budget. Clones share the same start instant and cancel
-/// token, so a single budget built at the top of `verify` governs every
-/// stage: once one axis trips, every later stage trips at entry and returns
-/// an empty partial report instead of doing more work.
+/// A shareable work budget. Clones share the same start instant, so a
+/// single budget built at the top of `verify` governs every stage: once the
+/// deadline passes, every later stage trips at entry and returns an empty
+/// partial report instead of doing more work.
 #[derive(Clone, Debug)]
 pub struct Budget {
     start: Instant,
     deadline: Option<Duration>,
     max_nodes: Option<usize>,
     max_rel_entries: Option<usize>,
-    cancel: Option<CancelToken>,
 }
 
 impl Default for Budget {
@@ -125,7 +91,6 @@ impl Budget {
             deadline: None,
             max_nodes: None,
             max_rel_entries: None,
-            cancel: None,
         }
     }
 
@@ -162,13 +127,6 @@ impl Budget {
         self
     }
 
-    /// Attach a cooperative cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// A copy of this budget with the node cap removed — the form handed to
     /// per-worker rewriters inside strided sweeps. The sweep itself enforces
     /// the node axis at serial-order slot boundaries; letting workers also
@@ -201,15 +159,6 @@ impl Budget {
         self.max_rel_entries
     }
 
-    /// True when no axis is limited — `check` can never trip.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_nodes.is_none()
-            && self.max_rel_entries.is_none()
-            && self.cancel.is_none()
-    }
-
     /// Wall-clock time since the budget was constructed.
     #[must_use]
     pub fn elapsed(&self) -> Duration {
@@ -218,18 +167,13 @@ impl Budget {
 
     /// Poll the budget with the current node count. Returns the first axis
     /// that tripped, in [`BudgetExceeded`] priority order (nodes, then
-    /// cancellation, then deadline). `Instant::now()` is only consulted
-    /// when a deadline is configured.
+    /// deadline). `Instant::now()` is only consulted when a deadline is
+    /// configured.
     #[must_use]
     pub fn check(&self, nodes: usize) -> Option<BudgetExceeded> {
         if let Some(cap) = self.max_nodes {
             if nodes >= cap {
                 return Some(BudgetExceeded::Nodes);
-            }
-        }
-        if let Some(tok) = &self.cancel {
-            if tok.is_cancelled() {
-                return Some(BudgetExceeded::Cancelled);
             }
         }
         if let Some(limit) = self.deadline {
@@ -244,8 +188,8 @@ impl Budget {
     /// estimated bytes (dense words × 8 / sparse entries × 4 / compressed
     /// container bytes) that operation has allocated so far. Checks the
     /// relation-memory axis first, then falls through to
-    /// [`check`](Self::check) with a zero node count, so the timing axes
-    /// (cancellation, deadline) keep their existing poll points.
+    /// [`check`](Self::check) with a zero node count, so the deadline keeps
+    /// its existing poll points.
     #[must_use]
     pub fn check_rel(&self, entries: usize) -> Option<BudgetExceeded> {
         if let Some(cap) = self.max_rel_entries {
@@ -326,8 +270,8 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         assert_eq!(b.check(usize::MAX), None);
+        assert_eq!(b.check_rel(usize::MAX), None);
     }
 
     #[test]
@@ -342,24 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let tok = CancelToken::new();
-        let b = Budget::unlimited().with_cancel(tok.clone());
-        let b2 = b.clone();
-        assert_eq!(b.check(0), None);
-        tok.cancel();
-        assert_eq!(b.check(0), Some(BudgetExceeded::Cancelled));
-        assert_eq!(b2.check(0), Some(BudgetExceeded::Cancelled));
-    }
-
-    #[test]
-    fn nodes_axis_wins_over_cancel_and_deadline() {
-        let tok = CancelToken::new();
-        tok.cancel();
-        let b = Budget::unlimited()
-            .with_max_nodes(0)
-            .with_deadline_ms(0)
-            .with_cancel(tok);
+    fn nodes_axis_wins_over_deadline() {
+        let b = Budget::unlimited().with_max_nodes(0).with_deadline_ms(0);
         assert_eq!(b.check(0), Some(BudgetExceeded::Nodes));
         assert_eq!(b.check(usize::MAX), Some(BudgetExceeded::Nodes));
     }
@@ -373,7 +301,6 @@ mod tests {
     #[test]
     fn rel_memory_cap_trips_only_through_check_rel() {
         let b = Budget::unlimited().with_max_rel_entries(100);
-        assert!(!b.is_unlimited());
         assert_eq!(b.max_rel_entries(), Some(100));
         // The plain node-count poll never sees the relation axis...
         assert_eq!(b.check(usize::MAX - 1), None);
@@ -385,11 +312,9 @@ mod tests {
             b.without_node_cap().check_rel(100),
             Some(BudgetExceeded::RelMemory)
         );
-        // And falls through to the timing axes below the cap.
-        let tok = CancelToken::new();
-        tok.cancel();
-        let c = b.with_cancel(tok);
-        assert_eq!(c.check_rel(0), Some(BudgetExceeded::Cancelled));
+        // And falls through to the deadline below the cap.
+        let c = b.with_deadline_ms(0);
+        assert_eq!(c.check_rel(0), Some(BudgetExceeded::Deadline));
     }
 
     #[test]

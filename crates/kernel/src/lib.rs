@@ -44,7 +44,7 @@ mod sparse;
 mod store;
 
 pub use bitmat::{BitMatrix, ROW_POLL_STRIDE};
-pub use budget::{Budget, BudgetExceeded, CancelToken, Exhaustion};
+pub use budget::{Budget, BudgetExceeded, Exhaustion};
 pub use container::{CompressedRel, CompressedRow};
 pub use envcfg::{effective_workers, env_threads, force_worker_cap, WorkerCapGuard};
 pub use rel::{

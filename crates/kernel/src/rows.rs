@@ -328,18 +328,14 @@ mod tests {
     fn governed_ops_trip<R: RowSet + PartialEq + std::fmt::Debug>() {
         let mut m = RowRel::<R>::new(64);
         m.set(0, 1);
-        let cancelled = {
-            let tok = crate::budget::CancelToken::new();
-            tok.cancel();
-            Budget::unlimited().with_cancel(tok)
-        };
+        let expired = Budget::unlimited().with_deadline_ms(0);
         assert_eq!(
-            m.compose_governed(&m, &cancelled),
-            Err(BudgetExceeded::Cancelled)
+            m.compose_governed(&m, &expired),
+            Err(BudgetExceeded::Deadline)
         );
         assert_eq!(
-            m.closure_governed(&cancelled),
-            Err(BudgetExceeded::Cancelled)
+            m.closure_governed(&expired),
+            Err(BudgetExceeded::Deadline)
         );
         // A zero-byte memory cap trips before the first row of output.
         let capped = Budget::unlimited().with_max_rel_entries(0);

@@ -1,25 +1,23 @@
 //! The deterministic work-stealing scheduler: one persistent FIFO worker
 //! pool driving every parallel grain in the workspace.
 //!
-//! # The four grains
+//! # The three grains
 //!
 //! Parallelism lives at the level of proof obligations, never inside one
-//! relation or term operation. Exactly four call sites submit work:
+//! relation or term operation. Exactly three call sites submit work:
 //!
 //! - the five obligation chains of `core::verify` ([`run_tasks`]);
 //! - the sufficient-completeness strips of
 //!   `algebraic::completeness` ([`run_workers`]);
-//! - the per-procedure dynamic-logic units of
-//!   `refine::check_dynamic_budget` ([`run_tasks`]);
 //! - the fuzz corpus of `core::fuzz::run_corpus` ([`run_tasks`]).
 //!
 //! Tasks from all of them land in one region list served by one
-//! lazily-grown pool, so the completeness strips and dynamic units nested
-//! inside the battery's chains interleave with the other obligations on
-//! the same threads. Reachability exploration, the cross-level check, PDL
-//! denotation and the relation kernels run on their caller's thread:
-//! measured on the paper domains, splitting them across workers lost to
-//! the serial search.
+//! lazily-grown pool, so the completeness strips nested inside the
+//! battery's chains interleave with the other obligations on the same
+//! threads. Reachability exploration, the cross-level check, the dynamic
+//! contracts, PDL denotation and the relation kernels run on their
+//! caller's thread: splitting them across workers either lost to the
+//! serial loop or won only on shapes no benchmark workload has.
 //!
 //! # Determinism contract
 //!

@@ -146,23 +146,12 @@ pub fn models<S: StructureView + ?Sized>(st: &S, f: &Formula) -> Result<bool> {
     satisfies(st, &Valuation::new(), f)
 }
 
-/// Enumerates all satisfying assignments of `f`'s free variables, in
-/// lexicographic element order. Useful for evaluating relational terms
-/// `{(x1, …, xn) / P}` at the representation level.
-///
-/// # Errors
-/// See [`satisfies`].
-pub fn satisfying_assignments<S: StructureView + ?Sized>(
-    st: &S,
-    f: &Formula,
-    free: &[crate::symbols::VarId],
-) -> Result<Vec<Vec<Elem>>> {
-    satisfying_assignments_with(st, &Valuation::new(), f, free)
-}
-
-/// As [`satisfying_assignments`], with a base valuation for any *other*
+/// Enumerates all assignments of the variables `free` that satisfy `f`,
+/// in lexicographic element order, under a base valuation for any *other*
 /// free variables of `f` (e.g. procedure parameters at the representation
-/// level). Variables in `free` shadow the base valuation.
+/// level). Variables in `free` shadow the base valuation. Useful for
+/// evaluating relational terms `{(x1, …, xn) / P}` at the representation
+/// level.
 ///
 /// # Errors
 /// See [`satisfies`].
@@ -321,7 +310,7 @@ mod tests {
         let c = sig.var_id("c").unwrap();
         let offered = sig.pred_id("offered").unwrap();
         let f = Formula::Pred(offered, vec![Term::Var(c)]);
-        let rows = satisfying_assignments(&st, &f, &[c]).unwrap();
+        let rows = satisfying_assignments_with(&st, &Valuation::new(), &f, &[c]).unwrap();
         assert_eq!(rows, vec![vec![Elem(0)], vec![Elem(1)]]);
     }
 

@@ -111,16 +111,6 @@ impl Formula {
         }
     }
 
-    /// Disjunction of an iterator of formulas (`False` if empty).
-    #[must_use]
-    pub fn disj<I: IntoIterator<Item = Formula>>(parts: I) -> Formula {
-        let mut it = parts.into_iter();
-        match it.next() {
-            None => Formula::False,
-            Some(first) => it.fold(first, Formula::or),
-        }
-    }
-
     /// Universal closure over the given variables, innermost-last.
     #[must_use]
     pub fn forall_all(vars: &[VarId], body: Formula) -> Formula {
@@ -206,18 +196,6 @@ impl Formula {
     #[must_use]
     pub fn is_closed(&self) -> bool {
         self.free_vars().is_empty()
-    }
-
-    /// All variables bound by a quantifier somewhere in the formula.
-    #[must_use]
-    pub fn bound_vars(&self) -> BTreeSet<VarId> {
-        let mut out = BTreeSet::new();
-        self.walk(&mut |f| {
-            if let Formula::Forall(x, _) | Formula::Exists(x, _) = f {
-                out.insert(*x);
-            }
-        });
-        out
     }
 
     /// Applies `visit` to every subformula, outermost first.
@@ -479,7 +457,6 @@ mod tests {
         let takes = sig.pred_id("takes").unwrap();
         let f = Formula::exists(c, Formula::Pred(takes, vec![Term::Var(s), Term::Var(c)]));
         assert_eq!(f.free_vars().into_iter().collect::<Vec<_>>(), vec![s]);
-        assert_eq!(f.bound_vars().into_iter().collect::<Vec<_>>(), vec![c]);
         assert!(!f.is_closed());
     }
 
@@ -520,7 +497,6 @@ mod tests {
     #[test]
     fn conj_disj_closures() {
         assert_eq!(Formula::conj(Vec::new()), Formula::True);
-        assert_eq!(Formula::disj(Vec::new()), Formula::False);
         let sig = courses_sig();
         let c = sig.var_id("c").unwrap();
         let offered = sig.pred_id("offered").unwrap();

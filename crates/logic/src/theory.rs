@@ -110,19 +110,6 @@ impl Theory {
         }
         Ok(true)
     }
-
-    /// The first static axiom violated by the structure, if any.
-    ///
-    /// # Errors
-    /// Propagates evaluation errors.
-    pub fn first_static_violation(&self, st: &Structure) -> Result<Option<&NamedFormula>> {
-        for ax in self.static_axioms() {
-            if !models(st, &ax.formula)? {
-                return Ok(Some(ax));
-            }
-        }
-        Ok(None)
-    }
 }
 
 #[cfg(test)]
@@ -184,15 +171,10 @@ mod tests {
 
         let empty = Structure::new(sig.clone(), dom.clone());
         assert!(th.models_static(&empty).unwrap());
-        assert!(th.first_static_violation(&empty).unwrap().is_none());
 
         let mut bad = Structure::new(sig.clone(), dom.clone());
         bad.insert_pred(takes, vec![Elem(0), Elem(0)]).unwrap();
         assert!(!th.models_static(&bad).unwrap());
-        assert_eq!(
-            th.first_static_violation(&bad).unwrap().unwrap().name,
-            "static"
-        );
 
         let mut good = bad.clone();
         good.insert_pred(offered, vec![Elem(0)]).unwrap();

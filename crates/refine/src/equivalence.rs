@@ -50,8 +50,8 @@ type QueryItem = (FuncId, Vec<Term>, Vec<TermId>);
 ///
 /// The [`Budget`] is polled before each trace operation with the number of
 /// operations fully replayed so far, so a node cap stops after a whole
-/// operation; deadline and cancellation trips additionally interrupt the
-/// level-2 evaluations mid-operation and report the operations completed.
+/// operation; a deadline trip additionally interrupts the level-2
+/// evaluations mid-operation and reports the operations completed.
 /// Exhaustion returns the statistics so far with an [`Exhaustion`] record
 /// instead of failing.
 ///

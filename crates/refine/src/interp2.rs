@@ -470,7 +470,16 @@ impl<'a> InducedAlgebra<'a> {
             if !alg.update_takes_state(u)? {
                 continue;
             }
-            let proc = self.k.proc_name(u).expect("coverage checked").to_string();
+            let proc = self
+                .k
+                .proc_name(u)
+                .ok_or_else(|| {
+                    RefineError::BadInterpretation(format!(
+                        "update `{}` not mapped by K",
+                        alg.logic().func(u).name
+                    ))
+                })?
+                .to_string();
             for params in self.param_tuples_for_update(u)? {
                 let elems: Vec<Elem> = params
                     .iter()

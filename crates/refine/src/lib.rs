@@ -42,9 +42,8 @@ pub use interp2::{
 };
 pub use obligations::{
     check_dynamic_budget, check_refinement_1_2_budget, obligation_axioms, obligation_completeness,
-    obligation_exploration, obligation_termination, plan_dynamic, DynamicFailure, DynamicPlan,
-    DynamicPrep, DynamicReport, DynamicUnitOutcome, Refine12Config, Refine12Report,
-    StateViolation,
+    obligation_exploration, obligation_termination, DynamicFailure, DynamicReport, Refine12Config,
+    Refine12Report, StateViolation,
 };
 pub use reach::{
     explore_algebraic_budget, structure_of, structure_of_id, AlgExploreLimits,

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use eclectic_algebraic::{completeness, termination, AlgSpec};
-use eclectic_kernel::{run_tasks, Budget, BudgetExceeded, Exhaustion};
+use eclectic_kernel::{Budget, BudgetExceeded, Exhaustion};
 use eclectic_logic::{Domains, Elem, Formula, Signature, Theory, Valuation};
 use eclectic_rpr::pdl::Pdl;
 use eclectic_rpr::{denote, pdl, DbState, DenoteCache, FiniteUniverse, RprError, Schema};
@@ -282,8 +282,6 @@ pub struct DynamicReport {
     pub skipped: Option<String>,
     /// Denotation-cache counters, summed over the per-procedure caches
     /// (every functionality read reuses the totality phase's denotation).
-    /// Each procedure owns its cache, so the counters do not depend on the
-    /// worker count.
     pub cache_stats: eclectic_rpr::CacheStats,
     /// Set when a [`Budget`] tripped: `checked` then counts the
     /// applications verified before stopping.
@@ -299,14 +297,18 @@ impl DynamicReport {
 }
 
 /// Checks the dynamic-logic obligations over the representation schema,
-/// governed by a [`Budget`] and run with `threads` workers. The obligations
-/// run as one [`DynamicPlan::run_proc`] unit per procedure, fanned over the
-/// shared pool; each unit owns its denotation cache and polls the budget
-/// before each serial-order application slot with the slot index, so a
-/// node cap stops after the same number of applications at every worker
-/// count; deadline and cancellation stops report the applications whose
-/// serial-order prefix completed. Exhaustion returns the partial report
-/// with `exhausted` set instead of failing.
+/// governed by a [`Budget`]. One serial loop runs every checkable
+/// procedure's applications in order, with one denotation cache per
+/// procedure; the budget is polled before each application with its
+/// serial slot index, so a node cap stops after exactly that many
+/// applications, while the denotation itself polls only the timing axes.
+/// Exhaustion returns the partial report with `exhausted` set instead of
+/// failing.
+///
+/// `_threads` is ignored: the loop runs on the calling thread. The
+/// parameter stays only because the benchmark package (`perfbench/`)
+/// calls this function by name with a worker count; it goes at the next
+/// change to the benchmark. Callers in this workspace pass 1.
 ///
 /// # Errors
 /// Propagates enumeration/evaluation errors (a universe over `cap` is a
@@ -316,206 +318,77 @@ pub fn check_dynamic_budget(
     template: &DbState,
     cap: usize,
     budget: &Budget,
-    threads: usize,
+    _threads: usize,
 ) -> Result<DynamicReport> {
-    let plan = match plan_dynamic(schema, template, cap, budget)? {
-        DynamicPrep::Done(report) => return Ok(report),
-        DynamicPrep::Plan(plan) => plan,
-    };
-    let n = plan.procs();
-    let plan_ref = &plan;
-    let units: Vec<Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>> = (0..n)
-        .map(|i| {
-            Box::new(move || plan_ref.run_proc(i, budget))
-                as Box<dyn FnOnce() -> Result<DynamicUnitOutcome> + Send + '_>
-        })
-        .collect();
-    let workers = eclectic_kernel::effective_workers(threads).min(n);
-    let outcomes = run_tasks(workers, units)
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-    Ok(plan.merge(outcomes, budget))
-}
-
-/// The per-application results of one dynamic obligation unit: slot-keyed
-/// failure lists, the unit's cache counters, and its earliest budget stop
-/// (serial slot index + reason), if any.
-pub type DynamicUnitOutcome = (
-    Vec<(usize, Vec<DynamicFailure>)>,
-    eclectic_rpr::CacheStats,
-    Option<(usize, BudgetExceeded)>,
-);
-
-/// What [`plan_dynamic`] produced: either a finished report (empty budget,
-/// oversized universe, or no checkable applications) or a plan whose
-/// per-procedure obligations can run as independent pool tasks.
-pub enum DynamicPrep<'s> {
-    /// The check completed (or was skipped) during planning.
-    Done(DynamicReport),
-    /// Per-procedure obligations remain; see [`DynamicPlan`]. Boxed: the
-    /// plan (universe + flattened applications) dwarfs the `Done` report.
-    Plan(Box<DynamicPlan<'s>>),
-}
-
-/// The flattened dynamic-obligation workload: the enumerated universe plus
-/// every (procedure, argument-tuple) application in serial order, grouped
-/// into per-procedure slot ranges, so [`check_dynamic_budget`] can run
-/// [`DynamicPlan::run_proc`] units in parallel and [`DynamicPlan::merge`]
-/// their outcomes into one report.
-pub struct DynamicPlan<'s> {
-    u: FiniteUniverse,
-    apps: Vec<(&'s eclectic_rpr::ProcDecl, Vec<Elem>, Valuation)>,
-    proc_ranges: Vec<std::ops::Range<usize>>,
-    base: DynamicReport,
-    /// Denotation-level governed ops poll only the timing axes; the node
-    /// cap stays at the serial-order application slots, so a capped
-    /// partial stops after the same slot at every worker count.
-    timing: Budget,
-}
-
-/// Enumerates the universe and flattens the checkable applications,
-/// producing either a finished report or a [`DynamicPlan`].
-///
-/// # Errors
-/// Propagates enumeration errors (a universe over `cap` is a graceful
-/// skip, not an error).
-pub fn plan_dynamic<'s>(
-    schema: &'s Schema,
-    template: &DbState,
-    cap: usize,
-    budget: &Budget,
-) -> Result<DynamicPrep<'s>> {
     if let Some(reason) = budget.check(0) {
-        return Ok(DynamicPrep::Done(DynamicReport {
+        return Ok(DynamicReport {
             exhausted: Some(budget.exhaustion("dynamic", reason, 0)),
             ..DynamicReport::default()
-        }));
+        });
     }
     let u = match FiniteUniverse::enumerate(template, schema.relations(), &[], cap) {
         Ok(u) => u,
         Err(RprError::UniverseTooLarge { required, cap }) => {
-            return Ok(DynamicPrep::Done(DynamicReport {
+            return Ok(DynamicReport {
                 skipped: Some(format!(
                     "universe of {required} states exceeds the cap of {cap}"
                 )),
                 ..DynamicReport::default()
-            }));
+            });
         }
         Err(e) => return Err(e.into()),
     };
 
-    let sig = u.signature().clone();
-    let domains = u.domains().clone();
-    let mut base = DynamicReport {
+    let (checkable, unchecked): (Vec<_>, Vec<_>) = schema
+        .procs()
+        .iter()
+        .partition(|proc| proc.body.is_loop_and_choice_free());
+    let mut report = DynamicReport {
         universe_states: u.len(),
+        unchecked_procs: unchecked.iter().map(|proc| proc.name.clone()).collect(),
         ..DynamicReport::default()
     };
-
-    // Flatten the (procedure, argument-tuple) applications in serial order,
-    // remembering each procedure's contiguous slot range.
-    let mut apps: Vec<(&eclectic_rpr::ProcDecl, Vec<Elem>, Valuation)> = Vec::new();
-    let mut proc_ranges = Vec::new();
-    for proc in schema.procs() {
-        if !proc.body.is_loop_and_choice_free() {
-            base.unchecked_procs.push(proc.name.clone());
-            continue;
-        }
-        let start = apps.len();
-        for args in arg_tuples(&sig, &domains, &proc.params) {
-            let mut env = Valuation::new();
-            for (&param, &value) in proc.params.iter().zip(&args) {
-                env.set(param, value);
-            }
-            apps.push((proc, args, env));
-        }
-        if apps.len() > start {
-            proc_ranges.push(start..apps.len());
+    let timing = budget.without_node_cap();
+    for proc in checkable {
+        let mut cache = DenoteCache::new();
+        let stop = check_proc(&u, proc, &mut cache, budget, &timing, &mut report);
+        let stats = cache.stats();
+        report.cache_stats.computed += stats.computed;
+        report.cache_stats.hits += stats.hits;
+        if let Some(reason) = stop? {
+            report.exhausted = Some(budget.exhaustion("dynamic", reason, report.checked));
+            break;
         }
     }
-    base.checked = apps.len();
-
-    let timing = budget.without_node_cap();
-    Ok(DynamicPrep::Plan(Box::new(DynamicPlan {
-        u,
-        apps,
-        proc_ranges,
-        base,
-        timing,
-    })))
+    Ok(report)
 }
 
-impl<'s> DynamicPlan<'s> {
-    /// Number of per-procedure obligation units.
-    #[must_use]
-    pub fn procs(&self) -> usize {
-        self.proc_ranges.len()
+/// Runs one procedure's applications, one per argument tuple, into
+/// `report`, polling `budget` before each with its serial slot index
+/// (`report.checked`). Returns the axis that stopped the loop, if any.
+fn check_proc(
+    u: &FiniteUniverse,
+    proc: &eclectic_rpr::ProcDecl,
+    cache: &mut DenoteCache,
+    budget: &Budget,
+    timing: &Budget,
+    report: &mut DynamicReport,
+) -> Result<Option<BudgetExceeded>> {
+    for args in arg_tuples(u.signature(), u.domains(), &proc.params) {
+        if let Some(reason) = budget.check(report.checked) {
+            return Ok(Some(reason));
+        }
+        let mut env = Valuation::new();
+        for (&param, &value) in proc.params.iter().zip(&args) {
+            env.set(param, value);
+        }
+        match check_application(u, proc, &args, &env, cache, timing) {
+            Ok(failures) => report.failures.extend(failures),
+            Err(e) => return crate::reach::budget_stop(&e).map(Some).ok_or(e),
+        }
+        report.checked += 1;
     }
-
-    /// Runs the dynamic obligations of procedure unit `i` (one contiguous
-    /// slot range, processed in increasing serial order with a private
-    /// denotation cache), polling `budget` at each global slot index. The
-    /// prefix invariant of the slot-replay merge holds because a unit only
-    /// skips slots at or after its own stop.
-    ///
-    /// # Errors
-    /// Propagates non-budget evaluation errors.
-    pub fn run_proc(&self, i: usize, budget: &Budget) -> Result<DynamicUnitOutcome> {
-        let mut cache = DenoteCache::new();
-        let mut out = Vec::new();
-        let mut stop = None;
-        for k in self.proc_ranges[i].clone() {
-            let (proc, args, env) = &self.apps[k];
-            if let Some(reason) = budget.check(k) {
-                stop = Some((k, reason));
-                break;
-            }
-            match check_application(&self.u, proc, args, env, &mut cache, &self.timing) {
-                Ok(failures) => out.push((k, failures)),
-                Err(e) => match crate::reach::budget_stop(&e) {
-                    Some(reason) => {
-                        stop = Some((k, reason));
-                        break;
-                    }
-                    None => return Err(e),
-                },
-            }
-        }
-        Ok((out, cache.stats(), stop))
-    }
-
-    /// Replays per-unit outcomes in serial slot order into the final
-    /// report: earliest stop wins, every slot below it has a verdict, and
-    /// the failure list is bit-identical however the units were scheduled.
-    /// Cache counters are summed across units; each unit's counters depend
-    /// only on its own slot range, so the sums are worker-invariant too.
-    #[must_use]
-    pub fn merge(self, outcomes: Vec<DynamicUnitOutcome>, budget: &Budget) -> DynamicReport {
-        let mut report = self.base;
-        let mut slots: Vec<Option<Vec<DynamicFailure>>> = vec![None; self.apps.len()];
-        let mut stop: Option<(usize, BudgetExceeded)> = None;
-        for (unit, stats, s) in outcomes {
-            report.cache_stats.computed += stats.computed;
-            report.cache_stats.hits += stats.hits;
-            for (k, failures) in unit {
-                slots[k] = Some(failures);
-            }
-            if s.is_some_and(|(k, _)| stop.is_none_or(|(k0, _)| k < k0)) {
-                stop = s;
-            }
-        }
-        // Every slot before the earliest stop has an outcome: a unit only
-        // skips slots at or after its own stop, and all stops are >= the
-        // earliest one.
-        let covered = stop.map_or(self.apps.len(), |(k, _)| k);
-        for slot in slots.into_iter().take(covered) {
-            report.failures.extend(slot.expect("every application checked"));
-        }
-        if let Some((k, reason)) = stop {
-            report.checked = k;
-            report.exhausted = Some(budget.exhaustion("dynamic", reason, k));
-        }
-        report
-    }
+    Ok(None)
 }
 
 /// Checks one procedure application's contracts: totality is the PDL
@@ -533,8 +406,8 @@ fn check_application(
     let total = Pdl::after_some(proc.body.clone(), Pdl::Atom(Formula::True));
     let batch = pdl::check_batch_budget_with(std::slice::from_ref(&total), u, env, cache, timing)?;
     if let Some(ex) = batch.exhausted {
-        // Re-raise as an error so the unit loop unwinds; `run_proc`
-        // converts it back into a graceful budget stop.
+        // Re-raise as an error so the application loop unwinds;
+        // `check_proc` converts it back into a graceful budget stop.
         return Err(crate::reach::budget_err(ex.reason));
     }
     if !batch.valid[0] {

@@ -69,10 +69,10 @@ pub struct AlgebraicExploration {
 /// frontier lookup is a single id hash.
 ///
 /// The [`Budget`]'s node cap is polled once per BFS level against the term
-/// store's node count, so it stops at a level boundary; deadline and
-/// cancellation trips interrupt the rewriter mid-level and stop at the
-/// enclosing level. Exhaustion sets `truncated` and `exhausted` on the
-/// partial exploration instead of failing.
+/// store's node count, so it stops at a level boundary; a deadline trip
+/// interrupts the rewriter mid-level and stops at the enclosing level.
+/// Exhaustion sets `truncated` and `exhausted` on the partial exploration
+/// instead of failing.
 ///
 /// # Errors
 /// Propagates rewriting/bridge errors; limit hits set `truncated`, and
@@ -92,7 +92,7 @@ pub fn explore_algebraic_budget(
         return Ok(ex.finish());
     }
     // The search polls the node cap itself at level boundaries; the
-    // rewriter only watches the timing axes (deadline, cancellation).
+    // rewriter only watches the timing axis (the deadline).
     rw.set_budget(budget.without_node_cap());
     let mut level = 0usize;
     if let Err(e) = explore_body(spec, interp, info_sig, domains, limits, budget, &mut rw, &mut ex, &mut level)
@@ -463,11 +463,9 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_budget_returns_partial_exploration() {
+    fn expired_deadline_returns_partial_exploration() {
         let (spec, interp, info, dom) = setup();
-        let tok = eclectic_kernel::CancelToken::new();
-        tok.cancel();
-        let budget = Budget::unlimited().with_cancel(tok);
+        let budget = Budget::unlimited().with_deadline_ms(0);
         let exp = explore_algebraic_budget(
             &spec,
             &interp,
@@ -478,7 +476,7 @@ mod tests {
         )
         .unwrap();
         assert!(exp.truncated);
-        let e = exp.exhausted.expect("cancelled budget must exhaust");
-        assert_eq!(e.reason, eclectic_kernel::BudgetExceeded::Cancelled);
+        let e = exp.exhausted.expect("an expired deadline must exhaust");
+        assert_eq!(e.reason, eclectic_kernel::BudgetExceeded::Deadline);
     }
 }

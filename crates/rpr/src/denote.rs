@@ -108,7 +108,7 @@ pub fn meaning_cached(
 ///
 /// Callers that also enforce a node cap strip it first
 /// ([`Budget::without_node_cap`]) — here the polls govern only the timing
-/// and relation-memory axes (deadline, cancellation, bytes); unit counting
+/// and relation-memory axes (deadline, bytes); unit counting
 /// belongs to the caller's unit boundaries.
 ///
 /// # Errors

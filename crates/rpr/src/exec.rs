@@ -6,7 +6,7 @@
 //! variables; their values are supplied by an environment [`Valuation`]
 //! (the call-time binding `A[c1/Y1, …, cm/Ym]`). For deterministic programs
 //! (the paper's procedures) the image is a singleton and
-//! [`run_deterministic`] extracts it.
+//! [`call_deterministic`] extracts it.
 
 use std::collections::BTreeSet;
 
@@ -161,21 +161,6 @@ fn eval_tuple(
         .collect()
 }
 
-/// Runs a statement expected to be deterministic, returning its unique
-/// outcome.
-///
-/// # Errors
-/// Returns [`RprError::Stuck`] for zero outcomes and
-/// [`RprError::Nondeterministic`] for more than one.
-pub fn run_deterministic(start: &DbState, stmt: &Stmt, env: &Valuation) -> Result<DbState> {
-    let mut results = run(start, stmt, env)?;
-    match results.len() {
-        1 => Ok(results.pop_first().expect("len checked")),
-        0 => Err(RprError::Stuck),
-        n => Err(RprError::Nondeterministic { outcomes: n }),
-    }
-}
-
 /// Calls a procedure: binds the argument values to the parameter variables,
 /// then runs the body.
 ///
@@ -202,10 +187,12 @@ pub fn call(
     run(start, &proc.body, &env)
 }
 
-/// Deterministic procedure call (the common case for the paper's updates).
+/// Deterministic procedure call (the common case for the paper's updates),
+/// returning the call's unique outcome.
 ///
 /// # Errors
-/// See [`call`] and [`run_deterministic`].
+/// See [`call`]; also returns [`RprError::Stuck`] for zero outcomes and
+/// [`RprError::Nondeterministic`] for more than one.
 pub fn call_deterministic(
     schema: &Schema,
     start: &DbState,
@@ -347,10 +334,6 @@ mod tests {
         env.set(c, Elem(0));
         let results = run(&s0, &stmt, &env).unwrap();
         assert_eq!(results.len(), 2);
-        assert!(matches!(
-            run_deterministic(&s0, &stmt, &env),
-            Err(RprError::Nondeterministic { outcomes: 2 })
-        ));
     }
 
     #[test]
@@ -359,10 +342,6 @@ mod tests {
         let stmt = Stmt::Test(Formula::False);
         let env = Valuation::new();
         assert!(run(&s0, &stmt, &env).unwrap().is_empty());
-        assert!(matches!(
-            run_deterministic(&s0, &stmt, &env),
-            Err(RprError::Stuck)
-        ));
     }
 
     #[test]

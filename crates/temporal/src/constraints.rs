@@ -52,12 +52,6 @@ impl CheckReport {
     pub fn is_clean(&self) -> bool {
         self.static_violations.is_empty() && self.transition_violations.is_empty()
     }
-
-    /// Total number of violations.
-    #[must_use]
-    pub fn violation_count(&self) -> usize {
-        self.static_violations.len() + self.transition_violations.len()
-    }
 }
 
 /// Checks every axiom of the theory at every state of the universe.
@@ -197,7 +191,6 @@ mod tests {
         assert!(report.static_violations.is_empty());
         assert!(!report.transition_violations.is_empty());
         assert_eq!(report.transition_violations[0].axiom, "transition-2");
-        assert_eq!(report.violation_count(), report.transition_violations.len());
     }
 
     #[test]

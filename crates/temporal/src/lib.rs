@@ -11,8 +11,7 @@
 //! - [`Universe`]: finite Kripke universes with content-deduplicated states;
 //! - [`satisfaction`]: the modal satisfaction relation `A ⊨_U P[v]`,
 //!   including the paper's `◇` rule;
-//! - [`constraints`]: checking static and transition axioms over universes;
-//! - [`Trace`]: finite paths and invariant checking along them.
+//! - [`constraints`]: checking static and transition axioms over universes.
 //!
 //! # Example
 //!
@@ -48,10 +47,8 @@
 pub mod constraints;
 pub mod satisfaction;
 pub mod timed;
-mod trace;
 mod universe;
 
 pub use constraints::{AccessibilityPolicy, CheckReport, Violation};
 pub use timed::TimedTranslation;
-pub use trace::{random_walk, Trace};
 pub use universe::{StateIdx, Universe};

@@ -32,8 +32,6 @@ pub struct Universe {
     index: BTreeMap<StructureKey, StateIdx>,
     /// Accessibility relation as forward adjacency.
     succ: Vec<BTreeSet<StateIdx>>,
-    /// Reverse adjacency, kept in sync with `succ`.
-    pred: Vec<BTreeSet<StateIdx>>,
 }
 
 impl Universe {
@@ -46,7 +44,6 @@ impl Universe {
             states: Vec::new(),
             index: BTreeMap::new(),
             succ: Vec::new(),
-            pred: Vec::new(),
         }
     }
 
@@ -80,7 +77,6 @@ impl Universe {
         self.states.push(st);
         self.index.insert(key, idx);
         self.succ.push(BTreeSet::new());
-        self.pred.push(BTreeSet::new());
         Ok((idx, true))
     }
 
@@ -91,7 +87,6 @@ impl Universe {
     pub fn add_edge(&mut self, a: StateIdx, b: StateIdx) {
         assert!(a.index() < self.states.len() && b.index() < self.states.len());
         self.succ[a.index()].insert(b);
-        self.pred[b.index()].insert(a);
     }
 
     /// The state at an index.
@@ -132,12 +127,6 @@ impl Universe {
         &self.succ[a.index()]
     }
 
-    /// Predecessors of a state under `R`.
-    #[must_use]
-    pub fn predecessors(&self, a: StateIdx) -> &BTreeSet<StateIdx> {
-        &self.pred[a.index()]
-    }
-
     /// Whether `R(a, b)` holds.
     #[must_use]
     pub fn accessible(&self, a: StateIdx, b: StateIdx) -> bool {
@@ -176,30 +165,6 @@ impl Universe {
         self.succ = (0..n)
             .map(|a| closed.iter_row(a).map(StateIdx).collect())
             .collect();
-        let mut pred = vec![BTreeSet::new(); n];
-        for (a, bs) in self.succ.iter().enumerate() {
-            for &b in bs {
-                pred[b.index()].insert(StateIdx(a));
-            }
-        }
-        self.pred = pred;
-    }
-
-    /// States reachable from `start` via `R` (including `start`).
-    #[must_use]
-    pub fn reachable_from(&self, start: StateIdx) -> BTreeSet<StateIdx> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![start];
-        while let Some(s) = stack.pop() {
-            if seen.insert(s) {
-                for &t in self.successors(s) {
-                    if !seen.contains(&t) {
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -240,8 +205,8 @@ mod tests {
         assert_eq!(u.state_count(), 2);
         assert_eq!(u.edge_count(), 1);
         assert_eq!(
-            u.predecessors(b).iter().copied().collect::<Vec<_>>(),
-            vec![a]
+            u.successors(a).iter().copied().collect::<Vec<_>>(),
+            vec![b]
         );
     }
 
@@ -267,8 +232,8 @@ mod tests {
         u.add_edge(a, b);
         u.add_edge(b, c);
         assert!(!u.accessible(a, c));
-        assert_eq!(u.reachable_from(a).len(), 3);
         u.close_reflexive_transitive();
+        assert_eq!(u.successors(a).len(), 3);
         assert!(u.accessible(a, c));
         assert!(u.accessible(a, a));
         assert!(u.accessible(c, c));

@@ -10,19 +10,18 @@ perf_ok := "import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]);
 # caller, so `ECLECTIC_THREADS` can never override an explicit count.
 env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src | grep -vxF -e crates/kernel/src/envcfg.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs); if [ -n \"$files\" ]; then echo \"env_threads( called outside the top-level entry points: $files\"; exit 1; fi"
 
-# Fails if a library file other than the scheduler and the four parallel
+# Fails if a library file other than the scheduler and the three parallel
 # grains (the obligation chains in `verify`, the completeness strips, the
-# per-procedure dynamic units in `obligations`, the fuzz corpus) submits
-# work to the pool: parallelism lives at the obligation level, and every
-# sweep inside an obligation stays serial.
-grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_workers(' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs -e crates/refine/src/obligations.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the four parallel grains: $files\"; exit 1; fi"
+# fuzz corpus) submits work to the pool: parallelism lives at the
+# obligation level, and every sweep inside an obligation stays serial.
+grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_workers(' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the three parallel grains: $files\"; exit 1; fi"
 
 # The full offline gate: release build, tests, lints and rustdoc with
 # warnings denied (so a doc link to a deleted item fails the gate), the
 # `ECLECTIC_THREADS` read-site and parallel-grain checks, the
 # parallel-determinism suite in release mode (covering the obligation
-# battery, the completeness strips and the per-procedure dynamic units,
-# with and without budget exhaustion),
+# battery and the completeness strips, with and without budget
+# exhaustion),
 # the benchmark package's own known-answer tests (perfbench/ is a separate
 # cargo package, so `--workspace` does not reach it), a one-second untraced
 # and traced smoke run of the benchmark driver on paper-1w and on

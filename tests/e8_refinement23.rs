@@ -6,8 +6,11 @@
 
 use std::sync::Arc;
 
+use eclectic::algebraic::{parse_equations, AlgSpec};
 use eclectic::logic::{Elem, Formula, Term};
-use eclectic::refine::{check_equations_budget, InducedAlgebra, InterpretationK, QueryImpl};
+use eclectic::refine::{
+    check_equations_budget, InducedAlgebra, InterpretationK, QueryImpl, RefineError,
+};
 use eclectic::rpr::{exec, parse_schema, QueryDef, Schema};
 use eclectic::spec::domains::{bank, courses, library};
 use eclectic_kernel::Budget;
@@ -218,5 +221,30 @@ fn node_capped_reachability_returns_a_prefix_of_the_state_order() {
             "{name}: cap 4 must cut the search"
         );
         assert_eq!(prefix[..], all[..prefix.len()], "{name}: not a prefix");
+    }
+}
+
+/// `InducedAlgebra::new` takes the functions level and `K` separately, so a
+/// `K` built for a narrower spec can meet an update it does not map. The
+/// §5.4 check must reject that as a bad interpretation, not panic.
+#[test]
+fn a_k_missing_an_update_is_a_bad_interpretation() {
+    let config = courses::CoursesConfig::default();
+    let full = courses::courses(&config).unwrap();
+    let mut wider = courses::functions_signature(&config).unwrap();
+    let course = wider.logic().sort_id("course").unwrap();
+    wider.add_update("close", &[course], true).unwrap();
+    let eqs = parse_equations(&mut wider, courses::PAPER_EQUATIONS).unwrap();
+    let wider = AlgSpec::new(wider, eqs).unwrap();
+    let mut ind = InducedAlgebra::new(
+        &wider,
+        &full.representation,
+        &full.interp_k,
+        full.empty_state(),
+    )
+    .unwrap();
+    match check_equations_budget(&mut ind, 3, 2_000, 20, &Budget::unlimited()) {
+        Err(RefineError::BadInterpretation(msg)) => assert!(msg.contains("close"), "{msg}"),
+        other => panic!("expected a bad interpretation, got {other:?}"),
     }
 }

@@ -6,7 +6,7 @@
 use eclectic::refine::{cross_check_budget, random_ops, InducedAlgebra};
 use eclectic::spec::domains::{bank, courses, library};
 use eclectic::spec::TriLevelSpec;
-use eclectic_kernel::{Budget, BudgetExceeded, CancelToken};
+use eclectic_kernel::{Budget, BudgetExceeded};
 
 fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
     let mut state = seed;
@@ -67,8 +67,8 @@ fn bank_levels_agree_on_random_traces() {
 }
 
 /// Budget stops end the cross-check gracefully: a node cap of 7 over a
-/// 20-operation trace stops after exactly 7 whole operations, and a
-/// pre-tripped cancel token stops it at once. Neither stop leaves anything
+/// 20-operation trace stops after exactly 7 whole operations, and an
+/// expired deadline stops it at once. Neither stop leaves anything
 /// stale in the induced algebra: a later unlimited run on it equals a run
 /// on a pristine one.
 #[test]
@@ -95,11 +95,9 @@ fn budget_stops_leave_the_induced_algebra_reusable() {
         let e = e.expect("cap 7 must trip on 20 ops");
         assert_eq!((e.stage, e.completed_units), ("cross", 7), "{}", spec.name);
 
-        let token = CancelToken::new();
-        token.cancel();
-        let cancelled = Budget::unlimited().with_cancel(token);
-        let (_, _, e) = cross_check_budget(&spec.functions, &mut ind, &ops, &cancelled, 1).unwrap();
-        assert_eq!(e.map(|e| e.reason), Some(BudgetExceeded::Cancelled), "{}", spec.name);
+        let expired = Budget::unlimited().with_deadline_ms(0);
+        let (_, _, e) = cross_check_budget(&spec.functions, &mut ind, &ops, &expired, 1).unwrap();
+        assert_eq!(e.map(|e| e.reason), Some(BudgetExceeded::Deadline), "{}", spec.name);
 
         let unlimited = Budget::unlimited();
         let redo = cross_check_budget(&spec.functions, &mut ind, &ops, &unlimited, 1).unwrap();
