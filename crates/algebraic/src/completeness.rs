@@ -399,7 +399,8 @@ impl<'s> CompletenessSweep<'s> {
 
 /// Evaluates the ground query application `q(params…, state)` by id: `None`
 /// when it reduces to a parameter name, `Some` when it is stuck (including
-/// fuel exhaustion). Only a stuck instance is externed and rendered.
+/// fuel exhaustion and a guard that cannot be decided because a side of it
+/// is stuck). Only a stuck instance is externed and rendered.
 fn eval_instance(
     rw: &mut Rewriter<'_>,
     q: FuncId,
@@ -415,6 +416,7 @@ fn eval_instance(
         Ok(n) if rw.is_param_name(n) => return Ok(None),
         Ok(n) => render(rw, n),
         Err(AlgError::RewriteLimit { at, .. }) => format!("<fuel exhausted at {at}>"),
+        Err(AlgError::ConditionUndecided { term }) => format!("<condition undecided: {term}>"),
         Err(e) => return Err(e),
     };
     Ok(Some(StuckTerm {

@@ -2,10 +2,9 @@
 //!
 //! An equation is written `condition ==> lhs = rhs` or just `lhs = rhs`.
 //! The condition uses the formula syntax of `eclectic-logic` (quantifiers,
-//! `=`, `!=`, connectives); both sides are terms. The separator `==>` cannot
-//! occur inside the formula syntax (`->` and `<->` are its arrows), so a
-//! plain textual split is unambiguous. Terms contain no `=`, so the
-//! remainder splits on its first `=`.
+//! `=`, `!=`, connectives); both sides are terms. The whole text is read as
+//! one token stream by `eclectic-logic`'s [`Parser`], where `==>` is its own
+//! token, so error offsets are byte offsets in the whole equation.
 //!
 //! Example (the paper's equation 4):
 //!
@@ -13,36 +12,45 @@
 //! ~(c = c') ==> offered(c, offer(c', U)) = offered(c, U)
 //! ```
 
-use eclectic_logic::{parse_formula, parse_term, Formula};
+use eclectic_logic::{Formula, Parser, TokenKind};
 
 use crate::equation::ConditionalEquation;
 use crate::error::{AlgError, Result};
 use crate::signature::AlgSignature;
 
 /// Parses one conditional equation and validates it against the signature.
+/// An empty condition (`==> lhs = rhs`) is `True`.
 ///
 /// # Errors
-/// Returns parse and validation errors.
+/// Returns parse and validation errors; a text that ends after its lhs
+/// (no `=`) is [`AlgError::BadEquation`].
 pub fn parse_equation(
     sig: &mut AlgSignature,
     name: impl Into<String>,
     input: &str,
 ) -> Result<ConditionalEquation> {
     let name = name.into();
-    let (cond_text, eq_text) = match input.split_once("==>") {
-        Some((c, e)) => (Some(c.trim()), e.trim()),
-        None => (None, input.trim()),
-    };
-    let condition = match cond_text {
-        Some(c) if !c.is_empty() => parse_formula(sig.logic_mut(), c)?,
-        _ => Formula::True,
-    };
-    let (lhs_text, rhs_text) = eq_text.split_once('=').ok_or_else(|| AlgError::BadEquation {
-        name: name.clone(),
-        reason: "missing `=` between sides".into(),
-    })?;
-    let lhs = parse_term(sig.logic_mut(), lhs_text.trim())?;
-    let rhs = parse_term(sig.logic_mut(), rhs_text.trim())?;
+    let mut p = Parser::new(sig.logic_mut(), input)?;
+    let mut condition = Formula::True;
+    if p.tokens().iter().any(|t| t.kind == TokenKind::CondArrow) {
+        if p.peek().kind != TokenKind::CondArrow {
+            condition = p.formula()?;
+            condition.check(p.sig)?;
+        }
+        p.expect(&TokenKind::CondArrow)?;
+    }
+    let lhs = p.term()?;
+    lhs.check(p.sig)?;
+    if p.peek().kind == TokenKind::Eof {
+        return Err(AlgError::BadEquation {
+            name,
+            reason: "missing `=` between sides".into(),
+        });
+    }
+    p.expect(&TokenKind::Eq)?;
+    let rhs = p.term()?;
+    p.expect_eof()?;
+    rhs.check(p.sig)?;
     let eq = ConditionalEquation::new(name, condition, lhs, rhs);
     eq.validate(sig)?;
     Ok(eq)
@@ -87,6 +95,9 @@ mod tests {
         let eq = parse_equation(&mut a, "eq1", "offered(c, initiate) = False").unwrap();
         assert_eq!(eq.condition, Formula::True);
         assert_eq!(eq.name, "eq1");
+        // An empty condition is `True` too.
+        let eq = parse_equation(&mut a, "eq1", "==> offered(c, initiate) = False").unwrap();
+        assert_eq!(eq.condition, Formula::True);
     }
 
     #[test]
@@ -99,6 +110,14 @@ mod tests {
         )
         .unwrap();
         assert_ne!(eq.condition, Formula::True);
+        // Both comment forms are skipped.
+        let commented = parse_equation(
+            &mut a,
+            "eq4",
+            "c != c' /* another course */ ==> offered(c, offer(c', U)) = offered(c, U) # eq 4",
+        )
+        .unwrap();
+        assert_eq!(commented, eq);
     }
 
     #[test]
@@ -137,9 +156,31 @@ mod tests {
     }
 
     #[test]
+    fn errors_are_offsets_in_the_whole_equation() {
+        let mut a = sig();
+        let offset = |a: &mut AlgSignature, text: &str| match parse_equation(a, "bad", text) {
+            Err(AlgError::Logic(eclectic_logic::LogicError::Parse { offset, .. })) => offset,
+            other => panic!("expected a parse error for `{text}`, got {other:?}"),
+        };
+        assert_eq!(offset(&mut a, "offered(c, initiate) = Fals!"), 27);
+        assert_eq!(
+            offset(
+                &mut a,
+                "c != c' ==> offered(c, offer(c', U)) = offered(c, U!)"
+            ),
+            51
+        );
+    }
+
+    #[test]
     fn validation_applies() {
         let mut a = sig();
         // rhs variable not in lhs.
-        assert!(parse_equation(&mut a, "bad", "offered(c, initiate) = offered(c', initiate)").is_err());
+        assert!(parse_equation(
+            &mut a,
+            "bad",
+            "offered(c, initiate) = offered(c', initiate)"
+        )
+        .is_err());
     }
 }

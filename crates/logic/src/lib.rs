@@ -16,7 +16,9 @@
 //!   carrier at the functions level, and RPR database states);
 //! - [`eval`]: Tarskian satisfaction over finite structures;
 //! - [`Theory`]: axiom sets classified into static vs transition constraints;
-//! - a parser and pretty-printer for a plain-ASCII concrete syntax.
+//! - a parser and pretty-printer for a plain-ASCII concrete syntax; its
+//!   lexer and [`Parser`] are the one front end for every spec text of the
+//!   workspace (formulas, conditional equations, RPR schemas).
 //!
 //! # Example
 //!
@@ -61,7 +63,7 @@ pub use eclectic_kernel::{Binding, SortOracle, TermId, TermNode, TermStore};
 
 pub use error::{LogicError, Result};
 pub use formula::Formula;
-pub use parser::{parse_formula, parse_term};
+pub use parser::{parse_formula, parse_term, Parser, Token, TokenKind};
 pub use printer::{formula_display, term_display, FormulaDisplay, TermDisplay};
 pub use signature::Signature;
 pub use structure::{Domains, Elem, Structure, StructureKey};

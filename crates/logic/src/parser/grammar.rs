@@ -23,16 +23,31 @@
 //! variable, constant, or 0-ary predicate depending on its declaration. A
 //! binder `x:sort` declares `x` in the signature if absent (mirroring the
 //! paper's convention that languages come with a stock of typed variables).
+//!
+//! The same [`Parser`] reads the formulas and terms embedded in conditional
+//! equations (`eclectic-algebraic`) and in RPR schemas (`eclectic-rpr`):
+//! those grammars drive it through its public token helpers.
 
 use crate::error::{LogicError, Result};
 use crate::formula::Formula;
 use crate::parser::lexer::{tokenize, Token, TokenKind};
 use crate::signature::Signature;
-use crate::symbols::Symbol;
+use crate::symbols::{Symbol, VarId};
 use crate::term::Term;
 
-struct Parser<'a> {
-    sig: &'a mut Signature,
+/// A recursive-descent parser over one tokenised input.
+///
+/// [`Parser::formula`] and [`Parser::term`] read the grammar in the module
+/// docs; the token helpers ([`Parser::peek`], [`Parser::eat`],
+/// [`Parser::expect`], [`Parser::ident`], the contextual-keyword checks and
+/// [`Parser::pos`]/[`Parser::rewind`] for backtracking) let a grammar built
+/// on top of this one read its own constructs around them. Errors are
+/// [`LogicError::Parse`] with the byte offset of the offending token in the
+/// whole input.
+pub struct Parser<'a> {
+    /// The signature identifiers resolve against; binders and declarations
+    /// extend it.
+    pub sig: &'a mut Signature,
     tokens: Vec<Token>,
     pos: usize,
 }
@@ -43,12 +58,7 @@ struct Parser<'a> {
 /// Returns [`LogicError::Parse`] with position information on syntax errors,
 /// plus resolution/sorting errors.
 pub fn parse_formula(sig: &mut Signature, input: &str) -> Result<Formula> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        sig,
-        tokens,
-        pos: 0,
-    };
+    let mut p = Parser::new(sig, input)?;
     let f = p.formula()?;
     p.expect_eof()?;
     f.check(p.sig)?;
@@ -60,32 +70,64 @@ pub fn parse_formula(sig: &mut Signature, input: &str) -> Result<Formula> {
 /// # Errors
 /// See [`parse_formula`].
 pub fn parse_term(sig: &mut Signature, input: &str) -> Result<Term> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        sig,
-        tokens,
-        pos: 0,
-    };
+    let mut p = Parser::new(sig, input)?;
     let t = p.term()?;
     p.expect_eof()?;
     t.check(p.sig)?;
     Ok(t)
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    /// Tokenises `input` and positions the parser at its first token.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::Parse`] on a lexical error.
+    pub fn new(sig: &'a mut Signature, input: &str) -> Result<Self> {
+        Ok(Parser {
+            sig,
+            tokens: tokenize(input)?,
+            pos: 0,
+        })
+    }
+
+    /// The whole token stream, ending in [`TokenKind::Eof`].
+    #[must_use]
+    pub fn tokens(&self) -> &[Token] {
+        &self.tokens
+    }
+
+    /// The next token.
+    #[must_use]
+    pub fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// The kind of the token `n` places ahead ([`TokenKind::Eof`] past the end).
+    #[must_use]
+    pub fn peek_nth(&self, n: usize) -> &TokenKind {
+        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
+    }
+
+    /// The position of the next token, for [`Parser::rewind`].
+    #[must_use]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Returns to a position taken with [`Parser::pos`] (a later position
+    /// past the end stops at [`TokenKind::Eof`]).
+    pub fn rewind(&mut self, pos: usize) {
+        self.pos = pos.min(self.tokens.len() - 1);
+    }
+
+    fn advance(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    /// Consumes the next token if it is `kind`.
+    pub fn eat(&mut self, kind: &TokenKind) -> bool {
         if &self.peek().kind == kind {
             self.advance();
             true
@@ -94,7 +136,11 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<()> {
+    /// Consumes the next token, which must be `kind`.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::Parse`] naming the expected and found tokens.
+    pub fn expect(&mut self, kind: &TokenKind) -> Result<()> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -106,7 +152,42 @@ impl Parser<'_> {
         }
     }
 
-    fn expect_eof(&mut self) -> Result<()> {
+    /// Whether the next token is the identifier `word` (a contextual
+    /// keyword: the lexer does not reserve it).
+    #[must_use]
+    pub fn at_keyword(&self, word: &str) -> bool {
+        matches!(&self.peek().kind, TokenKind::Ident(s) if s == word)
+    }
+
+    /// Consumes the next token if it is the contextual keyword `word`.
+    pub fn eat_keyword(&mut self, word: &str) -> bool {
+        let at = self.at_keyword(word);
+        if at {
+            self.advance();
+        }
+        at
+    }
+
+    /// Consumes the next token, which must be the contextual keyword `word`.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::Parse`] naming the expected and found tokens.
+    pub fn expect_keyword(&mut self, word: &str) -> Result<()> {
+        if self.eat_keyword(word) {
+            Ok(())
+        } else {
+            Err(self.error(format!(
+                "expected `{word}`, found {}",
+                self.peek().kind.describe()
+            )))
+        }
+    }
+
+    /// Checks that the input is exhausted.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::Parse`] at the first trailing token.
+    pub fn expect_eof(&mut self) -> Result<()> {
         if self.peek().kind == TokenKind::Eof {
             Ok(())
         } else {
@@ -117,14 +198,20 @@ impl Parser<'_> {
         }
     }
 
-    fn error(&self, message: String) -> LogicError {
+    /// A [`LogicError::Parse`] at the next token.
+    #[must_use]
+    pub fn error(&self, message: String) -> LogicError {
         LogicError::Parse {
             offset: self.peek().offset,
             message,
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    /// Consumes an identifier and returns its name.
+    ///
+    /// # Errors
+    /// Returns [`LogicError::Parse`] if the next token is not an identifier.
+    pub fn ident(&mut self) -> Result<String> {
         match &self.peek().kind {
             TokenKind::Ident(s) => {
                 let s = s.clone();
@@ -135,7 +222,29 @@ impl Parser<'_> {
         }
     }
 
-    fn formula(&mut self) -> Result<Formula> {
+    /// Reads a binder `x` or `x:sort`. A sorted binder declares `x` in the
+    /// signature (or reuses it if it has that sort); a bare one must name a
+    /// declared variable.
+    ///
+    /// # Errors
+    /// Returns parse errors and the signature's declaration errors.
+    pub fn binder(&mut self) -> Result<VarId> {
+        let name = self.ident()?;
+        if self.eat(&TokenKind::Colon) {
+            let sort_name = self.ident()?;
+            let sort = self.sig.sort_id(&sort_name)?;
+            self.sig.add_var(&name, sort)
+        } else {
+            self.sig.var_id(&name)
+        }
+    }
+
+    /// Reads a formula (the `formula` rule), leaving the parser at the first
+    /// token after it. The result is not sort-checked.
+    ///
+    /// # Errors
+    /// Returns parse and name-resolution errors.
+    pub fn formula(&mut self) -> Result<Formula> {
         self.iff()
     }
 
@@ -203,23 +312,9 @@ impl Parser<'_> {
     }
 
     fn quantifier(&mut self, universal: bool) -> Result<Formula> {
-        let mut binders = Vec::new();
-        loop {
-            let name = self.ident()?;
-            let var = if self.eat(&TokenKind::Colon) {
-                let sort_name = self.ident()?;
-                let sort = self.sig.sort_id(&sort_name)?;
-                self.sig.add_var(&name, sort)?
-            } else {
-                self.sig.var_id(&name)?
-            };
-            binders.push(var);
-            if self.peek().kind == TokenKind::Dot {
-                break;
-            }
-            if !matches!(self.peek().kind, TokenKind::Ident(_)) {
-                break;
-            }
+        let mut binders = vec![self.binder()?];
+        while matches!(self.peek().kind, TokenKind::Ident(_)) {
+            binders.push(self.binder()?);
         }
         self.expect(&TokenKind::Dot)?;
         let body = self.formula()?;
@@ -231,7 +326,7 @@ impl Parser<'_> {
     }
 
     fn atom(&mut self) -> Result<Formula> {
-        match self.peek().kind.clone() {
+        match &self.peek().kind {
             TokenKind::True => {
                 self.advance();
                 Ok(Formula::True)
@@ -248,19 +343,9 @@ impl Parser<'_> {
             }
             TokenKind::Ident(name) => {
                 // Predicate application, or a term (for equality).
-                if let Some(Symbol::Pred(p)) = self.sig.lookup(&name) {
+                if let Some(Symbol::Pred(p)) = self.sig.lookup(name) {
                     self.advance();
-                    let args = if self.eat(&TokenKind::LParen) {
-                        let mut args = vec![self.term()?];
-                        while self.eat(&TokenKind::Comma) {
-                            args.push(self.term()?);
-                        }
-                        self.expect(&TokenKind::RParen)?;
-                        args
-                    } else {
-                        Vec::new()
-                    };
-                    return Ok(Formula::Pred(p, args));
+                    return Ok(Formula::Pred(p, self.args()?));
                 }
                 let left = self.term()?;
                 if self.eat(&TokenKind::Eq) {
@@ -277,29 +362,35 @@ impl Parser<'_> {
         }
     }
 
-    fn term(&mut self) -> Result<Term> {
+    /// Reads a term (the `term` rule), leaving the parser at the first token
+    /// after it. The result is not sort-checked.
+    ///
+    /// # Errors
+    /// Returns parse and name-resolution errors.
+    pub fn term(&mut self) -> Result<Term> {
         let name = self.ident()?;
         match self.sig.lookup(&name) {
             Some(Symbol::Var(v)) => Ok(Term::Var(v)),
-            Some(Symbol::Func(f)) => {
-                let args = if self.eat(&TokenKind::LParen) {
-                    let mut args = vec![self.term()?];
-                    while self.eat(&TokenKind::Comma) {
-                        args.push(self.term()?);
-                    }
-                    self.expect(&TokenKind::RParen)?;
-                    args
-                } else {
-                    Vec::new()
-                };
-                Ok(Term::App(f, args))
-            }
+            Some(Symbol::Func(f)) => Ok(Term::App(f, self.args()?)),
             Some(sym) => Err(self.error(format!(
                 "`{name}` is a {} where a term was expected",
                 sym.kind()
             ))),
             None => Err(self.error(format!("unknown identifier `{name}`"))),
         }
+    }
+
+    /// Reads an optional argument list `( term, … )`; no `(`, no arguments.
+    fn args(&mut self) -> Result<Vec<Term>> {
+        let mut args = Vec::new();
+        if self.eat(&TokenKind::LParen) {
+            args.push(self.term()?);
+            while self.eat(&TokenKind::Comma) {
+                args.push(self.term()?);
+            }
+            self.expect(&TokenKind::RParen)?;
+        }
+        Ok(args)
     }
 }
 
@@ -368,8 +459,11 @@ mod tests {
     #[test]
     fn multi_binder_quantifier() {
         let mut sig = sig();
-        let f = parse_formula(&mut sig, "forall s:student c:course. takes(s, c) -> offered(c)")
-            .unwrap();
+        let f = parse_formula(
+            &mut sig,
+            "forall s:student c:course. takes(s, c) -> offered(c)",
+        )
+        .unwrap();
         assert!(f.is_closed());
         match f {
             Formula::Forall(_, inner) => assert!(matches!(*inner, Formula::Forall(..))),
@@ -416,6 +510,38 @@ mod tests {
         assert!(matches!(err, LogicError::Parse { .. }));
         let err = parse_formula(&mut sig, "unknown_pred(c)").unwrap_err();
         assert!(matches!(err, LogicError::Parse { .. }));
+    }
+
+    #[test]
+    fn block_comments_parse_in_formulas() {
+        let mut sig = sig();
+        let f = parse_formula(
+            &mut sig,
+            "offered(c) /* the course */ & takes(s, c) # guard",
+        )
+        .unwrap();
+        assert!(matches!(f, Formula::And(..)));
+    }
+
+    #[test]
+    fn parser_backtracks_and_reads_contextual_keywords() {
+        let mut sig = sig();
+        let mut p = Parser::new(&mut sig, "if offered(c) then").unwrap();
+        assert!(p.at_keyword("if") && !p.at_keyword("then"));
+        assert!(p.eat_keyword("if"));
+        let at = p.pos();
+        assert!(p.term().is_err());
+        p.rewind(at);
+        assert!(matches!(p.formula().unwrap(), Formula::Pred(..)));
+        assert_eq!(
+            p.expect_keyword("fi").unwrap_err(),
+            LogicError::Parse {
+                offset: 14,
+                message: "expected `fi`, found identifier `then`".into()
+            }
+        );
+        p.expect_keyword("then").unwrap();
+        p.expect_eof().unwrap();
     }
 
     #[test]

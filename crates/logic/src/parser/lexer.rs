@@ -1,4 +1,5 @@
-//! Lexer for the concrete syntax of terms and formulas.
+//! The workspace's one lexer: the tokens of terms, formulas, conditional
+//! equations and RPR schemas.
 
 use crate::error::{LogicError, Result};
 
@@ -11,7 +12,7 @@ pub struct Token {
     pub offset: usize,
 }
 
-/// The kinds of token recognised by the formula language.
+/// The kinds of token of the spec languages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     /// An identifier (symbol or variable name).
@@ -40,6 +41,24 @@ pub enum TokenKind {
     Arrow,
     /// `<->`.
     DArrow,
+    /// `==>`, between a conditional equation's condition and its sides.
+    CondArrow,
+    /// `{`.
+    LBrace,
+    /// `}`.
+    RBrace,
+    /// `;`.
+    Semi,
+    /// `?`.
+    Question,
+    /// `*`.
+    Star,
+    /// `:=`.
+    Assign,
+    /// `[]` (nondeterministic union of programs).
+    Union,
+    /// `end-schema`.
+    EndSchema,
     /// `forall` keyword.
     Forall,
     /// `exists` keyword.
@@ -74,6 +93,15 @@ impl TokenKind {
             TokenKind::Not => "`~`".into(),
             TokenKind::Arrow => "`->`".into(),
             TokenKind::DArrow => "`<->`".into(),
+            TokenKind::CondArrow => "`==>`".into(),
+            TokenKind::LBrace => "`{`".into(),
+            TokenKind::RBrace => "`}`".into(),
+            TokenKind::Semi => "`;`".into(),
+            TokenKind::Question => "`?`".into(),
+            TokenKind::Star => "`*`".into(),
+            TokenKind::Assign => "`:=`".into(),
+            TokenKind::Union => "`[]`".into(),
+            TokenKind::EndSchema => "`end-schema`".into(),
             TokenKind::Forall => "`forall`".into(),
             TokenKind::Exists => "`exists`".into(),
             TokenKind::Dia => "`dia`".into(),
@@ -87,12 +115,24 @@ impl TokenKind {
 
 /// Tokenises the input.
 ///
-/// Identifiers are `[A-Za-z_][A-Za-z0-9_']*`; whitespace separates tokens;
-/// `#` starts a comment to end of line (also `'` is allowed inside
-/// identifiers so that the paper's primed variables `c'` lex naturally).
+/// - Identifiers are `[A-Za-z_][A-Za-z0-9_']*` (`'` so that the paper's
+///   primed variables `c'` lex naturally) or `[0-9][A-Za-z0-9]*` (numeric
+///   element and constant names).
+/// - `forall`, `exists`, `dia`, `box`, `true` and `false` are reserved
+///   words. The statement words of RPR (`schema`, `proc`, `if`, `then`,
+///   `else`, `fi`, `while`, `do`, `od`, `insert`, `delete`, `empty`,
+///   `skip`) are contextual: they lex as identifiers, the statement
+///   grammar recognises them only where it expects them, and they stay
+///   legal names in formulas and equations.
+/// - `end-schema` is one token.
+/// - Punctuation: `(` `)` `{` `}` `,` `.` `:` `;` `?` `*` `=` `!=` `&` `|`
+///   `~` `->` `<->` `==>` `:=` `[]`.
+/// - Whitespace separates tokens; `#` starts a comment to the end of the
+///   line and `/* … */` is a block comment.
 ///
 /// # Errors
-/// Returns [`LogicError::Parse`] on unexpected characters.
+/// Returns [`LogicError::Parse`] on unexpected characters and on an
+/// unterminated block comment.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
@@ -108,6 +148,15 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     i += 1;
                 }
             }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => match input[i + 2..].find("*/") {
+                Some(len) => i += len + 4,
+                None => {
+                    return Err(LogicError::Parse {
+                        offset: i,
+                        message: "unterminated block comment".into(),
+                    });
+                }
+            },
             b'(' => {
                 tokens.push(Token {
                     kind: TokenKind::LParen,
@@ -137,18 +186,83 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 i += 1;
             }
             b':' => {
+                if bytes.get(i + 1) == Some(&b'=') {
+                    tokens.push(Token {
+                        kind: TokenKind::Assign,
+                        offset: i,
+                    });
+                    i += 2;
+                } else {
+                    tokens.push(Token {
+                        kind: TokenKind::Colon,
+                        offset: i,
+                    });
+                    i += 1;
+                }
+            }
+            b'=' => {
+                if input[i + 1..].starts_with("=>") {
+                    tokens.push(Token {
+                        kind: TokenKind::CondArrow,
+                        offset: i,
+                    });
+                    i += 3;
+                } else {
+                    tokens.push(Token {
+                        kind: TokenKind::Eq,
+                        offset: i,
+                    });
+                    i += 1;
+                }
+            }
+            b'{' => {
                 tokens.push(Token {
-                    kind: TokenKind::Colon,
+                    kind: TokenKind::LBrace,
                     offset: i,
                 });
                 i += 1;
             }
-            b'=' => {
+            b'}' => {
                 tokens.push(Token {
-                    kind: TokenKind::Eq,
+                    kind: TokenKind::RBrace,
                     offset: i,
                 });
                 i += 1;
+            }
+            b';' => {
+                tokens.push(Token {
+                    kind: TokenKind::Semi,
+                    offset: i,
+                });
+                i += 1;
+            }
+            b'?' => {
+                tokens.push(Token {
+                    kind: TokenKind::Question,
+                    offset: i,
+                });
+                i += 1;
+            }
+            b'*' => {
+                tokens.push(Token {
+                    kind: TokenKind::Star,
+                    offset: i,
+                });
+                i += 1;
+            }
+            b'[' => {
+                if bytes.get(i + 1) == Some(&b']') {
+                    tokens.push(Token {
+                        kind: TokenKind::Union,
+                        offset: i,
+                    });
+                    i += 2;
+                } else {
+                    return Err(LogicError::Parse {
+                        offset: i,
+                        message: "expected `[]`".into(),
+                    });
+                }
             }
             b'&' => {
                 tokens.push(Token {
@@ -221,6 +335,14 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     i += 1;
                 }
                 let word = &input[start..i];
+                if word == "end" && input[i..].starts_with("-schema") {
+                    i += "-schema".len();
+                    tokens.push(Token {
+                        kind: TokenKind::EndSchema,
+                        offset: start,
+                    });
+                    continue;
+                }
                 let kind = match word {
                     "forall" => TokenKind::Forall,
                     "exists" => TokenKind::Exists,
@@ -307,11 +429,68 @@ mod tests {
     }
 
     #[test]
-    fn rejects_stray_characters() {
+    fn lexes_schema_tokens() {
+        let toks = tokenize(
+            "schema OFFERED(course); proc offer(c: course) = insert OFFERED(c) end-schema",
+        )
+        .unwrap();
+        let kinds: Vec<_> = toks.into_iter().map(|t| t.kind).collect();
+        // Statement words are contextual: they lex as identifiers.
+        assert_eq!(kinds[0], TokenKind::Ident("schema".into()));
+        assert!(kinds.contains(&TokenKind::Semi));
+        assert!(kinds.contains(&TokenKind::Ident("proc".into())));
+        assert!(kinds.contains(&TokenKind::Ident("insert".into())));
+        assert_eq!(kinds[kinds.len() - 2], TokenKind::EndSchema);
+        assert_eq!(*kinds.last().unwrap(), TokenKind::Eof);
+    }
+
+    #[test]
+    fn assign_vs_colon() {
+        let toks = tokenize("R := x : y").unwrap();
+        let kinds: Vec<_> = toks.into_iter().map(|t| t.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                TokenKind::Ident("R".into()),
+                TokenKind::Assign,
+                TokenKind::Ident("x".into()),
+                TokenKind::Colon,
+                TokenKind::Ident("y".into()),
+                TokenKind::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn block_comments_skip() {
+        let toks = tokenize("a /* comment with insert */ b").unwrap();
+        assert_eq!(toks.len(), 3);
+        assert_eq!(toks[1].offset, 28);
         assert!(matches!(
-            tokenize("a $ b"),
-            Err(LogicError::Parse { .. })
+            tokenize("/* unterminated"),
+            Err(LogicError::Parse { offset: 0, .. })
         ));
+    }
+
+    #[test]
+    fn union_token() {
+        let toks = tokenize("p [] q").unwrap();
+        assert_eq!(toks[1].kind, TokenKind::Union);
+        assert!(matches!(tokenize("p [ q"), Err(LogicError::Parse { .. })));
+    }
+
+    #[test]
+    fn equation_arrow_vs_equals() {
+        let toks = tokenize("c != c' ==> x = y").unwrap();
+        let kinds: Vec<_> = toks.into_iter().map(|t| t.kind).collect();
+        assert_eq!(kinds[1], TokenKind::Neq);
+        assert_eq!(kinds[3], TokenKind::CondArrow);
+        assert_eq!(kinds[5], TokenKind::Eq);
+    }
+
+    #[test]
+    fn rejects_stray_characters() {
+        assert!(matches!(tokenize("a $ b"), Err(LogicError::Parse { .. })));
         assert!(matches!(tokenize("a - b"), Err(LogicError::Parse { .. })));
         assert!(matches!(tokenize("< b"), Err(LogicError::Parse { .. })));
         assert!(matches!(tokenize("!b"), Err(LogicError::Parse { .. })));

@@ -1,6 +1,8 @@
-//! Concrete-syntax parsing for terms and formulas.
+//! Concrete-syntax parsing for terms and formulas, and the token-level
+//! [`Parser`] that the equation and schema grammars build on.
 
 mod grammar;
-pub mod lexer;
+mod lexer;
 
-pub use grammar::{parse_formula, parse_term};
+pub use grammar::{parse_formula, parse_term, Parser};
+pub use lexer::{Token, TokenKind};

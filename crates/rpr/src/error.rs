@@ -94,9 +94,14 @@ impl std::error::Error for RprError {
     }
 }
 
+/// A syntax error of the shared front end stays a parse error of the RPR
+/// text; every other logic error is wrapped.
 impl From<LogicError> for RprError {
     fn from(e: LogicError) -> Self {
-        RprError::Logic(e)
+        match e {
+            LogicError::Parse { offset, message } => RprError::Parse { offset, message },
+            e => RprError::Logic(e),
+        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! Recursive-descent parser for the RPR schema language.
+//! The statement layer of the RPR schema language, on `eclectic-logic`'s
+//! lexer and [`Parser`].
 //!
 //! ```text
 //! schema   ::= 'schema' decl* proc* 'end-schema'
@@ -17,23 +18,38 @@
 //!            | 'skip'
 //!            | wff '?'
 //! relterm  ::= '{' '(' binder (',' binder)* ')' '|' wff '}'
-//! binder   ::= IDENT (':' IDENT)?
 //! ```
 //!
-//! The embedded wff syntax mirrors `eclectic-logic` (without modalities,
-//! which do not exist at the representation level).
+//! Every `wff`, `term` and `binder` is read by [`Parser::formula`],
+//! [`Parser::term`] and [`Parser::binder`], so RPR text has the lexical
+//! syntax and formula grammar of `eclectic-logic`. The statement words
+//! (`schema`, `proc`, `if`, `skip`, …) are contextual keywords, recognised
+//! only where this layer expects them. The representation level has no
+//! modalities, so a `dia` or `box` anywhere in RPR text is a parse error.
 
-use eclectic_logic::{Formula, PredId, Signature, Symbol, Term};
+use eclectic_logic::{Formula, Parser, PredId, Signature, Symbol, Term, TokenKind};
 
 use crate::ast::{RelTerm, Stmt};
 use crate::error::{Result, RprError};
-use crate::parser::lexer::{tokenize, Tok, Token};
 use crate::schema::ProcDecl;
 
-struct Parser<'a> {
-    sig: &'a mut Signature,
-    toks: Vec<Token>,
-    pos: usize,
+/// Tokenises `input` for the statement layer, rejecting modal operators.
+fn parser<'a>(sig: &'a mut Signature, input: &str) -> Result<Parser<'a>> {
+    let p = Parser::new(sig, input)?;
+    match p
+        .tokens()
+        .iter()
+        .find(|t| matches!(t.kind, TokenKind::Dia | TokenKind::Box))
+    {
+        Some(t) => Err(RprError::Parse {
+            offset: t.offset,
+            message: format!(
+                "{} is a modality; RPR wffs are first-order",
+                t.kind.describe()
+            ),
+        }),
+        None => Ok(p),
+    }
 }
 
 /// Parses a full schema text, declaring relations, parameters and variables
@@ -41,23 +57,19 @@ struct Parser<'a> {
 ///
 /// # Errors
 /// Returns [`RprError::Parse`] with byte offsets, plus validation errors.
-pub fn parse_schema(
-    sig: &mut Signature,
-    input: &str,
-) -> Result<(Vec<PredId>, Vec<ProcDecl>)> {
-    let toks = tokenize(input)?;
-    let mut p = Parser { sig, toks, pos: 0 };
-    p.expect(&Tok::KwSchema)?;
+pub fn parse_schema(sig: &mut Signature, input: &str) -> Result<(Vec<PredId>, Vec<ProcDecl>)> {
+    let mut p = parser(sig, input)?;
+    p.expect_keyword("schema")?;
     let mut relations = Vec::new();
     // Declarations: IDENT '(' … — until `proc` or `end-schema`.
-    while matches!(p.peek().kind, Tok::Ident(_)) {
-        relations.push(p.declaration()?);
+    while matches!(p.peek().kind, TokenKind::Ident(_)) && !p.at_keyword("proc") {
+        relations.push(declaration(&mut p)?);
     }
     let mut procs = Vec::new();
-    while p.peek().kind == Tok::KwProc {
-        procs.push(p.proc_decl()?);
+    while p.eat_keyword("proc") {
+        procs.push(proc_decl(&mut p)?);
     }
-    p.expect(&Tok::KwEndSchema)?;
+    p.expect(&TokenKind::EndSchema)?;
     p.expect_eof()?;
     Ok((relations, procs))
 }
@@ -67,9 +79,8 @@ pub fn parse_schema(
 /// # Errors
 /// See [`parse_schema`].
 pub fn parse_stmt(sig: &mut Signature, input: &str) -> Result<Stmt> {
-    let toks = tokenize(input)?;
-    let mut p = Parser { sig, toks, pos: 0 };
-    let s = p.stmt()?;
+    let mut p = parser(sig, input)?;
+    let s = stmt(&mut p)?;
     p.expect_eof()?;
     // Free variables are allowed here: callers bind them via an environment.
     Ok(s)
@@ -80,467 +91,219 @@ pub fn parse_stmt(sig: &mut Signature, input: &str) -> Result<Stmt> {
 /// # Errors
 /// See [`parse_schema`].
 pub fn parse_wff(sig: &mut Signature, input: &str) -> Result<Formula> {
-    let toks = tokenize(input)?;
-    let mut p = Parser { sig, toks, pos: 0 };
-    let f = p.wff()?;
+    let mut p = parser(sig, input)?;
+    let f = p.formula()?;
     p.expect_eof()?;
     f.check(p.sig)?;
     Ok(f)
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos]
-    }
+// ---- schema parts -------------------------------------------------------
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind
-    }
-
-    fn advance(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, kind: &Tok) -> bool {
-        if &self.peek().kind == kind {
-            self.advance();
-            true
-        } else {
-            false
+fn declaration(p: &mut Parser<'_>) -> Result<PredId> {
+    let name = p.ident()?;
+    p.expect(&TokenKind::LParen)?;
+    let mut sorts = Vec::new();
+    loop {
+        let sname = p.ident()?;
+        sorts.push(p.sig.sort_id(&sname)?);
+        if !p.eat(&TokenKind::Comma) {
+            break;
         }
     }
-
-    fn expect(&mut self, kind: &Tok) -> Result<()> {
-        if self.eat(kind) {
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected {}, found {}",
-                kind.describe(),
-                self.peek().kind.describe()
-            )))
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<()> {
-        if self.peek().kind == Tok::Eof {
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "unexpected trailing {}",
-                self.peek().kind.describe()
-            )))
-        }
-    }
-
-    fn err(&self, message: String) -> RprError {
-        RprError::Parse {
-            offset: self.peek().offset,
-            message,
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match &self.peek().kind {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
-        }
-    }
-
-    // ---- schema parts -------------------------------------------------
-
-    fn declaration(&mut self) -> Result<PredId> {
-        let name = self.ident()?;
-        self.expect(&Tok::LParen)?;
-        let mut sorts = Vec::new();
-        loop {
-            let sname = self.ident()?;
-            sorts.push(self.sig.sort_id(&sname)?);
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::Semi)?;
-        match self.sig.lookup(&name) {
-            Some(Symbol::Pred(p)) => {
-                if self.sig.pred(p).domain != sorts {
-                    return Err(self.err(format!(
+    p.expect(&TokenKind::RParen)?;
+    p.expect(&TokenKind::Semi)?;
+    match p.sig.lookup(&name) {
+        Some(Symbol::Pred(r)) => {
+            if p.sig.pred(r).domain != sorts {
+                return Err(p
+                    .error(format!(
                         "relation `{name}` re-declared with different columns"
-                    )));
-                }
-                Ok(p)
-            }
-            Some(_) => Err(self.err(format!("`{name}` is not a relation name"))),
-            None => Ok(self.sig.add_db_predicate(&name, &sorts)?),
-        }
-    }
-
-    fn proc_decl(&mut self) -> Result<ProcDecl> {
-        self.expect(&Tok::KwProc)?;
-        let name = self.ident()?;
-        self.expect(&Tok::LParen)?;
-        let mut params = Vec::new();
-        if self.peek().kind != Tok::RParen {
-            loop {
-                let pname = self.ident()?;
-                self.expect(&Tok::Colon)?;
-                let sname = self.ident()?;
-                let sort = self.sig.sort_id(&sname)?;
-                // Parameters are typed variables; re-declaring with the same
-                // sort reuses the existing variable.
-                let v = self.sig.add_var(&pname, sort)?;
-                params.push(v);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::Eq)?;
-        let body = self.stmt()?;
-        let allowed: std::collections::BTreeSet<_> = params.iter().copied().collect();
-        body.validate(self.sig, &allowed)?;
-        Ok(ProcDecl { name, params, body })
-    }
-
-    // ---- statements ----------------------------------------------------
-
-    fn stmt(&mut self) -> Result<Stmt> {
-        let mut left = self.seq()?;
-        while self.eat(&Tok::UnionOp) {
-            let right = self.seq()?;
-            left = left.union(right);
-        }
-        Ok(left)
-    }
-
-    fn seq(&mut self) -> Result<Stmt> {
-        let mut left = self.postfix()?;
-        while self.eat(&Tok::Semi) {
-            let right = self.postfix()?;
-            left = left.seq(right);
-        }
-        Ok(left)
-    }
-
-    fn postfix(&mut self) -> Result<Stmt> {
-        let mut s = self.primary()?;
-        while self.eat(&Tok::Star) {
-            s = s.star();
-        }
-        Ok(s)
-    }
-
-    fn primary(&mut self) -> Result<Stmt> {
-        match self.peek().kind.clone() {
-            Tok::KwSkip => {
-                self.advance();
-                Ok(Stmt::Skip)
-            }
-            Tok::KwInsert => {
-                self.advance();
-                let (r, args) = self.rel_tuple()?;
-                Ok(Stmt::Insert(r, args))
-            }
-            Tok::KwDelete => {
-                self.advance();
-                let (r, args) = self.rel_tuple()?;
-                Ok(Stmt::Delete(r, args))
-            }
-            Tok::KwIf => {
-                self.advance();
-                let cond = self.wff()?;
-                self.expect(&Tok::KwThen)?;
-                let then_branch = self.stmt()?;
-                let stmt = if self.eat(&Tok::KwElse) {
-                    let else_branch = self.stmt()?;
-                    Stmt::IfThenElse(cond, Box::new(then_branch), Box::new(else_branch))
-                } else {
-                    Stmt::IfThen(cond, Box::new(then_branch))
-                };
-                self.expect(&Tok::KwFi)?;
-                Ok(stmt)
-            }
-            Tok::KwWhile => {
-                self.advance();
-                let cond = self.wff()?;
-                self.expect(&Tok::KwDo)?;
-                let body = self.stmt()?;
-                self.expect(&Tok::KwOd)?;
-                Ok(Stmt::While(cond, Box::new(body)))
-            }
-            Tok::LParen => {
-                // Try `( stmt )`; backtrack to a parenthesised test.
-                let save = self.pos;
-                self.advance();
-                let attempt = (|| -> Result<Stmt> {
-                    let s = self.stmt()?;
-                    self.expect(&Tok::RParen)?;
-                    Ok(s)
-                })();
-                match attempt {
-                    Ok(s) => Ok(s),
-                    Err(_) => {
-                        self.pos = save;
-                        self.test_stmt()
-                    }
-                }
-            }
-            Tok::Ident(name) => {
-                if *self.peek2() == Tok::Assign {
-                    self.advance(); // ident
-                    self.advance(); // :=
-                    self.assignment(&name)
-                } else {
-                    self.test_stmt()
-                }
-            }
-            Tok::Not | Tok::KwForall | Tok::KwExists | Tok::KwTrue | Tok::KwFalse => {
-                self.test_stmt()
-            }
-            other => Err(self.err(format!("expected statement, found {}", other.describe()))),
-        }
-    }
-
-    fn test_stmt(&mut self) -> Result<Stmt> {
-        let f = self.wff()?;
-        self.expect(&Tok::Question)?;
-        Ok(Stmt::Test(f))
-    }
-
-    fn assignment(&mut self, name: &str) -> Result<Stmt> {
-        match self.sig.lookup(name) {
-            Some(Symbol::Pred(r)) => {
-                if self.eat(&Tok::KwEmpty) {
-                    let domain = self.sig.pred(r).domain.clone();
-                    let vars: Vec<_> = domain
-                        .iter()
-                        .map(|&s| {
-                            let hint =
-                                self.sig.sort_name(s).chars().next().unwrap_or('x').to_string();
-                            self.sig.fresh_var(&hint, s)
-                        })
-                        .collect();
-                    Ok(Stmt::RelAssign(
-                        r,
-                        RelTerm {
-                            vars,
-                            wff: Formula::False,
-                        },
                     ))
-                } else {
-                    let rt = self.relterm()?;
-                    Ok(Stmt::RelAssign(r, rt))
-                }
+                    .into());
             }
-            Some(Symbol::Func(x)) => {
-                let t = self.term()?;
-                Ok(Stmt::Assign(x, t))
-            }
-            _ => Err(self.err(format!("`{name}` is not assignable"))),
+            Ok(r)
         }
+        Some(_) => Err(p.error(format!("`{name}` is not a relation name")).into()),
+        None => Ok(p.sig.add_db_predicate(&name, &sorts)?),
     }
+}
 
-    fn rel_tuple(&mut self) -> Result<(PredId, Vec<Term>)> {
-        let name = self.ident()?;
-        let r = self.sig.pred_id(&name)?;
-        self.expect(&Tok::LParen)?;
-        let mut args = vec![self.term()?];
-        while self.eat(&Tok::Comma) {
-            args.push(self.term()?);
-        }
-        self.expect(&Tok::RParen)?;
-        Ok((r, args))
-    }
-
-    fn relterm(&mut self) -> Result<RelTerm> {
-        self.expect(&Tok::LBrace)?;
-        self.expect(&Tok::LParen)?;
-        let mut vars = Vec::new();
+fn proc_decl(p: &mut Parser<'_>) -> Result<ProcDecl> {
+    let name = p.ident()?;
+    p.expect(&TokenKind::LParen)?;
+    let mut params = Vec::new();
+    if p.peek().kind != TokenKind::RParen {
         loop {
-            let vname = self.ident()?;
-            let var = if self.eat(&Tok::Colon) {
-                let sname = self.ident()?;
-                let sort = self.sig.sort_id(&sname)?;
-                self.sig.add_var(&vname, sort)?
-            } else {
-                self.sig.var_id(&vname)?
-            };
-            vars.push(var);
-            if !self.eat(&Tok::Comma) {
+            let pname = p.ident()?;
+            p.expect(&TokenKind::Colon)?;
+            let sname = p.ident()?;
+            let sort = p.sig.sort_id(&sname)?;
+            // Parameters are typed variables; re-declaring with the same
+            // sort reuses the existing variable.
+            params.push(p.sig.add_var(&pname, sort)?);
+            if !p.eat(&TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::Bar)?;
-        let wff = self.wff()?;
-        self.expect(&Tok::RBrace)?;
-        Ok(RelTerm { vars, wff })
     }
+    p.expect(&TokenKind::RParen)?;
+    p.expect(&TokenKind::Eq)?;
+    let body = stmt(p)?;
+    let allowed: std::collections::BTreeSet<_> = params.iter().copied().collect();
+    body.validate(p.sig, &allowed)?;
+    Ok(ProcDecl { name, params, body })
+}
 
-    // ---- embedded wffs ---------------------------------------------------
+// ---- statements ---------------------------------------------------------
 
-    fn wff(&mut self) -> Result<Formula> {
-        self.iff()
+fn stmt(p: &mut Parser<'_>) -> Result<Stmt> {
+    let mut left = seq(p)?;
+    while p.eat(&TokenKind::Union) {
+        left = left.union(seq(p)?);
     }
+    Ok(left)
+}
 
-    fn iff(&mut self) -> Result<Formula> {
-        let mut left = self.implies()?;
-        while self.eat(&Tok::DArrow) {
-            let right = self.implies()?;
-            left = left.iff(right);
-        }
-        Ok(left)
+fn seq(p: &mut Parser<'_>) -> Result<Stmt> {
+    let mut left = postfix(p)?;
+    while p.eat(&TokenKind::Semi) {
+        left = left.seq(postfix(p)?);
     }
+    Ok(left)
+}
 
-    fn implies(&mut self) -> Result<Formula> {
-        let left = self.or()?;
-        if self.eat(&Tok::Arrow) {
-            let right = self.implies()?;
-            Ok(left.implies(right))
+fn postfix(p: &mut Parser<'_>) -> Result<Stmt> {
+    let mut s = primary(p)?;
+    while p.eat(&TokenKind::Star) {
+        s = s.star();
+    }
+    Ok(s)
+}
+
+fn primary(p: &mut Parser<'_>) -> Result<Stmt> {
+    if p.eat_keyword("skip") {
+        return Ok(Stmt::Skip);
+    }
+    if p.eat_keyword("insert") {
+        let (r, args) = rel_tuple(p)?;
+        return Ok(Stmt::Insert(r, args));
+    }
+    if p.eat_keyword("delete") {
+        let (r, args) = rel_tuple(p)?;
+        return Ok(Stmt::Delete(r, args));
+    }
+    if p.eat_keyword("if") {
+        let cond = p.formula()?;
+        p.expect_keyword("then")?;
+        let then_branch = Box::new(stmt(p)?);
+        let s = if p.eat_keyword("else") {
+            Stmt::IfThenElse(cond, then_branch, Box::new(stmt(p)?))
         } else {
-            Ok(left)
-        }
+            Stmt::IfThen(cond, then_branch)
+        };
+        p.expect_keyword("fi")?;
+        return Ok(s);
     }
-
-    fn or(&mut self) -> Result<Formula> {
-        let mut left = self.and()?;
-        while self.eat(&Tok::Bar) {
-            let right = self.and()?;
-            left = left.or(right);
-        }
-        Ok(left)
+    if p.eat_keyword("while") {
+        let cond = p.formula()?;
+        p.expect_keyword("do")?;
+        let body = stmt(p)?;
+        p.expect_keyword("od")?;
+        return Ok(Stmt::While(cond, Box::new(body)));
     }
-
-    fn and(&mut self) -> Result<Formula> {
-        let mut left = self.unary()?;
-        while self.eat(&Tok::And) {
-            let right = self.unary()?;
-            left = left.and(right);
+    match p.peek().kind {
+        TokenKind::LParen => {
+            // Try `( stmt )`; backtrack to a parenthesised test.
+            let save = p.pos();
+            p.expect(&TokenKind::LParen)?;
+            let grouped = stmt(p).and_then(|s| {
+                p.expect(&TokenKind::RParen)?;
+                Ok(s)
+            });
+            grouped.or_else(|_| {
+                p.rewind(save);
+                test_stmt(p)
+            })
         }
-        Ok(left)
-    }
-
-    fn unary(&mut self) -> Result<Formula> {
-        match self.peek().kind {
-            Tok::Not => {
-                self.advance();
-                Ok(self.unary()?.not())
-            }
-            Tok::KwForall => {
-                self.advance();
-                self.quantifier(true)
-            }
-            Tok::KwExists => {
-                self.advance();
-                self.quantifier(false)
-            }
-            _ => self.atom(),
+        TokenKind::Ident(_) if *p.peek_nth(1) == TokenKind::Assign => {
+            let name = p.ident()?;
+            p.expect(&TokenKind::Assign)?;
+            assignment(p, &name)
         }
+        TokenKind::Ident(_)
+        | TokenKind::Not
+        | TokenKind::Forall
+        | TokenKind::Exists
+        | TokenKind::True
+        | TokenKind::False => test_stmt(p),
+        ref other => Err(p
+            .error(format!("expected statement, found {}", other.describe()))
+            .into()),
     }
+}
 
-    fn quantifier(&mut self, universal: bool) -> Result<Formula> {
-        let mut binders = Vec::new();
-        loop {
-            let name = self.ident()?;
-            let var = if self.eat(&Tok::Colon) {
-                let sname = self.ident()?;
-                let sort = self.sig.sort_id(&sname)?;
-                self.sig.add_var(&name, sort)?
+fn test_stmt(p: &mut Parser<'_>) -> Result<Stmt> {
+    let f = p.formula()?;
+    p.expect(&TokenKind::Question)?;
+    Ok(Stmt::Test(f))
+}
+
+fn assignment(p: &mut Parser<'_>, name: &str) -> Result<Stmt> {
+    match p.sig.lookup(name) {
+        Some(Symbol::Pred(r)) => {
+            if p.eat_keyword("empty") {
+                let sig = &mut *p.sig;
+                let vars = sig
+                    .pred(r)
+                    .domain
+                    .clone()
+                    .into_iter()
+                    .map(|s| {
+                        let hint = sig.sort_name(s).chars().next().unwrap_or('x').to_string();
+                        sig.fresh_var(&hint, s)
+                    })
+                    .collect();
+                Ok(Stmt::RelAssign(
+                    r,
+                    RelTerm {
+                        vars,
+                        wff: Formula::False,
+                    },
+                ))
             } else {
-                self.sig.var_id(&name)?
-            };
-            binders.push(var);
-            if self.peek().kind == Tok::Dot || !matches!(self.peek().kind, Tok::Ident(_)) {
-                break;
+                Ok(Stmt::RelAssign(r, relterm(p)?))
             }
         }
-        self.expect(&Tok::Dot)?;
-        let body = self.wff()?;
-        Ok(if universal {
-            Formula::forall_all(&binders, body)
-        } else {
-            Formula::exists_all(&binders, body)
-        })
+        Some(Symbol::Func(x)) => Ok(Stmt::Assign(x, p.term()?)),
+        _ => Err(p.error(format!("`{name}` is not assignable")).into()),
     }
+}
 
-    fn atom(&mut self) -> Result<Formula> {
-        match self.peek().kind.clone() {
-            Tok::KwTrue => {
-                self.advance();
-                Ok(Formula::True)
-            }
-            Tok::KwFalse => {
-                self.advance();
-                Ok(Formula::False)
-            }
-            Tok::LParen => {
-                self.advance();
-                let f = self.wff()?;
-                self.expect(&Tok::RParen)?;
-                Ok(f)
-            }
-            Tok::Ident(name) => {
-                if let Some(Symbol::Pred(p)) = self.sig.lookup(&name) {
-                    self.advance();
-                    let args = if self.eat(&Tok::LParen) {
-                        let mut args = vec![self.term()?];
-                        while self.eat(&Tok::Comma) {
-                            args.push(self.term()?);
-                        }
-                        self.expect(&Tok::RParen)?;
-                        args
-                    } else {
-                        Vec::new()
-                    };
-                    return Ok(Formula::Pred(p, args));
-                }
-                let left = self.term()?;
-                if self.eat(&Tok::Eq) {
-                    Ok(Formula::Eq(left, self.term()?))
-                } else if self.eat(&Tok::Neq) {
-                    Ok(Formula::Eq(left, self.term()?).not())
-                } else {
-                    Err(self.err("expected `=` or `!=` after term".into()))
-                }
-            }
-            other => Err(self.err(format!("expected wff atom, found {}", other.describe()))),
-        }
+fn rel_tuple(p: &mut Parser<'_>) -> Result<(PredId, Vec<Term>)> {
+    let name = p.ident()?;
+    let r = p.sig.pred_id(&name)?;
+    p.expect(&TokenKind::LParen)?;
+    let mut args = vec![p.term()?];
+    while p.eat(&TokenKind::Comma) {
+        args.push(p.term()?);
     }
+    p.expect(&TokenKind::RParen)?;
+    Ok((r, args))
+}
 
-    fn term(&mut self) -> Result<Term> {
-        let name = self.ident()?;
-        match self.sig.lookup(&name) {
-            Some(Symbol::Var(v)) => Ok(Term::Var(v)),
-            Some(Symbol::Func(f)) => {
-                let args = if self.eat(&Tok::LParen) {
-                    let mut args = vec![self.term()?];
-                    while self.eat(&Tok::Comma) {
-                        args.push(self.term()?);
-                    }
-                    self.expect(&Tok::RParen)?;
-                    args
-                } else {
-                    Vec::new()
-                };
-                Ok(Term::App(f, args))
-            }
-            Some(sym) => Err(self.err(format!(
-                "`{name}` is a {} where a term was expected",
-                sym.kind()
-            ))),
-            None => Err(self.err(format!("unknown identifier `{name}`"))),
-        }
+fn relterm(p: &mut Parser<'_>) -> Result<RelTerm> {
+    p.expect(&TokenKind::LBrace)?;
+    p.expect(&TokenKind::LParen)?;
+    let mut vars = vec![p.binder()?];
+    while p.eat(&TokenKind::Comma) {
+        vars.push(p.binder()?);
     }
+    p.expect(&TokenKind::RParen)?;
+    p.expect(&TokenKind::Or)?;
+    let wff = p.formula()?;
+    p.expect(&TokenKind::RBrace)?;
+    Ok(RelTerm { vars, wff })
 }
 
 #[cfg(test)]
@@ -636,6 +399,68 @@ end-schema
         assert!(matches!(err, RprError::Parse { .. }));
         let err = parse_schema(&mut sg, "schema R(nosort); end-schema").unwrap_err();
         assert!(matches!(err, RprError::Logic(_)));
+    }
+
+    #[test]
+    fn modalities_are_parse_errors() {
+        let mut sg = sig();
+        parse_schema(&mut sg, "schema R(course); end-schema").unwrap();
+        let err = parse_wff(&mut sg, "exists c:course. dia R(c)").unwrap_err();
+        assert!(matches!(err, RprError::Parse { offset: 17, .. }), "{err}");
+        let err = parse_stmt(&mut sg, "(box true)?").unwrap_err();
+        assert!(matches!(err, RprError::Parse { offset: 1, .. }), "{err}");
+        let err = parse_schema(
+            &mut sg,
+            "schema R(course); proc p(c: course) = if dia R(c) then skip fi end-schema",
+        )
+        .unwrap_err();
+        assert!(matches!(err, RprError::Parse { offset: 41, .. }), "{err}");
+    }
+
+    #[test]
+    fn digit_initial_constants_parse_in_wffs() {
+        let mut sg = sig();
+        let course = sg.sort_id("course").unwrap();
+        sg.add_constant("101", course).unwrap();
+        parse_schema(&mut sg, "schema R(course); end-schema").unwrap();
+        let f = parse_wff(&mut sg, "R(101) & ~(101 = 101)").unwrap();
+        assert!(matches!(f, Formula::And(..)));
+    }
+
+    #[test]
+    fn syntax_errors_name_tokens() {
+        let mut sg = sig();
+        let err = parse_stmt(&mut sg, "if true skip fi").unwrap_err();
+        assert_eq!(
+            err,
+            RprError::Parse {
+                offset: 8,
+                message: "expected `then`, found identifier `skip`".into()
+            }
+        );
+        let err = parse_schema(&mut sg, "schema proc p() = skip").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("expected `end-schema`, found end of input"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn statement_words_are_contextual() {
+        // `skip`, `do` and `empty` name constants inside wffs and terms.
+        let mut sg = sig();
+        let course = sg.sort_id("course").unwrap();
+        for name in ["skip", "do", "empty"] {
+            sg.add_constant(name, course).unwrap();
+        }
+        parse_schema(&mut sg, "schema R(course); end-schema").unwrap();
+        let s = parse_stmt(&mut sg, "while R(do) do insert R(empty) od").unwrap();
+        assert!(matches!(s, Stmt::While(..)));
+        // Where a statement starts, the statement word wins.
+        let err = parse_stmt(&mut sg, "skip = skip?").unwrap_err();
+        assert!(matches!(err, RprError::Parse { offset: 5, .. }), "{err}");
+        assert!(parse_wff(&mut sg, "skip = empty").is_ok());
     }
 
     #[test]

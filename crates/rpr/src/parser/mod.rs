@@ -1,7 +1,7 @@
-//! Concrete-syntax parsing for the RPR schema language.
+//! Concrete-syntax parsing for the RPR schema language: a statement layer
+//! over `eclectic-logic`'s lexer and formula parser.
 
 mod grammar;
-pub mod lexer;
 
 pub use grammar::{parse_schema, parse_stmt, parse_wff};
 

@@ -16,9 +16,14 @@ env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src
 # obligation level, and every sweep inside an obligation stays serial.
 grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_workers(' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the three parallel grains: $files\"; exit 1; fi"
 
+# Fails if a library file other than the logic lexer defines `fn tokenize(`:
+# every spec text (formulas, conditional equations, RPR schemas) goes
+# through `eclectic-logic`'s one lexer and `Parser`.
+front_end_ok := "files=$(grep -rlF --include='*.rs' 'fn tokenize(' crates/*/src | grep -vxF crates/logic/src/parser/lexer.rs); if [ -n \"$files\" ]; then echo \"a second lexer outside the logic front end: $files\"; exit 1; fi"
+
 # The full offline gate: release build, tests, lints and rustdoc with
 # warnings denied (so a doc link to a deleted item fails the gate), the
-# `ECLECTIC_THREADS` read-site and parallel-grain checks, the
+# `ECLECTIC_THREADS` read-site, parallel-grain and one-front-end checks, the
 # parallel-determinism suite in release mode (covering the obligation
 # battery and the completeness strips, with and without budget
 # exhaustion),
@@ -38,6 +43,7 @@ verify:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     {{env_threads_ok}}
     {{grain_ok}}
+    {{front_end_ok}}
     timeout 600 cargo test -q -p eclectic-spec --release --test parallel_determinism
     timeout 900 cargo test --release --manifest-path perfbench/Cargo.toml
     CARGO_TARGET_DIR=perfbench/target timeout 600 python3 perfbench/run.py --workload paper-1w --seed 0 --seconds 1 --trace 0 | python3 -c "{{perf_ok}}"
@@ -48,12 +54,13 @@ verify:
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
 # Lints alone, warnings denied — the clippy, rustdoc, `ECLECTIC_THREADS`
-# read-site and parallel-grain slice of `just verify`.
+# read-site, parallel-grain and one-front-end slice of `just verify`.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     {{env_threads_ok}}
     {{grain_ok}}
+    {{front_end_ok}}
 
 # Timing benches, one target per experiment in EXPERIMENTS.md.
 bench:

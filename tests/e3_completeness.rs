@@ -47,14 +47,14 @@ fn bank_equations_are_sufficiently_complete() {
     check_spec(&spec, 2);
 }
 
-/// The paper's courses equations without eq7 (offered under cancel of
-/// another course), which leaves those ground queries stuck.
-fn courses_without_eq7() -> AlgSpec {
+/// The paper's courses equations without the one named `name`. Without eq7
+/// (offered under cancel of another course), those ground queries are stuck.
+fn courses_without(name: &str) -> AlgSpec {
     let full = courses::functions_level(&courses::CoursesConfig::default()).unwrap();
     let eqs: Vec<ConditionalEquation> = full
         .equations()
         .iter()
-        .filter(|e| e.name != "eq7")
+        .filter(|e| e.name != name)
         .cloned()
         .collect();
     AlgSpec::new((**full.signature()).clone(), eqs).unwrap()
@@ -64,7 +64,7 @@ fn courses_without_eq7() -> AlgSpec {
 /// exhaustive pass pinpoints the stuck terms.
 #[test]
 fn dropping_an_equation_is_detected() {
-    let broken = courses_without_eq7();
+    let broken = courses_without("eq7");
     let report = completeness::exhaustive_budget(&broken, 2, 50, &Budget::unlimited(), 1).unwrap();
     assert!(!report.is_sufficiently_complete());
     assert!(
@@ -113,7 +113,8 @@ fn circular_equations_are_detected() {
 /// every query applied to each of its parameter tuples over every state term
 /// in depth order, normalised with [`Rewriter::normalize`] and rendered with
 /// [`term_str`], stopping once `max_failures` (≥ 1) instances are stuck or
-/// at the first rewriting error other than fuel exhaustion.
+/// at the first rewriting error other than fuel exhaustion and an undecided
+/// condition (both count as stuck instances).
 fn reference(
     spec: &AlgSpec,
     depth: usize,
@@ -137,6 +138,9 @@ fn reference(
                     Err(AlgError::RewriteLimit { at, .. }) => {
                         Some(format!("<fuel exhausted at {at}>"))
                     }
+                    Err(AlgError::ConditionUndecided { term }) => {
+                        Some(format!("<condition undecided: {term}>"))
+                    }
                     Err(e) => return Err(e.to_string()),
                 };
                 report.evaluated += 1;
@@ -155,15 +159,15 @@ fn reference(
 
 /// The sweep agrees with the tree-level reference on a spec with stuck
 /// terms, at every worker count and failure cap: the same stuck terms in the
-/// same order, the same `evaluated` and the same coverage gaps — or, at
-/// depth 3, where a stuck condition makes rewriting fail unless the cap
-/// stops the pass first, the same error.
+/// same order, the same `evaluated` and the same coverage gaps — at depth 3
+/// too, where some instances are stuck on a condition that cannot be
+/// decided.
 #[test]
 fn exhaustive_pass_matches_a_tree_level_reference() {
     // Lift the host-core cap so 2 and 4 workers run the parallel strips
     // even on a single-core host.
     let _cap = force_worker_cap(usize::MAX);
-    let broken = courses_without_eq7();
+    let broken = courses_without("eq7");
     for depth in [2, 3] {
         for max_failures in [1, 5, 1000] {
             let want = reference(&broken, depth, max_failures);
@@ -184,6 +188,43 @@ fn exhaustive_pass_matches_a_tree_level_reference() {
                     "depth {depth}, max_failures {max_failures}, {threads} workers"
                 );
             }
+        }
+    }
+}
+
+/// A guard whose side is stuck is a stuck instance of the sweep, not an
+/// error that drops the stuck instances found before it: without eq2
+/// (`takes` at `initiate`) or eq5 (`takes` at `offer`), eq6a's guard cannot
+/// be decided on some `cancel` states.
+#[test]
+fn an_undecidable_guard_is_a_stuck_instance() {
+    for (dropped, term, guard) in [
+        (
+            "eq2",
+            "offered(db, cancel(db, initiate))",
+            "takes(ana, db, initiate)",
+        ),
+        (
+            "eq5",
+            "offered(db, cancel(db, offer(db, initiate)))",
+            "takes(ana, db, offer(db, initiate))",
+        ),
+    ] {
+        let broken = courses_without(dropped);
+        let undecided = StuckTerm {
+            term: term.to_string(),
+            normal_form: format!("<condition undecided: {guard}>"),
+        };
+        for depth in [2, 3] {
+            let report =
+                completeness::exhaustive_budget(&broken, depth, 20, &Budget::unlimited(), 1)
+                    .unwrap_or_else(|e| panic!("without {dropped}, depth {depth}: {e}"));
+            assert_eq!(report.stuck.len(), 20, "without {dropped}, depth {depth}");
+            assert!(
+                report.stuck.contains(&undecided),
+                "without {dropped}, depth {depth}: {report:?}"
+            );
+            assert_eq!(report, reference(&broken, depth, 20).unwrap());
         }
     }
 }
@@ -227,7 +268,7 @@ fn degenerate_ground_spaces_match_the_reference() {
             "an empty carrier first",
             spec_with_queries(&[("ghost", true), ("offered", false)]),
         ),
-        ("courses without eq7", courses_without_eq7()),
+        ("courses without eq7", courses_without("eq7")),
     ];
     for (name, spec) in &cases {
         for depth in [0, 2] {

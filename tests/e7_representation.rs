@@ -9,6 +9,7 @@ use eclectic::rpr::wgrammar::{Child, DerivTree};
 use eclectic::rpr::{
     denote, exec, parse_schema, wgrammar, DbState, FiniteUniverse, Schema, PAPER_COURSES_SCHEMA,
 };
+use eclectic::spec::domains::{bank, courses, library};
 use eclectic::spec::fuzz::{build_domain, FuzzConfig};
 
 fn paper_schema() -> (Schema, DbState) {
@@ -52,6 +53,87 @@ fn printed_schema_reparses_and_revalidates() {
     let (rels2, procs2) = parse_schema(&mut sig2, &text).unwrap();
     let schema2 = Schema::new(Arc::new(sig2), rels2, procs2).unwrap();
     wgrammar::check_schema(&schema2).unwrap();
+}
+
+/// `sig`'s sorts and function symbols, without its relations and
+/// variables: what a schema's text is parsed against.
+fn sorts_and_functions(sig: &Signature) -> Signature {
+    let mut base = Signature::new();
+    for s in sig.sort_ids() {
+        base.add_sort(sig.sort_name(s)).unwrap();
+    }
+    for f in sig.func_ids() {
+        let d = sig.func(f);
+        base.add_func(&d.name, &d.domain, d.range).unwrap();
+    }
+    base
+}
+
+#[test]
+fn printed_schemas_round_trip_on_every_packaged_and_factory_domain() {
+    // Printing a schema and parsing the text back gives the same relations
+    // (names and columns) and procedures whose bodies print the same.
+    let mut schemas = vec![
+        (
+            "courses".to_string(),
+            courses::courses(&Default::default())
+                .unwrap()
+                .representation,
+        ),
+        (
+            "library".to_string(),
+            library::library(&Default::default())
+                .unwrap()
+                .representation,
+        ),
+        (
+            "bank".to_string(),
+            bank::bank(&Default::default()).unwrap().representation,
+        ),
+    ];
+    let cfg = FuzzConfig::default();
+    for seed in 0..64u64 {
+        schemas.push((
+            format!("seed {seed}"),
+            build_domain(seed, &cfg).unwrap().representation,
+        ));
+    }
+    for (name, schema) in &schemas {
+        let sig = schema.signature();
+        let text = eclectic::rpr::schema_str(schema);
+        let mut sig2 = sorts_and_functions(sig);
+        let (rels2, procs2) =
+            parse_schema(&mut sig2, &text).unwrap_or_else(|e| panic!("{name}: {e}\n{text}"));
+        let columns =
+            |sig: &Signature, rels: &[eclectic::logic::PredId]| -> Vec<(String, Vec<String>)> {
+                rels.iter()
+                    .map(|&r| {
+                        let d = sig.pred(r);
+                        let cols = d
+                            .domain
+                            .iter()
+                            .map(|&s| sig.sort_name(s).to_string())
+                            .collect();
+                        (d.name.clone(), cols)
+                    })
+                    .collect()
+            };
+        assert_eq!(
+            columns(sig, schema.relations()),
+            columns(&sig2, &rels2),
+            "{name}"
+        );
+        assert_eq!(schema.procs().len(), procs2.len(), "{name}");
+        for (a, b) in schema.procs().iter().zip(&procs2) {
+            assert_eq!(a.name, b.name, "{name}");
+            assert_eq!(
+                eclectic::rpr::stmt_str(sig, &a.body),
+                eclectic::rpr::stmt_str(&sig2, &b.body),
+                "{name}: proc {}",
+                a.name
+            );
+        }
+    }
 }
 
 #[test]

@@ -156,6 +156,6 @@ fn byte_mutated_spec_texts_never_panic_a_parser() {
     }
     assert!(panics.is_empty(), "{} of {runs} parses panicked: {panics:?}", panics.len());
     // Some mutants survive as valid text, so the stream reaches past the
-    // tokenizers into the grammars and the signature checks.
+    // lexer into the grammars and the signature checks.
     assert!(parsed > 0, "no mutant of {runs} parsed");
 }
