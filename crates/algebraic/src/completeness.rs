@@ -9,7 +9,7 @@
 //! 2. an **exhaustive evaluation** pass: every ground query application over
 //!    every state term of bounded depth must normalise to a parameter name.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eclectic_kernel::{
     effective_workers, run_workers, Budget, BudgetExceeded, Exhaustion, IndexQueue, TermId,
@@ -104,7 +104,7 @@ pub fn coverage(spec: &AlgSpec) -> Result<Vec<MissingCase>> {
 /// instance ([`AlgError::Budget`]) also stops the sweep at that instance
 /// instead of mislabelling the term as stuck.
 ///
-/// This is [`exhaustive_budget`]'s strip loop run over the whole instance
+/// This is [`ExhaustiveSweep`]'s strip loop run over the whole instance
 /// range as one strip, followed by the same event merge. The sweep stays
 /// inside the rewriter's store: each state and each query's parameter
 /// tuples are interned once, every instance is one interned application
@@ -118,10 +118,11 @@ pub fn exhaustive_budget_with(
     max_failures: usize,
     budget: &Budget,
 ) -> Result<CompletenessReport> {
-    let sweep = CompletenessSweep::new(rw.spec(), space, max_failures)?;
-    let block = intern_block(rw, &sweep.block);
-    let mut events = SweepEvents(Vec::new());
-    sweep.run_range_with(rw, &block, 0..sweep.len(), budget, &mut 0, &mut events);
+    let block = query_block(rw.spec().signature(), space)?;
+    let sweep = CompletenessSweep::new(rw.spec(), space.states(), &block, max_failures);
+    let ids = intern_block(rw, &block);
+    let mut events = Strip(Vec::new());
+    sweep.run_range_with(rw, &ids, 0..sweep.len(), budget, &mut 0, &mut events);
     sweep.merge(vec![events], budget)
 }
 
@@ -152,11 +153,13 @@ impl EvalEvent {
 }
 
 /// Exhaustive evaluation of all ground query applications over all state
-/// terms with at most `max_steps` updates, with `threads` workers. Stops
-/// collecting after `max_failures` stuck terms; a `max_failures` of 0
-/// behaves as 1. The sweep polls `budget` before every ground instance (in
-/// serial enumeration order) and, when it trips, returns the verdicts for
-/// the completed prefix with [`CompletenessReport::exhausted`] set.
+/// terms with at most `max_steps` updates, with `threads` workers: the
+/// [`ExhaustiveSweep`] with one strip per worker on
+/// [`run_workers`]. Stops collecting after `max_failures` stuck terms; a
+/// `max_failures` of 0 behaves as 1. The sweep polls `budget` before every
+/// ground instance (in serial enumeration order) and, when it trips,
+/// returns the verdicts for the completed prefix with
+/// [`CompletenessReport::exhausted`] set.
 ///
 /// Every worker count runs the same strip loop and the same merge (one
 /// worker runs one strip), so reports are bit-identical across worker
@@ -179,20 +182,77 @@ pub fn exhaustive_budget(
     budget: &Budget,
     threads: usize,
 ) -> Result<CompletenessReport> {
-    let space = GroundSpace::new(spec.signature(), max_steps)?;
-    let sweep = CompletenessSweep::new(spec, &space, max_failures)?;
-    // Each worker owns a private rewriter: the ground instances are
-    // independent, so nothing needs a shared store.
-    let workers = effective_workers(threads).min(sweep.len()).max(1);
-    let queue = IndexQueue::new(sweep.len(), workers);
-    let strips: Vec<SweepEvents> = run_workers(workers, |_| {
-        let sweep = &sweep;
-        let queue = &queue;
-        move || {
-            let mut rw = Rewriter::new(spec);
+    let workers = effective_workers(threads);
+    let sweep = ExhaustiveSweep::new(spec, max_steps, max_failures, workers);
+    let shared = &sweep;
+    let strips = run_workers(workers, |_| move || shared.strip(budget));
+    sweep.merge(strips, budget)
+}
+
+/// The exhaustive pass split into parts a caller can put into its own task
+/// list: [`ExhaustiveSweep::plan`] enumerates the ground space once, each
+/// [`ExhaustiveSweep::strip`] evaluates the instance chunks it claims on a
+/// private rewriter, and [`ExhaustiveSweep::merge`] replays the strips in
+/// serial order. The parts may run on any threads in any order: whichever
+/// asks first builds the plan through [`OnceLock::get_or_init`], the others
+/// wait for it, and a planner that panics leaves the next one to plan
+/// again rather than wait forever.
+pub struct ExhaustiveSweep<'s> {
+    spec: &'s AlgSpec,
+    max_steps: usize,
+    max_failures: usize,
+    workers: usize,
+    /// What the strips share: the ground space, its query block and the
+    /// claim queue over its instances.
+    plan: OnceLock<Result<(GroundSpace, QueryBlock, IndexQueue)>>,
+}
+
+/// The events of one [`ExhaustiveSweep::strip`].
+pub struct Strip(Vec<EvalEvent>);
+
+impl<'s> ExhaustiveSweep<'s> {
+    /// The sweep over the state terms with at most `max_steps` updates,
+    /// reporting up to `max_failures` stuck terms (0 behaves as 1), its
+    /// claim queue sized for `workers` strips. Nothing is enumerated yet.
+    #[must_use]
+    pub fn new(spec: &'s AlgSpec, max_steps: usize, max_failures: usize, workers: usize) -> Self {
+        ExhaustiveSweep {
+            spec,
+            max_steps,
+            max_failures,
+            workers,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// Builds the plan unless a part already has; a planning error is
+    /// reported by [`ExhaustiveSweep::merge`].
+    pub fn plan(&self) {
+        let _ = self.planned();
+    }
+
+    fn planned(&self) -> Result<(CompletenessSweep<'_>, &IndexQueue)> {
+        let (spec, max_failures) = (self.spec, self.max_failures);
+        let plan = self.plan.get_or_init(|| {
+            let space = GroundSpace::new(spec.signature(), self.max_steps)?;
+            let block = query_block(spec.signature(), &space)?;
+            let len = CompletenessSweep::new(spec, space.states(), &block, max_failures).len();
+            Ok((space, block, IndexQueue::new(len, self.workers)))
+        });
+        let (space, block, queue) = plan.as_ref().map_err(AlgError::clone)?;
+        let sweep = CompletenessSweep::new(spec, space.states(), block, max_failures);
+        Ok((sweep, queue))
+    }
+
+    /// Claims instance chunks until none is left, or this strip stops, and
+    /// evaluates them in increasing order on a private rewriter.
+    #[must_use]
+    pub fn strip(&self, budget: &Budget) -> Strip {
+        let mut events = Strip(Vec::new());
+        if let Ok((sweep, queue)) = self.planned() {
+            let mut rw = Rewriter::new(self.spec);
             rw.set_budget(budget.without_node_cap());
-            let block = intern_block(&mut rw, &sweep.block);
-            let mut local = SweepEvents(Vec::new());
+            let block = intern_block(&mut rw, sweep.block);
             let mut stuck_seen = 0usize;
             while let Some(range) = queue.claim() {
                 if !sweep.run_range_with(
@@ -201,15 +261,23 @@ pub fn exhaustive_budget(
                     range,
                     budget,
                     &mut stuck_seen,
-                    &mut local,
+                    &mut events,
                 ) {
                     break;
                 }
             }
-            local
         }
-    });
-    sweep.merge(strips, budget)
+        events
+    }
+
+    /// Replays the strips, in any order, into the serial report.
+    ///
+    /// # Errors
+    /// Propagates a planning error, then the earliest rewriting error in
+    /// enumeration order.
+    pub fn merge(&self, strips: Vec<Strip>, budget: &Budget) -> Result<CompletenessReport> {
+        self.planned()?.0.merge(strips, budget)
+    }
 }
 
 /// One state's block of ground instances in serial order: every query, in
@@ -253,31 +321,27 @@ fn intern_block(rw: &mut Rewriter<'_>, block: &QueryBlock) -> QueryBlockIds {
 struct CompletenessSweep<'s> {
     spec: &'s AlgSpec,
     states: &'s [Term],
-    block: QueryBlock,
+    block: &'s QueryBlock,
     /// Ground instances per state: the block's total tuple count.
     per_state: usize,
     max_failures: usize,
 }
 
-/// Events from one worker's strips of a [`CompletenessSweep`], consumed by
-/// [`CompletenessSweep::merge`].
-struct SweepEvents(Vec<EvalEvent>);
-
 impl<'s> CompletenessSweep<'s> {
-    /// Plans the sweep over `space`.
-    ///
-    /// # Errors
-    /// Propagates signature errors.
-    fn new(spec: &'s AlgSpec, space: &'s GroundSpace, max_failures: usize) -> Result<Self> {
-        let block = query_block(spec.signature(), space)?;
+    fn new(
+        spec: &'s AlgSpec,
+        states: &'s [Term],
+        block: &'s QueryBlock,
+        max_failures: usize,
+    ) -> Self {
         let per_state = block.iter().map(|(_, tuples)| tuples.len()).sum();
-        Ok(CompletenessSweep {
+        CompletenessSweep {
             spec,
-            states: space.states(),
+            states,
             block,
             per_state,
             max_failures,
-        })
+        }
     }
 
     /// Total number of ground instances.
@@ -309,7 +373,7 @@ impl<'s> CompletenessSweep<'s> {
         range: std::ops::Range<usize>,
         budget: &Budget,
         stuck_seen: &mut usize,
-        out: &mut SweepEvents,
+        out: &mut Strip,
     ) -> bool {
         // Slots of one state are contiguous, so the strip interns each of
         // its states once, on entering the state's block.
@@ -368,7 +432,7 @@ impl<'s> CompletenessSweep<'s> {
     ///
     /// # Errors
     /// Propagates the earliest rewriting error in enumeration order.
-    fn merge(&self, strips: Vec<SweepEvents>, budget: &Budget) -> Result<CompletenessReport> {
+    fn merge(&self, strips: Vec<Strip>, budget: &Budget) -> Result<CompletenessReport> {
         let mut report = CompletenessReport {
             missing: coverage(self.spec)?,
             ..CompletenessReport::default()

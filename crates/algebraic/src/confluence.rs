@@ -41,15 +41,6 @@ pub struct Overlap {
     pub conditions_complementary: bool,
 }
 
-impl Overlap {
-    /// Whether the overlap is *syntactically* discharged (equal reducts or
-    /// complementary guards). Remaining overlaps need the semantic check.
-    #[must_use]
-    pub fn syntactically_harmless(&self) -> bool {
-        self.rhs_equal || self.conditions_complementary
-    }
-}
-
 /// Finds every pairwise overlap between equation left-hand sides, in
 /// `(i, j)` pair order. Each candidate pair is analysed against its own
 /// clone of the signature, so renamed-apart variable names do not depend on
@@ -343,7 +334,6 @@ mod tests {
         // The pre/¬pre split is recognised as complementary.
         let o = pair("eq6a", "eq6b");
         assert!(o.conditions_complementary);
-        assert!(o.syntactically_harmless());
     }
 
     /// Resolves one pair over the ground space of depth `depth`.
@@ -398,7 +388,7 @@ mod tests {
             .iter()
             .find(|o| o.first == "good" && o.second == "evil")
             .expect("overlap found");
-        assert!(!o.syntactically_harmless());
+        assert!(!o.rhs_equal && !o.conditions_complementary);
         let (both, disagreement) = resolve_one(&spec, "good", "evil", 1);
         assert!(both > 0);
         assert!(disagreement.is_some());

@@ -107,17 +107,12 @@ impl ConditionalEquation {
     ///    lhs state argument (checked weakly: its free state variables are
     ///    lhs variables).
     ///
-    /// # Errors
-    /// Returns [`AlgError::BadEquation`] describing the first violation.
-    pub fn validate(&self, sig: &AlgSignature) -> Result<()> {
-        self.validate_with(sig, &mut TermStore::new()).map(|_| ())
-    }
-
-    /// Validates like [`ConditionalEquation::validate`], but interns both
-    /// sides into `store` and sorts them through the kernel's per-node sort
-    /// cache, so subterms shared across the equations of a specification are
-    /// sorted once instead of re-walked per equation. Returns the equation's
-    /// kind (computed from the already-cached lhs sort).
+    /// Both sides are interned into `store` and sorted through the kernel's
+    /// per-node sort cache, so subterms shared across the equations of a
+    /// specification are sorted once instead of re-walked per equation.
+    /// Returns the equation's kind (computed from the already-cached lhs
+    /// sort). [`AlgSpec::new`](crate::AlgSpec::new) validates every
+    /// equation this way, over one store.
     ///
     /// # Errors
     /// Returns [`AlgError::BadEquation`] describing the first violation.
@@ -222,6 +217,10 @@ mod tests {
         a
     }
 
+    fn validate(eq: &ConditionalEquation, sig: &AlgSignature) -> Result<EquationKind> {
+        eq.validate_with(sig, &mut TermStore::new())
+    }
+
     fn t(sig: &mut AlgSignature, s: &str) -> Term {
         eclectic_logic::parse_term(sig.logic_mut(), s).unwrap()
     }
@@ -233,7 +232,7 @@ mod tests {
         let lhs = t(&mut a, "offered(c, offer(c, U))");
         let rhs = a.true_term();
         let eq = ConditionalEquation::unconditional("eq3", lhs, rhs);
-        eq.validate(&a).unwrap();
+        validate(&eq, &a).unwrap();
         assert_eq!(eq.kind(&a).unwrap(), EquationKind::Q);
         let offer = a.logic().func_id("offer").unwrap();
         assert_eq!(eq.lhs_inner_update(&a), Some(offer));
@@ -249,7 +248,7 @@ mod tests {
         let lhs = t(&mut a, "offered(c, offer(c', U))");
         let rhs = t(&mut a, "offered(c, U)");
         let eq = ConditionalEquation::new("eq4", cond, lhs, rhs);
-        eq.validate(&a).unwrap();
+        validate(&eq, &a).unwrap();
     }
 
     #[test]
@@ -259,7 +258,7 @@ mod tests {
         let rhs = t(&mut a, "offered(c', initiate)");
         let eq = ConditionalEquation::unconditional("bad", lhs, rhs);
         assert!(matches!(
-            eq.validate(&a),
+            validate(&eq, &a),
             Err(AlgError::BadEquation { .. })
         ));
     }
@@ -271,7 +270,7 @@ mod tests {
         let rhs = t(&mut a, "initiate");
         let eq = ConditionalEquation::unconditional("bad", lhs, rhs);
         assert!(matches!(
-            eq.validate(&a),
+            validate(&eq, &a),
             Err(AlgError::BadEquation { .. })
         ));
     }
@@ -288,7 +287,7 @@ mod tests {
         let lhs = t(&mut a, "offered(c, offer(c, U))");
         let eq = ConditionalEquation::new("bad", cond, lhs, a.true_term());
         assert!(matches!(
-            eq.validate(&a),
+            validate(&eq, &a),
             Err(AlgError::BadEquation { .. })
         ));
     }
@@ -300,7 +299,7 @@ mod tests {
         let lhs = t(&mut a, "offer(c, offer(c, U))");
         let rhs = t(&mut a, "offer(c, U)");
         let eq = ConditionalEquation::unconditional("idem", lhs, rhs);
-        eq.validate(&a).unwrap();
+        validate(&eq, &a).unwrap();
         assert_eq!(eq.kind(&a).unwrap(), EquationKind::U);
     }
 }

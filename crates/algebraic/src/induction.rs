@@ -5,7 +5,7 @@
 //! proof rule (§4.1). The set `T` of ground state terms is the smallest set
 //! containing the initial constants and closed under symbolic application of
 //! the update functions (§4.2). This module enumerates `T` up to a step
-//! bound and checks properties over it.
+//! bound; the exhaustive sweeps over it are the bounded inductions.
 
 use std::sync::Arc;
 
@@ -15,7 +15,6 @@ use eclectic_logic::{SortId, Term};
 use crate::error::{AlgError, Result};
 use crate::rewrite::Rewriter;
 use crate::signature::AlgSignature;
-use crate::spec::AlgSpec;
 
 /// All tuples of parameter names over the given sorts (cartesian product).
 ///
@@ -241,14 +240,12 @@ pub fn state_terms(sig: &AlgSignature, max_steps: usize) -> Result<Vec<Term>> {
 
 /// A cached ground-instance enumeration for one (signature, depth) pair:
 /// the bounded-depth state terms plus the parameter tuples of every query
-/// and update, each enumerated exactly once. The completeness, confluence
-/// and induction sweeps all iterate the same product of instances; sharing
-/// one `GroundSpace` removes their per-call re-enumeration and gives the
+/// and update, each enumerated exactly once. The completeness and
+/// confluence sweeps iterate the same product of instances; sharing one
+/// `GroundSpace` removes their per-call re-enumeration and gives the
 /// parallel sweeps an immutable, `Sync` work list to chunk over.
 #[derive(Debug, Clone)]
 pub struct GroundSpace {
-    depth: usize,
-    levels: Vec<Vec<Term>>,
     states: Vec<Term>,
     tuples: FxHashMap<Vec<SortId>, Arc<Vec<Vec<Term>>>>,
 }
@@ -260,8 +257,7 @@ impl GroundSpace {
     /// # Errors
     /// See [`state_terms_by_depth`] and [`param_tuples`].
     pub fn new(sig: &AlgSignature, depth: usize) -> Result<Self> {
-        let levels = state_terms_by_depth(sig, depth)?;
-        let states = levels.iter().flatten().cloned().collect();
+        let states = state_terms(sig, depth)?;
         let mut tuples: FxHashMap<Vec<SortId>, Arc<Vec<Vec<Term>>>> = FxHashMap::default();
         let mut sort_lists: Vec<Vec<SortId>> = Vec::new();
         for q in sig.queries() {
@@ -276,24 +272,7 @@ impl GroundSpace {
                 e.insert(t);
             }
         }
-        Ok(GroundSpace {
-            depth,
-            levels,
-            states,
-            tuples,
-        })
-    }
-
-    /// The step bound the state terms were enumerated to.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// State terms grouped by update count (as [`state_terms_by_depth`]).
-    #[must_use]
-    pub fn levels(&self) -> &[Vec<Term>] {
-        &self.levels
+        Ok(GroundSpace { states, tuples })
     }
 
     /// All state terms, flattened in depth order (as [`state_terms`]).
@@ -315,66 +294,9 @@ impl GroundSpace {
     }
 }
 
-/// Counterexample returned by [`check_invariant`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Counterexample {
-    /// The state term violating the property.
-    pub state: Term,
-    /// Number of update steps in the term.
-    pub steps: usize,
-}
-
-/// Bounded structural induction: checks `property` on every ground state
-/// term of at most `max_steps` updates, returning the first violation.
-///
-/// The property receives a shared [`Rewriter`] so evaluations are memoised
-/// across states.
-///
-/// # Errors
-/// Propagates property/evaluation errors.
-pub fn check_invariant<F>(
-    spec: &AlgSpec,
-    max_steps: usize,
-    mut property: F,
-) -> Result<Option<Counterexample>>
-where
-    F: FnMut(&mut Rewriter<'_>, &Term) -> Result<bool>,
-{
-    let space = GroundSpace::new(spec.signature(), max_steps)?;
-    check_invariant_in(spec, &space, &mut property)
-}
-
-/// As [`check_invariant`], over a pre-enumerated [`GroundSpace`] — callers
-/// running several sweeps at the same depth share one enumeration.
-///
-/// # Errors
-/// Propagates property/evaluation errors.
-pub fn check_invariant_in<F>(
-    spec: &AlgSpec,
-    space: &GroundSpace,
-    mut property: F,
-) -> Result<Option<Counterexample>>
-where
-    F: FnMut(&mut Rewriter<'_>, &Term) -> Result<bool>,
-{
-    let mut rw = Rewriter::new(spec);
-    for (steps, level) in space.levels().iter().enumerate() {
-        for t in level {
-            if !property(&mut rw, t)? {
-                return Ok(Some(Counterexample {
-                    state: t.clone(),
-                    steps,
-                }));
-            }
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_equations;
 
     fn sig() -> AlgSignature {
         let mut a = AlgSignature::new().unwrap();
@@ -385,23 +307,6 @@ mod tests {
         a.add_param_var("c", course).unwrap();
         a.add_param_var("c'", course).unwrap();
         a
-    }
-
-    fn spec() -> AlgSpec {
-        let mut a = sig();
-        let eqs = parse_equations(
-            &mut a,
-            &[
-                ("eq1", "offered(c, initiate) = False"),
-                ("eq3", "offered(c, offer(c, U)) = True"),
-                (
-                    "eq4",
-                    "c != c' ==> offered(c, offer(c', U)) = offered(c, U)",
-                ),
-            ],
-        )
-        .unwrap();
-        AlgSpec::new(a, eqs).unwrap()
     }
 
     #[test]
@@ -424,29 +329,5 @@ mod tests {
         assert_eq!(levels[1].len(), 2);
         assert_eq!(levels[2].len(), 4);
         assert_eq!(state_terms(&a, 2).unwrap().len(), 7);
-    }
-
-    #[test]
-    fn invariant_checking_finds_counterexample() {
-        let spec = spec();
-        let sig = spec.signature().clone();
-        let offered = sig.logic().func_id("offered").unwrap();
-        let db = Term::constant(sig.logic().func_id("db").unwrap());
-        // Property: db is never offered — fails at depth 1.
-        let cex = check_invariant(&spec, 2, |rw, state| {
-            let v = rw.eval_query(offered, std::slice::from_ref(&db), state)?;
-            Ok(v == spec.signature().false_term())
-        })
-        .unwrap();
-        let cex = cex.expect("must find a counterexample");
-        assert_eq!(cex.steps, 1);
-
-        // Property: offered(db) is always True or False — holds.
-        let ok = check_invariant(&spec, 2, |rw, state| {
-            let v = rw.eval_query(offered, std::slice::from_ref(&db), state)?;
-            Ok(v == spec.signature().true_term() || v == spec.signature().false_term())
-        })
-        .unwrap();
-        assert!(ok.is_none());
     }
 }

@@ -61,11 +61,6 @@ impl<'a> LegacyRewriter<'a> {
         self.stats
     }
 
-    /// Clears the memo cache (statistics are kept).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Normalises a term. Ground query terms of a sufficiently complete
     /// specification reduce to parameter names; open terms reduce as far as
     /// the rules allow.

@@ -21,8 +21,8 @@
 //! - [`StructuredDescription`] and [`synthesis`]: the §4.2 methodology —
 //!   intended effects / preconditions / side-effects / not-affected — with
 //!   mechanical, correct-by-construction derivation of the Q-equations;
-//! - [`induction`]: enumeration of ground state terms (traces) and bounded
-//!   structural induction.
+//! - [`induction`]: enumeration of ground state terms (traces), the domain
+//!   of the bounded structural inductions such as [`completeness`].
 //!
 //! # Example
 //!
@@ -51,6 +51,7 @@
 //! # Ok::<(), eclectic_algebraic::AlgError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod completeness;

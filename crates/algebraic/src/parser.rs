@@ -18,12 +18,14 @@ use crate::equation::ConditionalEquation;
 use crate::error::{AlgError, Result};
 use crate::signature::AlgSignature;
 
-/// Parses one conditional equation and validates it against the signature.
-/// An empty condition (`==> lhs = rhs`) is `True`.
+/// Parses one conditional equation against the signature. An empty
+/// condition (`==> lhs = rhs`) is `True`. The paper's restrictions on
+/// equations are checked by [`AlgSpec::new`](crate::AlgSpec::new), which
+/// every equation passes through before any rewriter sees it.
 ///
 /// # Errors
-/// Returns parse and validation errors; a text that ends after its lhs
-/// (no `=`) is [`AlgError::BadEquation`].
+/// Returns parse and symbol errors; a text that ends after its lhs (no
+/// `=`) is [`AlgError::BadEquation`].
 pub fn parse_equation(
     sig: &mut AlgSignature,
     name: impl Into<String>,
@@ -51,9 +53,7 @@ pub fn parse_equation(
     let rhs = p.term()?;
     p.expect_eof()?;
     rhs.check(p.sig)?;
-    let eq = ConditionalEquation::new(name, condition, lhs, rhs);
-    eq.validate(sig)?;
-    Ok(eq)
+    Ok(ConditionalEquation::new(name, condition, lhs, rhs))
 }
 
 /// Parses a list of `(name, text)` pairs.
@@ -73,6 +73,7 @@ pub fn parse_equations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::AlgSpec;
 
     fn sig() -> AlgSignature {
         let mut a = AlgSignature::new().unwrap();
@@ -175,12 +176,12 @@ mod tests {
     #[test]
     fn validation_applies() {
         let mut a = sig();
-        // rhs variable not in lhs.
-        assert!(parse_equation(
-            &mut a,
-            "bad",
-            "offered(c, initiate) = offered(c', initiate)"
-        )
-        .is_err());
+        // rhs variable not in lhs: the text parses, and the spec rejects it.
+        let eq = parse_equation(&mut a, "bad", "offered(c, initiate) = offered(c', initiate)")
+            .unwrap();
+        assert!(matches!(
+            AlgSpec::new(a, vec![eq]),
+            Err(AlgError::BadEquation { name, .. }) if name == "bad"
+        ));
     }
 }

@@ -279,11 +279,6 @@ impl<'a> Rewriter<'a> {
         self.stats
     }
 
-    /// Clears the memo cache (statistics and the term store are kept).
-    pub fn clear_cache(&mut self) {
-        self.memo.clear();
-    }
-
     /// The term store backing this rewriter (terms stay valid for its whole
     /// lifetime; the store only grows).
     #[must_use]

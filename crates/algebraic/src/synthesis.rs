@@ -25,7 +25,9 @@ use crate::structured::{Effect, InitialState, StructuredDescription};
 ///
 /// Every state-taking update of the signature must have exactly one
 /// description, so that the resulting system is sufficiently complete by
-/// construction (each query/update pair is covered).
+/// construction (each query/update pair is covered). The equations are
+/// checked against the paper's restrictions by
+/// [`AlgSpec::new`](crate::AlgSpec::new), like every other equation.
 ///
 /// # Errors
 /// Returns validation errors from the descriptions, or
@@ -81,9 +83,6 @@ pub fn synthesize(
         for &q in &queries {
             out.extend(equations_for_pair(sig, d, q)?);
         }
-    }
-    for eq in &out {
-        eq.validate(sig)?;
     }
     Ok(out)
 }
@@ -393,6 +392,41 @@ mod tests {
         assert!(matches!(
             synthesize(&mut a, &initial, &[]),
             Err(AlgError::BadDescription(_))
+        ));
+    }
+
+    #[test]
+    fn a_synthesized_equation_is_validated_by_the_spec() {
+        // An effect value over a variable the update does not bind passes
+        // the description check, but its equation's rhs has a variable the
+        // lhs lacks: `AlgSpec::new` rejects it.
+        let mut a = AlgSignature::new().unwrap();
+        let course = a.add_param_sort("course", &["db", "ai"]).unwrap();
+        let offered = a.add_query("offered", &[course], None).unwrap();
+        let initiate = a.add_update("initiate", &[], false).unwrap();
+        let offer = a.add_update("offer", &[course], true).unwrap();
+        let c = a.add_param_var("c", course).unwrap();
+        let stray = a.add_param_var("c1", course).unwrap();
+        let initial = InitialState {
+            update: initiate,
+            defaults: vec![(offered, a.false_term())],
+        };
+        let d_offer = StructuredDescription {
+            update: offer,
+            params: vec![c],
+            comment: String::new(),
+            precondition: Formula::True,
+            effects: vec![Effect {
+                query: offered,
+                args: vec![Term::Var(c)],
+                value: Term::App(offered, vec![Term::Var(stray), Term::Var(a.state_var())]),
+            }],
+            side_effects: vec![],
+        };
+        let eqs = synthesize(&mut a, &initial, &[d_offer]).unwrap();
+        assert!(matches!(
+            AlgSpec::new(a, eqs),
+            Err(AlgError::BadEquation { name, .. }) if name == "offered_offer_eff0"
         ));
     }
 }

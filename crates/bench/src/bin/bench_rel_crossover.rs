@@ -32,6 +32,8 @@
 //!   node reaches exactly its own block), and the contracts agree between
 //!   sparse and compressed.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;

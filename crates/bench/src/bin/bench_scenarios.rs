@@ -15,6 +15,8 @@
 //! `tests/corpus/` as a replayable fixture, so the regression is pinned
 //! before anyone starts debugging.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use eclectic_bench::{host_cores, warning_json};

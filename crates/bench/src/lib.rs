@@ -9,6 +9,8 @@
 //! to defeat dead-code elimination. Bench targets keep `harness = false`
 //! and drive [`Runner`] from `main`.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box as bb;
 use std::time::Instant;
 

@@ -14,7 +14,7 @@
 //!
 //! [`run_differential`] then verifies one such domain under every engine
 //! combination — dense/sparse/compressed/auto [`Rel`] backends, 1/2/4/8
-//! workers on the scheduler pool, budget-capped partial runs against full
+//! workers, budget-capped partial runs against full
 //! runs — and reports any pair whose schedule-independent [`Fingerprint`]s
 //! differ. [`run_corpus`] sweeps seeds, shrinks each divergence to a
 //! minimal seed/config with [`shrink`], and renders it as a
@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 use eclectic_algebraic::{random_descriptions, synthesize, AlgSignature, AlgSpec};
 use eclectic_kernel::{
-    env_threads, force_rel_backend, force_worker_cap, run_tasks, Exhaustion, RelChoice, Rng,
-    REL_DENSE_MAX_DIM,
+    effective_workers, env_threads, force_rel_backend, force_worker_cap, run_tasks, Exhaustion,
+    RelChoice, Rng, REL_DENSE_MAX_DIM,
 };
 use eclectic_logic::{Formula, Signature, SortId, Term, Theory, VarId};
 use eclectic_refine::{random::equivalent_variant, InterpretationI, InterpretationK, QueryImpl};
@@ -419,7 +419,7 @@ pub type EngineCombo = (String, RelChoice, usize);
 
 /// The engine combinations every domain is verified under, beyond the
 /// baseline: each pinned backend at one worker, and the auto backend at
-/// 2/4/8 workers on the scheduler pool.
+/// 2/4/8 workers.
 #[must_use]
 pub fn engine_combos() -> Vec<EngineCombo> {
     let auto = RelChoice::AutoAt(REL_DENSE_MAX_DIM);
@@ -716,20 +716,23 @@ pub struct CorpusOutcome {
 /// Sweeps seeds `0..count` (offset by `base`), running the full
 /// differential battery on each and shrinking any divergence found.
 ///
-/// The sweep is parallelised on the shared scheduler pool with the engine
-/// combinations *outer* and the seeds *inner*: the force-guard that pins a
-/// backend is process-global, so each combination is pinned once and every
-/// seed's verification runs concurrently under it.
+/// The sweep runs `ECLECTIC_THREADS` seeds at a time, capped at the host's
+/// parallelism, with the engine combinations *outer* and the seeds
+/// *inner*: the force-guard that pins a backend is process-global, so each
+/// combination is pinned once and every seed's verification runs
+/// concurrently under it.
 /// Fingerprints are thread-invariant by construction, so the outcome is
 /// identical to the serial per-seed [`run_differential`] loop — results
 /// land in seed order and any shrinking happens serially afterwards.
 #[must_use]
 pub fn run_corpus(base: u64, count: usize, cfg: &FuzzConfig) -> CorpusOutcome {
     let mut out = CorpusOutcome::default();
-    let threads = env_threads();
+    // Capped here, before any guard lifts the cap: every seed's verify
+    // below runs its own task list, so the threads multiply.
+    let threads = effective_workers(env_threads());
 
     // Generate every domain first — pure and guard-free, so seeds fan out
-    // on the pool directly.
+    // directly.
     type Built = std::result::Result<TriLevelSpec, String>;
     let built: Vec<Built> = {
         let tasks: Vec<Box<dyn FnOnce() -> Built + Send + '_>> = (0..count)

@@ -35,6 +35,7 @@
 //! # Ok::<(), eclectic_spec::SpecError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod domains;

@@ -2,22 +2,25 @@
 //! obligation of the paper, plus the W-grammar syntax check and randomized
 //! cross-formalism testing.
 //!
-//! The battery is one [`run_tasks`] call on the shared
-//! [`eclectic_kernel::sched`] pool at every worker count. The paper's
-//! obligations share data along three edges only — witness enumeration
-//! (§4.4 (c)) and the axiom sweep (§4.4 (b), (d)) read the universe the
-//! exploration builds, and the cross check reuses the algebra induced by
-//! interpretation `K` for the §5.4 equations — so the battery is five
-//! independent chains, each edge a sequence inside one of them:
+//! The battery is one [`run_tasks`] task list at every worker count. The
+//! paper's obligations share data along three edges only — witness
+//! enumeration (§4.4 (c)) and the axiom sweep (§4.4 (b), (d)) read the
+//! universe the exploration builds, and the cross check reuses the algebra
+//! induced by interpretation `K` for the §5.4 equations — so each edge is a
+//! sequence inside one task, and the list is:
 //!
 //! 1. termination;
 //! 2. exploration, then witness, then axioms;
 //! 3. equations, then cross;
-//! 4. completeness (its strips fan out on the same pool);
-//! 5. dynamic.
+//! 4. dynamic;
+//! 5. the completeness plan (the ground space, enumerated once);
+//! 6. one completeness strip per worker.
 //!
-//! At one worker the chains run inline in that order: termination,
-//! explore, witness, axioms, equations, cross, completeness, dynamic.
+//! No task opens a task list of its own, and the divisible work — the
+//! strips, which claim instance chunks from one queue — comes last, so it
+//! fills whatever threads the chains leave idle. At one worker the tasks
+//! run inline in that order: termination, explore, witness, axioms,
+//! equations, cross, dynamic, completeness.
 //!
 //! Every governed sweep owns its term store and polls deterministic budget
 //! axes at serial slot indices, so reports are bit-identical across worker
@@ -25,11 +28,12 @@
 
 use std::sync::Mutex;
 
-use eclectic_algebraic::{completeness, termination};
+use eclectic_algebraic::completeness::Strip;
+use eclectic_algebraic::termination;
 use eclectic_kernel::{effective_workers, env_threads, run_tasks, Budget, Exhaustion};
 use eclectic_refine::{
-    check_dynamic_budget, check_equations_budget, check_valid_reachable, cross_check_budget,
-    obligation_axioms, obligation_completeness, obligation_exploration, obligation_termination,
+    check_dynamic_budget, check_equations_budget, check_valid_reachable, completeness_sweep,
+    cross_check_budget, obligation_axioms, obligation_exploration, obligation_termination,
     random_ops, AlgebraicExploration, CrossCheckStats, DynamicReport, EquationCheckReport,
     FullReport, InducedAlgebra, Mismatch, Refine12Config, Refine12Report, StateViolation,
     ValidReachableReport,
@@ -65,9 +69,6 @@ pub struct VerifyConfig {
     /// Optional cap on interned term-store nodes per governed stage (a
     /// memory budget). Deterministic at every thread count.
     pub max_nodes: Option<usize>,
-    /// Print the five per-stage elapsed/budget lines to stdout, in
-    /// canonical order, once the battery ends.
-    pub print_stages: bool,
 }
 
 impl VerifyConfig {
@@ -84,7 +85,6 @@ impl VerifyConfig {
             pdl_universe_cap: 1_024,
             deadline_ms: None,
             max_nodes: None,
-            print_stages: false,
         }
     }
 
@@ -101,7 +101,6 @@ impl VerifyConfig {
             pdl_universe_cap: 1 << 16,
             deadline_ms: None,
             max_nodes: None,
-            print_stages: false,
         }
     }
 
@@ -168,19 +167,6 @@ impl VerificationOutcome {
     #[must_use]
     pub fn exhausted(&self) -> Option<&Exhaustion> {
         self.stages.iter().find_map(|s| s.exhausted.as_ref())
-    }
-}
-
-/// Prints one `  stage <name> <ms>` line (the `print_stages` format).
-fn print_stage_line(s: &StageStats) {
-    let StageStats {
-        name,
-        elapsed_ms,
-        exhausted,
-    } = s;
-    match exhausted {
-        Some(e) => println!("  stage {name:<9} {elapsed_ms:>6} ms  {e}"),
-        None => println!("  stage {name:<9} {elapsed_ms:>6} ms"),
     }
 }
 
@@ -279,37 +265,6 @@ fn make_induced(spec: &TriLevelSpec) -> Result<InducedAlgebra<'_>> {
     )?)
 }
 
-/// 2→3 equation validity in the induced algebra.
-fn stage_equations(
-    induced: &mut InducedAlgebra<'_>,
-    config: &VerifyConfig,
-    budget: &Budget,
-) -> Result<EquationCheckReport> {
-    Ok(check_equations_budget(
-        induced,
-        config.eq_depth,
-        config.eq_max_states,
-        20,
-        budget,
-    )?)
-}
-
-/// §5.1.2/§5.3 dynamic-logic obligations over the representation universe
-/// (batched PDL model checking, one denotation cache per procedure).
-fn stage_dynamic(
-    spec: &TriLevelSpec,
-    config: &VerifyConfig,
-    budget: &Budget,
-) -> Result<DynamicReport> {
-    Ok(check_dynamic_budget(
-        &spec.representation,
-        &spec.empty_state(),
-        config.pdl_universe_cap,
-        budget,
-        1,
-    )?)
-}
-
 /// Randomised cross-formalism testing with a deterministic xorshift64*
 /// trace generator.
 fn stage_cross(
@@ -375,23 +330,27 @@ fn timed<T>(budget: &Budget, f: impl FnOnce() -> T) -> (T, u64) {
     (r, u64::try_from(ms).unwrap_or(u64::MAX))
 }
 
-/// The obligation battery: five chains on one [`run_tasks`] call, each
-/// data edge a sequence inside its chain:
+/// The obligation battery: one [`run_tasks`] task list, each data edge a
+/// sequence inside its task, and the completeness sweep split into its
+/// plan and one strip per worker:
 ///
 /// ```text
 ///   termination
 ///   explore ──► witness ──► axioms
 ///   equations ──► cross
-///   completeness
 ///   dynamic
+///   completeness plan
+///   completeness strip × threads
 /// ```
 ///
-/// Chains write into caller-frame slots, and `run_tasks` returning is the
-/// happens-before the assembly reads need. Every obligation computes
-/// exactly its serial result, so the assembled reports are bit-identical
-/// at every worker count; errors surface in canonical order (termination,
-/// completeness, exploration, axioms, witness, equations, dynamic, cross)
-/// whatever order the chains ran in.
+/// Tasks write into caller-frame slots, and `run_tasks` returning is the
+/// happens-before the assembly reads need; the strips are merged after it
+/// returns. Every obligation computes exactly its serial result, so the
+/// assembled reports are bit-identical at every worker count; errors
+/// surface in canonical order (termination, completeness, exploration,
+/// axioms, witness, equations, dynamic, cross) whatever order the tasks ran
+/// in. Completeness's elapsed time is the sum of its plan, strips and
+/// merge.
 #[allow(clippy::too_many_lines)]
 fn run_battery(
     spec: &TriLevelSpec,
@@ -404,15 +363,17 @@ fn run_battery(
     type Violations = (Vec<StateViolation>, Vec<StateViolation>);
     type CrossOut = (Option<Mismatch>, CrossCheckStats, Option<Exhaustion>);
     let term_slot: Mutex<Timed<RR<termination::TerminationReport>>> = Mutex::new(None);
-    let compl_slot: Mutex<Timed<RR<completeness::CompletenessReport>>> = Mutex::new(None);
     let explore_slot: Mutex<Timed<RR<AlgebraicExploration>>> = Mutex::new(None);
     let axioms_slot: Mutex<Timed<RR<Violations>>> = Mutex::new(None);
     let witness_slot: Mutex<Timed<Result<ValidReachableReport>>> = Mutex::new(None);
     let equations_slot: Mutex<Timed<Result<EquationCheckReport>>> = Mutex::new(None);
     let cross_slot: Mutex<Timed<Result<CrossOut>>> = Mutex::new(None);
-    let dynamic_slot: Mutex<Timed<Result<DynamicReport>>> = Mutex::new(None);
+    let dynamic_slot: Mutex<Timed<RR<DynamicReport>>> = Mutex::new(None);
+    let plan_slot: Mutex<Timed<()>> = Mutex::new(None);
+    let strips: Mutex<Vec<(Strip, u64)>> = Mutex::new(Vec::new());
+    let sweep = completeness_sweep(&spec.functions, config.refine12.completeness_depth, threads);
 
-    let chains: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
         Box::new(|| {
             let r = timed(budget, || obligation_termination(&spec.functions));
             put(&term_slot, r);
@@ -438,9 +399,11 @@ fn run_battery(
             put(&explore_slot, (explored, explore_ms));
         }),
         Box::new(|| {
+            // 2→3 equation validity in the induced algebra.
             let (r, equations_ms) = timed(budget, || -> Result<_> {
                 let mut induced = make_induced(spec)?;
-                let eqs = stage_equations(&mut induced, config, budget)?;
+                let (depth, states) = (config.eq_depth, config.eq_max_states);
+                let eqs = check_equations_budget(&mut induced, depth, states, 20, budget)?;
                 Ok((eqs, induced))
             });
             let eqs = r.map(|(eqs, mut induced)| {
@@ -451,29 +414,39 @@ fn run_battery(
             put(&equations_slot, (eqs, equations_ms));
         }),
         Box::new(|| {
-            let r = timed(budget, || {
-                obligation_completeness(
-                    &spec.functions,
-                    config.refine12.completeness_depth,
-                    budget,
-                    threads,
-                )
-            });
-            put(&compl_slot, r);
-        }),
-        Box::new(|| {
-            let r = timed(budget, || stage_dynamic(spec, config, budget));
+            // §5.1.2/§5.3 dynamic-logic obligations over the representation
+            // universe (batched PDL model checking).
+            let (schema, cap) = (&spec.representation, config.pdl_universe_cap);
+            let empty = spec.empty_state();
+            let r = timed(budget, || check_dynamic_budget(schema, &empty, cap, budget, 1));
             put(&dynamic_slot, r);
         }),
+        Box::new(|| put(&plan_slot, timed(budget, || sweep.plan()))),
     ];
-    let _: Vec<()> = run_tasks(threads, chains);
+    for _ in 0..threads {
+        tasks.push(Box::new(|| {
+            let strip = timed(budget, || sweep.strip(budget));
+            strips.lock().expect("a slot is locked only to store a value").push(strip);
+        }));
+    }
+    let _: Vec<()> = run_tasks(threads, tasks);
+
+    let ((), plan_ms) = take(plan_slot, "completeness plan");
+    let (strips, strip_ms): (Vec<Strip>, Vec<u64>) = strips
+        .into_inner()
+        .expect("a slot is locked only to store a value")
+        .into_iter()
+        .unzip();
+    let (completeness, merge_ms) = timed(budget, || sweep.merge(strips, budget));
+    let compl_ms = strip_ms
+        .into_iter()
+        .fold(plan_ms.saturating_add(merge_ms), u64::saturating_add);
 
     // Assemble in canonical order, so the error surfaced (and the
     // partial-report semantics) do not depend on the execution order.
     let (termination, term_ms) = take(term_slot, "termination");
     let termination = termination?;
-    let (completeness, compl_ms) = take(compl_slot, "completeness");
-    let completeness = completeness?;
+    let completeness = completeness.map_err(eclectic_refine::RefineError::Alg)?;
     let (exploration, explore_ms) = take(explore_slot, "exploration");
     let exploration = exploration?;
     let (axioms, axioms_ms) = take(axioms_slot, "axioms");
@@ -526,12 +499,6 @@ fn run_battery(
             exhausted: cross_exhausted,
         },
     ];
-    if config.print_stages {
-        for s in &stages {
-            print_stage_line(s);
-        }
-    }
-
     Ok((
         FullReport {
             refine12,

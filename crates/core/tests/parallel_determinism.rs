@@ -224,7 +224,7 @@ fn verify_under_tiny_node_cap_reports_deterministic_partial_outcome() {
 // Scheduler-specific cases. The tests above run under `effective_workers`,
 // which clamps to the host's cores — on a small CI box "8 threads" can mean
 // one real worker. Here the cap override lifts that clamp so 2/4/8 workers
-// GENUINELY run on the shared pool, and every worker count is compared
+// GENUINELY run on threads of their own, and every worker count is compared
 // against the 1-worker run bit for bit. The override guards serialize these
 // tests against each other.
 // ---------------------------------------------------------------------------
@@ -248,9 +248,10 @@ fn work_stealing_matches_one_worker_reference_at_real_worker_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// The obligation battery. `verify` runs five chains of obligations as pool
-// tasks (exploration followed by witness enumeration and the axiom sweep,
-// equations followed by the cross check); its
+// The obligation battery. `verify` runs one task list: four chains of
+// obligations (exploration followed by witness enumeration and the axiom
+// sweep, equations followed by the cross check), the completeness plan and
+// one completeness strip per worker; its
 // reports must be bit-identical to an independent serial reference at every
 // genuine worker count, including budget-capped partials.
 // ---------------------------------------------------------------------------

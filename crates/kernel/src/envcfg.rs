@@ -139,10 +139,13 @@ pub fn force_worker_cap(cap: usize) -> WorkerCapGuard {
 /// at a [`force_worker_cap`] override when one is installed).
 ///
 /// Every parallel sweep in this workspace is bit-identical across worker
-/// counts (the merges replay serial order), so shrinking the worker pool
+/// counts (the merges replay serial order), so shrinking the worker count
 /// can never change a result — it only avoids oversubscription: extra
-/// workers on a saturated host add spawn cost and split the per-worker
-/// memo for zero concurrency.
+/// workers on a saturated host add a thread start each and split the
+/// per-worker memo for zero concurrency. Both top-level entry points
+/// (`spec::verify_with_threads` and `fuzz::run_corpus`) cap their count
+/// here, because every [`run_tasks`](crate::run_tasks) call starts its own
+/// threads.
 #[must_use]
 pub fn effective_workers(requested: usize) -> usize {
     let cap = match WORKER_CAP.load(Ordering::SeqCst) {

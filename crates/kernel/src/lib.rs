@@ -19,15 +19,16 @@
 //! Beside the term store the crate holds the shared substrate the levels
 //! build on: the relation kernel ([`Rel`] over a dense backend and two
 //! row encodings of one row matrix, sparse and compressed), the
-//! resource governor ([`Budget`]), the FIFO work-stealing pool in
+//! resource governor ([`Budget`]), the scoped task executor in
 //! [`sched`] ([`run_tasks`], [`run_workers`]), and the environment
 //! configuration ([`env_threads`]). Relation and term operations run on
-//! their caller's thread: the pool runs whole obligation units, never a
+//! their caller's thread: the executor runs whole obligation units, never a
 //! share of one relation or term sweep.
 //!
 //! The crate is dependency-free; names, declarations, parsing and printing
 //! stay in `eclectic-logic`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bitmat;

@@ -1,23 +1,24 @@
-//! The deterministic work-stealing scheduler: one persistent FIFO worker
-//! pool driving every parallel grain in the workspace.
+//! The deterministic task executor: one scoped fan-out per call, driving
+//! every parallel grain in the workspace.
 //!
-//! # The three grains
+//! # The two grains
 //!
 //! Parallelism lives at the level of proof obligations, never inside one
-//! relation or term operation. Exactly three call sites submit work:
+//! relation or term operation. Two call sites submit work to [`run_tasks`]:
 //!
-//! - the five obligation chains of `core::verify` ([`run_tasks`]);
-//! - the sufficient-completeness strips of
-//!   `algebraic::completeness` ([`run_workers`]);
-//! - the fuzz corpus of `core::fuzz::run_corpus` ([`run_tasks`]).
+//! - the one task list of `core::verify`'s battery: its four obligation
+//!   chains, then the sufficient-completeness plan and one strip per
+//!   worker;
+//! - the fuzz corpus of `core::fuzz::run_corpus`.
 //!
-//! Tasks from all of them land in one region list served by one
-//! lazily-grown pool, so the completeness strips nested inside the
-//! battery's chains interleave with the other obligations on the same
-//! threads. Reachability exploration, the cross-level check, the dynamic
-//! contracts, PDL denotation and the relation kernels run on their
-//! caller's thread: splitting them across workers either lost to the
-//! serial loop or won only on shapes no benchmark workload has.
+//! `algebraic::completeness::exhaustive_budget` runs the same completeness
+//! strips through [`run_workers`] for callers outside the battery. No call
+//! nests inside another's task list, except that the fuzz corpus verifies
+//! each domain at the worker count of the engine arm under test.
+//! Reachability exploration, the cross-level check, the dynamic contracts,
+//! PDL denotation and the relation kernels run on their caller's thread:
+//! splitting them across workers either lost to the serial loop or won only
+//! on shapes no benchmark workload has.
 //!
 //! # Determinism contract
 //!
@@ -33,25 +34,19 @@
 //! provided — and deterministic stop axes (node caps checked at serial
 //! slot indices) trip at the same minimal index at every worker count.
 //!
-//! # FIFO regions and the waiting rule
+//! # Threads
 //!
-//! Each [`run_tasks`] call publishes its tasks as one *region*. A thread
-//! looking for work serves the oldest region that still has an unclaimed
-//! task, and looks again after every task. The caller claims its own
-//! region's tasks first; once all are claimed but some still run on other
-//! threads, it runs tasks from any region until its own settles, and parks
-//! on the pool condvar only when no region has a task left to claim. The
-//! task that settles a region's last slot notifies that condvar under the
-//! pool lock, so the wake-up cannot be lost. A waiting caller therefore
-//! never sleeps while work it depends on sits unclaimed — say, a nested
-//! region opened by one of its own tasks on another thread.
+//! A [`run_tasks`] call starts at most `min(workers, tasks, 256) − 1`
+//! threads named `eclectic-sched` inside a [`std::thread::scope`]; they and
+//! the caller take task indices from one atomic cursor until none is left,
+//! and all of them are joined before the call returns. Nothing outlives a
+//! call, so tasks may borrow the caller's frame without any lifetime
+//! erasure, and a nested call simply starts threads of its own.
 
-use std::any::Any;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 // ---------------------------------------------------------------------------
 // IndexQueue — dynamic chunked claiming over a serial item range
@@ -80,17 +75,10 @@ impl IndexQueue {
     /// against claim traffic: ~4 chunks per worker, at least 1 item.
     #[must_use]
     pub fn new(len: usize, workers: usize) -> Self {
-        let chunk = len.div_ceil(workers.max(1) * 4).max(1);
-        Self::with_chunk(len, chunk)
-    }
-
-    /// A queue over `0..len` with an explicit chunk size (≥ 1).
-    #[must_use]
-    pub fn with_chunk(len: usize, chunk: usize) -> Self {
         IndexQueue {
             next: AtomicUsize::new(0),
             len,
-            chunk: chunk.max(1),
+            chunk: len.div_ceil(workers.max(1) * 4).max(1),
         }
     }
 
@@ -104,268 +92,86 @@ impl IndexQueue {
         }
         Some(start..self.len.min(start + self.chunk))
     }
-
-    /// Total number of items in the range.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the range is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
-// ---------------------------------------------------------------------------
-// The persistent pool
-// ---------------------------------------------------------------------------
-
-/// Hard cap on pool threads — a backstop far above any sane
-/// `ECLECTIC_THREADS`, not a tuning knob.
-const MAX_POOL_THREADS: usize = 256;
-
-/// A lifetime-erased task. The closure really borrows the submitting
-/// call's stack frame (`'env`); the region protocol guarantees it is
-/// consumed before that frame returns (see the safety argument in
-/// [`run_tasks_steal`]).
-type ErasedTask = Box<dyn FnOnce() + Send + 'static>;
-
-/// One submitted batch of tasks: the unit pool threads scan for work.
-struct Region {
-    /// Task slots, each taken exactly once by its claimer. The per-slot
-    /// mutex is uncontended (the atomic cursor hands each index to one
-    /// claimer); it exists to make `take` safe from any thread.
-    tasks: Vec<Mutex<Option<ErasedTask>>>,
-    /// Claim cursor over `tasks`.
-    next: AtomicUsize,
-    /// Count of settled tasks (executed, or panicked-and-recorded). A task
-    /// stores its output and any panic payload before its `AcqRel`
-    /// increment; the `Acquire` load in [`Region::is_settled`] pairs with
-    /// it, so a submitter that reads the full count sees every output.
-    settled: AtomicUsize,
-    /// First panic payload by task index — replayed to the submitter so a
-    /// panicking sweep behaves like its serial equivalent.
-    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
-}
-
-impl Region {
-    fn new(tasks: Vec<ErasedTask>) -> Self {
-        Region {
-            tasks: tasks.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-            next: AtomicUsize::new(0),
-            settled: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Whether every task has been claimed (not necessarily finished).
-    fn drained(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.tasks.len()
-    }
-
-    /// Whether every task has settled.
-    fn is_settled(&self) -> bool {
-        self.settled.load(Ordering::Acquire) >= self.tasks.len()
-    }
-
-    /// Claims the next unclaimed task index, if any.
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.tasks.len()).then_some(i)
-    }
-
-    /// Runs claimed task `i`, recording a panic instead of unwinding into
-    /// the pool thread, and settles it.
-    fn run(&self, i: usize) {
-        let task = self.tasks[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(task) = task {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                if first.as_ref().is_none_or(|(j, _)| i < *j) {
-                    *first = Some((i, payload));
-                }
-            }
-        }
-        if self.settled.fetch_add(1, Ordering::AcqRel) + 1 == self.tasks.len() {
-            // The submitter checks `settled` while holding the pool lock,
-            // so under that lock it has either seen this count or is
-            // already parked when the notification lands.
-            let pool = Pool::get();
-            let _st = pool.lock();
-            pool.work_cv.notify_all();
-        }
-    }
-}
-
-struct PoolState {
-    /// Active regions in submission order; threads serve the oldest one
-    /// with unclaimed work. This is the cross-stage sharing: a thread that
-    /// drains one sweep's tasks immediately steals from whatever sweep is
-    /// still running.
-    regions: VecDeque<Arc<Region>>,
-    /// Threads ever spawned (persistent; they park when idle).
-    threads: usize,
-}
-
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Signalled when a region is published and when a region settles.
-    work_cv: Condvar,
-}
-
-impl Pool {
-    fn get() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool {
-            state: Mutex::new(PoolState {
-                regions: VecDeque::new(),
-                threads: 0,
-            }),
-            work_cv: Condvar::new(),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Publishes a region and grows the pool toward `helpers` threads.
-    fn submit(&'static self, region: Arc<Region>, helpers: usize) {
-        let mut st = self.lock();
-        st.regions.push_back(region);
-        let want = helpers.min(MAX_POOL_THREADS);
-        while st.threads < want {
-            st.threads += 1;
-            // A pool thread serves regions for the life of the process.
-            std::thread::Builder::new()
-                .name("eclectic-sched".into())
-                .spawn(move || drop(self.serve(|| false)))
-                .expect("spawn scheduler worker");
-        }
-        drop(st);
-        self.work_cv.notify_all();
-    }
-
-    /// Runs one task at a time from the oldest region with unclaimed work
-    /// until `done` holds, parking on the condvar whenever no region has
-    /// any. `done` is checked under the pool lock, which is returned held.
-    fn serve(&self, done: impl Fn() -> bool) -> MutexGuard<'_, PoolState> {
-        let mut st = self.lock();
-        while !done() {
-            match st.regions.iter().find(|r| !r.drained()).cloned() {
-                Some(region) => {
-                    drop(st);
-                    // The region can drain between the scan and the claim;
-                    // the next scan skips it.
-                    if let Some(i) = region.claim() {
-                        region.run(i);
-                    }
-                    st = self.lock();
-                }
-                None => {
-                    st = self
-                        .work_cv
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        st
-    }
-}
 
 // ---------------------------------------------------------------------------
 // run_tasks — the single entry point every sweep uses
 // ---------------------------------------------------------------------------
 
+/// Hard cap on the threads of one call — a backstop far above any sane
+/// `ECLECTIC_THREADS`, not a tuning knob.
+const MAX_THREADS: usize = 256;
+
+/// One task of a [`run_tasks`] batch.
+type Task<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
+
+/// The threads a call with `workers` and `tasks` runs on, the caller's
+/// included.
+fn thread_count(workers: usize, tasks: usize) -> usize {
+    workers.min(tasks).min(MAX_THREADS)
+}
+
 /// Runs `tasks` to completion and returns their outputs in task order.
 ///
 /// This is the one parallel primitive in the workspace: every sweep
-/// builds its per-worker closures (typically `min(workers, items)` of
-/// them, pulling item chunks from a shared [`IndexQueue`]) and hands them
-/// here. `workers` is the parallelism the caller wants: it sizes the
-/// persistent pool's help (`workers - 1` pool threads; the calling thread
-/// always executes tasks too). Outputs are slotted by task index, so
-/// results are independent of which thread ran what.
+/// builds its per-worker closures (typically one per worker, pulling item
+/// chunks from a shared [`IndexQueue`]) and hands them here. `workers` is
+/// the parallelism the caller wants: the calling thread and up to
+/// `min(workers, tasks.len(), 256) − 1` scoped threads take task indices
+/// in increasing order from one cursor. Outputs are slotted by task index,
+/// so results are independent of which thread ran what. A thread that
+/// fails to start leaves its share to the others.
 ///
 /// With `workers <= 1` or fewer than two tasks the tasks run inline on
-/// the calling thread, in order — the serial path costs no allocation,
-/// no locks and no pool wakeup.
+/// the calling thread, in order — the serial path starts no thread and
+/// takes no lock.
 ///
 /// If a task panics, the first panic in task order is resumed on the
 /// calling thread after all tasks settle, mirroring the serial behaviour.
 #[must_use]
-pub fn run_tasks<'env, T: Send + 'env>(
-    workers: usize,
-    tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-) -> Vec<T> {
-    if workers <= 1 || tasks.len() <= 1 {
+pub fn run_tasks<'env, T: Send + 'env>(workers: usize, tasks: Vec<Task<'env, T>>) -> Vec<T> {
+    let threads = thread_count(workers, tasks.len());
+    if threads <= 1 {
         return tasks.into_iter().map(|t| t()).collect();
     }
-    run_tasks_steal(workers, tasks)
-}
-
-/// The persistent-pool path.
-fn run_tasks_steal<'env, T: Send + 'env>(
-    workers: usize,
-    tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-) -> Vec<T> {
-    let n = tasks.len();
-    let outputs: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let region = {
-        let mut erased: Vec<ErasedTask> = Vec::with_capacity(n);
-        for (k, task) in tasks.into_iter().enumerate() {
-            let out = &outputs;
-            let f: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let r = task();
-                out.lock().unwrap_or_else(PoisonError::into_inner)[k] = Some(r);
-            });
-            // SAFETY: lifetime erasure only. The closure borrows `outputs`
-            // and whatever `task` captured from the caller's frame
-            // (`'env`). Every erased task is consumed — executed or
-            // panicked-and-recorded — before `serve` below observes the
-            // region settled, and the region is retired from the pool
-            // registry before this function returns, so no pool thread can
-            // observe the closure after `'env` ends. Pool threads may
-            // briefly hold the region `Arc` after settlement, but by then
-            // every task slot is `None` and the region contains no
-            // borrowed data.
-            let f: ErasedTask = unsafe { std::mem::transmute::<_, ErasedTask>(f) };
-            erased.push(f);
+    // The cursor hands each index to one thread and publishes nothing, so
+    // it is `Relaxed`: the slot's mutex hands the task over, and joining
+    // the thread hands its outputs back.
+    let slots: Vec<Mutex<Option<Task<'env, T>>>> =
+        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut settled = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return settled;
+            };
+            let task = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            let task = task.expect("the cursor hands out each index once");
+            settled.push((i, catch_unwind(AssertUnwindSafe(task))));
         }
-        Arc::new(Region::new(erased))
     };
-
-    let pool = Pool::get();
-    pool.submit(Arc::clone(&region), workers.saturating_sub(1));
-    // The caller is always a worker: even with an empty pool the region
-    // completes, which is what makes nested `run_tasks` deadlock-free.
-    while let Some(i) = region.claim() {
-        region.run(i);
-    }
-    // The waiting rule: help any region until this one settles.
-    let mut st = pool.serve(|| region.is_settled());
-    st.regions.retain(|r| !Arc::ptr_eq(r, &region));
-    drop(st);
-
-    if let Some((_, payload)) = region
-        .panic
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-    {
-        resume_unwind(payload);
-    }
-    outputs
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
+    let mut settled = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .map_while(|_| {
+                std::thread::Builder::new()
+                    .name("eclectic-sched".into())
+                    .spawn_scoped(s, work)
+                    .ok()
+            })
+            .collect();
+        let mut settled = work();
+        for h in helpers {
+            settled.extend(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        settled
+    });
+    settled.sort_unstable_by_key(|(i, _)| *i);
+    settled
         .into_iter()
-        .map(|o| o.expect("settled task produced no output"))
+        .map(|(_, r)| r.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
@@ -381,8 +187,8 @@ where
     F: FnOnce() -> T + Send + 'env,
     M: FnMut(usize) -> F,
 {
-    let tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>> = (0..workers)
-        .map(|w| Box::new(make(w)) as Box<dyn FnOnce() -> T + Send + 'env>)
+    let tasks: Vec<Task<'env, T>> = (0..workers)
+        .map(|w| Box::new(make(w)) as Task<'env, T>)
         .collect();
     run_tasks(workers, tasks)
 }
@@ -390,14 +196,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envcfg::force_worker_cap;
 
-    fn boxed<'env, T: Send + 'env>(
-        fs: Vec<impl FnOnce() -> T + Send + 'env>,
-    ) -> Vec<Box<dyn FnOnce() -> T + Send + 'env>> {
-        fs.into_iter()
-            .map(|f| Box::new(f) as Box<dyn FnOnce() -> T + Send + 'env>)
-            .collect()
+    fn boxed<'env, T: Send + 'env>(fs: Vec<impl FnOnce() -> T + Send + 'env>) -> Vec<Task<'env, T>> {
+        fs.into_iter().map(|f| Box::new(f) as Task<'env, T>).collect()
     }
 
     #[test]
@@ -483,13 +284,22 @@ mod tests {
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
-        // All tasks settled; the recorded panic is a real task panic.
-        assert!(msg.starts_with("task "), "unexpected payload {msg:?}");
+        // All tasks settled; the first panic in task order is resumed.
+        assert_eq!(msg, "task 1");
+    }
+
+    #[test]
+    fn threads_are_clamped_by_workers_tasks_and_the_backstop() {
+        assert_eq!(thread_count(1, 10), 1);
+        assert_eq!(thread_count(8, 3), 3);
+        assert_eq!(thread_count(4, 37), 4);
+        assert_eq!(thread_count(100_000, 100_000), MAX_THREADS);
     }
 
     #[test]
     fn index_queue_claims_cover_range_in_order() {
-        let q = IndexQueue::with_chunk(103, 10);
+        // Three workers: chunks of 9.
+        let q = IndexQueue::new(103, 3);
         let mut seen = Vec::new();
         let mut last_start = 0;
         while let Some(r) = q.claim() {
@@ -502,9 +312,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_really_runs_concurrently() {
+    fn tasks_really_run_concurrently() {
         use std::sync::atomic::AtomicBool;
-        let _cap = force_worker_cap(usize::MAX);
         // Two tasks that can only finish if they run at the same time.
         let a = AtomicBool::new(false);
         let b = AtomicBool::new(false);
@@ -513,7 +322,7 @@ mod tests {
             let start = std::time::Instant::now();
             while !theirs.load(Ordering::SeqCst) {
                 if start.elapsed().as_secs() > 10 {
-                    panic!("peer task never started — pool not concurrent");
+                    panic!("peer task never started — tasks not concurrent");
                 }
                 std::hint::spin_loop();
             }

@@ -1,11 +1,11 @@
-//! The waiting rule of `kernel::sched`: a caller whose region still has
-//! tasks in flight runs tasks from any region until its own settles,
-//! instead of sleeping until it does.
+//! A task that opens a nested `run_tasks` call still gets its nested tasks
+//! run side by side: the nested call starts a thread of its own, whatever
+//! the outer call's threads are doing.
 //!
-//! Kept in its own integration-test binary so that the process-global pool
-//! holds exactly one helper thread. With two threads in all, the nested
-//! pair below can only finish together if the outer caller, once its own
-//! task is done, claims the nested task that no pool thread is free to run.
+//! The outer pair holds both of the outer call's threads: `a` spins until
+//! `b` has started, and `b` opens a nested pair whose two tasks can only
+//! finish together. With nothing shared between calls, the nested pair
+//! meets on `b`'s thread and the thread the nested call starts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -32,7 +32,7 @@ fn a_waiting_caller_runs_tasks_of_a_nested_region() {
     let outer: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
         // `a` holds its thread until `b` runs on the other one.
         Box::new(|| spin_until(&b_started, "the peer outer task")),
-        // `b` opens a nested region whose two tasks wait for each other.
+        // `b` opens a nested call whose two tasks wait for each other.
         Box::new(|| {
             b_started.store(true, Ordering::SeqCst);
             let nested: Vec<Box<dyn FnOnce() + Send + '_>> = vec![

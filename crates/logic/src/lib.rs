@@ -41,6 +41,7 @@
 //! # Ok::<(), eclectic_logic::LogicError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -19,6 +19,7 @@
 //!   the same answer to every query;
 //! - [`FullReport`]: everything aggregated with a human-readable rendering.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bridge;
@@ -41,8 +42,8 @@ pub use interp2::{
     InterpretationK, QueryImpl,
 };
 pub use obligations::{
-    check_dynamic_budget, check_refinement_1_2_budget, obligation_axioms, obligation_completeness,
-    obligation_exploration, obligation_termination, DynamicFailure, DynamicReport, Refine12Config,
+    check_dynamic_budget, check_refinement_1_2_budget, completeness_sweep, obligation_axioms,
+    obligation_completeness, obligation_exploration, obligation_termination, DynamicFailure, DynamicReport, Refine12Config,
     Refine12Report, StateViolation,
 };
 pub use reach::{

@@ -143,7 +143,7 @@ pub fn check_refinement_1_2_budget(
 
 /// Obligation (a), circularity half: the Q-equation termination analysis.
 /// A per-obligation entry point, so the verification battery can run it
-/// as its own pool task.
+/// as its own task.
 ///
 /// # Errors
 /// Propagates analysis errors.
@@ -151,10 +151,12 @@ pub fn obligation_termination(spec: &AlgSpec) -> Result<termination::Termination
     Ok(termination::check_termination(spec)?)
 }
 
+/// Stuck terms the completeness obligation reports at most.
+const STUCK_REPORTED: usize = 20;
+
 /// Obligation (a), coverage half: the exhaustive sufficient-completeness
-/// sweep at `depth`, reporting up to 20 stuck terms. A per-obligation
-/// entry point for the verification battery; independent of the other
-/// refine12 obligations.
+/// sweep at `depth`, reporting up to 20 stuck terms; independent of the
+/// other refine12 obligations.
 ///
 /// # Errors
 /// Propagates evaluation errors; budget exhaustion is *not* an error.
@@ -164,7 +166,19 @@ pub fn obligation_completeness(
     budget: &Budget,
     threads: usize,
 ) -> Result<completeness::CompletenessReport> {
-    Ok(completeness::exhaustive_budget(spec, depth, 20, budget, threads)?)
+    Ok(completeness::exhaustive_budget(spec, depth, STUCK_REPORTED, budget, threads)?)
+}
+
+/// [`obligation_completeness`]'s sweep split into plan, strips and merge,
+/// with its claim queue sized for `workers` strips: the form the
+/// verification battery puts into its own task list.
+#[must_use]
+pub fn completeness_sweep(
+    spec: &AlgSpec,
+    depth: usize,
+    workers: usize,
+) -> completeness::ExhaustiveSweep<'_> {
+    completeness::ExhaustiveSweep::new(spec, depth, STUCK_REPORTED, workers)
 }
 
 /// The universe construction `M(T2)`: bounded exploration of the

@@ -299,14 +299,6 @@ impl Stmt {
         }
     }
 
-    /// Validates a statement with no parameter variables in scope.
-    ///
-    /// # Errors
-    /// See [`Stmt::validate`].
-    pub fn validate_closed(&self, sig: &Signature) -> Result<()> {
-        self.validate(sig, &BTreeSet::new())
-    }
-
     /// Translates derived constructs into the core language
     /// (`if`, `while`, `insert`, `delete`, `skip` disappear). Fresh tuple
     /// variables for insert/delete are drawn from the signature.
@@ -427,7 +419,7 @@ mod tests {
         stmt.validate(&sg, &params(&sg, &["s", "c"])).unwrap();
         assert!(stmt.is_deterministic());
         // Without the parameters in scope, validation fails.
-        assert!(stmt.validate_closed(&sg).is_err());
+        assert!(stmt.validate(&sg, &BTreeSet::new()).is_err());
     }
 
     #[test]
@@ -437,7 +429,7 @@ mod tests {
         let c = sg.var_id("c").unwrap();
         let open = Stmt::Test(Formula::Pred(offered, vec![Term::Var(c)]));
         assert!(matches!(
-            open.validate_closed(&sg),
+            open.validate(&sg, &BTreeSet::new()),
             Err(RprError::BadStatement(_))
         ));
         open.validate(&sg, &params(&sg, &["c"])).unwrap();
@@ -448,7 +440,7 @@ mod tests {
         let sg = sig();
         let t = Stmt::Test(Formula::True.possibly());
         assert!(matches!(
-            t.validate_closed(&sg),
+            t.validate(&sg, &BTreeSet::new()),
             Err(RprError::BadStatement(_))
         ));
     }

@@ -4,6 +4,7 @@
 //! Casanova, Veloso & Furtado (PODS 1984), §5.
 //!
 //! See module docs; crate-level overview below.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ast;

@@ -169,13 +169,6 @@ pub fn recognizes(g: &MetaGrammar, start: &str, tokens: &[String]) -> bool {
     prefix_members(g, start, tokens)[tokens.len()]
 }
 
-/// Convenience: recognition over `&str` tokens.
-#[must_use]
-pub fn recognizes_strs(g: &MetaGrammar, start: &str, tokens: &[&str]) -> bool {
-    let owned: Vec<String> = tokens.iter().map(|s| (*s).to_string()).collect();
-    recognizes(g, start, &owned)
-}
-
 /// The recogniser [`prefix_members`] replaced, kept verbatim as its
 /// differential oracle: one pass per token string, `Vec::contains` dedup,
 /// an origin-set scan per completion and no lookahead.
@@ -292,6 +285,12 @@ mod tests {
 
     use super::*;
     use crate::wgrammar::rpr_grammar::rpr_wgrammar;
+
+    /// Recognition over `&str` tokens.
+    fn recognizes_strs(g: &MetaGrammar, start: &str, tokens: &[&str]) -> bool {
+        let owned: Vec<String> = tokens.iter().map(|s| (*s).to_string()).collect();
+        recognizes(g, start, &owned)
+    }
 
     fn letters_grammar() -> MetaGrammar {
         let mut g = MetaGrammar::new();

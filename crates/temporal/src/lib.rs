@@ -42,6 +42,7 @@
 //! # Ok::<(), eclectic_logic::LogicError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod constraints;

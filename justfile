@@ -10,10 +10,12 @@ perf_ok := "import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]);
 # caller, so `ECLECTIC_THREADS` can never override an explicit count.
 env_threads_ok := "files=$(grep -rl --include='*.rs' 'env_threads(' crates/*/src | grep -vxF -e crates/kernel/src/envcfg.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs); if [ -n \"$files\" ]; then echo \"env_threads( called outside the top-level entry points: $files\"; exit 1; fi"
 
-# Fails if a library file other than the scheduler and the three parallel
-# grains (the obligation chains in `verify`, the completeness strips, the
-# fuzz corpus) submits work to the pool: parallelism lives at the
-# obligation level, and every sweep inside an obligation stays serial.
+# Fails if a library file other than the scheduler and the two parallel
+# grains (the battery's one task list in `verify`, holding its obligation
+# chains and the completeness strips, and the fuzz corpus) hands work to
+# `run_tasks`/`run_workers`; `completeness` runs the same strips through
+# `exhaustive_budget` for callers outside `verify`. Parallelism lives at
+# the obligation level, and every sweep inside an obligation stays serial.
 grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_workers(' crates/*/src | grep -vxF -e crates/kernel/src/sched.rs -e crates/core/src/verify.rs -e crates/core/src/fuzz.rs -e crates/algebraic/src/completeness.rs); if [ -n \"$files\" ]; then echo \"scheduler called outside the three parallel grains: $files\"; exit 1; fi"
 
 # Fails if a library file other than the logic lexer defines `fn tokenize(`:

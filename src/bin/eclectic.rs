@@ -11,6 +11,8 @@
 //!
 //! Domains: `courses`, `library`, `bank`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use eclectic::algebraic::equation_str;
@@ -150,9 +152,13 @@ fn main() -> ExitCode {
             config.refine12.limits.max_depth = depth;
             config.deadline_ms = deadline_ms;
             config.max_nodes = max_nodes.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
-            config.print_stages = true;
             match verify(&spec, &config) {
                 Ok(outcome) => {
+                    for s in &outcome.stages {
+                        let exhausted = s.exhausted.as_ref().map(|e| format!("  {e}"));
+                        let (name, ms) = (s.name, s.elapsed_ms);
+                        println!("  stage {name:<9} {ms:>6} ms{}", exhausted.unwrap_or_default());
+                    }
                     println!(
                         "W-grammar syntax check: {}",
                         if outcome.grammar_ok { "ok" } else { "FAILED" }

@@ -31,6 +31,8 @@
 //! # Ok::<(), eclectic::spec::SpecError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use eclectic_algebraic as algebraic;
 pub use eclectic_logic as logic;
 pub use eclectic_refine as refine;

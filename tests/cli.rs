@@ -2,7 +2,8 @@
 //! `--deadline-ms` or `--max-nodes` (or a malformed `ECLECTIC_DEADLINE_MS`/
 //! `ECLECTIC_MAX_NODES` fallback) is rejected with an `error:` line and a
 //! failing exit code before any verification runs, a well-formed limit is
-//! applied, and a well-formed `--style` selects the equations.
+//! applied, a well-formed `--style` selects the equations, and `verify`
+//! opens its report with one line per stage.
 
 use std::process::{Command, Output};
 
@@ -114,5 +115,34 @@ fn synth_style_prints_the_synthesized_equations() {
     assert!(
         synth.lines().any(|l| l.starts_with("offered_initiate:")),
         "{synth}"
+    );
+}
+
+#[test]
+fn verify_prints_the_five_stage_lines_before_the_grammar_line() {
+    let out = eclectic(&["verify", "courses"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let stages: Vec<&str> = lines
+        .iter()
+        .filter(|l| l.starts_with("  stage "))
+        .map(|l| {
+            assert!(l.ends_with(" ms"), "{l:?}");
+            l.split_whitespace().nth(1).expect("a stage name")
+        })
+        .collect();
+    assert_eq!(
+        stages,
+        ["refine12", "witness", "equations", "dynamic", "cross"],
+        "{stdout}"
+    );
+    assert!(
+        lines[..5].iter().all(|l| l.starts_with("  stage ")),
+        "{stdout}"
+    );
+    assert!(
+        lines[5].starts_with("W-grammar syntax check: "),
+        "{stdout}"
     );
 }

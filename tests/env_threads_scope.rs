@@ -5,13 +5,18 @@
 //! start no scheduler thread even with `ECLECTIC_THREADS=8` set and the
 //! host-core cap lifted.
 //!
-//! Kept in its own integration-test binary, like
-//! `crates/core/tests/worker_cap.rs`: the scheduler pool is process-global
-//! and only grows, so a test that starts pool workers would leave them
-//! behind for the count below.
+//! Scheduler threads live only while the call that started them runs, so
+//! a second thread samples `/proc/self/task` during each call and the test
+//! checks the most `eclectic-sched` threads seen at once. A 2-worker verify
+//! under the same settings is the positive control: the sampler must see
+//! its thread. It runs first, so a thread that outlived it would also be
+//! counted below. Kept in its own integration-test binary, like
+//! `crates/core/tests/worker_cap.rs`, so no other test's threads are
+//! counted.
 
 #![cfg(target_os = "linux")]
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use eclectic::logic::{Domains, Elem, Signature, Structure};
@@ -21,12 +26,30 @@ use eclectic::temporal::Universe;
 use eclectic_kernel::force_worker_cap;
 
 /// The number of this process's threads named `eclectic-sched`.
-fn pool_threads() -> usize {
+fn sched_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("procfs task directory")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .filter(|comm| comm.trim_end() == "eclectic-sched")
         .count()
+}
+
+/// Runs `f` while a second thread samples the scheduler threads; returns
+/// its result and the most threads seen at once.
+fn with_peak_sched_threads<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::SeqCst) {
+                peak = peak.max(sched_threads());
+            }
+            peak
+        });
+        let r = f();
+        done.store(true, Ordering::SeqCst);
+        (r, sampler.join().expect("the sampler thread"))
+    })
 }
 
 /// A chain universe over every subset of an 8-element carrier for one
@@ -60,23 +83,24 @@ fn chain_universe() -> Universe {
 fn explicit_and_implicit_single_worker_sweeps_ignore_eclectic_threads() {
     let _cap = force_worker_cap(usize::MAX);
     std::env::set_var("ECLECTIC_THREADS", "8");
-
     let spec = courses::courses(&courses::CoursesConfig::default()).unwrap();
-    let outcome = verify_with_threads(&spec, &VerifyConfig::quick(), 1).unwrap();
-    assert!(outcome.is_correct(), "{}", outcome.report);
-    assert_eq!(
-        pool_threads(),
-        0,
-        "scheduler threads after a 1-worker verify"
+    let verify = |workers| {
+        let (outcome, seen) = with_peak_sched_threads(|| {
+            verify_with_threads(&spec, &VerifyConfig::quick(), workers).unwrap()
+        });
+        assert!(outcome.is_correct(), "{}", outcome.report);
+        seen
+    };
+
+    assert!(
+        verify(2) >= 1,
+        "no scheduler thread seen in a 2-worker verify"
     );
+    assert_eq!(verify(1), 0, "scheduler threads during a 1-worker verify");
 
     let mut u = chain_universe();
     assert_eq!(u.state_count(), 256);
-    u.close_reflexive_transitive();
+    let ((), seen) = with_peak_sched_threads(|| u.close_reflexive_transitive());
     assert_eq!(u.edge_count(), 256 * 257 / 2, "the chain's closure");
-    assert_eq!(
-        pool_threads(),
-        0,
-        "scheduler threads after closing 256 states"
-    );
+    assert_eq!(seen, 0, "scheduler threads while closing 256 states");
 }
