@@ -158,8 +158,7 @@ impl ConditionalEquation {
             }
         }
 
-        check_condition_fragment(sig, &self.condition)
-            .map_err(|e| bad(format!("{e}")))?;
+        check_condition_fragment(sig, &self.condition).map_err(|e| bad(format!("{e}")))?;
         Ok(if ls == sig.state_sort() {
             EquationKind::U
         } else {
@@ -280,10 +279,7 @@ mod tests {
         let mut a = sig();
         let state = a.state_sort();
         let u2 = a.logic_mut().add_var("V", state).unwrap();
-        let cond = Formula::exists(
-            u2,
-            Formula::Eq(Term::Var(u2), Term::Var(a.state_var())),
-        );
+        let cond = Formula::exists(u2, Formula::Eq(Term::Var(u2), Term::Var(a.state_var())));
         let lhs = t(&mut a, "offered(c, offer(c, U))");
         let eq = ConditionalEquation::new("bad", cond, lhs, a.true_term());
         assert!(matches!(

@@ -87,7 +87,10 @@ impl fmt::Display for AlgError {
             }
             AlgError::BadCondition(m) => write!(f, "invalid condition: {m}"),
             AlgError::ConditionUndecided { term } => {
-                write!(f, "condition could not be decided: `{term}` is not a parameter name")
+                write!(
+                    f,
+                    "condition could not be decided: `{term}` is not a parameter name"
+                )
             }
             AlgError::NotSufficientlyComplete { term } => {
                 write!(f, "`{term}` does not reduce to a parameter name")

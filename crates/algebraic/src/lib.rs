@@ -74,11 +74,11 @@ pub mod termination;
 
 pub use equation::{check_condition_fragment, ConditionalEquation, EquationKind};
 pub use error::{AlgError, Result};
+#[cfg(feature = "legacy-rewrite")]
+pub use legacy::LegacyRewriter;
 pub use parser::{parse_equation, parse_equations};
 pub use printer::{condition_str, equation_str, term_str};
 pub use random::random_descriptions;
-#[cfg(feature = "legacy-rewrite")]
-pub use legacy::LegacyRewriter;
 pub use rewrite::{match_id, match_term, RewriteStats, Rewriter};
 pub use signature::{AlgSignature, OpKind};
 pub use spec::AlgSpec;

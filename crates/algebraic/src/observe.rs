@@ -301,7 +301,10 @@ mod tests {
         let a = term(&spec, "offer(db, initiate)");
         assert!(!obs_equal(&mut rw, &a, &b).unwrap());
         // They differ on exactly one observation: offered(db).
-        let (ta, tb) = (observations(&mut rw, &a).unwrap(), observations(&mut rw, &b).unwrap());
+        let (ta, tb) = (
+            observations(&mut rw, &a).unwrap(),
+            observations(&mut rw, &b).unwrap(),
+        );
         assert_eq!(ta.iter().filter(|(k, v)| tb[*k] != **v).count(), 1);
     }
 

@@ -177,8 +177,12 @@ mod tests {
     fn validation_applies() {
         let mut a = sig();
         // rhs variable not in lhs: the text parses, and the spec rejects it.
-        let eq = parse_equation(&mut a, "bad", "offered(c, initiate) = offered(c', initiate)")
-            .unwrap();
+        let eq = parse_equation(
+            &mut a,
+            "bad",
+            "offered(c, initiate) = offered(c', initiate)",
+        )
+        .unwrap();
         assert!(matches!(
             AlgSpec::new(a, vec![eq]),
             Err(AlgError::BadEquation { name, .. }) if name == "bad"

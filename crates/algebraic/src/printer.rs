@@ -27,7 +27,12 @@ pub fn equation_str(sig: &AlgSignature, eq: &ConditionalEquation) -> String {
     if eq.condition != Formula::True {
         let _ = write!(out, "{} ==> ", condition_str(sig, &eq.condition));
     }
-    let _ = write!(out, "{} = {}", term_str(sig, &eq.lhs), term_str(sig, &eq.rhs));
+    let _ = write!(
+        out,
+        "{} = {}",
+        term_str(sig, &eq.lhs),
+        term_str(sig, &eq.rhs)
+    );
     out
 }
 

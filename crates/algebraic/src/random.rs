@@ -20,12 +20,7 @@ use crate::structured::{Effect, InitialState, StructuredDescription};
 /// Picks a term of `sort`: a description parameter variable of that sort
 /// when one exists (biased towards variables, which exercise the frame
 /// disequalities), otherwise a parameter constant.
-fn term_of_sort(
-    sig: &AlgSignature,
-    rng: &mut Rng,
-    params: &[VarId],
-    sort: SortId,
-) -> Result<Term> {
+fn term_of_sort(sig: &AlgSignature, rng: &mut Rng, params: &[VarId], sort: SortId) -> Result<Term> {
     let vars: Vec<VarId> = params
         .iter()
         .copied()
@@ -46,11 +41,7 @@ fn term_of_sort(
 }
 
 /// A random atomic precondition: `q(ā, U) = True/False` for a random query.
-fn random_precondition(
-    sig: &AlgSignature,
-    rng: &mut Rng,
-    params: &[VarId],
-) -> Result<Formula> {
+fn random_precondition(sig: &AlgSignature, rng: &mut Rng, params: &[VarId]) -> Result<Formula> {
     let queries: Vec<_> = sig.queries().collect();
     if queries.is_empty() || rng.chance(1, 3) {
         return Ok(Formula::True);
@@ -120,7 +111,10 @@ pub fn random_descriptions(
         let uname = sig.logic().func(u).name.clone();
         let mut params = Vec::new();
         for (i, s) in sig.update_params(u)?.into_iter().enumerate() {
-            let hint = format!("{}{i}", sig.logic().sort_name(s).chars().next().unwrap_or('x'));
+            let hint = format!(
+                "{}{i}",
+                sig.logic().sort_name(s).chars().next().unwrap_or('x')
+            );
             params.push(sig.logic_mut().fresh_var(&hint, s));
         }
         let precondition = random_precondition(sig, rng, &params)?;
@@ -144,7 +138,11 @@ pub fn random_descriptions(
             } else {
                 sig.false_term()
             };
-            effects.push(Effect { query: q, args, value });
+            effects.push(Effect {
+                query: q,
+                args,
+                value,
+            });
         }
 
         descriptions.push(StructuredDescription {

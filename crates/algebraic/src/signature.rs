@@ -114,7 +114,12 @@ impl AlgSignature {
     ///
     /// # Errors
     /// Returns an error if any sort is `state`, or on duplicate names.
-    pub fn add_param_func(&mut self, name: &str, domain: &[SortId], range: SortId) -> Result<FuncId> {
+    pub fn add_param_func(
+        &mut self,
+        name: &str,
+        domain: &[SortId],
+        range: SortId,
+    ) -> Result<FuncId> {
         if domain.contains(&self.state_sort) || range == self.state_sort {
             return Err(AlgError::BadDescription(format!(
                 "parameter function `{name}` must not involve the state sort"
@@ -156,7 +161,12 @@ impl AlgSignature {
     ///
     /// # Errors
     /// Returns an error on duplicate names or non-parameter sorts.
-    pub fn add_update(&mut self, name: &str, params: &[SortId], takes_state: bool) -> Result<FuncId> {
+    pub fn add_update(
+        &mut self,
+        name: &str,
+        params: &[SortId],
+        takes_state: bool,
+    ) -> Result<FuncId> {
         for &s in params {
             self.check_param_sort(s)?;
         }
@@ -436,7 +446,10 @@ mod tests {
     fn misuse_rejected() {
         let mut a = courses();
         let takes = a.logic().func_id("takes").unwrap();
-        assert!(matches!(a.update_params(takes), Err(AlgError::NotAnUpdate(_))));
+        assert!(matches!(
+            a.update_params(takes),
+            Err(AlgError::NotAnUpdate(_))
+        ));
         let offer = a.logic().func_id("offer").unwrap();
         assert!(matches!(a.query_params(offer), Err(AlgError::NotAQuery(_))));
         let state = a.state_sort();

@@ -204,11 +204,7 @@ mod tests {
         let cancel = a.logic().func_id("cancel").unwrap();
         let offered = a.logic().func_id("offered").unwrap();
         let c = a.logic().var_id("c").unwrap();
-        let pre = parse_formula(
-            a.logic_mut(),
-            "forall s:student. takes(s, c, U) = False",
-        )
-        .unwrap();
+        let pre = parse_formula(a.logic_mut(), "forall s:student. takes(s, c, U) = False").unwrap();
         StructuredDescription {
             update: cancel,
             params: vec![c],

@@ -92,7 +92,13 @@ fn fresh_query_vars(sig: &mut AlgSignature, q: FuncId) -> Result<Vec<VarId>> {
     let sorts = sig.query_params(q)?;
     let mut vars = Vec::with_capacity(sorts.len());
     for s in sorts {
-        let hint = sig.logic().sort_name(s).chars().next().unwrap_or('x').to_string();
+        let hint = sig
+            .logic()
+            .sort_name(s)
+            .chars()
+            .next()
+            .unwrap_or('x')
+            .to_string();
         vars.push(sig.logic_mut().fresh_var(&hint, s));
     }
     Ok(vars)
@@ -130,7 +136,11 @@ fn equations_for_pair(
 ) -> Result<Vec<ConditionalEquation>> {
     let qname = sig.logic().func(q).name.clone();
     let uname = sig.logic().func(d.update).name.clone();
-    let effects: Vec<&Effect> = d.all_effects().into_iter().filter(|e| e.query == q).collect();
+    let effects: Vec<&Effect> = d
+        .all_effects()
+        .into_iter()
+        .filter(|e| e.query == q)
+        .collect();
     let upd = update_term(sig, d);
     let mut out = Vec::new();
 
@@ -246,11 +256,8 @@ mod tests {
             }],
             side_effects: vec![],
         };
-        let pre_cancel = parse_formula(
-            a.logic_mut(),
-            "forall s:student. takes(s, c, U) = False",
-        )
-        .unwrap();
+        let pre_cancel =
+            parse_formula(a.logic_mut(), "forall s:student. takes(s, c, U) = False").unwrap();
         let d_cancel = StructuredDescription {
             update: cancel,
             params: vec![c],
@@ -301,12 +308,7 @@ mod tests {
             side_effects: vec![],
         };
 
-        let eqs = synthesize(
-            &mut a,
-            &initial,
-            &[d_offer, d_cancel, d_enroll, d_transfer],
-        )
-        .unwrap();
+        let eqs = synthesize(&mut a, &initial, &[d_offer, d_cancel, d_enroll, d_transfer]).unwrap();
         AlgSpec::new(a, eqs).unwrap()
     }
 

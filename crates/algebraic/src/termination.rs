@@ -244,7 +244,10 @@ mod tests {
                 ("eq1", "offered(c, initiate) = False"),
                 ("eq2", "takes(s, c, initiate) = False"),
                 ("eq3", "offered(c, offer(c, U)) = True"),
-                ("eq4", "c != c' ==> offered(c, offer(c', U)) = offered(c, U)"),
+                (
+                    "eq4",
+                    "c != c' ==> offered(c, offer(c', U)) = offered(c, U)",
+                ),
                 ("eq5", "takes(s, c, offer(c', U)) = takes(s, c, U)"),
                 (
                     "eq6a",

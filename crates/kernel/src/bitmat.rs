@@ -370,10 +370,7 @@ mod tests {
         let r = from_pairs(80, &[(0, 64), (1, 2)]);
         let s = from_pairs(80, &[(64, 3), (64, 79), (2, 0)]);
         let rs = r.compose(&s);
-        assert_eq!(
-            rs.iter().collect::<Vec<_>>(),
-            vec![(0, 3), (0, 79), (1, 0)]
-        );
+        assert_eq!(rs.iter().collect::<Vec<_>>(), vec![(0, 3), (0, 79), (1, 0)]);
         let id = BitMatrix::identity(80);
         assert_eq!(r.compose(&id), r);
         assert_eq!(id.compose(&r), r);
@@ -400,10 +397,7 @@ mod tests {
             m.compose_governed(&m, &expired),
             Err(BudgetExceeded::Deadline)
         );
-        assert_eq!(
-            m.closure_governed(&expired),
-            Err(BudgetExceeded::Deadline)
-        );
+        assert_eq!(m.closure_governed(&expired), Err(BudgetExceeded::Deadline));
         assert!(m.compose_governed(&m, &Budget::unlimited()).is_ok());
     }
 

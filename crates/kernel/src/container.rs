@@ -97,9 +97,7 @@ impl Container {
     fn contains(&self, v: u16) -> bool {
         match self {
             Container::Array(vals) => vals.binary_search(&v).is_ok(),
-            Container::Bitmap { words, .. } => {
-                words[usize::from(v) >> 6] & (1u64 << (v & 63)) != 0
-            }
+            Container::Bitmap { words, .. } => words[usize::from(v) >> 6] & (1u64 << (v & 63)) != 0,
             Container::Runs { runs, .. } => {
                 let i = runs.partition_point(|&(s, _)| s <= v);
                 i > 0 && runs[i - 1].1 >= v
@@ -379,7 +377,11 @@ impl Iterator for ContainerIter<'_> {
                     *cur = runs.next().map(|&(s, e)| (u32::from(s), u32::from(e)));
                 }
                 let (next, last) = (*cur)?;
-                *cur = if next < last { Some((next + 1, last)) } else { None };
+                *cur = if next < last {
+                    Some((next + 1, last))
+                } else {
+                    None
+                };
                 Some(next)
             }
         }

@@ -39,8 +39,8 @@ pub mod hash;
 mod ids;
 mod rel;
 pub mod rng;
-pub mod sched;
 mod rows;
+pub mod sched;
 mod sparse;
 mod store;
 
@@ -48,6 +48,8 @@ pub use bitmat::{BitMatrix, ROW_POLL_STRIDE};
 pub use budget::{Budget, BudgetExceeded, Exhaustion};
 pub use container::{CompressedRel, CompressedRow};
 pub use envcfg::{effective_workers, env_threads, force_worker_cap, WorkerCapGuard};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use ids::{FuncId, PredId, SortId, VarId};
 pub use rel::{
     force_rel_backend, force_rel_fault, rel_backend_for, Rel, RelBackend, RelBackendGuard,
     RelChoice, RelFaultGuard, RowIter, REL_DENSE_MAX_DIM,
@@ -55,6 +57,4 @@ pub use rel::{
 pub use rng::Rng;
 pub use sched::{run_tasks, run_workers, IndexQueue};
 pub use sparse::SparseRel;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ids::{FuncId, PredId, SortId, VarId};
 pub use store::{Binding, SortError, SortOracle, TermId, TermNode, TermStore};

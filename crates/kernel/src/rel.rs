@@ -107,9 +107,7 @@ impl Drop for RelBackendGuard {
 /// (or a specific crossover) whatever the dimension rule would pick.
 #[must_use]
 pub fn force_rel_backend(choice: RelChoice) -> RelBackendGuard {
-    let lock = OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let lock = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let code = match choice {
         RelChoice::Dense => 1,
         RelChoice::Sparse => 2,
@@ -433,11 +431,21 @@ impl Rel {
         if self.backend() == backend {
             // Same backend: clone or grow in place.
             return match self {
-                Rel::Dense(m) => Rel::Dense(if m.dim() == d { m.clone() } else { m.resized(d) }),
-                Rel::Sparse(m) => Rel::Sparse(if m.dim() == d { m.clone() } else { m.resized(d) }),
-                Rel::Compressed(m) => {
-                    Rel::Compressed(if m.dim() == d { m.clone() } else { m.resized(d) })
-                }
+                Rel::Dense(m) => Rel::Dense(if m.dim() == d {
+                    m.clone()
+                } else {
+                    m.resized(d)
+                }),
+                Rel::Sparse(m) => Rel::Sparse(if m.dim() == d {
+                    m.clone()
+                } else {
+                    m.resized(d)
+                }),
+                Rel::Compressed(m) => Rel::Compressed(if m.dim() == d {
+                    m.clone()
+                } else {
+                    m.resized(d)
+                }),
             };
         }
         // Cross-backend conversion replays the pair stream; both sides
@@ -543,9 +551,9 @@ impl Rel {
     #[must_use]
     pub fn is_functional(&self) -> bool {
         match self {
-            Rel::Dense(m) => (0..m.dim()).all(|r| {
-                m.row(r).iter().map(|w| w.count_ones()).sum::<u32>() <= 1
-            }),
+            Rel::Dense(m) => {
+                (0..m.dim()).all(|r| m.row(r).iter().map(|w| w.count_ones()).sum::<u32>() <= 1)
+            }
             Rel::Sparse(m) => (0..m.dim()).all(|r| m.row(r).len() <= 1),
             Rel::Compressed(m) => (0..m.dim()).all(|r| m.row(r).len() <= 1),
         }
@@ -632,10 +640,7 @@ impl Rel {
             return (ns..big.dim()).all(|r| big.row(r).iter().all(|&w| w == 0));
         }
         let d = self.dim().max(other.dim());
-        (0..d).all(|r| {
-            self.row_iter_or_empty(r)
-                .eq(other.row_iter_or_empty(r))
-        })
+        (0..d).all(|r| self.row_iter_or_empty(r).eq(other.row_iter_or_empty(r)))
     }
 }
 

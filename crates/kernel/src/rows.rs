@@ -333,10 +333,7 @@ mod tests {
             m.compose_governed(&m, &expired),
             Err(BudgetExceeded::Deadline)
         );
-        assert_eq!(
-            m.closure_governed(&expired),
-            Err(BudgetExceeded::Deadline)
-        );
+        assert_eq!(m.closure_governed(&expired), Err(BudgetExceeded::Deadline));
         // A zero-byte memory cap trips before the first row of output.
         let capped = Budget::unlimited().with_max_rel_entries(0);
         assert_eq!(m.closure_governed(&capped), Err(BudgetExceeded::RelMemory));

@@ -94,7 +94,6 @@ impl IndexQueue {
     }
 }
 
-
 // ---------------------------------------------------------------------------
 // run_tasks — the single entry point every sweep uses
 // ---------------------------------------------------------------------------
@@ -197,8 +196,12 @@ where
 mod tests {
     use super::*;
 
-    fn boxed<'env, T: Send + 'env>(fs: Vec<impl FnOnce() -> T + Send + 'env>) -> Vec<Task<'env, T>> {
-        fs.into_iter().map(|f| Box::new(f) as Task<'env, T>).collect()
+    fn boxed<'env, T: Send + 'env>(
+        fs: Vec<impl FnOnce() -> T + Send + 'env>,
+    ) -> Vec<Task<'env, T>> {
+        fs.into_iter()
+            .map(|f| Box::new(f) as Task<'env, T>)
+            .collect()
     }
 
     #[test]
@@ -328,10 +331,8 @@ mod tests {
             }
             true
         };
-        let tasks: Vec<Box<dyn FnOnce() -> bool + Send + '_>> = vec![
-            Box::new(|| spin(&a, &b)),
-            Box::new(|| spin(&b, &a)),
-        ];
+        let tasks: Vec<Box<dyn FnOnce() -> bool + Send + '_>> =
+            vec![Box::new(|| spin(&a, &b)), Box::new(|| spin(&b, &a))];
         assert_eq!(run_tasks(2, tasks), vec![true, true]);
     }
 }

@@ -193,10 +193,7 @@ mod tests {
             m.set(i, i + 1);
         }
         let capped = Budget::unlimited().with_max_rel_entries(10_000);
-        assert_eq!(
-            m.closure_governed(&capped),
-            Err(BudgetExceeded::RelMemory)
-        );
+        assert_eq!(m.closure_governed(&capped), Err(BudgetExceeded::RelMemory));
         // The same closure under an unlimited budget does materialize.
         assert_eq!(closure(&m).entry_count(), n * (n + 1) / 2);
     }
