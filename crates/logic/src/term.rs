@@ -162,9 +162,9 @@ impl Term {
     #[must_use]
     pub fn from_interned(store: &TermStore, id: TermId) -> Term {
         match store.node(id) {
-            TermNode::Var(v) => Term::Var(*v),
+            TermNode::Var(v) => Term::Var(v),
             TermNode::App(f, args) => Term::App(
-                *f,
+                f,
                 args.iter()
                     .map(|&a| Term::from_interned(store, a))
                     .collect(),

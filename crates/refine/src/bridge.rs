@@ -118,7 +118,7 @@ impl ParamBridge {
     /// Returns [`RefineError::BridgeMismatch`] for non-constant terms.
     pub fn elem_of_id(&self, store: &TermStore, t: TermId) -> Result<(SortId, Elem)> {
         match store.node(t) {
-            TermNode::App(f, args) if args.is_empty() => self.elem(*f),
+            TermNode::App(f, []) => self.elem(f),
             _ => Err(RefineError::BridgeMismatch(
                 "parameter term is not a constant".into(),
             )),

@@ -24,7 +24,9 @@ grain_ok := "files=$(grep -rlF --include='*.rs' -e 'run_tasks(' -e 'run_workers(
 front_end_ok := "files=$(grep -rlF --include='*.rs' 'fn tokenize(' crates/*/src | grep -vxF crates/logic/src/parser/lexer.rs); if [ -n \"$files\" ]; then echo \"a second lexer outside the logic front end: $files\"; exit 1; fi"
 
 # The full offline gate: release build, tests, lints and rustdoc with
-# warnings denied (so a doc link to a deleted item fails the gate), the
+# warnings denied (so a doc link to a deleted item fails the gate), rustfmt
+# on the crates that are formatted (`eclectic-kernel` and
+# `eclectic-algebraic`; the others are not yet), the
 # `ECLECTIC_THREADS` read-site, parallel-grain and one-front-end checks, the
 # parallel-determinism suite in release mode (covering the obligation
 # battery and the completeness strips, with and without budget
@@ -43,6 +45,7 @@ verify:
     timeout 1200 cargo test -q --workspace
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    cargo fmt -p eclectic-kernel -p eclectic-algebraic -- --check
     {{env_threads_ok}}
     {{grain_ok}}
     {{front_end_ok}}
@@ -55,11 +58,13 @@ verify:
     timeout 900 cargo run -p eclectic-bench --bin bench_rel_crossover --release
     timeout 900 cargo run -p eclectic-bench --bin bench_scenarios --release -- --smoke
 
-# Lints alone, warnings denied — the clippy, rustdoc, `ECLECTIC_THREADS`
-# read-site, parallel-grain and one-front-end slice of `just verify`.
+# Lints alone, warnings denied — the clippy, rustdoc, rustfmt (kernel and
+# algebraic crates), `ECLECTIC_THREADS` read-site, parallel-grain and
+# one-front-end slice of `just verify`.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    cargo fmt -p eclectic-kernel -p eclectic-algebraic -- --check
     {{env_threads_ok}}
     {{grain_ok}}
     {{front_end_ok}}
